@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Sequence
 
 from .branchcut import DEFAULT_EXCLUSION_BAND, ProblemInstance
@@ -172,7 +171,7 @@ def _build_parser(default_tol: float) -> _Parser:
     sw.add_argument("--exclusion-band", type=float, default=DEFAULT_EXCLUSION_BAND)
     sw.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     sw.add_argument("--out", type=str, default=None)
-    sw.add_argument("--jobs", type=int, default=1, help="worker threads for the grid")
+    sw.add_argument("--jobs", type=int, default=1, help="accepted for compatibility (>= 1); rows run in order in one thread")
 
     vf = sub.add_parser("verify", help="run seeded internal identity checks")
     vf.add_argument("--seed", type=int, default=0)
@@ -267,11 +266,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"bci sweep: error: {exc}", file=sys.stderr)
         return 1
 
-    if args.jobs > 1 and instances:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(evaluate_instance, instances))
-    else:
-        reports = [evaluate_instance(inst) for inst in instances]
+    reports = [evaluate_instance(inst) for inst in instances]
 
     stream, owned = _open_out(args.out)
     counts = {"Agree": 0, "Partial": 0, "Disagree": 0}

@@ -11,6 +11,15 @@ bisection walks geometrically into whatever misbehaviour remains — endpoint
 oscillation from imaginary exponents, or a pole sitting near (never on) the
 path.
 
+The integrands are cheap, so the cost is numpy call overhead, not arithmetic.
+The 22 nodes of every panel in hand therefore go to f in one flat array: one
+call for all initial panels, then one call per split for both children.
+
+Refinement and stopping look only at |G15 - G7|.  That difference can fall
+below the rounding error of the G15 sum itself, so the reported estimate also
+carries QUADPACK's floor, 50 * eps * integral of |f| (Piessens et al., 1983),
+and converged is judged on that floored estimate.
+
 Determinism is part of the contract: the CLI promises byte-identical reports,
 so ties in the queue break by insertion order, panels are totalled by a
 sorted pairwise tree, and nothing here threads.
@@ -30,6 +39,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,7 +51,6 @@ from .errors import AlphaOnCut, DivergentAtZero, OnBranchCut, SingularPath
 __all__ = [
     "DEFAULT_QUAD_TOL",
     "DEFAULT_MAX_PANELS",
-    "ENDPOINT_CLIP",
     "QuadratureResult",
     "adaptive_quadrature",
     "circle_integral",
@@ -54,14 +63,12 @@ __all__ = [
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_MAX_PANELS = 20_000
 
-#: Half-width clipped off each open endpoint of the circle parameterisation.
-#: The integrand is bounded there (the cut causes a jump, not a blow-up), so
-#: the clipped mass is at most clip * local bound and is charged to the error
-#: estimate instead of being chased numerically.
-ENDPOINT_CLIP = 1e-9
-
 _LO_NODES, _LO_WEIGHTS = np.polynomial.legendre.leggauss(7)
 _HI_NODES, _HI_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_NODES = np.concatenate([_HI_NODES, _LO_NODES])  # one panel's 22 abscissae on [-1, 1]
+
+#: Factor of the roundoff floor on the reported estimate (see the module notes).
+_ROUNDOFF = 50.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -74,12 +81,16 @@ class QuadratureResult:
     converged: bool
 
 
-def _panel(f: Callable, a: float, b: float) -> tuple[complex, float]:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    hi = half * np.dot(_HI_WEIGHTS, f(mid + half * _HI_NODES))
-    lo = half * np.dot(_LO_WEIGHTS, f(mid + half * _LO_NODES))
-    return complex(hi), abs(hi - lo)
+def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray) -> tuple[list, list, list]:
+    """G15 values, |G15 - G7| estimates and G15 masses of many panels, one f call."""
+    mid = 0.5 * (lefts + rights)
+    half = 0.5 * (rights - lefts)
+    x = mid[:, None] + half[:, None] * _NODES
+    vals = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
+    hi = half * (vals[:, :15] @ _HI_WEIGHTS)
+    lo = half * (vals[:, 15:] @ _LO_WEIGHTS)
+    mass = half * (np.abs(vals[:, :15]) @ _HI_WEIGHTS)
+    return hi.tolist(), np.abs(hi - lo).tolist(), mass.tolist()
 
 
 def _pairwise_sum(values: list[complex]) -> complex:
@@ -109,41 +120,39 @@ def adaptive_quadrature(
     values.  Refinement stops once the summed panel estimates drop below
     tol * max(1, |value|) (absolute-or-relative) or the panel budget is
     spent; the latter reports converged=False with the best value so far.
+    The reported estimate adds the roundoff floor 50 * eps * integral |f| to
+    the panel estimates, and converged tests that floored estimate.
     """
     edges = np.linspace(a, b, initial_panels + 1)
-    heap: list[tuple[float, int, float, float, complex]] = []
-    seq = 0
-    total = complex(0.0)
-    err_total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        val, err = _panel(f, float(left), float(right))
-        heapq.heappush(heap, (-err, seq, float(left), float(right), val))
-        seq += 1
-        total += val
-        err_total += err
+    lefts, rights = edges[:-1], edges[1:]
+    vals, errs, masses = _panels(f, lefts, rights)
+    rows = zip(lefts.tolist(), rights.tolist(), vals, errs, masses)
+    heap = [(-err, seq, left, right, val, mass) for seq, (left, right, val, err, mass) in enumerate(rows)]
+    heapq.heapify(heap)  # (-err, seq) keys are unique, so the pop order is fixed
+    total = sum(vals, complex(0.0))
+    err_total = sum(errs, 0.0)
+    seq = initial_panels
     min_width = abs(b - a) * 1e-15
-    frozen: list[tuple[float, float, complex, float]] = []  # panels too narrow to split
+    frozen: list[tuple[float, float, complex, float, float]] = []  # panels too narrow to split
     while err_total > tol * max(1.0, abs(total)) and heap:
         if len(heap) + len(frozen) >= max_panels:
             break
-        neg_err, _, left, right, val = heapq.heappop(heap)
+        neg_err, _, left, right, val, mass = heapq.heappop(heap)
         err = -neg_err
         if err == 0.0 or right - left <= min_width:
-            frozen.append((left, right, val, err))
+            frozen.append((left, right, val, err, mass))
             continue
         mid = 0.5 * (left + right)
-        v1, e1 = _panel(f, left, mid)
-        v2, e2 = _panel(f, mid, right)
+        (v1, v2), (e1, e2), (m1, m2) = _panels(f, np.array([left, mid]), np.array([mid, right]))
         total += v1 + v2 - val
         err_total += e1 + e2 - err
-        heapq.heappush(heap, (-e1, seq, left, mid, v1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, right, v2))
-        seq += 1
-    panels = frozen + [(left, right, val, -neg) for (neg, _, left, right, val) in heap]
+        heapq.heappush(heap, (-e1, seq, left, mid, v1, m1))
+        heapq.heappush(heap, (-e2, seq + 1, mid, right, v2, m2))
+        seq += 2
+    panels = frozen + [(left, right, val, -neg, mass) for (neg, _, left, right, val, mass) in heap]
     panels.sort(key=lambda p: p[0])
     value = _pairwise_sum([p[2] for p in panels])
-    estimate = math.fsum(p[3] for p in panels)
+    estimate = math.fsum(p[3] for p in panels) + _ROUNDOFF * math.fsum(p[4] for p in panels)
     converged = estimate <= tol * max(1.0, abs(value))
     return QuadratureResult(value, estimate, len(panels), converged)
 
@@ -155,14 +164,12 @@ def circle_integral(
 ) -> QuadratureResult:
     """Contour integral of z**beta / (z - alpha) over the unit circle.
 
-    Parameterised as z = e^{it} on the open window t in (theta, theta + 2*pi),
+    Parameterised as z = e^{it} on the window t in [theta, theta + 2*pi],
     which walks the circle once starting and ending on the cut.  There the
     branch argument of e^{it} is t - 2*pi, so the power is exp(i*beta*(t-2*pi))
-    with no logarithm calls in the hot loop.  The open endpoints are clipped
-    by ENDPOINT_CLIP; the clipped mass is bounded by the integrand bounds at
-    the two banks, e^{Im(beta)(2*pi-theta)} and e^{-Im(beta)*theta} over
-    |1 - |alpha||, and charged to the error estimate.  The converged flag
-    reflects the total estimate including that charge.
+    with no logarithm calls in the hot loop.  That integrand is analytic on the
+    closed window (the cut only enters through its endpoints, which Gauss nodes
+    never touch), so the engine's result is returned as is.
     """
     inst.require_alpha_off_circle()
     th = inst.theta_value
@@ -172,19 +179,7 @@ def circle_integral(
     def f(t: np.ndarray) -> np.ndarray:
         return np.exp(1j * beta * (t - TWO_PI) + 1j * t) * 1j / (np.exp(1j * t) - alpha)
 
-    res = adaptive_quadrature(
-        f,
-        th + ENDPOINT_CLIP,
-        th + TWO_PI - ENDPOINT_CLIP,
-        tol=tol,
-        max_panels=max_panels,
-        initial_panels=16,
-    )
-    gap = abs(1.0 - abs(alpha))
-    clip_charge = ENDPOINT_CLIP * (math.exp(beta.imag * (TWO_PI - th)) + math.exp(-beta.imag * th)) / gap
-    estimate = res.abs_error_estimate + clip_charge
-    converged = res.converged and estimate <= tol * max(1.0, abs(res.value))
-    return QuadratureResult(res.value, estimate, res.subdivisions, converged)
+    return adaptive_quadrature(f, th, th + TWO_PI, tol=tol, max_panels=max_panels, initial_panels=16)
 
 
 def _unit_power_integral(

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from bci import (
     check_integral_reduction,
     circle_integral,
     euler_integral,
+    evaluate_instance,
     hyp2f1_one_b,
     radial_integral,
 )
@@ -54,6 +57,26 @@ class TestAdaptiveEngine:
         assert math.isfinite(abs(r.value))
         assert r.abs_error_estimate > 0.0
 
+    def test_one_integrand_call_per_split(self):
+        sizes = []
+
+        def f(t):
+            sizes.append(t.size)
+            return 1.0 / (t + 0.01)
+
+        r = adaptive_quadrature(f, 0.0, 1.0, tol=1e-10, initial_panels=8)
+        assert r.converged and r.subdivisions > 8
+        # all initial panels in one call, then both children of each split in one
+        assert len(sizes) == 1 + (r.subdivisions - 8)
+        assert sizes == [8 * 22] + [2 * 22] * (len(sizes) - 1)
+
+    def test_result_fields_are_python_scalars(self):
+        # reports and trace files serialise these with the json module
+        r = adaptive_quadrature(lambda t: np.exp(1j * t) / (t + 0.5), 0.0, 1.0)
+        assert type(r.value) is complex
+        assert type(r.abs_error_estimate) is float
+        assert type(r.converged) is bool
+
     def test_tighter_tol_never_uses_fewer_panels(self):
         f = lambda t: np.exp(1j * 3.3 * t) / (t + 0.05)
         loose = adaptive_quadrature(f, 0.0, 1.0, tol=1e-4)
@@ -81,6 +104,40 @@ class TestCircleIntegral:
 
         with pytest.raises(AlphaOnCircle):
             circle_integral(ProblemInstance(alpha=0.999, beta=0.5, theta=math.pi))
+
+
+def _mp_circle(alpha, beta, theta):
+    """Non-integer beta: the 2F1 identity of bci.closedform in mpmath, 30 digits plus 15 guard."""
+    with mp.workdps(45):
+        a, b, th = mp.mpc(alpha), mp.mpc(beta), mp.mpf(theta)
+        jump = mp.exp(1j * b * th) - mp.exp(1j * b * (th - 2 * mp.pi))
+        if abs(alpha) < 1.0:
+            value = jump / b * mp.hyp2f1(1, -b, 1 - b, a * mp.exp(-1j * th))
+        else:
+            value = jump / b * (1 - mp.hyp2f1(1, b, 1 + b, mp.exp(1j * th) / a))
+        return complex(value)
+
+
+class TestCircleAgainstMpmath:
+    def test_estimate_bounds_true_error(self):
+        rng = random.Random(20221017)
+        for _ in range(100):
+            z = rng.uniform(0.02, 0.979)
+            mod = z if rng.random() < 0.5 else 1.0 / z
+            alpha = mod * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            im = rng.uniform(-3.0, 3.0) if rng.random() < 0.7 else rng.choice((-1, 1)) * rng.uniform(3.0, 40.0)
+            beta = complex(rng.uniform(-3.0, 3.0), im)
+            theta = rng.uniform(0.05, 2 * math.pi - 0.05)
+            r = circle_integral(ProblemInstance(alpha=alpha, beta=beta, theta=theta))
+            err = abs(r.value - _mp_circle(alpha, beta, theta))
+            assert err <= r.abs_error_estimate, (alpha, beta, theta, err, r.abs_error_estimate)
+
+    @pytest.mark.parametrize("alpha,beta,theta", [(0.5, 0.5 + 30j, 3.0), (3.0, 0.5 - 40j, 1.0)])
+    def test_large_imaginary_exponent_agrees(self, alpha, beta, theta):
+        report = evaluate_instance(ProblemInstance(alpha=alpha, beta=beta, theta=theta))
+        assert report.verdict == "Agree"
+        quad = next(r for r in report.results if r.method == "Quadrature")
+        assert abs(quad.value - _mp_circle(alpha, beta, theta)) <= quad.error_estimate
 
 
 class TestEulerIntegral:
