@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import AlphaOnCircle, OnBranchCut, PoleHit, ZeroInput
@@ -34,10 +35,13 @@ __all__ = [
     "branch_log",
     "branch_pow",
     "cut_jump_factor",
+    "cut_jump_with_bound",
     "integrand",
 ]
 
 TWO_PI = 2.0 * math.pi
+
+_EPS = sys.float_info.epsilon
 
 #: Inputs closer than this (in radians) to the cut ray are rejected.  The
 #: branch is genuinely discontinuous across the ray, and silently assigning a
@@ -202,9 +206,25 @@ def cut_jump_factor(beta: complex, theta: BranchAngle | float) -> complex:
     package carries it as a prefactor, and it vanishes identically at integer
     beta, where the power is single valued and only residues survive.
     """
+    return cut_jump_with_bound(beta, theta)[0]
+
+
+def cut_jump_with_bound(beta: complex, theta: BranchAngle | float) -> tuple[complex, float]:
+    """cut_jump_factor(beta, theta) and a bound on its rounding error.
+
+    exp(w) is off relatively by about eps (1 + |w|): its own rounding plus
+    that of w.  Here |w| is |beta| theta and |beta| (2 pi - theta), and the
+    second w also carries the rounding of 2*pi, up to |beta| 2 pi more.  The
+    difference can cancel to pure roundoff (it is 0 at integer beta), so the
+    bound is on the two terms.
+    """
     th = _theta_of(theta)
     b = complex(beta)
-    return cmath.exp(1j * b * th) - cmath.exp(1j * b * (th - TWO_PI))
+    e1 = cmath.exp(1j * b * th)
+    e2 = cmath.exp(1j * b * (th - TWO_PI))
+    size = abs(b)
+    bound = _EPS * (abs(e1) * (1.0 + size * th) + abs(e2) * (1.0 + size * (2.0 * TWO_PI - th)))
+    return e1 - e2, bound
 
 
 def integrand(z: complex, inst: ProblemInstance) -> complex:

@@ -2,8 +2,10 @@
 
 Exit codes are part of the contract: 0 when methods agree (or the surviving
 subset does), 2 when they disagree, 1 for usage errors or instances where
-every method failed.  JSON on stdout is canonical (deterministic bytes);
-human chatter, timings included, goes to stderr.
+every method failed.  JSON on stdout is canonical: strict JSON with keys in
+a fixed order, floats as their shortest round-trip repr and non-finite
+values as the strings "NaN", "Infinity", "-Infinity", so identical inputs
+give identical bytes.  Human chatter, timings included, goes to stderr.
 """
 
 from __future__ import annotations

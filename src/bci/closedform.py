@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
 from .branchcut import (
-    ANGULAR_GUARD,
     TWO_PI,
     ProblemInstance,
     as_integer,
+    branch_arg,
     branch_log,
-    branch_pow,
-    cut_jump_factor,
+    cut_jump_with_bound,
     int_pow,
 )
 from .errors import (
@@ -43,6 +43,8 @@ from .errors import (
 from .hypergeometric import DEFAULT_MAX_TERMS, hyp2f1_one_b
 from .quadrature import euler_integral
 
+_EPS = sys.float_info.epsilon
+
 __all__ = [
     "METHOD_CLOSED_FORM",
     "METHOD_SERIES",
@@ -52,8 +54,10 @@ __all__ = [
     "RationalBeta",
     "eval_closed_form",
     "eval_direct_series",
+    "roots_of_unity_drift",
     "roots_of_unity_filter",
     "hyp2f1_rational",
+    "hyp2f1_rational_with_bound",
     "eval_rational_logsum",
     "check_reconciliation",
 ]
@@ -112,19 +116,15 @@ class RationalBeta:
         return self.m / self.n
 
 
-def _alpha_arg_on_cut(alpha: complex, theta: float) -> bool:
-    if alpha == 0:
-        return False
-    offset = (cmath.phase(alpha) - theta) % TWO_PI
-    return offset < ANGULAR_GUARD or TWO_PI - offset < ANGULAR_GUARD
-
-
 def _base_diagnostics(inst: ProblemInstance) -> dict[str, Any]:
     diag: dict[str, Any] = {"regime": "outside" if inst.alpha_outside() else "inside"}
-    if _alpha_arg_on_cut(inst.alpha, inst.theta_value):
-        # The formulas below never take a branch power of alpha itself, so
-        # this is informational: related identities (residue terms) do.
-        diag["alpha_arg_on_cut"] = True
+    if inst.alpha != 0:
+        try:
+            branch_arg(inst.alpha, inst.theta)
+        except OnBranchCut:
+            # The formulas below never take a branch power of alpha itself, so
+            # this is informational: related identities (residue terms) do.
+            diag["alpha_arg_on_cut"] = True
     return diag
 
 
@@ -139,6 +139,13 @@ def _residue_value(inst: ProblemInstance, n: int) -> complex:
     if n == 0:
         return complex(0.0, TWO_PI)  # alpha may be 0 here: z^0/z has residue 1
     return complex(0.0)
+
+
+def _argument_rounding(b: complex, z: complex, f: complex) -> float:
+    """Error in f = 2F1(1, b; 1+b; z) from the rounding of z = alpha e^{-i theta}
+    or e^{i theta}/alpha, relatively 3 eps (one exp, one complex product or
+    quotient); it moves f by that times z f'(z) = b (1/(1 - z) - f)."""
+    return 3.0 * _EPS * abs(b) * abs(1.0 / (1.0 - z) - f)
 
 
 def eval_closed_form(inst: ProblemInstance, series_tol: float | None = None) -> MethodResult:
@@ -162,18 +169,19 @@ def eval_closed_form(inst: ProblemInstance, series_tol: float | None = None) -> 
     diag["beta_class"] = "generic"
     tol = series_tol if series_tol is not None else min(1e-12, inst.tol)
     theta = inst.theta_value
-    prefactor = cut_jump_factor(beta, inst.theta) / beta
+    jump, jump_err = cut_jump_with_bound(beta, inst.theta)
+    prefactor = jump / beta
     if inst.alpha_outside():
-        z = cmath.exp(1j * theta) / inst.alpha
-        series = hyp2f1_one_b(beta, z, tol=tol)
-        value = prefactor * (1.0 - series.value)
+        b, z = beta, cmath.exp(1j * theta) / inst.alpha
     else:
-        z = inst.alpha * cmath.exp(-1j * theta)
-        series = hyp2f1_one_b(-beta, z, tol=tol)
-        value = prefactor * series.value
+        b, z = -beta, inst.alpha * cmath.exp(-1j * theta)
+    series = hyp2f1_one_b(b, z, tol=tol)
+    factor = 1.0 - series.value if inst.alpha_outside() else series.value
+    value = prefactor * factor
     diag["series_terms"] = series.terms_used
     diag["series_converged"] = series.converged
-    estimate = abs(prefactor) * (series.tail_estimate + 1e-15 * max(1.0, abs(series.value)))
+    rounding = 1e-15 * max(1.0, abs(series.value)) + _argument_rounding(b, z, series.value)
+    estimate = abs(prefactor) * (series.tail_estimate + rounding) + jump_err / abs(beta) * abs(factor)
     return MethodResult(value, METHOD_CLOSED_FORM, estimate, diag)
 
 
@@ -222,12 +230,24 @@ def eval_direct_series(inst: ProblemInstance, max_terms: int = DEFAULT_MAX_TERMS
         if k > abs(beta) + 1 and tail <= tol * max(abs(total), 1.0):
             converged = True
             break
-    prefactor = cut_jump_factor(beta, inst.theta)
+    prefactor, jump_err = cut_jump_with_bound(beta, inst.theta)
     diag["series_terms"] = terms
     diag["series_converged"] = converged
     value = prefactor * total
-    estimate = abs(prefactor) * (tail + 1e-15 * max(1.0, abs(total)))
+    rounding = _argument_rounding(-beta, z, beta * total) / abs(beta)  # total = F(-beta, z)/beta
+    estimate = abs(prefactor) * (tail + 1e-15 * max(1.0, abs(total)) + rounding) + jump_err * abs(total)
     return MethodResult(value, METHOD_SERIES, estimate, diag)
+
+
+def roots_of_unity_drift(n: int, d: int) -> tuple[float, float]:
+    """roots_of_unity_filter's exact value and the distance of the float sum
+    from it.  Angles are reduced with exact integer arithmetic ((j*d) mod n)
+    before any trigonometry, so the drift measures roundoff in the sum."""
+    exact = 1.0 if d % n == 0 else 0.0
+    angles = [TWO_PI * ((j * d) % n) / n for j in range(n)]
+    re = math.fsum(math.cos(a) for a in angles) / n
+    im = math.fsum(math.sin(a) for a in angles) / n
+    return exact, math.hypot(re - exact, im)
 
 
 def roots_of_unity_filter(n: int, d: int) -> float:
@@ -235,24 +255,24 @@ def roots_of_unity_filter(n: int, d: int) -> float:
 
     The floating sum is recomputed alongside the exact answer and must agree
     to 1e-12 — a built-in diagnostic that the multisection filter used by the
-    rational log sum really does select residues.  Angles are reduced with
-    exact integer arithmetic ((j*d) mod n) before any trigonometry, so the
-    diagnostic measures roundoff in the sum, not in the angle construction.
+    rational log sum really does select residues (see roots_of_unity_drift).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    exact = 1.0 if d % n == 0 else 0.0
-    angles = [TWO_PI * ((j * d) % n) / n for j in range(n)]
-    re = math.fsum(math.cos(a) for a in angles) / n
-    im = math.fsum(math.sin(a) for a in angles) / n
-    drift = math.hypot(re - exact, im)
+    exact, drift = roots_of_unity_drift(n, d)
     if drift > 1e-12:
         raise ArithmeticError(f"root-of-unity float sum drifted {drift:.3e} from the exact value {exact}")
     return exact
 
 
 def hyp2f1_rational(z: complex, beta: RationalBeta, branch: int = 0) -> complex:
-    """2F1(1, m/n; 1+m/n; z) as a finite sum of n logarithms, for |z| < 1.
+    """2F1(1, m/n; 1+m/n; z) for |z| < 1; the value of hyp2f1_rational_with_bound."""
+    return hyp2f1_rational_with_bound(z, beta, branch)[0]
+
+
+def hyp2f1_rational_with_bound(z: complex, beta: RationalBeta, branch: int = 0) -> tuple[complex, float]:
+    """2F1(1, m/n; 1+m/n; z) as a finite sum of n logarithms, for |z| < 1,
+    with a bound on its rounding error.
 
     With b = m/n and S(b) = sum_{k>=0} z^k / (b+k) (so the target is b*S(b)),
     the base exponent m0 = m mod n in (0, n) has the closed form
@@ -270,7 +290,9 @@ def hyp2f1_rational(z: complex, beta: RationalBeta, branch: int = 0) -> complex:
     applied (m - m0)/n times.  Downward shifts contract errors (|z| < 1);
     upward shifts amplify by 1/|z| per step, so pushing m far above n at tiny
     |z| costs accuracy — callers at |z| >= 0.1 with |m| <= ~2n are safe to
-    well beyond 1e-10.
+    well beyond 1e-10.  The returned bound follows that: through each shift
+    it scales the incoming error by 1/|z| or |z| and adds a rounding of the
+    operands.
 
     branch selects the rotated root w * e^{2 pi i branch/n}.  Rotating the
     root permutes the summand set exactly: substituting j -> j - branch maps
@@ -285,11 +307,11 @@ def hyp2f1_rational(z: complex, beta: RationalBeta, branch: int = 0) -> complex:
 
     Principal logarithms throughout (log 1 = 0): the sum is analytic on the
     disk slit from 1 outward and agrees with the series at z -> 0.  z = 0
-    returns exactly 1, the series' value, as a special case.
+    returns exactly 1, the series' value, as a special case, with bound 0.
     """
     z = complex(z)
     if z == 0:
-        return complex(1.0)
+        return complex(1.0), 0.0
     if abs(z) >= 1.0:
         raise ValueError(f"|z| = {abs(z):.6g} is outside the open unit disk")
     m, n = beta.m, beta.n
@@ -312,14 +334,21 @@ def hyp2f1_rational(z: complex, beta: RationalBeta, branch: int = 0) -> complex:
         math.fsum(t.imag for t in terms),
     )
     s = -int_pow(w, -m0) * acc
+    # Each log is off by eps times its size (at most -log(1 - |w|)) plus eps
+    # over its argument (at least |1 - w|); w**-m0 adds about m0 roundings.
+    err = _EPS * (abs(w) ** -m0 * n * (1.0 / abs(1.0 - w) - math.log1p(-abs(w))) + m0 * abs(s))
     b0 = m0 / n
+    q = abs(z)
     if shifts > 0:
         for r in range(shifts):
+            err = (err + 2.0 * _EPS * (abs(s) + 1.0 / (b0 + r))) / q
             s = (s - 1.0 / (b0 + r)) / z
     else:
         for r in range(-shifts):
+            err = q * (err + 2.0 * _EPS * abs(s)) + 2.0 * _EPS / (r + 1.0 - b0)
             s = 1.0 / (b0 - r - 1.0) + z * s
-    return (m / n) * s
+    value = (m / n) * s
+    return value, abs(m / n) * err + _EPS * abs(value)
 
 
 def eval_rational_logsum(inst: ProblemInstance, beta: RationalBeta) -> MethodResult:
@@ -341,23 +370,23 @@ def eval_rational_logsum(inst: ProblemInstance, beta: RationalBeta) -> MethodRes
     diag["n"] = beta.n
     theta = inst.theta_value
     b = beta.value
-    prefactor = cut_jump_factor(b, inst.theta) * (beta.n / beta.m)
+    jump, jump_err = cut_jump_with_bound(b, inst.theta)
+    prefactor = jump * (beta.n / beta.m)
     if inst.alpha_outside():
         # outside form carries 2F1(1, beta; 1+beta; .)
         z = cmath.exp(1j * theta) / inst.alpha
         used = beta
-        g = hyp2f1_rational(z, used)
-        value = prefactor * (1.0 - g)
+        g, g_err = hyp2f1_rational_with_bound(z, used)
+        factor = 1.0 - g
     else:
         # inside form carries 2F1(1, -beta; 1-beta; .)
         z = inst.alpha * cmath.exp(-1j * theta)
         used = RationalBeta(-beta.m, beta.n)
-        g = hyp2f1_rational(z, used)
-        value = prefactor * g
-    up_shifts = max((used.m - used.m % used.n) // used.n, 0)
-    amplification = (1.0 / abs(z)) ** up_shifts if up_shifts else 1.0
-    diag["up_shifts"] = up_shifts
-    estimate = abs(prefactor) * 5e-15 * amplification * max(1.0, abs(g))
+        g, g_err = hyp2f1_rational_with_bound(z, used)
+        factor = g
+    value = prefactor * factor
+    diag["up_shifts"] = max((used.m - used.m % used.n) // used.n, 0)
+    estimate = abs(prefactor) * (g_err + _argument_rounding(used.value, z, g)) + jump_err / abs(b) * abs(factor)
     return MethodResult(value, METHOD_RATIONAL, estimate, diag)
 
 

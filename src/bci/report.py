@@ -5,10 +5,16 @@ almost no code: a disagreement here is a bug report, not a tolerance issue.
 evaluate_instance runs the requested subset, records failures as data rather
 than exceptions, and renders a verdict from the pairwise spread of the
 survivors.
+
+report_to_jsonable shapes a report for the wire and dumps_canonical writes
+it as one line of strict JSON through the standard library's C encoder:
+the same report always gives the same bytes.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -142,55 +148,34 @@ def evaluate_instance(
     )
 
 
-def _fmt_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    s = format(float(x), ".17g")
-    # Keep integers recognisable as floats so round-tripping preserves type.
-    if "." not in s and "e" not in s and "E" not in s and "n" not in s:
-        s += ".0"
-    return s
+#: allow_nan=False: non-finite floats raise instead of becoming bare NaN.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
+def _quote_non_finite(obj: Any) -> Any:
+    """Copy of obj with each non-finite float replaced by its JSON string."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if obj != obj else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {key: _quote_non_finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_quote_non_finite(value) for value in obj]
+    return obj
 
 
 def dumps_canonical(obj: Any) -> str:
-    """Deterministic JSON: insertion-ordered keys, floats via repr-faithful
-    '%.17g', no whitespace dependence on platform.  Two runs that build the
-    same report emit byte-identical text — which is what makes `verify`
-    --seed reproducibility testable at the byte level.
+    """Deterministic strict JSON: insertion-ordered keys, no whitespace,
+    floats as their shortest round-trip repr (they parse back to the same
+    bits), non-finite floats as the strings "NaN", "Infinity", "-Infinity".
+    Byte-identical text for identical reports is what makes `verify` --seed
+    reproducibility testable at the byte level.  Raises TypeError for what
+    JSON cannot represent.
     """
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps_canonical(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        parts = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(dumps_canonical(key) + ":" + dumps_canonical(value))
-        return "{" + ",".join(parts) + "}"
-    raise TypeError(f"cannot serialise {type(obj).__name__} canonically")
+    try:
+        return _ENCODER.encode(obj)
+    except ValueError:
+        # A non-finite float: only such reports pay for a walk in Python.
+        return _ENCODER.encode(_quote_non_finite(obj))
 
 
 def _complex_pair(z: complex) -> list[float]:

@@ -18,12 +18,11 @@ euler            beta * Euler integral vs the 2F1(1, b; 1+b; .) series
 from __future__ import annotations
 
 import cmath
-import math
 import random
 from typing import Any, Callable
 
 from .branchcut import TWO_PI, ProblemInstance, as_integer
-from .closedform import check_reconciliation
+from .closedform import check_reconciliation, roots_of_unity_drift
 from .hypergeometric import hyp2f1_one_b
 from .odecheck import ode_residual
 from .quadrature import check_circle_vs_radial, check_integral_reduction, euler_integral
@@ -82,11 +81,7 @@ def _run_delta(rng: random.Random, nmax: int, dmax: int) -> tuple[int, float]:
         else:  # force exact multiples so the "exactly 1" branch is exercised
             span = max(dmax // n, 1)
             d = n * rng.randint(-span, span)
-        exact = 1.0 if d % n == 0 else 0.0
-        angles = [TWO_PI * ((j * d) % n) / n for j in range(n)]
-        re = math.fsum(math.cos(a) for a in angles) / n
-        im = math.fsum(math.sin(a) for a in angles) / n
-        worst = max(worst, math.hypot(re - exact, im))
+        worst = max(worst, roots_of_unity_drift(n, d)[1])
         cases += 1
     return cases, worst
 

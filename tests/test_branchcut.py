@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import random
 
+import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from bci import (
     int_pow,
     integrand,
 )
-from bci.branchcut import TWO_PI
+from bci.branchcut import TWO_PI, cut_jump_with_bound
 from bci.errors import AlphaOnCircle
 
 thetas = st.floats(min_value=0.05, max_value=TWO_PI - 0.05)
@@ -153,6 +155,22 @@ class TestCutJumpFactor:
     def test_vanishes_at_integers(self):
         for n in (-3, 0, 2, 7):
             assert abs(cut_jump_factor(n, 2.0)) < 1e-12
+
+    def test_bound_covers_rounding(self):
+        rng = random.Random(5)
+        for k in range(300):
+            if k % 4 == 0:  # the exact jump is 0: the computed one is pure roundoff
+                beta = complex(rng.randint(-6, 6))
+            else:
+                beta = complex(rng.uniform(-3.0, 3.0), rng.uniform(-40.0, 40.0))
+            theta = rng.uniform(0.01, TWO_PI - 0.01)
+            value, bound = cut_jump_with_bound(beta, theta)
+            assert value == cut_jump_factor(beta, theta)
+            with mp.workdps(40):
+                b, th = mp.mpc(beta), mp.mpf(theta)
+                exact = mp.exp(1j * b * th) - mp.exp(1j * b * (th - 2 * mp.pi))
+                err = float(abs(mp.mpc(value) - exact))
+            assert err <= bound, (beta, theta, err, bound)
 
 
 class TestProblemInstance:

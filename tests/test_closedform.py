@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import random
 
+import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -228,3 +230,80 @@ class TestReconciliation:
     def test_residual_small(self, alpha, beta, theta):
         inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
         assert check_reconciliation(inst) < 1e-8
+
+
+def _mp_circle(alpha, beta, theta):
+    """The circle integral from the 2F1 identity in mpmath, 30 digits plus
+    15 guard; integer beta by residues."""
+    with mp.workdps(45):
+        a, b, th = mp.mpc(alpha), mp.mpc(beta), mp.mpf(theta)
+        inside = abs(alpha) < 1.0
+        if b.imag == 0 and b.real == int(b.real):
+            n = int(b.real)
+            if inside and n >= 0:
+                return 2j * mp.pi * a**n
+            if not inside and n < 0:
+                return -2j * mp.pi * a**n
+            return mp.mpc(0)
+        jump = mp.exp(1j * b * th) - mp.exp(1j * b * (th - 2 * mp.pi))
+        if inside:
+            return jump / b * mp.hyp2f1(1, -b, 1 - b, a * mp.exp(-1j * th))
+        return jump / b * (1 - mp.hyp2f1(1, b, 1 + b, mp.exp(1j * th) / a))
+
+
+def _error(result, ref):
+    with mp.workdps(30):
+        return float(abs(mp.mpc(result.value) - ref))
+
+
+def _draw_alpha(rng, low, high):
+    z = rng.uniform(low, high)
+    mod = z if rng.random() < 0.5 else 1.0 / z
+    return mod * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+
+
+class TestEstimatesAgainstMpmath:
+    """Every closed-form error estimate bounds the true error, rounding included."""
+
+    def test_theorem_and_series(self):
+        rng = random.Random(20261018)
+        for _ in range(150):
+            alpha = _draw_alpha(rng, 0.02, 0.949)  # the series refuses |z| > 0.95
+            im = rng.uniform(-3.0, 3.0) if rng.random() < 0.6 else rng.choice((-1, 1)) * rng.uniform(3.0, 40.0)
+            beta = complex(rng.uniform(-3.0, 3.0), im)
+            theta = rng.uniform(0.05, 2 * math.pi - 0.05)
+            inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
+            ref = _mp_circle(alpha, beta, theta)
+            methods = [eval_closed_form] + ([eval_direct_series] if abs(alpha) < 1 else [])
+            for method in methods:
+                r = method(inst)
+                assert _error(r, ref) <= r.error_estimate, (method.__name__, alpha, beta, theta)
+
+    @pytest.mark.parametrize("beta", [-1, -4])
+    @pytest.mark.parametrize("theta", [1.2, 4.0, 6.0])
+    def test_series_at_negative_integer_beta(self, beta, theta):
+        # The exact value is 0 and the computed jump factor is pure roundoff.
+        r = eval_direct_series(ProblemInstance(alpha=0.15 * cmath.exp(0.7j), beta=beta, theta=theta))
+        assert abs(r.value) <= r.error_estimate
+
+    def test_rational_log_sum(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            m = rng.randint(-3 * n, 3 * n)
+            if math.gcd(m, n) != 1:
+                continue
+            alpha = _draw_alpha(rng, 0.1, 0.949)
+            theta = rng.uniform(0.05, 2 * math.pi - 0.05)
+            r = eval_rational_logsum(ProblemInstance(alpha=alpha, beta=m / n, theta=theta), RationalBeta(m, n))
+            assert _error(r, _mp_circle(alpha, m / n, theta)) <= r.error_estimate, (alpha, m, n, theta)
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize(
+        "alpha,flagged",
+        [(0.4 * cmath.exp(2.0j), True), (2.5 * cmath.exp(2.0j), True), (0.4 * cmath.exp(2.5j), False), (0.0, False)],
+    )
+    def test_alpha_on_cut_ray_is_flagged(self, alpha, flagged):
+        inst = ProblemInstance(alpha=alpha, beta=0.5, theta=2.0)
+        assert eval_closed_form(inst).diagnostics.get("alpha_arg_on_cut", False) is flagged
