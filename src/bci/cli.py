@@ -73,7 +73,7 @@ def parse_angle(text: str) -> float:
 
 def parse_complex(text: str) -> complex:
     """Complex numbers as 're,im', 'mod@arg' (arg accepts pi forms), or a
-    bare real literal."""
+    Python complex literal ('0.5+0.1j', '-2j', or a bare real '0.7')."""
     s = text.strip()
     if "@" in s:
         mod_text, _, arg_text = s.partition("@")
@@ -89,9 +89,9 @@ def parse_complex(text: str) -> complex:
         except ValueError:
             raise ValueError(f"cannot parse complex number {text!r}; expected 're,im'") from None
     try:
-        return complex(float(s), 0.0)
+        return complex(s)  # a real literal gives the same bits as complex(float(s), 0.0)
     except ValueError:
-        raise ValueError(f"cannot parse complex number {text!r}; try '1.5,0.2', '2@pi/3', '0.7'") from None
+        raise ValueError(f"cannot parse complex number {text!r}; try '1.5,0.2', '2@pi/3', '0.5+0.1j', '0.7'") from None
 
 
 def parse_methods(text: str) -> tuple[list[str], RationalBeta | None]:
@@ -155,7 +155,7 @@ def _build_parser(default_tol: float) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     ev = sub.add_parser("eval", help="evaluate one instance with several methods and compare")
-    ev.add_argument("--alpha", required=True, type=str, help="pole: 're,im', 'mod@arg', or bare real")
+    ev.add_argument("--alpha", required=True, type=str, help="pole: 're,im', 'mod@arg', '0.5+0.1j', or bare real")
     ev.add_argument("--beta", required=True, type=str, help="exponent: same forms as --alpha")
     ev.add_argument("--theta", required=True, type=str, help="cut angle in (0, 2pi); accepts pi forms")
     ev.add_argument("--methods", type=str, default=None, help="comma list: theorem,series,quadrature,rational:m/n")
@@ -167,7 +167,10 @@ def _build_parser(default_tol: float) -> _Parser:
     sw = sub.add_parser("sweep", help="evaluate a cartesian grid of instances")
     sw.add_argument("--alpha-mod", action="append", default=None, help="pole moduli (repeatable/comma lists)")
     sw.add_argument("--alpha-arg", action="append", default=None, help="pole arguments (pi forms allowed)")
-    sw.add_argument("--beta", action="append", default=None, help="exponents ('re,im' forms)")
+    sw.add_argument(
+        "--beta", action="append", default=None,
+        help="exponents: 'mod@arg', '0.5+0.1j' or bare reals (commas separate values, so no 're,im')",
+    )
     sw.add_argument("--theta", action="append", default=None, help="cut angles (pi forms allowed)")
     sw.add_argument("--tol", type=float, default=default_tol)
     sw.add_argument("--exclusion-band", type=float, default=DEFAULT_EXCLUSION_BAND)

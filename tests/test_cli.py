@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,11 @@ class TestParseComplex:
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_complex(text)
+
+    def test_python_complex_literals(self):
+        assert parse_complex("0.5+0.1j") == 0.5 + 0.1j
+        assert parse_complex("-2j") == -2j
+        assert parse_complex(" 1.5-2.25j ") == 1.5 - 2.25j
 
 
 class TestParseMethods:
@@ -205,6 +211,17 @@ class TestSweepCommand:
         threaded = capsys.readouterr().out
         assert serial == threaded
 
+    def test_complex_literal_beta_is_one_exponent(self, capsys):
+        argv = ["sweep", "--alpha-mod", "0.3", "--alpha-arg", "0.8", "--beta", "0.5+0.1j,-2j", "--theta", "2.0"]
+        assert main(argv) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["instance"]["beta"] for r in rows] == [[0.5, 0.1], [0.0, -2.0]]
+
+    def test_polar_beta_parses_as_before(self, capsys):
+        assert main(["sweep", "--alpha-mod", "0.3", "--alpha-arg", "0.8", "--beta", "0.6@2.5", "--theta", "2.0"]) == 0
+        (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert row["instance"]["beta"] == [0.6 * math.cos(2.5), 0.6 * math.sin(2.5)]
+
     def test_bad_axis_value_exits_1(self, capsys):
         assert main(["sweep", "--alpha-mod", "x", "--alpha-arg", "0", "--beta", "0.5", "--theta", "pi"]) == 1
         capsys.readouterr()
@@ -248,6 +265,14 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "5", "--check", "ode", "--beta", "2"]) == 1
         err = capsys.readouterr().err
         assert "beta" in err
+
+    def test_readme_example_is_current(self, capsys):
+        command = "bci verify --seed 7 --check delta --check euler"
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        after = readme.split(f"```sh\n{command}\n```\n", 1)[1]
+        shown = after.split("```json\n", 1)[1].split("```", 1)[0]
+        assert main(command.split()[1:]) == 0
+        assert capsys.readouterr().out == shown
 
     def test_delta_knobs(self, capsys):
         code = main(["verify", "--seed", "5", "--check", "delta", "--nmax", "8", "--dmax", "16"])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bci.quadrature
 from bci import (
     DivergentAtZero,
     ProblemInstance,
@@ -190,6 +191,53 @@ class TestRadialIntegral:
         inst = ProblemInstance(alpha=-2.0, beta=-0.2, theta=math.pi)
         with pytest.raises(DivergentAtZero):
             radial_integral(inst)
+
+
+def _draw_unit_case(rng):
+    """beta with Re in [0.05, 3], |Im| <= 3; w with |w| off the unit circle and arg w >= 0.2 off the real ray."""
+    beta = complex(rng.uniform(0.05, 3.0), rng.uniform(-3.0, 3.0))
+    mod = rng.uniform(0.05, 0.95) if rng.random() < 0.5 else rng.uniform(1.05, 5.0)
+    return mod * cmath.exp(1j * rng.uniform(0.2, 2 * math.pi - 0.2)), beta
+
+
+class TestUnitIntervalIntegrals:
+    def test_deep_endpoint_walk_takes_one_call(self, monkeypatch):
+        # u^{ic} oscillates without end toward 0: started on four equal panels,
+        # bisection would reach the depth this needs one _panels call per level
+        calls = []
+        panels = bci.quadrature._panels
+
+        def counted(f, lefts, rights):
+            calls.append(len(lefts))
+            return panels(f, lefts, rights)
+
+        monkeypatch.setattr(bci.quadrature, "_panels", counted)
+        r = euler_integral(0.5, 0.5 + 0.3j)
+        assert r.converged
+        assert len(calls) <= 2, calls
+
+    def test_euler_estimate_bounds_true_error(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            w, beta = _draw_unit_case(rng)
+            r = euler_integral(w, beta)
+            with mp.workdps(30):
+                want = complex(mp.hyp2f1(1, mp.mpc(beta), 1 + mp.mpc(beta), mp.mpc(w)) / mp.mpc(beta))
+            err = abs(r.value - want)
+            assert err <= r.abs_error_estimate, (w, beta, err, r.abs_error_estimate)
+
+    def test_radial_estimate_bounds_true_error(self):
+        # integral_0^1 t^beta/(t - p) dt = -w 2F1(1, beta+1; beta+2; w)/(beta+1) with w = 1/p
+        rng = random.Random(20261019)
+        for _ in range(300):
+            w, beta = _draw_unit_case(rng)
+            theta = rng.uniform(0.05, 2 * math.pi - 0.05)
+            r = radial_integral(ProblemInstance(alpha=cmath.exp(1j * theta) / w, beta=beta, theta=theta))
+            with mp.workdps(30):
+                b, z = mp.mpc(beta), mp.mpc(w)
+                want = complex(-z * mp.hyp2f1(1, b + 1, b + 2, z) / (b + 1))
+            err = abs(r.value - want)
+            assert err <= r.abs_error_estimate, (w, beta, theta, err, r.abs_error_estimate)
 
 
 class TestIntegralIdentities:
