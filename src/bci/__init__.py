@@ -43,6 +43,7 @@ from .errors import (
     EvaluationError,
     IntegerBeta,
     InvalidC,
+    NonFiniteValue,
     OnBranchCut,
     PoleHit,
     RegimeStraddle,
@@ -157,4 +158,5 @@ __all__ = [
     "SingularPath",
     "DivergentAtZero",
     "RegimeStraddle",
+    "NonFiniteValue",
 ]

@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import AlphaOnCircle, OnBranchCut, PoleHit, ZeroInput
+from .errors import AlphaOnCircle, NonFiniteValue, OnBranchCut, PoleHit, ZeroInput
 
 __all__ = [
     "ANGULAR_GUARD",
@@ -216,15 +216,22 @@ def cut_jump_with_bound(beta: complex, theta: BranchAngle | float) -> tuple[comp
     that of w.  Here |w| is |beta| theta and |beta| (2 pi - theta), and the
     second w also carries the rounding of 2*pi, up to |beta| 2 pi more.  The
     difference can cancel to pure roundoff (it is 0 at integer beta), so the
-    bound is on the two terms.
+    bound is on the two terms.  Raises NonFiniteValue when either term or
+    the bound overflows (|Im beta| of several hundred or more).
     """
     th = _theta_of(theta)
     b = complex(beta)
-    e1 = cmath.exp(1j * b * th)
-    e2 = cmath.exp(1j * b * (th - TWO_PI))
+    try:
+        e1 = cmath.exp(1j * b * th)
+        e2 = cmath.exp(1j * b * (th - TWO_PI))
+    except OverflowError:
+        raise NonFiniteValue(f"the cut jump factor overflows at beta = {b!r}") from None
     size = abs(b)
     bound = _EPS * (abs(e1) * (1.0 + size * th) + abs(e2) * (1.0 + size * (2.0 * TWO_PI - th)))
-    return e1 - e2, bound
+    jump = e1 - e2
+    if not (math.isfinite(bound) and cmath.isfinite(jump)):
+        raise NonFiniteValue(f"the cut jump or its rounding bound overflows at beta = {b!r}")
+    return jump, bound
 
 
 def integrand(z: complex, inst: ProblemInstance) -> complex:

@@ -1,8 +1,9 @@
 """Command-line front end: eval, sweep, verify.
 
 Exit codes are part of the contract: 0 when methods agree (or the surviving
-subset does), 2 when they disagree, 1 for usage errors or instances where
-every method failed.  JSON on stdout is canonical: strict JSON with keys in
+subset does), 2 when they disagree or cannot certify agreement at the
+tolerance (verdict Uncertified), 1 for usage errors or instances where every
+method failed.  JSON on stdout is canonical: strict JSON with keys in
 a fixed order, floats as their shortest round-trip repr and non-finite
 values as the strings "NaN", "Infinity", "-Infinity", so identical inputs
 give identical bytes.  Human chatter, timings included, goes to stderr.
@@ -202,7 +203,7 @@ def _survivors(report: EvaluationReport) -> int:
 def _exit_code(report: EvaluationReport) -> int:
     if _survivors(report) == 0:
         return 1
-    if report.verdict == "Disagree":
+    if report.verdict in ("Disagree", "Uncertified"):
         return 2
     return 0
 
@@ -274,7 +275,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     reports = [evaluate_instance(inst) for inst in instances]
 
     stream, owned = _open_out(args.out)
-    counts = {"Agree": 0, "Partial": 0, "Disagree": 0}
+    counts = {"Agree": 0, "Partial": 0, "Disagree": 0, "Uncertified": 0}
     try:
         if args.format == "jsonl":
             for report in reports:
@@ -317,10 +318,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if owned:
             stream.close()
     print(
-        f"# rows={len(reports)} agree={counts['Agree']} partial={counts['Partial']} disagree={counts['Disagree']}",
+        f"# rows={len(reports)} agree={counts['Agree']} partial={counts['Partial']} "
+        f"disagree={counts['Disagree']} uncertified={counts['Uncertified']}",
         file=sys.stderr,
     )
-    return 2 if counts["Disagree"] else 0
+    return 2 if counts["Disagree"] or counts["Uncertified"] else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

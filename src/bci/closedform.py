@@ -212,6 +212,7 @@ def eval_direct_series(inst: ProblemInstance, max_terms: int = DEFAULT_MAX_TERMS
         return MethodResult(value, METHOD_SERIES, 1e-15 * (1.0 + abs(value)), diag)
 
     diag["beta_class"] = "integer" if n is not None else "generic"
+    prefactor, jump_err = cut_jump_with_bound(beta, inst.theta)  # refuses an overflow before the sum
     tol = min(1e-12, inst.tol)
     z = inst.alpha * cmath.exp(-1j * inst.theta_value)
     total = 1.0 / beta
@@ -230,7 +231,6 @@ def eval_direct_series(inst: ProblemInstance, max_terms: int = DEFAULT_MAX_TERMS
         if k > abs(beta) + 1 and tail <= tol * max(abs(total), 1.0):
             converged = True
             break
-    prefactor, jump_err = cut_jump_with_bound(beta, inst.theta)
     diag["series_terms"] = terms
     diag["series_converged"] = converged
     value = prefactor * total

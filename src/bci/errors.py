@@ -22,6 +22,7 @@ __all__ = [
     "SingularPath",
     "DivergentAtZero",
     "RegimeStraddle",
+    "NonFiniteValue",
 ]
 
 
@@ -75,3 +76,7 @@ class DivergentAtZero(EvaluationError):
 
 class RegimeStraddle(EvaluationError):
     """A finite-difference stencil crosses the unit circle."""
+
+
+class NonFiniteValue(EvaluationError):
+    """The value or its error bound overflows double precision (e.g. |z**beta| on the circle)."""

@@ -13,6 +13,7 @@ the same report always gives the same bytes.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import time
@@ -92,9 +93,12 @@ def evaluate_instance(
     (EvaluationError subclasses) become MethodFailure records; anything else
     — a genuine bug — propagates.
 
-    The verdict is "Agree" when every method produced a value and the largest
-    pairwise relative disagreement is within inst.tol, "Partial" when some
-    failed but the survivors agree, and "Disagree" otherwise.
+    The verdict is "Disagree" when the largest pairwise relative disagreement
+    exceeds inst.tol (or is not a number).  Otherwise it is "Uncertified"
+    when some survivor's error estimate exceeds inst.tol * max(1, |value|),
+    or its value is not finite: the methods cannot vouch for agreement that
+    fine.  Failing both, it is
+    "Agree" when every method produced a value and "Partial" when some failed.
     """
     if methods is None:
         selected = [METHOD_CLOSED_FORM, METHOD_QUADRATURE]
@@ -128,17 +132,19 @@ def evaluate_instance(
             results.append(MethodFailure(name, type(exc).__name__, str(exc)))
         timing[name] = (time.perf_counter() - start) * 1e6
 
-    values = [r.value for r in results if isinstance(r, MethodResult)]
+    survivors = [r for r in results if isinstance(r, MethodResult)]
+    values = [r.value for r in survivors]
     disagreement = 0.0
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             gap = abs(values[i] - values[j]) / max(1.0, abs(values[i]), abs(values[j]))
-            disagreement = max(disagreement, gap)
-    survivors_agree = disagreement <= inst.tol
-    if len(values) == len(results):
-        verdict = "Agree" if survivors_agree else "Disagree"
+            disagreement = max(disagreement, gap if gap == gap else math.inf)  # NaN never agrees
+    if disagreement > inst.tol:
+        verdict = "Disagree"
+    elif not all(cmath.isfinite(r.value) and r.error_estimate <= inst.tol * max(1.0, abs(r.value)) for r in survivors):
+        verdict = "Uncertified"
     else:
-        verdict = "Partial" if survivors_agree else "Disagree"
+        verdict = "Agree" if len(survivors) == len(results) else "Partial"
     return EvaluationReport(
         instance=inst,
         results=tuple(results),

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -166,8 +167,46 @@ class TestEvalCommand:
             main(["eval", "--alpha", "0.3", "--beta", "0.5", "--theta", "pi"])
         assert exc.value.code == 1
 
+    def test_uncertified_when_estimates_exceed_tol(self, capsys):
+        # the gap (~1e-15) is within 1e-14, but quadrature's estimate (~9e-14) is not
+        code = main(["eval", "--alpha", "0.3@0.8", "--beta", "0.5", "--theta", "2.0",
+                     "--methods", "theorem,quadrature", "--tol", "1e-14"])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["disagreement"] <= 1e-14
+        assert doc["verdict"] == "Uncertified"
+        assert code == 2
+
+    @pytest.mark.parametrize("methods", [[], ["--methods", "quadrature"], ["--methods", "theorem,series"]])
+    def test_overflowing_instance_is_refused(self, methods, capsys):
+        # |z^beta| reaches e^{1000 (2 pi - 3)} on the circle: no double holds it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            code = main(["eval", "--alpha", "0.5", "--beta", "0.5+1000j", "--theta", "3"] + methods)
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert doc["results"] and all(r["status"] == "NonFiniteValue" for r in doc["results"])
+        assert doc["verdict"] != "Agree"
+
 
 class TestSweepCommand:
+    def test_uncertified_rows_counted_and_exit_2(self, capsys):
+        code = main(["sweep", "--alpha-mod", "0.3", "--alpha-arg", "0.8", "--beta", "0.5", "--theta", "2.0",
+                     "--tol", "1e-14"])
+        out = capsys.readouterr()
+        assert json.loads(out.out)["verdict"] == "Uncertified"
+        assert "uncertified=1" in out.err
+        assert code == 2
+
+    def test_overflowing_row_is_refused(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--alpha-mod", "0.5", "--alpha-arg", "1", "--beta", "0.5+1000j,0.5",
+                         "--theta", "3"])
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["status"] for r in rows[0]["results"]] == ["NonFiniteValue"] * 3
+        assert rows[1]["verdict"] == "Agree"
+        assert code != 2
+
     def test_jsonl_grid(self, capsys):
         code = main(
             ["sweep", "--alpha-mod", "0.3,1.5", "--alpha-arg", "0.8", "--beta", "0.5", "--theta", "pi,2.0"]

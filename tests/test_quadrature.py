@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -139,6 +140,104 @@ class TestCircleAgainstMpmath:
         assert report.verdict == "Agree"
         quad = next(r for r in report.results if r.method == "Quadrature")
         assert abs(quad.value - _mp_circle(alpha, beta, theta)) <= quad.error_estimate
+
+
+    def test_large_imaginary_exponent_estimate_covers_exp_rounding(self):
+        # exp(i beta (t - 2 pi) + i t) is off relatively by ~eps |beta + 1| 2 pi at a
+        # node; once the start mesh makes |G15 - G7| tiny, only the estimate's
+        # rounding term covers that (6 of these draws fall below their error without it)
+        rng = random.Random(7)
+        for _ in range(400):
+            z = rng.uniform(0.02, 0.979)
+            mod = z if rng.random() < 0.5 else 1.0 / z
+            alpha = mod * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            beta = complex(rng.uniform(-3.0, 3.0), rng.choice((-1, 1)) * rng.uniform(20.0, 40.0))
+            theta = rng.uniform(0.05, 2 * math.pi - 0.05)
+            r = circle_integral(ProblemInstance(alpha=alpha, beta=beta, theta=theta))
+            err = abs(r.value - _mp_circle(alpha, beta, theta))
+            assert err <= r.abs_error_estimate, (alpha, beta, theta, err, r.abs_error_estimate)
+
+
+def _count_panels_calls(monkeypatch):
+    """Patch bci.quadrature._panels to count its calls; returns the live counter list."""
+    calls = []
+    panels = bci.quadrature._panels
+
+    def counted(f, lefts, rights):
+        calls.append(len(lefts))
+        return panels(f, lefts, rights)
+
+    monkeypatch.setattr(bci.quadrature, "_panels", counted)
+    return calls
+
+
+def _mixed_instance(rng):
+    """The eval-mixed benchmark domain: |z| in [0.02, 0.979] with regimes 50/50;
+    beta generic (|Re|, |Im| <= 3), large-|Im| (3 < |Im| <= 40) or an integer."""
+    z = rng.uniform(0.02, 0.979)
+    mod = z if rng.random() < 0.5 else 1.0 / z
+    alpha = mod * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+    kind = rng.random()
+    if kind < 0.05:
+        beta = complex(rng.randint(-4, 4), 0.0)
+    elif kind < 0.28:
+        beta = complex(rng.uniform(-3.0, 3.0), rng.choice((-1, 1)) * rng.uniform(3.0, 40.0))
+    else:
+        beta = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+    return ProblemInstance(alpha=alpha, beta=beta, theta=rng.uniform(0.05, 2 * math.pi - 0.05))
+
+
+class TestCircleGradedStart:
+    def test_about_one_call_per_circle_integral(self, monkeypatch):
+        # started on 16 equal panels, bisection toward the pole and the peak of
+        # |z^beta| took ~2.2 calls per integral on this domain
+        calls = _count_panels_calls(monkeypatch)
+        rng = random.Random(20261019)
+        for _ in range(200):
+            assert circle_integral(_mixed_instance(rng), tol=1e-10).converged
+        assert len(calls) / 200 <= 1.05, len(calls)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,theta,band",
+        [
+            (0.0, 0.5 + 0.3j, 2.0, 0.02),  # no pole to grade toward
+            (0.7 * cmath.exp(2.0j + 5e-10j), 0.5 + 0.3j, 2.0, 0.02),  # pole image at both window ends
+            (1.3 * cmath.exp(2.0j - 5e-10j), -1.5 + 0.2j, 2.0, 0.02),
+            (1.0002 * cmath.exp(1.3j), 0.5 + 0.2j, 2.5, 1e-4),  # pole 2e-4 from the circle
+            (0.6 * cmath.exp(0.4j), 0.5 + 100j, 3.0, 0.02),  # |z^beta| peaks at theta
+            (1.7 * cmath.exp(4.0j), -1.0 - 100j, 3.0, 0.02),  # ... and at theta + 2 pi
+        ],
+    )
+    def test_edge_cases_converge_within_estimate(self, alpha, beta, theta, band):
+        inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta, exclusion_band=band)
+        r = circle_integral(inst)
+        assert r.converged
+        err = abs(r.value - _mp_circle(alpha, beta, theta))
+        assert err <= r.abs_error_estimate, (err, r.abs_error_estimate)
+
+    def test_start_mesh_is_graded_and_deterministic(self):
+        edges = bci.quadrature._circle_edges(2.5, 1.0002 * cmath.exp(1.3j), 0.5 + 0.2j)
+        assert edges[0] == 2.5 and edges[-1] == 2.5 + 2 * math.pi
+        assert np.all(np.diff(edges) > 0.0)
+        t0 = 1.3 + 2 * math.pi  # the pole's image in the window
+        nearest = np.sort(np.abs(edges - t0))
+        assert nearest[0] == 0.0 and nearest[1] == pytest.approx(1e-4, rel=1e-2)
+        again = bci.quadrature._circle_edges(2.5, 1.0002 * cmath.exp(1.3j), 0.5 + 0.2j)
+        assert edges.tobytes() == again.tobytes()
+
+    def test_overflowing_power_is_refused(self):
+        from bci.errors import NonFiniteValue
+
+        with pytest.raises(NonFiniteValue):
+            circle_integral(ProblemInstance(alpha=0.5, beta=0.5 + 1000j, theta=3.0))
+        with pytest.raises(NonFiniteValue):
+            circle_integral(ProblemInstance(alpha=0.5, beta=0.5 - 1000j, theta=3.0))
+        # |z^beta| ~ e^697 is finite, but the pole 1e-9 from it is not
+        near = ProblemInstance(alpha=1.000000001 * cmath.exp(3.01j), beta=0.5 + 212.8j, theta=3.0, exclusion_band=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any node overflows
+            with pytest.raises(NonFiniteValue):
+                circle_integral(near)
 
 
 class TestEulerIntegral:

@@ -113,3 +113,20 @@ class TestCliBytes:
         assert lines and out.endswith("\n")
         for line in lines:
             assert dumps_canonical(strict_loads(line)) == line
+
+
+class TestVerdict:
+    def test_non_finite_gap_never_agrees(self, monkeypatch):
+        import bci.report
+        from bci import METHOD_CLOSED_FORM, MethodResult, ProblemInstance, evaluate_instance
+
+        def nan_value(inst):
+            return MethodResult(complex(math.nan, 0.0), METHOD_CLOSED_FORM, 0.0, {})
+
+        monkeypatch.setattr(bci.report, "eval_closed_form", nan_value)
+        report = evaluate_instance(ProblemInstance(alpha=0.3, beta=0.5, theta=2.0))
+        assert report.verdict == "Disagree"
+        assert report.max_disagreement == math.inf
+        # alone, with nothing to disagree with, it is not vouched for either
+        alone = evaluate_instance(ProblemInstance(alpha=0.3, beta=0.5, theta=2.0), methods=[METHOD_CLOSED_FORM])
+        assert alone.verdict == "Uncertified"
