@@ -3,10 +3,14 @@
 Exit codes are part of the contract: 0 when methods agree (or the surviving
 subset does), 2 when they disagree or cannot certify agreement at the
 tolerance (verdict Uncertified), 1 for usage errors or instances where every
-method failed.  JSON on stdout is canonical: strict JSON with keys in
-a fixed order, floats as their shortest round-trip repr and non-finite
-values as the strings "NaN", "Infinity", "-Infinity", so identical inputs
-give identical bytes.  Human chatter, timings included, goes to stderr.
+method failed (verdict Refused).  A sweep exits 2 when any row would, else 1
+when every row is Refused, else 0, so a one-row sweep exits as eval does.
+A reader that closes stdout early (`bci sweep ... | head -1`) ends the
+command quietly with status 1.  JSON on stdout is canonical: strict JSON
+with keys in a fixed order, floats as their shortest round-trip repr and
+non-finite values as the strings "NaN", "Infinity", "-Infinity", so
+identical inputs give identical bytes.  Human chatter, timings included,
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .closedform import (
 from .errors import EvaluationError
 from .report import (
     EvaluationReport,
-    MethodResult,
     dumps_canonical,
     evaluate_instance,
     report_to_jsonable,
@@ -177,7 +180,6 @@ def _build_parser(default_tol: float) -> _Parser:
     sw.add_argument("--exclusion-band", type=float, default=DEFAULT_EXCLUSION_BAND)
     sw.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     sw.add_argument("--out", type=str, default=None)
-    sw.add_argument("--jobs", type=int, default=1, help="accepted for compatibility (>= 1); rows run in order in one thread")
 
     vf = sub.add_parser("verify", help="run seeded internal identity checks")
     vf.add_argument("--seed", type=int, default=0)
@@ -196,12 +198,8 @@ def _open_out(path: str | None) -> tuple[Any, bool]:
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _survivors(report: EvaluationReport) -> int:
-    return sum(1 for r in report.results if isinstance(r, MethodResult))
-
-
 def _exit_code(report: EvaluationReport) -> int:
-    if _survivors(report) == 0:
+    if report.verdict == "Refused":
         return 1
     if report.verdict in ("Disagree", "Uncertified"):
         return 2
@@ -256,8 +254,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         angles = _parse_grid_axis(args.alpha_arg, parse_angle)
         betas = _parse_grid_axis(args.beta, parse_complex)
         thetas = _parse_grid_axis(args.theta, parse_angle)
-        if args.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
         instances = [
             ProblemInstance(
                 alpha=mod * complex(math.cos(arg), math.sin(arg)),
@@ -275,7 +271,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     reports = [evaluate_instance(inst) for inst in instances]
 
     stream, owned = _open_out(args.out)
-    counts = {"Agree": 0, "Partial": 0, "Disagree": 0, "Uncertified": 0}
+    counts = {"Agree": 0, "Partial": 0, "Disagree": 0, "Uncertified": 0, "Refused": 0}
     try:
         if args.format == "jsonl":
             for report in reports:
@@ -319,10 +315,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             stream.close()
     print(
         f"# rows={len(reports)} agree={counts['Agree']} partial={counts['Partial']} "
-        f"disagree={counts['Disagree']} uncertified={counts['Uncertified']}",
+        f"disagree={counts['Disagree']} uncertified={counts['Uncertified']} refused={counts['Refused']}",
         file=sys.stderr,
     )
-    return 2 if counts["Disagree"] or counts["Uncertified"] else 0
+    if counts["Disagree"] or counts["Uncertified"]:
+        return 2
+    return 1 if reports and counts["Refused"] == len(reports) else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -348,11 +346,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser(_default_tol())
     args = parser.parse_args(list(argv) if argv is not None else None)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    return _cmd_verify(args)
+    try:
+        if args.command == "eval":
+            return _cmd_eval(args)
+        if args.command == "sweep":
+            return _cmd_sweep(args)
+        return _cmd_verify(args)
+    except BrokenPipeError:
+        # The reader closed stdout.  As the Python docs advise for SIGPIPE, point
+        # stdout at devnull so the flush at exit cannot raise again, and fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

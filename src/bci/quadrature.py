@@ -2,26 +2,40 @@
 
 Engine
 ------
-Plain interval bisection driven by a priority queue.  Each panel gets a
-7-point and a 15-point Gauss-Legendre rule; their difference is the panel's
-error estimate (the embedded-pair trick), and the panel with the worst
-estimate splits first.  The integrands are analytic away from isolated
-endpoints, so the high-order rule converges fast on smooth panels while
-bisection walks geometrically into whatever misbehaviour remains — endpoint
-oscillation from imaginary exponents, or a pole sitting near (never on) the
-path.
+Plain interval bisection driven by a priority queue.  Each panel gets the
+15-point Gauss-Kronrod rule K15 and the 7-point Gauss rule G7 whose nodes
+are every second K15 node, so the pair costs 15 integrand values, not 22.
+K15 is the panel's value and |K15 - G7| its error estimate (the
+embedded-pair trick); the panel with the worst estimate splits first.  The
+integrands are analytic away from isolated endpoints, so the high-order rule
+converges fast on smooth panels while bisection walks geometrically into
+whatever misbehaviour remains — endpoint oscillation from imaginary
+exponents, or a pole sitting near (never on) the path.
 
-The integrands are cheap, so the cost is numpy call overhead, not arithmetic.
-The 22 nodes of every panel in hand therefore go to f in one flat array: one
-call for all initial panels, then one call per split for both children.
-adaptive_quadrature starts on equal panels; the circle and unit-interval
-integrals start on meshes graded toward what the instance says is hard (the
-sections below), and all refine the same way.
+The nodes and weights are computed at import: Laurie's algorithm (Math.
+Comp. 66, 1997) extends the Legendre recurrence to the Kronrod one, the
+eigenvalues of its Jacobi matrix (numpy.linalg.eigh, Golub-Welsch) give the
+nodes and weights, and symmetrising makes the nodes exactly antisymmetric
+with the centre at 0.0.  Against the same algorithm run at 40 digits in
+mpmath the nodes are within 2.4e-16 and the K15 weights within 7e-15
+relative; the rules integrate x^k to 2e-15 for k <= 22 (K15) and k <= 13
+(G7), and tests/test_quadrature.py holds them to that.
 
-Refinement and stopping look only at |G15 - G7|.  That difference can fall
-below the rounding error of the G15 sum itself, so the reported estimate also
-carries QUADPACK's floor, 50 * eps * integral of |f| (Piessens et al., 1983),
-and converged is judged on that floored estimate.  The circle integrand
+The cost of a panel is arithmetic on its nodes (two complex exponentials and
+a division per node on the circle), so fewer nodes pay directly.  The nodes
+of every panel in hand go to f in one flat array: one call for all initial
+panels, then one call per split for both children.  adaptive_quadrature
+starts on equal panels; the circle and unit-interval integrals start on
+meshes graded toward what the instance says is hard (the sections below),
+and all refine the same way.  Almost every integral meets the stopping rule
+on that first call, so the engine then returns at once, with the same bits
+the queue would give: the panels are already in edge order.
+
+Refinement and stopping look only at |K15 - G7|.  That difference can fall
+below the rounding error of the K15 sum itself, so the reported estimate also
+carries QUADPACK's floor, 50 * eps * integral of |f| (Piessens et al., 1983;
+the integral of |f| is taken with the K15 weights), and converged is judged
+on that floored estimate.  The circle integrand
 exp(i beta (t - 2 pi) + i t) carries the rounding of an exponential whose
 argument reaches |beta + 1| 2 pi, so its estimate adds
 eps * 2 pi * (|beta| + 1) * integral of |f|.  Without that term 7 of 9000
@@ -44,14 +58,18 @@ t0 +- h 2^k with h = |log|alpha|| / 2, also around t0 +- 2 pi so that a pole
 near the cut grades both ends; and, from the peak end, the points 2/|Im beta|
 times 2^k.  Both runs of points double up to two base panels.  Measured on
 the eval-mixed pools of seeds 1, 2 and 5 (3000 integrals each, tol 1e-10):
-the calls per integral are 1.0007, 1.0000 and 1.0000 with these constants.
+the calls per integral are 1.0007, 1.0000 and 1.0000 with these constants,
+under the earlier G15/G7 pair and again under K15/G7.
 Pole grading below a distance of 0.6: 0.5 gave 1.004 and 1.003 on seeds 2
 and 5, 0.45 gave 1.01; a first step of 0.7 |log|alpha|| gave 1.001 on seed 5,
 1.0 gave 1.13 on seed 1, while 0.25 and 0.35 only added panels.  Peak grading
 once |Im beta| 2 pi/16 > 2: every threshold from 0.5 to 2 gave the same calls
 and 2 the fewest panels; 4 gave 1.0003 on seed 5, 6 gave 1.018 on seed 1, and
 none at all 1.27; a first step of 1/|Im beta| only added panels, 4/|Im beta|
-gave 1.0017 on seed 1.  Mean panels went from 17.2 to 20.2.
+gave 1.0017 on seed 1.  Mean panels went from 17.2 to 20.2.  Re-measured
+under K15/G7, the figures repeat: pole reach 0.5 gave 1.003 to 1.004, a pole
+step of 0.7 gave 1.001 on seed 5, a peak step of 4/|Im beta| gave 1.0017 on
+seed 1, and 14 base panels in place of 16 gave 1.0037 (12 gave 1.013).
 
 Endpoint singularities
 ----------------------
@@ -63,14 +81,18 @@ refinement handles that: the oscillation amplitude is constant while the
 panel mass shrinks linearly.
 
 Bisection from four equal panels reaches that geometric mesh one level per
-split, one f call of 44 nodes each, so an integral that needs a panel
+split, one f call of two panels each, so an integral that needs a panel
 [0, 2^-25] spent 23 calls getting there.  The unit-interval integrals therefore
 start on the mesh 0, 2^-K, ..., 2^-3, 1/4, 1/2, 3/4, 1 (the edges that walk
 builds) in one call, and refine from there as usual.  K = 36 was chosen by
 measurement on the identity checks of run_verify: started from equal panels,
 half the integrals stopped at depth 2 to 10 and the rest at 15 to 33; on the
 graded mesh almost none refine below 2^-K.  The worst residual stopped
-improving at K = 36, and run time was flat from K = 24 to K = 40.
+improving at K = 36, and run time was flat from K = 24 to K = 40.  Under
+K15/G7, on run_verify seeds 1000-1029 and 5000-5029: 1.28 f calls per
+integral for every K from 30 to 44 (1.82 at K = 24), and the median and worst
+residual ratios, 1.61e-4 and 2.83e-4, the same from K = 36 to 44 (2.83e-4 and
+1.1e-3 at K = 30), so K stays 36.
 """
 
 from __future__ import annotations
@@ -102,9 +124,85 @@ __all__ = [
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_MAX_PANELS = 20_000
 
-_LO_NODES, _LO_WEIGHTS = np.polynomial.legendre.leggauss(7)
-_HI_NODES, _HI_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_NODES = np.concatenate([_HI_NODES, _LO_NODES])  # one panel's 22 abscissae on [-1, 1]
+
+def _legendre_recurrence(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First n coefficients (a_k, b_k) of the monic Legendre three-term recurrence.
+
+    p_{k+1}(x) = (x - a_k) p_k(x) - b_k p_{k-1}(x), with b_0 = integral_{-1}^1 dx.
+    """
+    k = np.arange(n, dtype=float)
+    b = np.empty(n)
+    b[0] = 2.0
+    b[1:] = k[1:] ** 2 / (4.0 * k[1:] ** 2 - 1.0)
+    return np.zeros(n), b
+
+
+def _kronrod_recurrence(n: int, a0: np.ndarray, b0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Recurrence of the 2n+1 point Gauss-Kronrod rule extending the n point Gauss rule.
+
+    Laurie's algorithm (Math. Comp. 66, 1997, 1133-1145), in the form of
+    Gautschi's r_kronrod: a0 and b0 hold at least ceil(3n/2) + 1 coefficients
+    of the measure's own recurrence.  The returned 2n+1 coefficients define a
+    Jacobi matrix whose eigenvalues are the Kronrod nodes.
+    """
+    a = np.zeros(2 * n + 1)
+    b = np.zeros(2 * n + 1)
+    a[: 3 * n // 2 + 1] = a0[: 3 * n // 2 + 1]
+    b[: (3 * n + 1) // 2 + 1] = b0[: (3 * n + 1) // 2 + 1]
+    s = np.zeros(n // 2 + 2)
+    t = np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        l = m - k
+        s[k + 1] = np.cumsum((a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k] - b[l] * s[k + 1])
+        s, t = t, s
+    j = np.arange(n // 2, -1, -1)
+    s[j + 1] = s[j]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        l = m - k
+        j = n - 1 - l
+        s[j + 1] = np.cumsum(-(a[k + n + 1] - a[l]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[l] * s[j + 2])
+        last = j[-1]
+        k = (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[last + 1] - b[k + n + 1] * s[last + 2]) / t[last + 2]
+        else:
+            b[k + n + 1] = s[last + 1] / s[last + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    return a, b
+
+
+def _gauss_rule(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights from recurrence coefficients: Golub-Welsch by numpy.linalg.eigh."""
+    off = np.sqrt(b[1:])
+    nodes, vectors = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, b[0] * vectors[0] ** 2
+
+
+def _kronrod_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2n+1 Kronrod nodes on [-1, 1] and a (2n+1, 2) array of weights.
+
+    Column 0 holds the Kronrod weights, column 1 the n-point Gauss weights on
+    the nodes they share (every second node) and 0 elsewhere, so one product
+    with the node values gives both rules.  Nodes and weights are symmetrised,
+    which puts the centre node at exactly 0.0.
+    """
+    a0, b0 = _legendre_recurrence((3 * n + 1) // 2 + 1)
+    nodes, kronrod = _gauss_rule(*_kronrod_recurrence(n, a0, b0))
+    _, gauss = _gauss_rule(*_legendre_recurrence(n))
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = np.zeros((2 * n + 1, 2))
+    weights[:, 0] = 0.5 * (kronrod + kronrod[::-1])
+    weights[1::2, 1] = 0.5 * (gauss + gauss[::-1])
+    return nodes, weights
+
+
+#: One panel's abscissae on [-1, 1] and its K15 / G7 weights (see the module notes).
+_NODES, _WEIGHTS = _kronrod_pair(7)
+_KRONROD_WEIGHTS = np.ascontiguousarray(_WEIGHTS[:, 0])
 
 _EPS = sys.float_info.epsilon
 
@@ -141,15 +239,15 @@ class QuadratureResult:
 
 
 def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray) -> tuple[list, list, list]:
-    """G15 values, |G15 - G7| estimates and G15 masses of many panels, one f call."""
+    """K15 values, |K15 - G7| estimates and K15 masses of many panels, one f call."""
     mid = 0.5 * (lefts + rights)
     half = 0.5 * (rights - lefts)
     x = mid[:, None] + half[:, None] * _NODES
     vals = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
-    hi = half * (vals[:, :15] @ _HI_WEIGHTS)
-    lo = half * (vals[:, 15:] @ _LO_WEIGHTS)
-    mass = half * (np.abs(vals[:, :15]) @ _HI_WEIGHTS)
-    return hi.tolist(), np.abs(hi - lo).tolist(), mass.tolist()
+    rules = half[:, None] * (vals @ _WEIGHTS)
+    hi = rules[:, 0]
+    mass = half * (np.abs(vals) @ _KRONROD_WEIGHTS)
+    return hi.tolist(), np.abs(hi - rules[:, 1]).tolist(), mass.tolist()
 
 
 def _pairwise_sum(values: list[complex]) -> complex:
@@ -195,11 +293,14 @@ def _adaptive(
     """
     lefts, rights = edges[:-1], edges[1:]
     vals, errs, masses = _panels(f, lefts, rights)
+    total = sum(vals, complex(0.0))
+    err_total = sum(errs, 0.0)
+    if err_total <= tol * max(1.0, abs(total)):
+        # the loop below would stop before its first split: its panels are these, in edge order
+        return _result(vals, errs, masses, tol, roundoff)
     rows = zip(lefts.tolist(), rights.tolist(), vals, errs, masses)
     heap = [(-err, seq, left, right, val, mass) for seq, (left, right, val, err, mass) in enumerate(rows)]
     heapq.heapify(heap)  # (-err, seq) keys are unique, so the pop order is fixed
-    total = sum(vals, complex(0.0))
-    err_total = sum(errs, 0.0)
     seq = len(heap)
     min_width = abs(edges[-1] - edges[0]) * 1e-15
     frozen: list[tuple[float, float, complex, float, float]] = []  # panels too narrow to split
@@ -220,10 +321,15 @@ def _adaptive(
         seq += 2
     panels = frozen + [(left, right, val, -neg, mass) for (neg, _, left, right, val, mass) in heap]
     panels.sort(key=lambda p: p[0])
-    value = _pairwise_sum([p[2] for p in panels])
-    estimate = math.fsum(p[3] for p in panels) + roundoff * math.fsum(p[4] for p in panels)
+    return _result([p[2] for p in panels], [p[3] for p in panels], [p[4] for p in panels], tol, roundoff)
+
+
+def _result(vals: list, errs: list, masses: list, tol: float, roundoff: float) -> QuadratureResult:
+    """Total of the final panels, given in edge order; the estimate carries the roundoff floor."""
+    value = _pairwise_sum(vals)
+    estimate = math.fsum(errs) + roundoff * math.fsum(masses)
     converged = estimate <= tol * max(1.0, abs(value))
-    return QuadratureResult(value, estimate, len(panels), converged)
+    return QuadratureResult(value, estimate, len(vals), converged)
 
 
 def circle_integral(

@@ -99,6 +99,8 @@ def evaluate_instance(
     or its value is not finite: the methods cannot vouch for agreement that
     fine.  Failing both, it is
     "Agree" when every method produced a value and "Partial" when some failed.
+    A report on which every method failed has verdict "Refused" (and
+    disagreement 0.0): there is no value to agree on.
     """
     if methods is None:
         selected = [METHOD_CLOSED_FORM, METHOD_QUADRATURE]
@@ -139,7 +141,9 @@ def evaluate_instance(
         for j in range(i + 1, len(values)):
             gap = abs(values[i] - values[j]) / max(1.0, abs(values[i]), abs(values[j]))
             disagreement = max(disagreement, gap if gap == gap else math.inf)  # NaN never agrees
-    if disagreement > inst.tol:
+    if not survivors:
+        verdict = "Refused"
+    elif disagreement > inst.tol:
         verdict = "Disagree"
     elif not all(cmath.isfinite(r.value) and r.error_estimate <= inst.tol * max(1.0, abs(r.value)) for r in survivors):
         verdict = "Uncertified"

@@ -1,5 +1,6 @@
 """Command-line behaviour: parsing, schemas, exit codes, determinism."""
 
+import csv
 import json
 import math
 import subprocess
@@ -104,6 +105,22 @@ class TestEvalCommand:
         assert all(r["status"] == "AlphaOnCircle" for r in doc["results"])
         assert all(r["value"] is None for r in doc["results"])
 
+    @pytest.mark.parametrize("alpha,beta", [("1.0", "0.5"), ("0.5", "0.5+1000j")])
+    def test_no_survivor_is_refused(self, alpha, beta, capsys):
+        code = main(["eval", "--alpha", alpha, "--beta", beta, "--theta", "3"])
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["verdict"], doc["disagreement"], code) == ("Refused", 0.0, 1)
+
+    def test_readme_example_is_current(self, capsys):
+        command = "bci eval --alpha 2,0 --beta 0.5,0 --theta pi --methods theorem,quadrature,rational:1/2"
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        after = readme.split(f"```sh\n{command}\n```\n", 1)[1]
+        shown = after.split("```json\n", 1)[1].split("```", 1)[0]
+        # the README wraps the one-line report; compact JSON has no spaces to lose
+        joined = "".join(line.strip() for line in shown.splitlines()) + "\n"
+        assert main(command.split()[1:]) == 0
+        assert capsys.readouterr().out == joined
+
     def test_forced_disagreement_exits_2(self, capsys):
         code = main(
             ["eval", "--alpha", "0.3@0.8", "--beta", "0.5", "--theta", "2.0",
@@ -202,10 +219,30 @@ class TestSweepCommand:
             warnings.simplefilter("error")
             code = main(["sweep", "--alpha-mod", "0.5", "--alpha-arg", "1", "--beta", "0.5+1000j,0.5",
                          "--theta", "3"])
-        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        out = capsys.readouterr()
+        rows = [json.loads(line) for line in out.out.splitlines()]
         assert [r["status"] for r in rows[0]["results"]] == ["NonFiniteValue"] * 3
+        assert rows[0]["verdict"] == "Refused"
         assert rows[1]["verdict"] == "Agree"
-        assert code != 2
+        assert "refused=1" in out.err
+        assert code == 0  # another row produced values
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_one_refused_row_exits_as_eval(self, fmt, capsys):
+        instance = ["--alpha-mod", "0.5", "--alpha-arg", "1", "--beta", "0.5+1000j", "--theta", "3"]
+        code = main(["sweep"] + instance + ["--format", fmt])
+        out = capsys.readouterr()
+        assert "rows=1 " in out.err and "refused=1" in out.err
+        if fmt == "jsonl":
+            (row,) = [json.loads(line) for line in out.out.splitlines()]
+            assert row["verdict"] == "Refused"
+        else:
+            rows = list(csv.DictReader(out.out.splitlines()))
+            assert len(rows) == 3
+            assert {(r["status"], r["verdict"]) for r in rows} == {("NonFiniteValue", "Refused")}
+        eval_code = main(["eval", "--alpha", "0.5@1", "--beta", "0.5+1000j", "--theta", "3"])
+        capsys.readouterr()
+        assert code == eval_code == 1
 
     def test_jsonl_grid(self, capsys):
         code = main(
@@ -241,15 +278,6 @@ class TestSweepCommand:
         assert out.out == ""
         assert "rows=0" in out.err
 
-    def test_jobs_preserve_order_and_bytes(self, capsys):
-        argv = ["sweep", "--alpha-mod", "0.3,0.6,1.5", "--alpha-arg", "0.8,2.2", "--beta", "0.5",
-                "--theta", "2.0"]
-        main(argv)
-        serial = capsys.readouterr().out
-        main(argv + ["--jobs", "3"])
-        threaded = capsys.readouterr().out
-        assert serial == threaded
-
     def test_complex_literal_beta_is_one_exponent(self, capsys):
         argv = ["sweep", "--alpha-mod", "0.3", "--alpha-arg", "0.8", "--beta", "0.5+0.1j,-2j", "--theta", "2.0"]
         assert main(argv) == 0
@@ -264,6 +292,23 @@ class TestSweepCommand:
     def test_bad_axis_value_exits_1(self, capsys):
         assert main(["sweep", "--alpha-mod", "x", "--alpha-arg", "0", "--beta", "0.5", "--theta", "pi"]) == 1
         capsys.readouterr()
+
+    def test_closed_reader_ends_quietly(self):
+        # 256 rows (~100 kB) outgrow the pipe's buffer, so the sweep is still
+        # writing when the reader goes away
+        axes = ["--alpha-mod", "0.3,0.5,1.5,3", "--alpha-arg", "0.5,1.5,3,4", "--beta", "0.5,0.7,1.3,-0.4",
+                "--theta", "1,2,3.5,5"]
+        proc = subprocess.Popen([sys.executable, "-m", "bci", "sweep"] + axes,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert json.loads(first)["verdict"] == "Agree"
+        assert proc.returncode == 1
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 class TestVerifyCommand:

@@ -8,7 +8,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bci.quadrature
@@ -70,7 +70,7 @@ class TestAdaptiveEngine:
         assert r.converged and r.subdivisions > 8
         # all initial panels in one call, then both children of each split in one
         assert len(sizes) == 1 + (r.subdivisions - 8)
-        assert sizes == [8 * 22] + [2 * 22] * (len(sizes) - 1)
+        assert sizes == [8 * 15] + [2 * 15] * (len(sizes) - 1)
 
     def test_result_fields_are_python_scalars(self):
         # reports and trace files serialise these with the json module
@@ -85,6 +85,35 @@ class TestAdaptiveEngine:
         tight = adaptive_quadrature(f, 0.0, 1.0, tol=1e-10)
         assert loose.subdivisions <= tight.subdivisions
         assert tight.converged
+
+
+class TestKronrodRule:
+    """The K15 / G7 pair of bci.quadrature, checked by its moments, not a table."""
+
+    def _moment_errors(self, weights, degrees):
+        nodes = bci.quadrature._NODES
+        return [abs(math.fsum(weights * nodes**k) - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) for k in degrees]
+
+    def test_exact_degrees(self):
+        kronrod, gauss = bci.quadrature._WEIGHTS.T
+        assert max(self._moment_errors(kronrod, range(23))) <= 1e-14
+        assert max(self._moment_errors(gauss, range(14))) <= 1e-14
+
+    def test_inexact_beyond_their_degrees(self):
+        # a 15-point Gauss rule would still be exact here (degree 29)
+        kronrod, gauss = bci.quadrature._WEIGHTS.T
+        (k24,) = self._moment_errors(kronrod, [24])
+        (g14,) = self._moment_errors(gauss, [14])
+        assert k24 > 1e-10 and g14 > 1e-4
+
+    def test_symmetric_nodes_and_positive_weights(self):
+        nodes, weights = bci.quadrature._NODES, bci.quadrature._WEIGHTS
+        assert nodes.shape == (15,) and weights.shape == (15, 2)
+        assert np.array_equal(nodes, -nodes[::-1]) and nodes[7] == 0.0
+        assert np.all(np.diff(nodes) > 0.0) and -1.0 < nodes[0]
+        assert np.all(weights[:, 0] > 0.0)
+        # G7 lives on every second node
+        assert np.all(weights[1::2, 1] > 0.0) and np.all(weights[0::2, 1] == 0.0)
 
 
 class TestCircleIntegral:
@@ -134,6 +163,23 @@ class TestCircleAgainstMpmath:
             err = abs(r.value - _mp_circle(alpha, beta, theta))
             assert err <= r.abs_error_estimate, (alpha, beta, theta, err, r.abs_error_estimate)
 
+    @given(
+        z=st.floats(min_value=0.02, max_value=0.979),
+        outside=st.booleans(),
+        arg=st.floats(min_value=0.0, max_value=2 * math.pi),
+        br=st.floats(min_value=-3.0, max_value=3.0),
+        bi=st.floats(min_value=-40.0, max_value=40.0),
+        theta=st.floats(min_value=0.05, max_value=2 * math.pi - 0.05),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_estimate_is_at_least_true_error(self, z, outside, arg, br, bi, theta):
+        assume(abs(bi) > 1e-9 or abs(br - round(br)) > 1e-9)  # _mp_circle needs non-integer beta
+        alpha = (1.0 / z if outside else z) * cmath.exp(1j * arg)
+        beta = complex(br, bi)
+        r = circle_integral(ProblemInstance(alpha=alpha, beta=beta, theta=theta))
+        err = abs(r.value - _mp_circle(alpha, beta, theta))
+        assert err <= r.abs_error_estimate, (alpha, beta, theta, err, r.abs_error_estimate)
+
     @pytest.mark.parametrize("alpha,beta,theta", [(0.5, 0.5 + 30j, 3.0), (3.0, 0.5 - 40j, 1.0)])
     def test_large_imaginary_exponent_agrees(self, alpha, beta, theta):
         report = evaluate_instance(ProblemInstance(alpha=alpha, beta=beta, theta=theta))
@@ -144,7 +190,7 @@ class TestCircleAgainstMpmath:
 
     def test_large_imaginary_exponent_estimate_covers_exp_rounding(self):
         # exp(i beta (t - 2 pi) + i t) is off relatively by ~eps |beta + 1| 2 pi at a
-        # node; once the start mesh makes |G15 - G7| tiny, only the estimate's
+        # node; once the start mesh makes |K15 - G7| tiny, only the estimate's
         # rounding term covers that (6 of these draws fall below their error without it)
         rng = random.Random(7)
         for _ in range(400):
