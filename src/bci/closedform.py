@@ -22,6 +22,8 @@ import sys
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .branchcut import (
     TWO_PI,
     ProblemInstance,
@@ -40,7 +42,7 @@ from .errors import (
     OnBranchCut,
     ZeroInput,
 )
-from .hypergeometric import DEFAULT_MAX_TERMS, hyp2f1_one_b
+from .hypergeometric import DEFAULT_MAX_TERMS, _series_length, hyp2f1_one_b
 from .quadrature import euler_integral
 
 _EPS = sys.float_info.epsilon
@@ -152,10 +154,11 @@ def eval_closed_form(inst: ProblemInstance, series_tol: float | None = None) -> 
     """Hypergeometric closed form of the circle integral (both regimes).
 
     Integer beta returns the exact residue case; otherwise the identity at
-    the top of this module is evaluated with the fast 2F1(1, b; 1+b; .)
-    series.  series_tol overrides the series tolerance (default: the tighter
-    of 1e-12 and the instance tolerance) — the ODE residual checks push it to
-    ~1e-15 so finite differences stay truncation-limited.
+    the top of this module is evaluated with the fast 2F1(1, b; 1+b; .) series
+    on every |z| <= 1/(1 + exclusion_band) the instance accepts.  series_tol
+    overrides the series tolerance (default: the tighter of 1e-12 and the
+    instance tolerance) — the ODE residual checks push it to ~1e-15 so finite
+    differences stay truncation-limited.
     """
     inst.require_alpha_off_circle()
     diag = _base_diagnostics(inst)
@@ -175,7 +178,8 @@ def eval_closed_form(inst: ProblemInstance, series_tol: float | None = None) -> 
         b, z = beta, cmath.exp(1j * theta) / inst.alpha
     else:
         b, z = -beta, inst.alpha * cmath.exp(-1j * theta)
-    series = hyp2f1_one_b(b, z, tol=tol)
+    # The slack covers the rounding of z: up to 2 eps past 1/(1 + band) at the band edge.
+    series = hyp2f1_one_b(b, z, tol=tol, z_max=(1.0 + 4.0 * _EPS) / (1.0 + inst.exclusion_band))
     factor = 1.0 - series.value if inst.alpha_outside() else series.value
     value = prefactor * factor
     diag["series_terms"] = series.terms_used
@@ -193,7 +197,8 @@ def eval_direct_series(inst: ProblemInstance, max_terms: int = DEFAULT_MAX_TERMS
     Expanding 1/(z - alpha) geometrically on |z| = 1 and integrating the
     branch powers term by term gives this sum; it rearranges into the
     |alpha| < 1 closed form, which is exactly why it is kept as a separate
-    method instead of being folded away — two routes, one number.
+    method instead of being folded away — two routes, one number.  It sums
+    to the first K > |beta| + 1 with tail majorant |z|^K/|beta-K| |z|/(1-|z|) <= tol.
 
     beta in Z_{>=0} would hit a zero denominator at k = beta; there the
     integral is the plain residue 2*pi*i*alpha^beta, returned directly with a
@@ -215,24 +220,13 @@ def eval_direct_series(inst: ProblemInstance, max_terms: int = DEFAULT_MAX_TERMS
     prefactor, jump_err = cut_jump_with_bound(beta, inst.theta)  # refuses an overflow before the sum
     tol = min(1e-12, inst.tol)
     z = inst.alpha * cmath.exp(-1j * inst.theta_value)
-    total = 1.0 / beta
-    zk = complex(1.0)
-    q = abs(z)
-    geom = q / (1.0 - q) if q > 0 else 0.0
-    tail = 0.0
-    terms = 1
-    converged = q == 0.0
-    for k in range(1, max_terms):
-        zk *= z
-        term = zk / (beta - k)
-        total += term
-        terms = k + 1
-        tail = abs(term) * geom
-        if k > abs(beta) + 1 and tail <= tol * max(abs(total), 1.0):
-            converged = True
-            break
-    diag["series_terms"] = terms
-    diag["series_converged"] = converged
+    last, tail = (0, 0.0) if z == 0 else _series_length(
+        lambda k: 1.0 / abs(beta - k), abs(z), tol, math.floor(abs(beta) + 1.0) + 1, max_terms
+    )
+    powers = np.multiply.accumulate(np.full(last, z))  # z, z^2, ..., z^last
+    total = complex(1.0 / beta + (powers / (beta - np.arange(1, last + 1))).sum())
+    diag["series_terms"] = last + 1
+    diag["series_converged"] = tail <= tol
     value = prefactor * total
     rounding = _argument_rounding(-beta, z, beta * total) / abs(beta)  # total = F(-beta, z)/beta
     estimate = abs(prefactor) * (tail + 1e-15 * max(1.0, abs(total)) + rounding) + jump_err * abs(total)

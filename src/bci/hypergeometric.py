@@ -3,13 +3,20 @@
 Only |z| < 1 is needed anywhere in this package: the closed forms always feed
 the series an argument of modulus min(|alpha|, 1/|alpha|), which the circle
 exclusion band keeps strictly inside the disk.  No analytic continuation is
-attempted; arguments too close to the circle raise SlowConvergence instead of
-looping for 10^5 terms.
+attempted; arguments past z_max raise SlowConvergence.
+
+The fast path fixes its term count before it sums: the first K >= |b| (from
+the geometric estimate up) with majorant |b/(b+K)| |z|^K |z|/(1-|z|) <= tol.
+|b+k| grows with k past |b|, so the majorant bounds the tail (tail_estimate).
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .branchcut import as_integer
 from .errors import InvalidC, SlowConvergence
@@ -35,9 +42,9 @@ DEFAULT_Z_MAX = 0.95
 class SeriesResult:
     """Partial-sum value plus the bookkeeping needed to judge it.
 
-    converged means the geometric tail bound dropped below
-    tol * max(|value|, 1) before max_terms; otherwise the partial sum is
-    still returned, with tail_estimate saying how bad it might be.
+    converged means the geometric tail bound dropped below the tolerance
+    before max_terms; otherwise the partial sum is still returned, with
+    tail_estimate saying how bad it might be.
     """
 
     value: complex
@@ -113,6 +120,25 @@ def hyp2f1_series(
     return SeriesResult(total, max_terms, abs(term) * geom, False)
 
 
+def _series_length(coef: Callable[[int], float], q: float, tol: float, k_min: int, max_terms: int) -> tuple[int, float]:
+    """Index K of the last term to sum and the tail majorant coef(K) q^K q/(1-q):
+    the geometric estimate, or k_min if larger, then a jump while the majorant
+    exceeds tol (one suffices: coef(k), the k-th coefficient's modulus, does
+    not grow for k >= k_min).  Capped at max_terms - 1."""
+    geom = q / (1.0 - q)
+    log_q = math.log(q)
+    last = max_terms - 1
+    k = k_min if tol > 0.0 else last
+    if 0.0 < tol < geom:
+        k = max(k, math.ceil(math.log(tol / geom) / log_q))
+    while True:
+        k = min(k, last)
+        tail = coef(k) * q**k * geom
+        if tail <= tol or k == last:
+            return k, tail
+        k += max(1, math.ceil(math.log(tol / tail) / log_q))
+
+
 def hyp2f1_one_b(
     b: complex,
     z: complex,
@@ -123,10 +149,11 @@ def hyp2f1_one_b(
     """sum_{k>=0} b/(b+k) z^k, which is 2F1(1, b; 1+b; z) term for term.
 
     The (1, b; 1+b) parameter pattern collapses the Pochhammer ratio to
-    b/(b+k), so each term costs one divide off a running power of z; this is
-    the form every closed form in the package consumes.  b must not be a
-    non-positive integer (that makes 1+b an invalid denominator parameter —
-    and would zero a denominator b+k at k = -b).
+    b/(b+k); this is the form every closed form in the package consumes.
+    With the term count fixed (module docstring), the powers are running
+    products and the terms one array.  b must not be a non-positive integer
+    (that makes 1+b an invalid denominator parameter — and would zero a
+    denominator b+k at k = -b).
     """
     b = complex(b)
     z = complex(z)
@@ -136,16 +163,7 @@ def hyp2f1_one_b(
     _require_inside_domain(z, z_max)
     if z == 0:
         return SeriesResult(complex(1.0), 1, 0.0, True)
-    geom = abs(z) / (1.0 - abs(z))
-    n_trust = abs(b)
-    zk = complex(1.0)
-    total = complex(1.0)
-    tail = 0.0
-    for k in range(1, max_terms):
-        zk *= z
-        term = b / (b + k) * zk
-        total += term
-        tail = abs(term) * geom
-        if k >= n_trust and tail <= tol * max(abs(total), 1.0):
-            return SeriesResult(total, k + 1, tail, True)
-    return SeriesResult(total, max_terms, tail, False)
+    last, tail = _series_length(lambda k: abs(b / (b + k)), abs(z), tol, max(1, math.ceil(abs(b))), max_terms)
+    powers = np.multiply.accumulate(np.full(last, z))  # z, z^2, ..., z^last
+    total = 1.0 + (b / (b + np.arange(1, last + 1)) * powers).sum()
+    return SeriesResult(complex(total), last + 1, tail, tail <= tol)

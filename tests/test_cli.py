@@ -111,6 +111,14 @@ class TestEvalCommand:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["verdict"], doc["disagreement"], code) == ("Refused", 0.0, 1)
 
+    @pytest.mark.parametrize("alpha", ["1.02", "0.98", "1.03"])
+    def test_near_band_instance_is_cross_checked(self, alpha, capsys):
+        code = main(["eval", "--alpha", alpha, "--beta", "0.5+0.3j", "--theta", "2"])
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["verdict"], code) == ("Agree", 0)
+        assert sum(r["status"] == "ok" for r in doc["results"]) >= 2
+        assert doc["disagreement"] < 1e-12
+
     def test_readme_example_is_current(self, capsys):
         command = "bci eval --alpha 2,0 --beta 0.5,0 --theta pi --methods theorem,quadrature,rational:1/2"
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -22,6 +22,7 @@ from bci import (
     eval_closed_form,
     eval_direct_series,
     eval_rational_logsum,
+    evaluate_instance,
     hyp2f1_one_b,
     hyp2f1_rational,
     int_pow,
@@ -297,6 +298,71 @@ class TestEstimatesAgainstMpmath:
             theta = rng.uniform(0.05, 2 * math.pi - 0.05)
             r = eval_rational_logsum(ProblemInstance(alpha=alpha, beta=m / n, theta=theta), RationalBeta(m, n))
             assert _error(r, _mp_circle(alpha, m / n, theta)) <= r.error_estimate, (alpha, m, n, theta)
+
+
+class TestEstimatesNearTheBand:
+    """Both series routes run up to the exclusion band, and their estimates
+    still bound the true error there."""
+
+    @given(
+        q=st.floats(min_value=0.02, max_value=1.0 / 1.02),
+        outside=st.booleans(),
+        aarg=st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
+        br=st.floats(min_value=-3.0, max_value=3.0),
+        bi=st.floats(min_value=-40.0, max_value=40.0),
+        theta=st.floats(min_value=0.05, max_value=2 * math.pi - 0.05),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_estimates_bound_the_error(self, q, outside, aarg, br, bi, theta):
+        mod = 1.0 / q if outside else min(q, 0.98)
+        alpha = mod * cmath.exp(1j * aarg)
+        beta = complex(br, bi)
+        assume(abs(1.0 - abs(alpha)) >= 0.02)  # |alpha| rounded into the band at q = 1/1.02
+        # the 45-digit reference rounds the jump factor of a beta within ~1e-45
+        # of an integer to 0, where bci takes beta as that integer
+        assume(beta == round(br) or abs(beta - round(br)) > 1e-6)
+        inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
+        ref = _mp_circle(alpha, beta, theta)
+        for method in [eval_closed_form] + ([] if outside else [eval_direct_series]):
+            r = method(inst)
+            assert r.diagnostics.get("series_converged", True)  # integer beta: no series
+            assert _error(r, ref) <= r.error_estimate, method.__name__
+
+    @pytest.mark.parametrize("band", [0.02, 0.05, 0.3])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_band_edges_are_cross_checked(self, band, sign):
+        rng = random.Random(7)
+        for _ in range(40):
+            # the accepted alpha nearest the circle on a random ray (or the real axis)
+            arg = rng.uniform(0.0, 2 * math.pi) if rng.random() < 0.8 else 0.0
+            mod = 1.0 + sign * band
+            while abs(1.0 - abs(mod * cmath.exp(1j * arg))) < band:
+                mod = math.nextafter(mod, sign * math.inf)
+            alpha = mod * cmath.exp(1j * arg)
+            theta = rng.uniform(0.05, 2 * math.pi - 0.05)
+            inst = ProblemInstance(alpha=alpha, beta=0.5 + 0.3j, theta=theta, exclusion_band=band)
+            report = evaluate_instance(inst)
+            assert report.verdict == "Agree", (alpha, theta, report.results)
+            assert len(report.results) >= 2
+
+    def test_direct_series_count_rule(self):
+        beta = 2.6 - 1.5j
+        for alpha, tol in ((0.5 * cmath.exp(1.0j), 1e-12), (0.98j, 1e-12), (0.7, 1e-6)):
+            inst = ProblemInstance(alpha=alpha, beta=beta, theta=2.0, tol=tol)
+            r = eval_direct_series(inst)
+            last = r.diagnostics["series_terms"] - 1
+            q = abs(alpha)
+            assert r.diagnostics["series_converged"]
+            assert last > abs(beta) + 1
+            assert q**last / abs(beta - last) * q / (1.0 - q) <= min(1e-12, tol)
+
+    def test_direct_series_cap_binds(self):
+        inst = ProblemInstance(alpha=0.9 * cmath.exp(0.4j), beta=0.5, theta=2.0)
+        r = eval_direct_series(inst, max_terms=10)
+        assert (r.diagnostics["series_terms"], r.diagnostics["series_converged"]) == (10, False)
+        assert abs(r.value - eval_direct_series(inst).value) <= r.error_estimate
+        # |jump factor| = |1 - e^{-i pi}| = 2 times the tail majorant after term 9
+        assert r.error_estimate >= 2.0 * 0.9**9 / abs(0.5 - 9) * 0.9 / 0.1
 
 
 class TestDiagnostics:

@@ -131,3 +131,55 @@ class TestOneBPath:
     def test_z_zero(self):
         r = hyp2f1_one_b(0.7 - 0.3j, 0.0)
         assert r.value == 1.0 and r.converged
+
+
+def _majorant(b, z, k):
+    """|b/(b+k)| |z|^k |z|/(1-|z|): the bound on the tail after term k."""
+    q = abs(z)
+    return abs(b / (b + k)) * q**k * q / (1.0 - q)
+
+
+class TestOneBTermCount:
+    @pytest.mark.parametrize(
+        "b,z",
+        [(0.5, 0.25), (-2.5 + 0.001j, 0.9 * cmath.exp(2.0j)), (0.3 - 38.0j, -0.97), (7.2 + 1.0j, 1e-3j), (-0.4, 0.979j)],
+    )
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15])
+    def test_count_rule(self, b, z, tol):
+        r = hyp2f1_one_b(b, z, tol=tol, z_max=0.98)
+        last = r.terms_used - 1
+        assert r.converged
+        assert last >= abs(b)
+        assert _majorant(b, z, last) <= tol
+        assert r.tail_estimate == pytest.approx(_majorant(b, z, last), rel=1e-12)
+
+    def test_partial_sum_has_that_many_terms(self):
+        b, z = 0.7 - 0.3j, 0.6 + 0.5j
+        r = hyp2f1_one_b(b, z)
+        brute = math.fsum(((b / (b + k)) * z**k).real for k in range(r.terms_used))
+        brute += 1j * math.fsum(((b / (b + k)) * z**k).imag for k in range(r.terms_used))
+        assert r.value == pytest.approx(brute, rel=1e-14)
+
+    def test_tail_estimate_bounds_truncation(self):
+        b, z = -1.3 + 2.0j, -0.8 + 0.3j
+        rough = hyp2f1_one_b(b, z, tol=1e-5)
+        sharp = hyp2f1_one_b(b, z, tol=1e-15)
+        assert abs(rough.value - sharp.value) <= rough.tail_estimate + sharp.tail_estimate + 1e-14
+
+    def test_cap_binds(self):
+        r = hyp2f1_one_b(0.5, 0.9, tol=1e-12, max_terms=20)
+        assert not r.converged
+        assert r.terms_used == 20
+        assert r.tail_estimate == pytest.approx(_majorant(0.5, 0.9, 19), rel=1e-12)
+        assert r.value == pytest.approx(sum(0.5 / (0.5 + k) * 0.9**k for k in range(20)), rel=1e-14)
+
+    def test_zero_tol_sums_to_the_cap(self):
+        r = hyp2f1_one_b(0.5, 0.25, tol=0.0, max_terms=30)
+        assert (r.terms_used, r.converged) == (30, False)
+
+    def test_z_zero_and_invalid_b_unchanged(self):
+        r = hyp2f1_one_b(3.5 + 2j, 0.0, tol=0.0, max_terms=5)
+        assert (r.value, r.terms_used, r.tail_estimate, r.converged) == (1.0, 1, 0.0, True)
+        for b in (0.0, -1.0, -7 + 0j):
+            with pytest.raises(InvalidC):
+                hyp2f1_one_b(b, 0.5)
