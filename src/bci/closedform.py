@@ -40,6 +40,7 @@ from .errors import (
     EvaluationError,
     IntegerBeta,
     OnBranchCut,
+    SlowConvergence,
     ZeroInput,
 )
 from .hypergeometric import DEFAULT_MAX_TERMS, _series_length, hyp2f1_one_b
@@ -155,10 +156,9 @@ def eval_closed_form(inst: ProblemInstance, series_tol: float | None = None) -> 
 
     Integer beta returns the exact residue case; otherwise the identity at
     the top of this module is evaluated with the fast 2F1(1, b; 1+b; .) series
-    on every |z| <= 1/(1 + exclusion_band) the instance accepts.  series_tol
-    overrides the series tolerance (default: the tighter of 1e-12 and the
-    instance tolerance) — the ODE residual checks push it to ~1e-15 so finite
-    differences stay truncation-limited.
+    up to the band.  series_tol overrides the series tolerance (default: the
+    tighter of 1e-12 and the instance tolerance) — the ODE residual checks
+    push it to ~1e-15 so finite differences stay truncation-limited.
     """
     inst.require_alpha_off_circle()
     diag = _base_diagnostics(inst)
@@ -180,6 +180,8 @@ def eval_closed_form(inst: ProblemInstance, series_tol: float | None = None) -> 
         b, z = -beta, inst.alpha * cmath.exp(-1j * theta)
     # The slack covers the rounding of z: up to 2 eps past 1/(1 + band) at the band edge.
     series = hyp2f1_one_b(b, z, tol=tol, z_max=(1.0 + 4.0 * _EPS) / (1.0 + inst.exclusion_band))
+    if not series.converged:
+        raise SlowConvergence(f"the 2F1 series needs more than {series.terms_used} terms at |z| = {abs(z):.6g}")
     factor = 1.0 - series.value if inst.alpha_outside() else series.value
     value = prefactor * factor
     diag["series_terms"] = series.terms_used
@@ -197,8 +199,9 @@ def eval_direct_series(inst: ProblemInstance, max_terms: int = DEFAULT_MAX_TERMS
     Expanding 1/(z - alpha) geometrically on |z| = 1 and integrating the
     branch powers term by term gives this sum; it rearranges into the
     |alpha| < 1 closed form, which is exactly why it is kept as a separate
-    method instead of being folded away — two routes, one number.  It sums
-    to the first K > |beta| + 1 with tail majorant |z|^K/|beta-K| |z|/(1-|z|) <= tol.
+    method instead of being folded away — two routes, one number.  Its terms
+    z^k/(beta - k) are |b/(b+k) z^k|/|beta| in modulus with b = -beta, so it
+    takes the term count of hyp2f1_one_b at tol |beta|, from K > |beta| + 1.
 
     beta in Z_{>=0} would hit a zero denominator at k = beta; there the
     integral is the plain residue 2*pi*i*alpha^beta, returned directly with a
@@ -220,16 +223,14 @@ def eval_direct_series(inst: ProblemInstance, max_terms: int = DEFAULT_MAX_TERMS
     prefactor, jump_err = cut_jump_with_bound(beta, inst.theta)  # refuses an overflow before the sum
     tol = min(1e-12, inst.tol)
     z = inst.alpha * cmath.exp(-1j * inst.theta_value)
-    last, tail = (0, 0.0) if z == 0 else _series_length(
-        lambda k: 1.0 / abs(beta - k), abs(z), tol, math.floor(abs(beta) + 1.0) + 1, max_terms
-    )
+    last, tail = _series_length(-beta, abs(z), tol * abs(beta), math.floor(abs(beta) + 1.0) + 1, max_terms)
     powers = np.multiply.accumulate(np.full(last, z))  # z, z^2, ..., z^last
     total = complex(1.0 / beta + (powers / (beta - np.arange(1, last + 1))).sum())
     diag["series_terms"] = last + 1
-    diag["series_converged"] = tail <= tol
+    diag["series_converged"] = tail <= tol * abs(beta)
     value = prefactor * total
     rounding = _argument_rounding(-beta, z, beta * total) / abs(beta)  # total = F(-beta, z)/beta
-    estimate = abs(prefactor) * (tail + 1e-15 * max(1.0, abs(total)) + rounding) + jump_err * abs(total)
+    estimate = abs(prefactor) * (tail / abs(beta) + 1e-15 * max(1.0, abs(total)) + rounding) + jump_err * abs(total)
     return MethodResult(value, METHOD_SERIES, estimate, diag)
 
 

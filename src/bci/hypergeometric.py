@@ -3,17 +3,15 @@
 Only |z| < 1 is needed anywhere in this package: the closed forms always feed
 the series an argument of modulus min(|alpha|, 1/|alpha|), which the circle
 exclusion band keeps strictly inside the disk.  No analytic continuation is
-attempted; arguments past z_max raise SlowConvergence.
-
-The fast path fixes its term count before it sums: the first K >= |b| (from
-the geometric estimate up) with majorant |b/(b+K)| |z|^K |z|/(1-|z|) <= tol.
-|b+k| grows with k past |b|, so the majorant bounds the tail (tail_estimate).
+attempted; arguments past z_max raise SlowConvergence.  The fast path fixes
+its term count before it sums: the first K >= |b| (from the geometric estimate
+up) with majorant |b/(b+K)| |z|^K |z|/(1-|z|) <= tol.  |b+k| grows with k past
+|b|, so the majorant bounds the tail (tail_estimate).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,23 +118,23 @@ def hyp2f1_series(
     return SeriesResult(total, max_terms, abs(term) * geom, False)
 
 
-def _series_length(coef: Callable[[int], float], q: float, tol: float, k_min: int, max_terms: int) -> tuple[int, float]:
-    """Index K of the last term to sum and the tail majorant coef(K) q^K q/(1-q):
-    the geometric estimate, or k_min if larger, then a jump while the majorant
-    exceeds tol (one suffices: coef(k), the k-th coefficient's modulus, does
-    not grow for k >= k_min).  Capped at max_terms - 1."""
+def _series_length(b: complex, q: float, tol: float, k_min: int, max_terms: int) -> tuple[int, float]:
+    """Index K of the last term to sum and its tail majorant |b/(b+K)| q^K q/(1-q):
+    the geometric estimate or k_min, then jumps while the majorant exceeds tol.
+    Capped at max_terms - 1; q = 0 gives (k_min, 0.0) and q >= 1 is refused."""
+    if q == 0.0:
+        return k_min, 0.0
+    if not q < 1.0:
+        raise SlowConvergence(f"|z| = {q:.17g} is not inside the unit disk")
     geom = q / (1.0 - q)
-    log_q = math.log(q)
     last = max_terms - 1
-    k = k_min if tol > 0.0 else last
-    if 0.0 < tol < geom:
-        k = max(k, math.ceil(math.log(tol / geom) / log_q))
+    k = max(k_min, math.ceil(math.log(min(tol / geom, 1.0)) / math.log(q))) if tol > 0.0 else last
     while True:
         k = min(k, last)
-        tail = coef(k) * q**k * geom
+        tail = abs(b / (b + k)) * q**k * geom
         if tail <= tol or k == last:
             return k, tail
-        k += max(1, math.ceil(math.log(tol / tail) / log_q))
+        k += max(1, math.ceil(math.log(tol / tail) / math.log(q)))
 
 
 def hyp2f1_one_b(
@@ -149,11 +147,10 @@ def hyp2f1_one_b(
     """sum_{k>=0} b/(b+k) z^k, which is 2F1(1, b; 1+b; z) term for term.
 
     The (1, b; 1+b) parameter pattern collapses the Pochhammer ratio to
-    b/(b+k); this is the form every closed form in the package consumes.
-    With the term count fixed (module docstring), the powers are running
-    products and the terms one array.  b must not be a non-positive integer
-    (that makes 1+b an invalid denominator parameter — and would zero a
-    denominator b+k at k = -b).
+    b/(b+k); this is the form every closed form in the package consumes,
+    summed as one array to the term count of the module docstring.  b must
+    not be a non-positive integer (that makes 1+b an invalid denominator
+    parameter — and would zero a denominator b+k at k = -b).
     """
     b = complex(b)
     z = complex(z)
@@ -163,7 +160,7 @@ def hyp2f1_one_b(
     _require_inside_domain(z, z_max)
     if z == 0:
         return SeriesResult(complex(1.0), 1, 0.0, True)
-    last, tail = _series_length(lambda k: abs(b / (b + k)), abs(z), tol, max(1, math.ceil(abs(b))), max_terms)
+    last, tail = _series_length(b, abs(z), tol, max(1, math.ceil(abs(b))), max_terms)
     powers = np.multiply.accumulate(np.full(last, z))  # z, z^2, ..., z^last
     total = 1.0 + (b / (b + np.arange(1, last + 1)) * powers).sum()
     return SeriesResult(complex(total), last + 1, tail, tail <= tol)

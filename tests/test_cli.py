@@ -119,6 +119,12 @@ class TestEvalCommand:
         assert sum(r["status"] == "ok" for r in doc["results"]) >= 2
         assert doc["disagreement"] < 1e-12
 
+    def test_tiny_band_still_refuses_the_closed_form(self, capsys):
+        code = main(["eval", "--alpha", "1.00001", "--beta", "0.5", "--theta", "2", "--exclusion-band", "1e-5"])
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["verdict"], code) == ("Partial", 0)
+        assert doc["results"][0]["status"] == "SlowConvergence"
+
     def test_readme_example_is_current(self, capsys):
         command = "bci eval --alpha 2,0 --beta 0.5,0 --theta pi --methods theorem,quadrature,rational:1/2"
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

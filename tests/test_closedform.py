@@ -17,6 +17,7 @@ from bci import (
     IntegerBeta,
     ProblemInstance,
     RationalBeta,
+    SlowConvergence,
     ZeroInput,
     check_reconciliation,
     eval_closed_form,
@@ -344,6 +345,25 @@ class TestEstimatesNearTheBand:
             report = evaluate_instance(inst)
             assert report.verdict == "Agree", (alpha, theta, report.results)
             assert len(report.results) >= 2
+
+    @pytest.mark.parametrize("alpha,band", [(1.00001, 1e-5), (1.0 + 2e-10, 1e-10)])
+    def test_tiny_band_still_refuses(self, alpha, band):
+        # |z| = 1/(1 + band) needs ~4e6 terms, past max_terms: the closed form
+        # refuses instead of returning a partial sum
+        inst = ProblemInstance(alpha=alpha, beta=0.5, theta=2.0, exclusion_band=band)
+        with pytest.raises(SlowConvergence):
+            eval_closed_form(inst)
+        assert evaluate_instance(inst).verdict == "Partial"
+
+    def test_z_rounded_onto_the_circle_is_refused(self):
+        # band 1e-17 accepts |alpha| = 1 - eps/2, and |z| = |alpha e^{-i theta}| rounds to 1.0
+        alpha = math.nextafter(1.0, 0.0) * cmath.exp(1j)
+        inst = ProblemInstance(alpha=alpha, beta=0.5, theta=0.0033, exclusion_band=1e-17)
+        assert abs(alpha * cmath.exp(-0.0033j)) == 1.0
+        for method in (eval_closed_form, eval_direct_series):
+            with pytest.raises(SlowConvergence):
+                method(inst)
+        assert evaluate_instance(inst).verdict == "Uncertified"
 
     def test_direct_series_count_rule(self):
         beta = 2.6 - 1.5j

@@ -183,3 +183,9 @@ class TestOneBTermCount:
         for b in (0.0, -1.0, -7 + 0j):
             with pytest.raises(InvalidC):
                 hyp2f1_one_b(b, 0.5)
+
+    def test_z_on_the_circle_is_refused(self):
+        # a z_max past 1 does not let |z| = 1 through to the geometric tail
+        for z in (1.0, -1j, cmath.exp(0.3j) / abs(cmath.exp(0.3j))):
+            with pytest.raises(SlowConvergence):
+                hyp2f1_one_b(0.5, z, z_max=2.0)
