@@ -11,7 +11,6 @@ from .branchcut import (
     DEFAULT_EXCLUSION_BAND,
     INTEGER_DETECTION_TOL,
     BranchAngle,
-    BranchValue,
     ProblemInstance,
     as_integer,
     branch_arg,
@@ -19,7 +18,6 @@ from .branchcut import (
     branch_pow,
     cut_jump_factor,
     int_pow,
-    integrand,
 )
 from .closedform import (
     METHOD_CLOSED_FORM,
@@ -45,13 +43,12 @@ from .errors import (
     InvalidC,
     NonFiniteValue,
     OnBranchCut,
-    PoleHit,
     RegimeStraddle,
     SingularPath,
     SlowConvergence,
     ZeroInput,
 )
-from .hypergeometric import SeriesResult, hyp2f1_one_b, hyp2f1_series, pochhammer
+from .hypergeometric import SeriesResult, hyp2f1_one_b, hyp2f1_series
 from .odecheck import (
     INFINITY,
     OdeCoefficients,
@@ -60,7 +57,6 @@ from .odecheck import (
     ode_coefficients_inside,
     ode_coefficients_outside,
     ode_residual,
-    scaling_constant,
     singular_points,
 )
 from .quadrature import (
@@ -90,7 +86,6 @@ __all__ = [
     "DEFAULT_EXCLUSION_BAND",
     "INTEGER_DETECTION_TOL",
     "BranchAngle",
-    "BranchValue",
     "ProblemInstance",
     "as_integer",
     "branch_arg",
@@ -98,12 +93,10 @@ __all__ = [
     "branch_pow",
     "cut_jump_factor",
     "int_pow",
-    "integrand",
     # series machinery
     "SeriesResult",
     "hyp2f1_series",
     "hyp2f1_one_b",
-    "pochhammer",
     # closed forms and cross forms
     "METHOD_CLOSED_FORM",
     "METHOD_SERIES",
@@ -133,7 +126,6 @@ __all__ = [
     "ode_coefficients_inside",
     "coefficients_for",
     "ode_residual",
-    "scaling_constant",
     "singular_points",
     # orchestration
     "EvaluationReport",
@@ -149,7 +141,6 @@ __all__ = [
     "ZeroInput",
     "OnBranchCut",
     "AlphaOnCut",
-    "PoleHit",
     "AlphaOnCircle",
     "IntegerBeta",
     "BetaNonNegativeInteger",

@@ -1,4 +1,4 @@
-"""Branch-aware complex logarithm, powers, and the contour integrand.
+"""Branch-aware complex logarithm, powers, and the cut jump factor.
 
 The whole package works on the plane slit along the ray {r e^{i theta} : r >= 0}
 for a cut angle 0 < theta < 2*pi.  Fixing log(1) = 0 on that slit plane forces
@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import AlphaOnCircle, NonFiniteValue, OnBranchCut, PoleHit, ZeroInput
+from .errors import AlphaOnCircle, NonFiniteValue, OnBranchCut, ZeroInput
 
 __all__ = [
     "ANGULAR_GUARD",
@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_EXCLUSION_BAND",
     "TWO_PI",
     "BranchAngle",
-    "BranchValue",
     "ProblemInstance",
     "as_integer",
     "int_pow",
@@ -36,7 +35,6 @@ __all__ = [
     "branch_pow",
     "cut_jump_factor",
     "cut_jump_with_bound",
-    "integrand",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -75,14 +73,6 @@ def _theta_of(theta: BranchAngle | float) -> float:
     if isinstance(theta, BranchAngle):
         return theta.theta
     return BranchAngle(float(theta)).theta
-
-
-@dataclass(frozen=True)
-class BranchValue:
-    """A branch logarithm together with the argument representative it used."""
-
-    log_value: complex
-    arg_value: float
 
 
 @dataclass(frozen=True)
@@ -170,10 +160,10 @@ def branch_arg(z: complex, theta: BranchAngle | float) -> float:
     return th - TWO_PI + offset
 
 
-def branch_log(z: complex, theta: BranchAngle | float) -> BranchValue:
+def branch_log(z: complex, theta: BranchAngle | float) -> complex:
     """Logarithm on the plane slit along angle theta, normalised by log(1) = 0."""
-    arg = branch_arg(z, theta)
-    return BranchValue(complex(math.log(abs(complex(z))), arg), arg)
+    arg = branch_arg(z, theta)  # first: it refuses z = 0, where log(|z|) would fail
+    return complex(math.log(abs(complex(z))), arg)
 
 
 def branch_pow(z: complex, beta: complex, theta: BranchAngle | float) -> complex:
@@ -193,7 +183,7 @@ def branch_pow(z: complex, beta: complex, theta: BranchAngle | float) -> complex
                 return 0j
             raise ZeroInput(f"0**{n} is undefined")
         return int_pow(z, n)
-    return cmath.exp(complex(beta) * branch_log(z, theta).log_value)
+    return cmath.exp(complex(beta) * branch_log(z, theta))
 
 
 def cut_jump_factor(beta: complex, theta: BranchAngle | float) -> complex:
@@ -233,10 +223,3 @@ def cut_jump_with_bound(beta: complex, theta: BranchAngle | float) -> tuple[comp
         raise NonFiniteValue(f"the cut jump or its rounding bound overflows at beta = {b!r}")
     return jump, bound
 
-
-def integrand(z: complex, inst: ProblemInstance) -> complex:
-    """The contour integrand z**beta / (z - alpha) for one problem instance."""
-    z = complex(z)
-    if abs(z - inst.alpha) < 1e-13 * (1.0 + abs(inst.alpha)):
-        raise PoleHit(f"z = {z!r} coincides with the pole alpha = {inst.alpha!r}")
-    return branch_pow(z, inst.beta, inst.theta) / (z - inst.alpha)

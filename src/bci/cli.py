@@ -165,7 +165,6 @@ def _build_parser(default_tol: float) -> _Parser:
     ev.add_argument("--methods", type=str, default=None, help="comma list: theorem,series,quadrature,rational:m/n")
     ev.add_argument("--tol", type=float, default=default_tol, help="agreement tolerance (env BCI_DEFAULT_TOL)")
     ev.add_argument("--exclusion-band", type=float, default=DEFAULT_EXCLUSION_BAND, help="refusal band around |alpha| = 1")
-    ev.add_argument("--format", choices=["json"], default="json")
     ev.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
 
     sw = sub.add_parser("sweep", help="evaluate a cartesian grid of instances")

@@ -39,11 +39,12 @@ from .errors import (
     DivergentAtZero,
     EvaluationError,
     IntegerBeta,
+    NonFiniteValue,
     OnBranchCut,
     SlowConvergence,
     ZeroInput,
 )
-from .hypergeometric import DEFAULT_MAX_TERMS, _series_length, hyp2f1_one_b
+from .hypergeometric import DEFAULT_MAX_TERMS, SeriesResult, _series_length, hyp2f1_one_b
 from .quadrature import euler_integral
 
 _EPS = sys.float_info.epsilon
@@ -151,6 +152,13 @@ def _argument_rounding(b: complex, z: complex, f: complex) -> float:
     return 3.0 * _EPS * abs(b) * abs(1.0 / (1.0 - z) - f)
 
 
+def _converged(series: SeriesResult, z: complex) -> SeriesResult:
+    """series, unless max_terms cut it short of its tolerance: SlowConvergence."""
+    if not series.converged:
+        raise SlowConvergence(f"the 2F1 series needs more than {series.terms_used} terms at |z| = {abs(z):.6g}")
+    return series
+
+
 def eval_closed_form(inst: ProblemInstance, series_tol: float | None = None) -> MethodResult:
     """Hypergeometric closed form of the circle integral (both regimes).
 
@@ -178,10 +186,7 @@ def eval_closed_form(inst: ProblemInstance, series_tol: float | None = None) -> 
         b, z = beta, cmath.exp(1j * theta) / inst.alpha
     else:
         b, z = -beta, inst.alpha * cmath.exp(-1j * theta)
-    # The slack covers the rounding of z: up to 2 eps past 1/(1 + band) at the band edge.
-    series = hyp2f1_one_b(b, z, tol=tol, z_max=(1.0 + 4.0 * _EPS) / (1.0 + inst.exclusion_band))
-    if not series.converged:
-        raise SlowConvergence(f"the 2F1 series needs more than {series.terms_used} terms at |z| = {abs(z):.6g}")
+    series = _converged(hyp2f1_one_b(b, z, tol=tol), z)
     factor = 1.0 - series.value if inst.alpha_outside() else series.value
     value = prefactor * factor
     diag["series_terms"] = series.terms_used
@@ -191,7 +196,7 @@ def eval_closed_form(inst: ProblemInstance, series_tol: float | None = None) -> 
     return MethodResult(value, METHOD_CLOSED_FORM, estimate, diag)
 
 
-def eval_direct_series(inst: ProblemInstance, max_terms: int = DEFAULT_MAX_TERMS) -> MethodResult:
+def eval_direct_series(inst: ProblemInstance) -> MethodResult:
     """Direct termwise series for |alpha| < 1:
 
         I = cut_jump_factor(beta, theta) * sum_{k>=0} alpha^k e^{-i k theta} / (beta - k).
@@ -201,7 +206,8 @@ def eval_direct_series(inst: ProblemInstance, max_terms: int = DEFAULT_MAX_TERMS
     |alpha| < 1 closed form, which is exactly why it is kept as a separate
     method instead of being folded away — two routes, one number.  Its terms
     z^k/(beta - k) are |b/(b+k) z^k|/|beta| in modulus with b = -beta, so it
-    takes the term count of hyp2f1_one_b at tol |beta|, from K > |beta| + 1.
+    takes the term count of hyp2f1_one_b at tol |beta|, from K > |beta| + 1,
+    and raises SlowConvergence before summing when max_terms caps it short.
 
     beta in Z_{>=0} would hit a zero denominator at k = beta; there the
     integral is the plain residue 2*pi*i*alpha^beta, returned directly with a
@@ -223,11 +229,13 @@ def eval_direct_series(inst: ProblemInstance, max_terms: int = DEFAULT_MAX_TERMS
     prefactor, jump_err = cut_jump_with_bound(beta, inst.theta)  # refuses an overflow before the sum
     tol = min(1e-12, inst.tol)
     z = inst.alpha * cmath.exp(-1j * inst.theta_value)
-    last, tail = _series_length(-beta, abs(z), tol * abs(beta), math.floor(abs(beta) + 1.0) + 1, max_terms)
+    last, tail = _series_length(-beta, abs(z), tol * abs(beta), math.floor(abs(beta) + 1.0) + 1, DEFAULT_MAX_TERMS)
+    if tail > tol * abs(beta):
+        raise SlowConvergence(f"the direct series needs more than {last + 1} terms at |z| = {abs(z):.6g}")
     powers = np.multiply.accumulate(np.full(last, z))  # z, z^2, ..., z^last
     total = complex(1.0 / beta + (powers / (beta - np.arange(1, last + 1))).sum())
     diag["series_terms"] = last + 1
-    diag["series_converged"] = tail <= tol * abs(beta)
+    diag["series_converged"] = True
     value = prefactor * total
     rounding = _argument_rounding(-beta, z, beta * total) / abs(beta)  # total = F(-beta, z)/beta
     estimate = abs(prefactor) * (tail / abs(beta) + 1e-15 * max(1.0, abs(total)) + rounding) + jump_err * abs(total)
@@ -420,12 +428,18 @@ def check_reconciliation(inst: ProblemInstance, quad_tol: float = 1e-10) -> floa
     if nb is not None and nb >= 0:
         raise BetaNonNegativeInteger(f"beta = {beta!r}: the pole term's denominator vanishes")
     try:
-        log_alpha = branch_log(alpha, inst.theta).log_value
+        log_alpha = branch_log(alpha, inst.theta)
     except OnBranchCut as exc:
         raise AlphaOnCut(str(exc)) from exc
     w = cmath.exp(1j * theta) / alpha
     lhs = euler_integral(w, beta, tol=quad_tol).value
-    pole_term = 2j * math.pi * cmath.exp(beta * (log_alpha - 1j * theta)) / (1.0 - cmath.exp(-2j * math.pi * beta))
-    series = hyp2f1_one_b(-beta, alpha * cmath.exp(-1j * theta), tol=min(1e-12, inst.tol))
+    try:
+        pole_term = 2j * math.pi * cmath.exp(beta * (log_alpha - 1j * theta)) / (1.0 - cmath.exp(-2j * math.pi * beta))
+    except OverflowError:
+        pole_term = complex(math.inf)
+    if not cmath.isfinite(pole_term):
+        raise NonFiniteValue(f"the pole term overflows at beta = {beta!r}")
+    z = alpha * cmath.exp(-1j * theta)
+    series = _converged(hyp2f1_one_b(-beta, z, tol=min(1e-12, inst.tol)), z)
     rhs = pole_term + (1.0 - series.value) / beta
     return abs(lhs - rhs) / max(abs(rhs), 1.0)

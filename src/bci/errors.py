@@ -13,7 +13,6 @@ __all__ = [
     "ZeroInput",
     "OnBranchCut",
     "AlphaOnCut",
-    "PoleHit",
     "AlphaOnCircle",
     "IntegerBeta",
     "BetaNonNegativeInteger",
@@ -42,10 +41,6 @@ class AlphaOnCut(OnBranchCut):
     """The pole alpha itself sits on the cut ray, where its branch power is undefined."""
 
 
-class PoleHit(EvaluationError):
-    """Evaluation point coincides with the pole alpha."""
-
-
 class AlphaOnCircle(EvaluationError):
     """|alpha| falls inside the exclusion band around the unit circle."""
 
@@ -63,7 +58,7 @@ class InvalidC(EvaluationError):
 
 
 class SlowConvergence(EvaluationError):
-    """Series argument too close to the unit circle for the configured domain."""
+    """A series cannot reach its tolerance within its term cap: its argument is on or too near the unit circle."""
 
 
 class SingularPath(EvaluationError):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -41,7 +40,6 @@ __all__ = [
     "ode_coefficients_inside",
     "coefficients_for",
     "ode_residual",
-    "scaling_constant",
     "singular_points",
 ]
 
@@ -165,17 +163,6 @@ def ode_residual(inst: ProblemInstance, h: float = DEFAULT_STEP) -> OdeResidual:
         1.0,
     )
     return OdeResidual(lhs_minus_rhs=defect, relative_residual=abs(defect) / scale, step=h)
-
-
-def scaling_constant(beta: complex, theta: float) -> complex:
-    """beta / cut_jump_factor(beta, theta): rescales the integral so that the
-    |alpha| < 1 value becomes exactly 2F1(1, -beta; 1-beta; alpha e^{-i theta}).
-
-    Undefined at integer beta, where the jump factor vanishes.
-    """
-    if as_integer(beta) is not None:
-        raise IntegerBeta(f"beta = {beta!r}: the cut jump factor vanishes at integers")
-    return beta / cut_jump_factor(beta, theta)
 
 
 def _trim_zeros(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:

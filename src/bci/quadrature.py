@@ -25,11 +25,11 @@ The cost of a panel is arithmetic on its nodes (two complex exponentials and
 a division per node on the circle), so fewer nodes pay directly.  The nodes
 of every panel in hand go to f in one flat array: one call for all initial
 panels, then one call per split for both children.  adaptive_quadrature
-starts on equal panels; the circle and unit-interval integrals start on
-meshes graded toward what the instance says is hard (the sections below),
-and all refine the same way.  Almost every integral meets the stopping rule
-on that first call, so the engine then returns at once, with the same bits
-the queue would give: the panels are already in edge order.
+starts on the edges its caller gives: the circle and unit-interval integrals
+pass meshes graded toward what the instance says is hard (the sections
+below), and all refine the same way.  Almost every integral meets the
+stopping rule on that first call, so the engine then returns at once, with
+the same bits the queue would give: the panels are already in edge order.
 
 Refinement and stopping look only at |K15 - G7|.  That difference can fall
 below the rounding error of the K15 sum itself, so the reported estimate also
@@ -265,31 +265,21 @@ def _pairwise_sum(values: list[complex]) -> complex:
 
 def adaptive_quadrature(
     f: Callable,
-    a: float,
-    b: float,
+    edges: np.ndarray,
     tol: float = DEFAULT_QUAD_TOL,
     max_panels: int = DEFAULT_MAX_PANELS,
-    initial_panels: int = 8,
+    roundoff: float = _ROUNDOFF,
 ) -> QuadratureResult:
-    """Integrate the vectorised complex integrand f over [a, b].
+    """Integrate the vectorised complex integrand f from edges[0] to edges[-1],
+    starting on the panels between the given increasing edges.
 
     f receives a numpy array of abscissae and must return the integrand
     values.  Refinement stops once the summed panel estimates drop below
     tol * max(1, |value|) (absolute-or-relative) or the panel budget is
     spent; the latter reports converged=False with the best value so far.
-    The reported estimate adds the roundoff floor 50 * eps * integral |f| to
-    the panel estimates, and converged tests that floored estimate.
-    """
-    return _adaptive(f, np.linspace(a, b, initial_panels + 1), tol, max_panels)
-
-
-def _adaptive(
-    f: Callable, edges: np.ndarray, tol: float, max_panels: int, roundoff: float = _ROUNDOFF
-) -> QuadratureResult:
-    """The engine behind adaptive_quadrature, started on the given increasing edges.
-
-    roundoff times integral |f| is added to the reported estimate: the
-    summation floor by default, more where f's own values carry rounding.
+    The reported estimate adds roundoff times integral |f| to the panel
+    estimates (the summation floor 50 * eps by default, more where f's own
+    values carry rounding), and converged tests that floored estimate.
     """
     lefts, rights = edges[:-1], edges[1:]
     vals, errs, masses = _panels(f, lefts, rights)
@@ -364,7 +354,7 @@ def circle_integral(
         return np.exp(1j * beta * (t - TWO_PI) + 1j * t) * 1j / (np.exp(1j * t) - alpha)
 
     roundoff = _ROUNDOFF + _EPS * TWO_PI * (abs(beta) + 1.0)
-    result = _adaptive(f, _circle_edges(th, alpha, beta), tol, max_panels, roundoff)
+    result = adaptive_quadrature(f, _circle_edges(th, alpha, beta), tol, max_panels, roundoff)
     if not (cmath.isfinite(result.value) and math.isfinite(result.abs_error_estimate)):
         raise NonFiniteValue(f"circle quadrature gave {result.value!r} +- {result.abs_error_estimate!r}")
     return result
@@ -425,7 +415,7 @@ def _unit_power_integral(
         def f(t: np.ndarray) -> np.ndarray:
             return np.exp(mu * np.log(t)) * factor(t)
 
-        return _adaptive(f, _UNIT_EDGES, tol, max_panels)
+        return adaptive_quadrature(f, _UNIT_EDGES, tol, max_panels)
 
     s = 1.0 / (1.0 + mu.real)  # t = u**s maps (0, 1] onto itself
     c = mu.imag * s  # leftover purely imaginary exponent
@@ -434,7 +424,7 @@ def _unit_power_integral(
         lu = np.log(u)
         return s * np.exp(1j * c * lu) * factor(np.exp(s * lu))
 
-    return _adaptive(g, _UNIT_EDGES, tol, max_panels)
+    return adaptive_quadrature(g, _UNIT_EDGES, tol, max_panels)
 
 
 def euler_integral(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import random
-from typing import Any, Callable
+from typing import Any, Iterable, Iterator
 
 from .branchcut import TWO_PI, ProblemInstance, as_integer
 from .closedform import check_reconciliation, roots_of_unity_drift
@@ -44,10 +44,6 @@ _ANGLE_MARGIN = 0.3  # keep Arg(alpha) away from the cut ray
 _INT_MARGIN = 0.05  # keep Re(beta) away from integers
 
 
-def _draw_theta(rng: random.Random) -> float:
-    return rng.uniform(0.1, TWO_PI - 0.1)
-
-
 def _draw_alpha(rng: random.Random, theta: float, inside: bool) -> complex:
     mod = rng.uniform(0.1, 0.9) if inside else rng.uniform(1.1, 5.0)
     while True:
@@ -57,7 +53,9 @@ def _draw_alpha(rng: random.Random, theta: float, inside: bool) -> complex:
             return mod * cmath.exp(1j * arg)
 
 
-def _draw_beta(rng: random.Random) -> complex:
+def _draw_beta(rng: random.Random, beta_fix: complex | None) -> complex:
+    if beta_fix is not None:
+        return beta_fix
     while True:
         re = rng.uniform(0.2, 3.0)
         if abs(re - round(re)) >= _INT_MARGIN:
@@ -65,15 +63,28 @@ def _draw_beta(rng: random.Random) -> complex:
     return complex(re, rng.uniform(-0.5, 0.5))
 
 
-def _use_beta(beta_fix: complex | None, rng: random.Random) -> complex:
-    if beta_fix is not None:
-        return beta_fix
-    return _draw_beta(rng)
+def _instances(
+    rng: random.Random, beta_fix: complex | None, count: int, inside_only: bool = False
+) -> Iterator[ProblemInstance]:
+    """count instances, each drawn (theta, then alpha, then beta) as it is
+    taken; alpha alternates inside/outside the circle, starting inside."""
+    for k in range(count):
+        theta = rng.uniform(0.1, TWO_PI - 0.1)
+        alpha = _draw_alpha(rng, theta, inside=inside_only or k % 2 == 0)
+        yield ProblemInstance(alpha=alpha, beta=_draw_beta(rng, beta_fix), theta=theta)
 
 
-def _run_delta(rng: random.Random, nmax: int, dmax: int) -> tuple[int, float]:
+def _worst(residuals: Iterable[float]) -> tuple[int, float]:
+    """(number of cases, largest residual) of a check."""
     cases = 0
     worst = 0.0
+    for residual in residuals:
+        worst = max(worst, residual)
+        cases += 1
+    return cases, worst
+
+
+def _delta_drifts(rng: random.Random, nmax: int, dmax: int) -> Iterator[float]:
     for k in range(400):
         n = rng.randint(1, max(1, nmax))
         if k % 2 == 0:
@@ -81,77 +92,18 @@ def _run_delta(rng: random.Random, nmax: int, dmax: int) -> tuple[int, float]:
         else:  # force exact multiples so the "exactly 1" branch is exercised
             span = max(dmax // n, 1)
             d = n * rng.randint(-span, span)
-        worst = max(worst, roots_of_unity_drift(n, d)[1])
-        cases += 1
-    return cases, worst
+        yield roots_of_unity_drift(n, d)[1]
 
 
-def _run_reduction(rng: random.Random, beta_fix: complex | None) -> tuple[int, float]:
-    cases = 0
-    worst = 0.0
-    for k in range(20):
-        theta = _draw_theta(rng)
-        alpha = _draw_alpha(rng, theta, inside=k % 2 == 0)
-        beta = _use_beta(beta_fix, rng)
-        inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
-        worst = max(worst, check_integral_reduction(inst, tol=1e-10))
-        cases += 1
-    return cases, worst
-
-
-def _run_reconciliation(rng: random.Random, beta_fix: complex | None) -> tuple[int, float]:
-    cases = 0
-    worst = 0.0
-    for _ in range(15):
-        theta = _draw_theta(rng)
-        alpha = _draw_alpha(rng, theta, inside=True)
-        beta = _use_beta(beta_fix, rng)
-        inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
-        worst = max(worst, check_reconciliation(inst))
-        cases += 1
-    return cases, worst
-
-
-def _run_ode(rng: random.Random, beta_fix: complex | None) -> tuple[int, float]:
-    cases = 0
-    worst = 0.0
-    for k in range(12):
-        theta = _draw_theta(rng)
-        alpha = _draw_alpha(rng, theta, inside=k % 2 == 0)
-        beta = _use_beta(beta_fix, rng)
-        inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
-        worst = max(worst, ode_residual(inst, h=1e-3).relative_residual)
-        cases += 1
-    return cases, worst
-
-
-def _run_circle(rng: random.Random, beta_fix: complex | None) -> tuple[int, float]:
-    cases = 0
-    worst = 0.0
-    for k in range(15):
-        theta = _draw_theta(rng)
-        alpha = _draw_alpha(rng, theta, inside=k % 2 == 0)
-        beta = _use_beta(beta_fix, rng)
-        inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
-        worst = max(worst, check_circle_vs_radial(inst, tol=1e-10))
-        cases += 1
-    return cases, worst
-
-
-def _run_euler(rng: random.Random, beta_fix: complex | None) -> tuple[int, float]:
-    cases = 0
-    worst = 0.0
+def _euler_residuals(rng: random.Random, beta_fix: complex | None) -> Iterator[float]:
     for _ in range(15):
         mod = rng.uniform(0.1, 0.9)
         arg = rng.uniform(0.0, TWO_PI)
         w = mod * cmath.exp(1j * arg)
-        beta = _use_beta(beta_fix, rng)
+        beta = _draw_beta(rng, beta_fix)
         series = hyp2f1_one_b(beta, w, tol=1e-13)
         quad = euler_integral(w, beta, tol=1e-10)
-        residual = abs(beta * quad.value - series.value) / max(1.0, abs(series.value))
-        worst = max(worst, residual)
-        cases += 1
-    return cases, worst
+        yield abs(beta * quad.value - series.value) / max(1.0, abs(series.value))
 
 
 def run_verify(
@@ -181,18 +133,20 @@ def run_verify(
     rng = random.Random(seed)
     rows = []
     all_pass = True
-    runners: dict[str, Callable[[], tuple[int, float]]] = {
-        "delta": lambda: _run_delta(rng, nmax, dmax),
-        "reduction": lambda: _run_reduction(rng, beta),
-        "reconciliation": lambda: _run_reconciliation(rng, beta),
-        "ode": lambda: _run_ode(rng, beta),
-        "circle": lambda: _run_circle(rng, beta),
-        "euler": lambda: _run_euler(rng, beta),
+    # generators: a check draws from rng only while it runs, so the checks
+    # left out draw nothing
+    residuals: dict[str, Iterable[float]] = {
+        "delta": _delta_drifts(rng, nmax, dmax),
+        "reduction": (check_integral_reduction(i, tol=1e-10) for i in _instances(rng, beta, 20)),
+        "reconciliation": (check_reconciliation(i) for i in _instances(rng, beta, 15, inside_only=True)),
+        "ode": (ode_residual(i, h=1e-3).relative_residual for i in _instances(rng, beta, 12)),
+        "circle": (check_circle_vs_radial(i, tol=1e-10) for i in _instances(rng, beta, 15)),
+        "euler": _euler_residuals(rng, beta),
     }
     for name in CHECK_ORDER:
         if name not in selected:
             continue
-        cases, worst = runners[name]()
+        cases, worst = _worst(residuals[name])
         threshold = tol if tol is not None else DEFAULT_THRESHOLDS[name]
         ok = worst <= threshold
         all_pass = all_pass and ok

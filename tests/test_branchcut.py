@@ -13,7 +13,6 @@ from bci import (
     ANGULAR_GUARD,
     BranchAngle,
     OnBranchCut,
-    PoleHit,
     ProblemInstance,
     ZeroInput,
     as_integer,
@@ -22,7 +21,6 @@ from bci import (
     branch_pow,
     cut_jump_factor,
     int_pow,
-    integrand,
 )
 from bci.branchcut import TWO_PI, cut_jump_with_bound
 from bci.errors import AlphaOnCircle
@@ -57,7 +55,7 @@ class TestBranchArg:
         # the normalisation that pins the branch: log(1) = 0 for every cut
         for theta in (0.3, math.pi / 2, math.pi, 4.0, 6.0):
             assert branch_arg(1.0, theta) == pytest.approx(0.0, abs=1e-15)
-            assert branch_log(1.0, theta).log_value == pytest.approx(0.0, abs=1e-15)
+            assert branch_log(1.0, theta) == pytest.approx(0.0, abs=1e-15)
 
     def test_principal_values_at_theta_pi(self):
         assert branch_arg(1j, math.pi) == pytest.approx(math.pi / 2)
@@ -91,7 +89,7 @@ class TestBranchArg:
     def test_theta_pi_matches_principal_log(self, mod, arg):
         assume(off_cut(arg, math.pi))
         z = polar(mod, arg)
-        assert branch_log(z, math.pi).log_value == pytest.approx(cmath.log(z), rel=1e-14, abs=1e-14)
+        assert branch_log(z, math.pi) == pytest.approx(cmath.log(z), rel=1e-14, abs=1e-14)
 
 
 class TestBranchPow:
@@ -100,7 +98,7 @@ class TestBranchPow:
     def test_exp_log_roundtrip(self, mod, arg, theta):
         assume(off_cut(arg, theta))
         z = polar(mod, arg)
-        assert cmath.exp(branch_log(z, theta).log_value) == pytest.approx(z, rel=1e-13)
+        assert cmath.exp(branch_log(z, theta)) == pytest.approx(z, rel=1e-13)
 
     @given(
         mod=st.floats(min_value=0.1, max_value=10.0),
@@ -196,18 +194,6 @@ class TestProblemInstance:
             ProblemInstance(alpha=2, beta=1, theta=math.pi, tol=0.0)
         with pytest.raises(ValueError):
             ProblemInstance(alpha=2, beta=1, theta=math.pi, exclusion_band=1.5)
-
-
-class TestIntegrand:
-    def test_value_on_circle(self):
-        inst = ProblemInstance(alpha=0.5, beta=0.5, theta=math.pi)
-        want = cmath.exp(1j * math.pi / 4) / (1j - 0.5)
-        assert integrand(1j, inst) == pytest.approx(want, rel=1e-15)
-
-    def test_pole_hit(self):
-        inst = ProblemInstance(alpha=0.5, beta=0.5, theta=math.pi)
-        with pytest.raises(PoleHit):
-            integrand(0.5, inst)
 
 
 class TestAsInteger:

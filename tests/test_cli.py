@@ -218,6 +218,17 @@ class TestEvalCommand:
         assert doc["results"] and all(r["status"] == "NonFiniteValue" for r in doc["results"])
         assert doc["verdict"] != "Agree"
 
+    def test_unconverged_series_is_refused(self, capsys):
+        # both series stop at max_terms far short of the tolerance; quadrature alone answers
+        code = main(["eval", "--alpha", "0.9999999998", "--beta", "0.5", "--theta", "2",
+                     "--exclusion-band", "1e-10"])
+        doc = json.loads(capsys.readouterr().out)
+        status = [(r["method"], r["status"]) for r in doc["results"]]
+        assert status == [
+            ("TheoremHypergeometric", "SlowConvergence"), ("Quadrature", "ok"), ("SeriesDirect", "SlowConvergence"),
+        ]
+        assert (doc["verdict"], code) == ("Partial", 0)
+
 
 class TestSweepCommand:
     def test_uncertified_rows_counted_and_exit_2(self, capsys):
@@ -371,6 +382,14 @@ class TestVerifyCommand:
         shown = after.split("```json\n", 1)[1].split("```", 1)[0]
         assert main(command.split()[1:]) == 0
         assert capsys.readouterr().out == shown
+
+    def test_overflowing_beta_is_refused(self):
+        # the reconciliation pole term overflows at Im(beta) = 250
+        cmd = [sys.executable, "-m", "bci", "verify", "--seed", "1", "--beta", "0.5+250j"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr and "overflows" in proc.stderr
 
     def test_delta_knobs(self, capsys):
         code = main(["verify", "--seed", "5", "--check", "delta", "--nmax", "8", "--dmax", "16"])

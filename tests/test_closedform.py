@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from bci import (
     AlphaOnCut,
+    DEFAULT_THRESHOLDS,
     BetaNonNegativeInteger,
     DivergentAtZero,
     EvaluationError,
     IntegerBeta,
+    NonFiniteValue,
     ProblemInstance,
     RationalBeta,
     SlowConvergence,
@@ -233,6 +235,23 @@ class TestReconciliation:
         inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
         assert check_reconciliation(inst) < 1e-8
 
+    def test_near_the_band(self):
+        # |z| = 0.97: the series runs to the band here as in the closed form
+        inst = ProblemInstance(alpha=0.97j, beta=0.5, theta=2.0)
+        assert check_reconciliation(inst) <= DEFAULT_THRESHOLDS["reconciliation"]
+
+    def test_unconverged_series_is_refused(self):
+        # |z| = 1 - 2e-10 needs ~1e11 terms, past max_terms
+        inst = ProblemInstance(alpha=0.9999999998j, beta=0.5, theta=2.0, exclusion_band=1e-10)
+        with pytest.raises(SlowConvergence):
+            check_reconciliation(inst)
+
+    def test_overflowing_pole_term_is_refused(self):
+        # e^{beta (log alpha - i theta)} has modulus about e^{250 * 3.5}
+        inst = ProblemInstance(alpha=0.5 * cmath.exp(0.5j), beta=0.5 + 250j, theta=3.5)
+        with pytest.raises(NonFiniteValue):
+            check_reconciliation(inst)
+
 
 def _mp_circle(alpha, beta, theta):
     """The circle integral from the 2F1 identity in mpmath, 30 digits plus
@@ -376,13 +395,13 @@ class TestEstimatesNearTheBand:
             assert last > abs(beta) + 1
             assert q**last / abs(beta - last) * q / (1.0 - q) <= min(1e-12, tol)
 
-    def test_direct_series_cap_binds(self):
-        inst = ProblemInstance(alpha=0.9 * cmath.exp(0.4j), beta=0.5, theta=2.0)
-        r = eval_direct_series(inst, max_terms=10)
-        assert (r.diagnostics["series_terms"], r.diagnostics["series_converged"]) == (10, False)
-        assert abs(r.value - eval_direct_series(inst).value) <= r.error_estimate
-        # |jump factor| = |1 - e^{-i pi}| = 2 times the tail majorant after term 9
-        assert r.error_estimate >= 2.0 * 0.9**9 / abs(0.5 - 9) * 0.9 / 0.1
+    def test_direct_series_refuses_at_a_tiny_band(self):
+        # |z| = 1 - 2e-10 needs ~1e11 terms, past max_terms: the direct series
+        # refuses instead of returning a partial sum, as the closed form does
+        inst = ProblemInstance(alpha=0.9999999998, beta=0.5, theta=2.0, exclusion_band=1e-10)
+        with pytest.raises(SlowConvergence):
+            eval_direct_series(inst)
+        assert evaluate_instance(inst).verdict == "Partial"
 
 
 class TestDiagnostics:

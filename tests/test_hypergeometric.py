@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bci import InvalidC, SlowConvergence, hyp2f1_one_b, hyp2f1_series, pochhammer
+from bci import InvalidC, SlowConvergence, hyp2f1_one_b, hyp2f1_series
 
 # Values computed with mpmath's hyp2f1 at 40 significant digits.
 MPMATH_GRID = [
@@ -24,19 +24,6 @@ MPMATH_GRID = [
     (complex(2.5, 0.0), complex(-1.5, 0.0), complex(3.7, 0.0), complex(0.6, 0.3),
      complex(0.44323038673434517, -0.22692795386791534)),
 ]
-
-
-class TestPochhammer:
-    def test_values(self):
-        assert pochhammer(2.5, 0) == 1.0
-        assert pochhammer(1.0, 4) == 24.0
-        assert pochhammer(0.0, 3) == 0.0
-        assert pochhammer(-2.0, 4) == 0.0  # crosses zero at the third factor
-        assert pochhammer(0.5, 2) == pytest.approx(0.75)
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
 
 
 class TestGeneralSeries:
@@ -76,18 +63,16 @@ class TestGeneralSeries:
     def test_slow_convergence(self):
         with pytest.raises(SlowConvergence):
             hyp2f1_series(1.0, 0.5, 1.5, 0.97)
-        with pytest.raises(SlowConvergence):
-            hyp2f1_one_b(0.5, -0.96)
 
     def test_truncation_reports_honestly(self):
         r = hyp2f1_series(1.0, 0.5, 1.5, 0.5, tol=0.0, max_terms=20)
         assert not r.converged
         assert r.terms_used == 20
         # partial sum must equal the explicit 20-term Gauss sum
-        brute = sum(
-            pochhammer(1.0, n) * pochhammer(0.5, n) / (pochhammer(1.5, n) * math.factorial(n)) * 0.5**n
-            for n in range(20)
-        )
+        def rising(x, n):
+            return math.prod(x + k for k in range(n))
+
+        brute = sum(rising(1.0, n) * rising(0.5, n) / (rising(1.5, n) * math.factorial(n)) * 0.5**n for n in range(20))
         assert r.value == pytest.approx(brute, rel=1e-15)
 
     def test_tail_estimate_bounds_truncation(self):
@@ -146,7 +131,7 @@ class TestOneBTermCount:
     )
     @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15])
     def test_count_rule(self, b, z, tol):
-        r = hyp2f1_one_b(b, z, tol=tol, z_max=0.98)
+        r = hyp2f1_one_b(b, z, tol=tol)
         last = r.terms_used - 1
         assert r.converged
         assert last >= abs(b)
@@ -185,7 +170,7 @@ class TestOneBTermCount:
                 hyp2f1_one_b(b, 0.5)
 
     def test_z_on_the_circle_is_refused(self):
-        # a z_max past 1 does not let |z| = 1 through to the geometric tail
+        # |z| = 1 never reaches the geometric tail
         for z in (1.0, -1j, cmath.exp(0.3j) / abs(cmath.exp(0.3j))):
             with pytest.raises(SlowConvergence):
-                hyp2f1_one_b(0.5, z, z_max=2.0)
+                hyp2f1_one_b(0.5, z)

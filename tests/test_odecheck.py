@@ -18,7 +18,6 @@ from bci import (
     ode_coefficients_inside,
     ode_coefficients_outside,
     ode_residual,
-    scaling_constant,
     singular_points,
 )
 
@@ -89,21 +88,15 @@ class TestOdeResidual:
             ode_residual(ProblemInstance(alpha=2.0, beta=0.5, theta=2.0), h=0.0)
 
 
-class TestScalingConstant:
-    def test_reference_value(self):
-        assert scaling_constant(0.5, math.pi) == pytest.approx(-0.25j, rel=1e-15)
-
+class TestJumpScaling:
     def test_rescales_integral_to_gauss_series(self):
+        # beta / cut_jump_factor turns the |alpha| < 1 value into 2F1(1, -beta; 1-beta; alpha e^{-i theta})
         beta, theta = 0.8 - 0.3j, 2.6
         alpha = 0.55 * cmath.exp(1.2j)
         inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
         value = eval_closed_form(inst, series_tol=1e-15).value
         want = hyp2f1_one_b(-beta, alpha * cmath.exp(-1j * theta), tol=1e-14).value
-        assert scaling_constant(beta, theta) * value == pytest.approx(want, rel=1e-12)
-
-    def test_integer_beta_rejected(self):
-        with pytest.raises(IntegerBeta):
-            scaling_constant(2.0, math.pi)
+        assert beta / cut_jump_factor(beta, theta) * value == pytest.approx(want, rel=1e-12)
 
 
 class TestSingularPoints:

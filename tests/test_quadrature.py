@@ -34,26 +34,30 @@ FROZEN_OUT_REAL = (2.0, 0.5, math.pi, complex(0.0, 0.51832099453158721))
 FROZEN_IN_REAL = (0.3, 0.5, math.pi, complex(0.0, 5.0978397870946862))
 
 
+#: Eight equal starting panels on [0, 1].
+EIGHTHS = np.linspace(0.0, 1.0, 9)
+
+
 class TestAdaptiveEngine:
     def test_polynomial_is_exact(self):
-        r = adaptive_quadrature(lambda t: t**3, 0.0, 1.0, tol=1e-12)
+        r = adaptive_quadrature(lambda t: t**3, EIGHTHS, tol=1e-12)
         assert r.converged
         assert r.subdivisions == 8  # the initial split already nails it
         assert r.value == pytest.approx(0.25, abs=1e-15)
 
     def test_full_turn_of_oscillation_cancels(self):
-        r = adaptive_quadrature(lambda t: np.exp(1j * t), 0.0, 2 * math.pi, tol=1e-12)
+        r = adaptive_quadrature(lambda t: np.exp(1j * t), np.linspace(0.0, 2 * math.pi, 9), tol=1e-12)
         assert r.converged
         assert abs(r.value) < 1e-12
 
     def test_estimate_bounds_actual_error(self):
         exact = math.log(101.0)
-        r = adaptive_quadrature(lambda t: 1.0 / (t + 0.01), 0.0, 1.0, tol=1e-10)
+        r = adaptive_quadrature(lambda t: 1.0 / (t + 0.01), EIGHTHS, tol=1e-10)
         assert r.converged
         assert abs(r.value - exact) <= 2.0 * r.abs_error_estimate + 1e-13
 
     def test_budget_exhaustion_still_returns(self):
-        r = adaptive_quadrature(lambda t: 1.0 / (t + 1e-6), 0.0, 1.0, tol=1e-10, max_panels=16)
+        r = adaptive_quadrature(lambda t: 1.0 / (t + 1e-6), EIGHTHS, tol=1e-10, max_panels=16)
         assert not r.converged
         assert r.subdivisions <= 16
         assert math.isfinite(abs(r.value))
@@ -66,7 +70,7 @@ class TestAdaptiveEngine:
             sizes.append(t.size)
             return 1.0 / (t + 0.01)
 
-        r = adaptive_quadrature(f, 0.0, 1.0, tol=1e-10, initial_panels=8)
+        r = adaptive_quadrature(f, EIGHTHS, tol=1e-10)
         assert r.converged and r.subdivisions > 8
         # all initial panels in one call, then both children of each split in one
         assert len(sizes) == 1 + (r.subdivisions - 8)
@@ -74,15 +78,15 @@ class TestAdaptiveEngine:
 
     def test_result_fields_are_python_scalars(self):
         # reports and trace files serialise these with the json module
-        r = adaptive_quadrature(lambda t: np.exp(1j * t) / (t + 0.5), 0.0, 1.0)
+        r = adaptive_quadrature(lambda t: np.exp(1j * t) / (t + 0.5), EIGHTHS)
         assert type(r.value) is complex
         assert type(r.abs_error_estimate) is float
         assert type(r.converged) is bool
 
     def test_tighter_tol_never_uses_fewer_panels(self):
         f = lambda t: np.exp(1j * 3.3 * t) / (t + 0.05)
-        loose = adaptive_quadrature(f, 0.0, 1.0, tol=1e-4)
-        tight = adaptive_quadrature(f, 0.0, 1.0, tol=1e-10)
+        loose = adaptive_quadrature(f, EIGHTHS, tol=1e-4)
+        tight = adaptive_quadrature(f, EIGHTHS, tol=1e-10)
         assert loose.subdivisions <= tight.subdivisions
         assert tight.converged
 
