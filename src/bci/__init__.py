@@ -10,7 +10,6 @@ from .branchcut import (
     ANGULAR_GUARD,
     DEFAULT_EXCLUSION_BAND,
     INTEGER_DETECTION_TOL,
-    BranchAngle,
     ProblemInstance,
     as_integer,
     branch_arg,
@@ -85,7 +84,6 @@ __all__ = [
     "ANGULAR_GUARD",
     "DEFAULT_EXCLUSION_BAND",
     "INTEGER_DETECTION_TOL",
-    "BranchAngle",
     "ProblemInstance",
     "as_integer",
     "branch_arg",

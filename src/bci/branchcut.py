@@ -26,7 +26,6 @@ __all__ = [
     "INTEGER_DETECTION_TOL",
     "DEFAULT_EXCLUSION_BAND",
     "TWO_PI",
-    "BranchAngle",
     "ProblemInstance",
     "as_integer",
     "int_pow",
@@ -58,26 +57,17 @@ INTEGER_DETECTION_TOL = 1e-12
 DEFAULT_EXCLUSION_BAND = 0.02
 
 
-@dataclass(frozen=True)
-class BranchAngle:
-    """Direction of the cut ray, in radians, restricted to 0 < theta < 2*pi."""
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.theta < TWO_PI):
-            raise ValueError(f"branch angle must lie in the open interval (0, 2*pi), got {self.theta!r}")
-
-
-def _theta_of(theta: BranchAngle | float) -> float:
-    if isinstance(theta, BranchAngle):
-        return theta.theta
-    return BranchAngle(float(theta)).theta
+def _theta_of(theta: float) -> float:
+    """theta as a float, refused unless 0 < theta < 2*pi."""
+    th = float(theta)
+    if not (0.0 < th < TWO_PI):
+        raise ValueError(f"branch angle must lie in the open interval (0, 2*pi), got {th!r}")
+    return th
 
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """One evaluation problem: pole alpha, exponent beta, cut angle theta.
+    """One evaluation problem: pole alpha, exponent beta, cut angle 0 < theta < 2*pi.
 
     tol is the relative tolerance used both as the methods' internal accuracy
     target and as the cross-method agreement threshold.  exclusion_band is
@@ -87,23 +77,18 @@ class ProblemInstance:
 
     alpha: complex
     beta: complex
-    theta: BranchAngle
+    theta: float
     tol: float = 1e-8
     exclusion_band: float = DEFAULT_EXCLUSION_BAND
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        if not isinstance(self.theta, BranchAngle):
-            object.__setattr__(self, "theta", BranchAngle(float(self.theta)))
+        object.__setattr__(self, "theta", _theta_of(self.theta))
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if not 0.0 < self.exclusion_band < 1.0:
             raise ValueError("exclusion band must lie in (0, 1)")
-
-    @property
-    def theta_value(self) -> float:
-        return self.theta.theta
 
     def alpha_outside(self) -> bool:
         """True when the pole lies outside the unit circle."""
@@ -142,7 +127,7 @@ def int_pow(z: complex, n: int) -> complex:
     return out
 
 
-def branch_arg(z: complex, theta: BranchAngle | float) -> float:
+def branch_arg(z: complex, theta: float) -> float:
     """Argument of z placed in the open interval (theta - 2*pi, theta).
 
     Raises OnBranchCut for z within ANGULAR_GUARD radians of the cut ray and
@@ -160,13 +145,13 @@ def branch_arg(z: complex, theta: BranchAngle | float) -> float:
     return th - TWO_PI + offset
 
 
-def branch_log(z: complex, theta: BranchAngle | float) -> complex:
+def branch_log(z: complex, theta: float) -> complex:
     """Logarithm on the plane slit along angle theta, normalised by log(1) = 0."""
     arg = branch_arg(z, theta)  # first: it refuses z = 0, where log(|z|) would fail
     return complex(math.log(abs(complex(z))), arg)
 
 
-def branch_pow(z: complex, beta: complex, theta: BranchAngle | float) -> complex:
+def branch_pow(z: complex, beta: complex, theta: float) -> complex:
     """z**beta on the slit plane: exp(beta * branch_log(z, theta)).
 
     Integer exponents short-circuit to exact repeated multiplication, which is
@@ -186,7 +171,7 @@ def branch_pow(z: complex, beta: complex, theta: BranchAngle | float) -> complex
     return cmath.exp(complex(beta) * branch_log(z, theta))
 
 
-def cut_jump_factor(beta: complex, theta: BranchAngle | float) -> complex:
+def cut_jump_factor(beta: complex, theta: float) -> complex:
     """Jump of z**beta across the cut: e^{i beta theta} - e^{i beta (theta - 2 pi)}.
 
     On the unit circle the branch power at angle t in (theta, theta + 2*pi) is
@@ -199,7 +184,7 @@ def cut_jump_factor(beta: complex, theta: BranchAngle | float) -> complex:
     return cut_jump_with_bound(beta, theta)[0]
 
 
-def cut_jump_with_bound(beta: complex, theta: BranchAngle | float) -> tuple[complex, float]:
+def cut_jump_with_bound(beta: complex, theta: float) -> tuple[complex, float]:
     """cut_jump_factor(beta, theta) and a bound on its rounding error.
 
     exp(w) is off relatively by about eps (1 + |w|): its own rounding plus

@@ -292,7 +292,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 base = [
                     repr(inst.alpha.real), repr(inst.alpha.imag),
                     repr(inst.beta.real), repr(inst.beta.imag),
-                    repr(inst.theta_value),
+                    repr(inst.theta),
                 ]
                 for row in report_to_jsonable(report)["results"]:
                     value = row["value"]

@@ -179,18 +179,16 @@ def eval_closed_form(inst: ProblemInstance, series_tol: float | None = None) -> 
 
     diag["beta_class"] = "generic"
     tol = series_tol if series_tol is not None else min(1e-12, inst.tol)
-    theta = inst.theta_value
     jump, jump_err = cut_jump_with_bound(beta, inst.theta)
     prefactor = jump / beta
     if inst.alpha_outside():
-        b, z = beta, cmath.exp(1j * theta) / inst.alpha
+        b, z = beta, cmath.exp(1j * inst.theta) / inst.alpha
     else:
-        b, z = -beta, inst.alpha * cmath.exp(-1j * theta)
+        b, z = -beta, inst.alpha * cmath.exp(-1j * inst.theta)
     series = _converged(hyp2f1_one_b(b, z, tol=tol), z)
     factor = 1.0 - series.value if inst.alpha_outside() else series.value
     value = prefactor * factor
     diag["series_terms"] = series.terms_used
-    diag["series_converged"] = series.converged
     rounding = 1e-15 * max(1.0, abs(series.value)) + _argument_rounding(b, z, series.value)
     estimate = abs(prefactor) * (series.tail_estimate + rounding) + jump_err / abs(beta) * abs(factor)
     return MethodResult(value, METHOD_CLOSED_FORM, estimate, diag)
@@ -228,14 +226,13 @@ def eval_direct_series(inst: ProblemInstance) -> MethodResult:
     diag["beta_class"] = "integer" if n is not None else "generic"
     prefactor, jump_err = cut_jump_with_bound(beta, inst.theta)  # refuses an overflow before the sum
     tol = min(1e-12, inst.tol)
-    z = inst.alpha * cmath.exp(-1j * inst.theta_value)
+    z = inst.alpha * cmath.exp(-1j * inst.theta)
     last, tail = _series_length(-beta, abs(z), tol * abs(beta), math.floor(abs(beta) + 1.0) + 1, DEFAULT_MAX_TERMS)
     if tail > tol * abs(beta):
         raise SlowConvergence(f"the direct series needs more than {last + 1} terms at |z| = {abs(z):.6g}")
     powers = np.multiply.accumulate(np.full(last, z))  # z, z^2, ..., z^last
     total = complex(1.0 / beta + (powers / (beta - np.arange(1, last + 1))).sum())
     diag["series_terms"] = last + 1
-    diag["series_converged"] = True
     value = prefactor * total
     rounding = _argument_rounding(-beta, z, beta * total) / abs(beta)  # total = F(-beta, z)/beta
     estimate = abs(prefactor) * (tail / abs(beta) + 1e-15 * max(1.0, abs(total)) + rounding) + jump_err * abs(total)
@@ -256,9 +253,10 @@ def roots_of_unity_drift(n: int, d: int) -> tuple[float, float]:
 def roots_of_unity_filter(n: int, d: int) -> float:
     """(1/n) sum_{j=0}^{n-1} e^{2 pi i j d / n}: exactly 1.0 if n | d, else 0.0.
 
-    The floating sum is recomputed alongside the exact answer and must agree
-    to 1e-12 — a built-in diagnostic that the multisection filter used by the
-    rational log sum really does select residues (see roots_of_unity_drift).
+    This is the multisection identity behind the rational log sum, which
+    does not call it: it is the identity that `verify`'s delta check tests,
+    through roots_of_unity_drift.  The float sum is recomputed alongside the
+    exact answer and must agree to 1e-12, else ArithmeticError.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -371,19 +369,18 @@ def eval_rational_logsum(inst: ProblemInstance, beta: RationalBeta) -> MethodRes
     diag = _base_diagnostics(inst)
     diag["m"] = beta.m
     diag["n"] = beta.n
-    theta = inst.theta_value
     b = beta.value
     jump, jump_err = cut_jump_with_bound(b, inst.theta)
     prefactor = jump * (beta.n / beta.m)
     if inst.alpha_outside():
         # outside form carries 2F1(1, beta; 1+beta; .)
-        z = cmath.exp(1j * theta) / inst.alpha
+        z = cmath.exp(1j * inst.theta) / inst.alpha
         used = beta
         g, g_err = hyp2f1_rational_with_bound(z, used)
         factor = 1.0 - g
     else:
         # inside form carries 2F1(1, -beta; 1-beta; .)
-        z = inst.alpha * cmath.exp(-1j * theta)
+        z = inst.alpha * cmath.exp(-1j * inst.theta)
         used = RationalBeta(-beta.m, beta.n)
         g, g_err = hyp2f1_rational_with_bound(z, used)
         factor = g
@@ -393,7 +390,7 @@ def eval_rational_logsum(inst: ProblemInstance, beta: RationalBeta) -> MethodRes
     return MethodResult(value, METHOD_RATIONAL, estimate, diag)
 
 
-def check_reconciliation(inst: ProblemInstance, quad_tol: float = 1e-10) -> float:
+def check_reconciliation(inst: ProblemInstance) -> float:
     """Residual of the identity tying the Euler integral across regimes.
 
     For 0 < |alpha| < 1 the Euler integral that powers the |alpha| > 1 closed
@@ -416,8 +413,7 @@ def check_reconciliation(inst: ProblemInstance, quad_tol: float = 1e-10) -> floa
     beta not a nonnegative integer, Arg(alpha) != theta.
     """
     inst.require_alpha_off_circle()
-    alpha, beta = inst.alpha, inst.beta
-    theta = inst.theta_value
+    alpha, beta, theta = inst.alpha, inst.beta, inst.theta
     if alpha == 0:
         raise ZeroInput("the identity needs the pole strictly inside: alpha != 0")
     if abs(alpha) >= 1.0:
@@ -428,11 +424,11 @@ def check_reconciliation(inst: ProblemInstance, quad_tol: float = 1e-10) -> floa
     if nb is not None and nb >= 0:
         raise BetaNonNegativeInteger(f"beta = {beta!r}: the pole term's denominator vanishes")
     try:
-        log_alpha = branch_log(alpha, inst.theta)
+        log_alpha = branch_log(alpha, theta)
     except OnBranchCut as exc:
         raise AlphaOnCut(str(exc)) from exc
     w = cmath.exp(1j * theta) / alpha
-    lhs = euler_integral(w, beta, tol=quad_tol).value
+    lhs = euler_integral(w, beta).value
     try:
         pole_term = 2j * math.pi * cmath.exp(beta * (log_alpha - 1j * theta)) / (1.0 - cmath.exp(-2j * math.pi * beta))
     except OverflowError:

@@ -21,7 +21,7 @@ from .errors import InvalidC, SlowConvergence
 
 __all__ = [
     "DEFAULT_MAX_TERMS",
-    "DEFAULT_Z_MAX",
+    "Z_MAX",
     "SeriesResult",
     "hyp2f1_series",
     "hyp2f1_one_b",
@@ -29,9 +29,9 @@ __all__ = [
 
 DEFAULT_MAX_TERMS = 100_000
 
-#: hyp2f1_series refuses arguments with |z| above this by default.  Its tail
-#: ratio is |z|, so the term count explodes as |z| -> 1.
-DEFAULT_Z_MAX = 0.95
+#: hyp2f1_series refuses arguments with |z| above this.  Its tail ratio is
+#: |z|, so the term count explodes as |z| -> 1.
+Z_MAX = 0.95
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,8 @@ def hyp2f1_series(
     z: complex,
     tol: float = 1e-12,
     max_terms: int = DEFAULT_MAX_TERMS,
-    z_max: float = DEFAULT_Z_MAX,
 ) -> SeriesResult:
-    """2F1(a, b; c; z) = sum_n (a)_n (b)_n / ((c)_n n!) z^n for |z| <= z_max.
+    """2F1(a, b; c; z) = sum_n (a)_n (b)_n / ((c)_n n!) z^n for |z| <= Z_MAX.
 
     No route of the package calls this: it is the general-parameter
     reference that the tests hold hyp2f1_one_b to.
@@ -78,8 +77,8 @@ def hyp2f1_series(
     ci = as_integer(c)
     if ci is not None and ci <= 0:
         raise InvalidC(f"c = {c!r} is a non-positive integer: the series terms divide by zero")
-    if abs(z) > z_max:
-        raise SlowConvergence(f"|z| = {abs(z):.6g} exceeds the series domain {z_max:g}")
+    if abs(z) > Z_MAX:
+        raise SlowConvergence(f"|z| = {abs(z):.6g} exceeds the series domain {Z_MAX:g}")
     if z == 0:
         return SeriesResult(complex(1.0), 1, 0.0, True)
     geom = abs(z) / (1.0 - abs(z))

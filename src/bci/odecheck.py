@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -96,8 +97,8 @@ def ode_coefficients_inside(beta: complex, theta: float) -> OdeCoefficients:
 def coefficients_for(inst: ProblemInstance) -> OdeCoefficients:
     inst.require_alpha_off_circle()
     if inst.alpha_outside():
-        return ode_coefficients_outside(inst.beta, inst.theta_value)
-    return ode_coefficients_inside(inst.beta, inst.theta_value)
+        return ode_coefficients_outside(inst.beta, inst.theta)
+    return ode_coefficients_inside(inst.beta, inst.theta)
 
 
 def _poly_at(coeffs: tuple[complex, ...], a: complex) -> complex:
@@ -165,62 +166,19 @@ def ode_residual(inst: ProblemInstance, h: float = DEFAULT_STEP) -> OdeResidual:
     return OdeResidual(lhs_minus_rhs=defect, relative_residual=abs(defect) / scale, step=h)
 
 
-def _trim_zeros(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
-    out = list(coeffs)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _valuation(coeffs: tuple[complex, ...]) -> int:
-    """Order of vanishing at 0; len(coeffs) if identically zero."""
-    for k, c in enumerate(coeffs):
-        if c != 0:
-            return k
-    return len(coeffs)
-
-
-def _root_multiplicity(coeffs: tuple[complex, ...], r: complex, tol: float) -> int:
-    """Multiplicity of r as a root, by repeated synthetic division."""
-    work = list(reversed(_trim_zeros(coeffs)))  # descending
-    mult = 0
-    scale = max(abs(c) for c in work)
-    while len(work) > 1:
-        quot: list[complex] = []
-        acc = complex(0.0)
-        for c in work:
-            acc = acc * r + c
-            quot.append(acc)
-        rem = quot.pop()
-        if abs(rem) > tol * max(scale, 1.0):
+def _order(p: np.ndarray, r: complex, tol: float) -> float:
+    """Order of vanishing at r of p (descending coefficients, no leading
+    zeros), by repeated np.polydiv by (a - r); a remainder within tol of the
+    dividend's scale counts as zero.  Infinite for the zero polynomial."""
+    if not p.any():
+        return math.inf
+    order = 0
+    while len(p) > 1:
+        quot, rem = np.polydiv(p, [1.0, -r])
+        if abs(rem[-1]) > tol * max(np.abs(p).max(), 1.0):
             break
-        mult += 1
-        work = quot
-        scale = max((abs(c) for c in work), default=1.0)
-    return mult
-
-
-def _reversed_poly(coeffs: tuple[complex, ...], degree: int) -> tuple[complex, ...]:
-    """Ascending coefficients of x^degree * p(1/x) for ascending p."""
-    out = [complex(0.0)] * (degree + 1)
-    for k, c in enumerate(coeffs):
-        out[degree - k] = complex(c)
-    return tuple(out)
-
-
-def _shift_up(coeffs: tuple[complex, ...], power: int) -> tuple[complex, ...]:
-    return tuple([complex(0.0)] * power) + tuple(complex(c) for c in coeffs)
-
-
-def _scale(coeffs: tuple[complex, ...], factor: complex) -> tuple[complex, ...]:
-    return tuple(factor * c for c in coeffs)
-
-
-def _add(a: tuple[complex, ...], b: tuple[complex, ...]) -> tuple[complex, ...]:
-    length = max(len(a), len(b))
-    return tuple(
-        (a[k] if k < len(a) else 0j) + (b[k] if k < len(b) else 0j) for k in range(length)
-    )
+        p, order = quot, order + 1
+    return order
 
 
 def singular_points(coeffs: OdeCoefficients, root_tol: float = 1e-9) -> list[tuple[complex | float, str]]:
@@ -228,28 +186,26 @@ def singular_points(coeffs: OdeCoefficients, root_tol: float = 1e-9) -> list[tup
     "Regular" or "Irregular" (Fuchsian criterion); returns [] only if the
     leading coefficient is constant and infinity is an ordinary point.
 
-    Finite candidates are the roots of p2.  At a root r of multiplicity m2,
-    the point is regular iff ord_r(p1) >= m2 - 1 and ord_r(zero term) >=
-    m2 - 2 (the zero-order coefficient here is a nonzero constant, so its
-    order at r is 0).  The point at infinity is analysed through x = 1/a:
-    with N = max(deg p2, deg p1) and rev(p) = x^N p(1/x),
-
-        A = x^4 rev(p2),   B = 2 x^3 rev(p2) - x^2 rev(p1),   C = zero_order x^N,
-
-    reduced by their common power of x; infinity is singular iff A(0) = 0,
-    and regular iff ord_0(A) - ord_0(B) <= 1 and ord_0(A) - ord_0(C) <= 2.
+    Finite candidates are the roots of p2 (np.roots).  A root r is regular
+    iff ord_r(p2) - ord_r(p1) <= 1 and ord_r(p2) - ord_r(c) <= 2, where c
+    is the constant zero-order coefficient, with the orders of vanishing
+    found by repeated division by (a - r).  Infinity is ordinary iff
+    2a - a^2 p1/p2 and a^4 c/p2 stay bounded as a -> infinity, i.e. iff
+    deg(a^2 p1 - 2a p2) <= deg p2, and c = 0 or deg p2 >= 4; a singular
+    infinity is regular iff a p1/p2 and a^2 c/p2 stay bounded, i.e. iff
+    deg p1 < deg p2, and c = 0 or deg p2 >= 2 (the zero polynomial has
+    degree -1).
 
     Finite points are sorted by (real, imag); infinity, when singular, is
     appended last with the INFINITY sentinel.  Classification strings are
     exactly "Regular" and "Irregular".
     """
-    p2 = _trim_zeros(coeffs.p2)
-    p1 = _trim_zeros(coeffs.p1)
-    c0 = complex(coeffs.zero_order)
+    p2, p1 = (np.trim_zeros(np.array(p[::-1], dtype=complex), "f") for p in (coeffs.p2, coeffs.p1))
+    has_c = coeffs.zero_order != 0
     out: list[tuple[complex | float, str]] = []
 
     if len(p2) > 1:
-        roots = np.roots([complex(c) for c in reversed(p2)])
+        roots = np.roots(p2)
         seen: list[complex] = []
         scale = max(1.0, max(abs(r) for r in roots))
         for raw in roots:
@@ -259,30 +215,13 @@ def singular_points(coeffs: OdeCoefficients, root_tol: float = 1e-9) -> list[tup
             seen.append(r)
         seen.sort(key=lambda r: (r.real, r.imag))
         for r in seen:
-            m2 = _root_multiplicity(p2, r, root_tol)
-            m1 = _root_multiplicity(p1, r, root_tol) if any(c != 0 for c in p1) else len(p2)
-            m0 = 0 if c0 != 0 else len(p2)
-            regular = m1 >= m2 - 1 and m0 >= m2 - 2
+            m2 = _order(p2, r, root_tol)
+            regular = m2 - _order(p1, r, root_tol) <= 1 and (not has_c or m2 <= 2)
             out.append((r, "Regular" if regular else "Irregular"))
 
+    q = np.trim_zeros(np.polysub(np.append(p1, [0.0, 0.0]), np.append(2.0 * p2, 0.0)), "f")
     deg2 = len(p2) - 1
-    deg1 = len(p1) - 1 if any(c != 0 for c in p1) else -1
-    n_deg = max(deg2, deg1, 0)
-    rev2 = _reversed_poly(p2, n_deg)
-    rev1 = _reversed_poly(p1, n_deg) if deg1 >= 0 else (0j,)
-    a_poly = _shift_up(rev2, 4)
-    b_poly = _add(_shift_up(_scale(rev2, 2.0), 3), _scale(_shift_up(rev1, 2), -1.0))
-    c_poly = _shift_up((c0,), n_deg)
-    vals = [
-        v
-        for v, p in ((_valuation(a_poly), a_poly), (_valuation(b_poly), b_poly), (_valuation(c_poly), c_poly))
-        if v < len(p)
-    ]
-    common = min(vals) if vals else 0
-    orda = _valuation(a_poly) - common
-    ordb = _valuation(b_poly) - common
-    ordc = _valuation(c_poly) - common
-    if orda > 0:  # leading coefficient of the transformed equation vanishes at x = 0
-        regular = (orda - ordb) <= 1 and (orda - ordc) <= 2
+    if len(q) - 1 > deg2 or (has_c and deg2 < 4):
+        regular = len(p1) - 1 < deg2 and (not has_c or deg2 >= 2)
         out.append((INFINITY, "Regular" if regular else "Irregular"))
     return out

@@ -322,11 +322,7 @@ def _result(vals: list, errs: list, masses: list, tol: float, roundoff: float) -
     return QuadratureResult(value, estimate, len(vals), converged)
 
 
-def circle_integral(
-    inst: ProblemInstance,
-    tol: float = DEFAULT_QUAD_TOL,
-    max_panels: int = DEFAULT_MAX_PANELS,
-) -> QuadratureResult:
+def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     """Contour integral of z**beta / (z - alpha) over the unit circle.
 
     Parameterised as z = e^{it} on the window t in [theta, theta + 2*pi],
@@ -340,7 +336,7 @@ def circle_integral(
     value or estimate is not finite.
     """
     inst.require_alpha_off_circle()
-    th = inst.theta_value
+    th = inst.theta
     alpha = inst.alpha
     beta = inst.beta
     # log |z^beta| = -Im(beta) (t - 2 pi) is largest at one end of the window,
@@ -354,7 +350,7 @@ def circle_integral(
         return np.exp(1j * beta * (t - TWO_PI) + 1j * t) * 1j / (np.exp(1j * t) - alpha)
 
     roundoff = _ROUNDOFF + _EPS * TWO_PI * (abs(beta) + 1.0)
-    result = adaptive_quadrature(f, _circle_edges(th, alpha, beta), tol, max_panels, roundoff)
+    result = adaptive_quadrature(f, _circle_edges(th, alpha, beta), tol, DEFAULT_MAX_PANELS, roundoff)
     if not (cmath.isfinite(result.value) and math.isfinite(result.abs_error_estimate)):
         raise NonFiniteValue(f"circle quadrature gave {result.value!r} +- {result.abs_error_estimate!r}")
     return result
@@ -396,13 +392,8 @@ def _circle_edges(th: float, alpha: complex, beta: complex) -> np.ndarray:
     return np.array([lo] + sorted({p for p in points if lo < p < hi}) + [hi])
 
 
-def _unit_power_integral(
-    mu: complex,
-    factor: Callable,
-    tol: float,
-    max_panels: int,
-) -> QuadratureResult:
-    """integral_0^1 t^mu * factor(t) dt with the endpoint power tamed.
+def _unit_power_integral(mu: complex, factor: Callable) -> QuadratureResult:
+    """integral_0^1 t^mu * factor(t) dt with the endpoint power tamed, to DEFAULT_QUAD_TOL.
 
     factor must be vectorised, smooth and pole-free on (0, 1].  Re(mu) > -1
     is the caller's responsibility.  Re(mu) >= 1 integrates directly; below
@@ -415,7 +406,7 @@ def _unit_power_integral(
         def f(t: np.ndarray) -> np.ndarray:
             return np.exp(mu * np.log(t)) * factor(t)
 
-        return adaptive_quadrature(f, _UNIT_EDGES, tol, max_panels)
+        return adaptive_quadrature(f, _UNIT_EDGES, DEFAULT_QUAD_TOL, DEFAULT_MAX_PANELS)
 
     s = 1.0 / (1.0 + mu.real)  # t = u**s maps (0, 1] onto itself
     c = mu.imag * s  # leftover purely imaginary exponent
@@ -424,15 +415,10 @@ def _unit_power_integral(
         lu = np.log(u)
         return s * np.exp(1j * c * lu) * factor(np.exp(s * lu))
 
-    return adaptive_quadrature(g, _UNIT_EDGES, tol, max_panels)
+    return adaptive_quadrature(g, _UNIT_EDGES, DEFAULT_QUAD_TOL, DEFAULT_MAX_PANELS)
 
 
-def euler_integral(
-    w: complex,
-    beta: complex,
-    tol: float = DEFAULT_QUAD_TOL,
-    max_panels: int = DEFAULT_MAX_PANELS,
-) -> QuadratureResult:
+def euler_integral(w: complex, beta: complex) -> QuadratureResult:
     """integral_0^1 t^{beta-1} / (1 - w t) dt for Re(beta) > 0 and w off [1, inf).
 
     beta times this integral is 2F1(1, beta; 1+beta; w) — Euler's integral
@@ -451,14 +437,10 @@ def euler_integral(
     def factor(t: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 - w * t)
 
-    return _unit_power_integral(beta - 1.0, factor, tol, max_panels)
+    return _unit_power_integral(beta - 1.0, factor)
 
 
-def radial_integral(
-    inst: ProblemInstance,
-    tol: float = DEFAULT_QUAD_TOL,
-    max_panels: int = DEFAULT_MAX_PANELS,
-) -> QuadratureResult:
+def radial_integral(inst: ProblemInstance) -> QuadratureResult:
     """integral_0^1 t^beta / (t - alpha e^{-i theta}) dt for Re(beta) > 0.
 
     This is the integral the circle contour collapses onto along the two
@@ -471,17 +453,17 @@ def radial_integral(
     beta = inst.beta
     if beta.real <= 0.0:
         raise DivergentAtZero(f"Re(beta) = {beta.real:g} <= 0: t^beta/t is not integrable at 0")
-    pole = inst.alpha * cmath.exp(-1j * inst.theta_value)
+    pole = inst.alpha * cmath.exp(-1j * inst.theta)
     if abs(pole.imag) < 1e-13 and 0.0 <= pole.real <= 1.0 + 1e-13:
         raise SingularPath(f"pole t = {pole!r} lies on the integration path [0, 1]")
 
     def factor(t: np.ndarray) -> np.ndarray:
         return 1.0 / (t - pole)
 
-    return _unit_power_integral(beta, factor, tol, max_panels)
+    return _unit_power_integral(beta, factor)
 
 
-def check_integral_reduction(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> float:
+def check_integral_reduction(inst: ProblemInstance) -> float:
     """Relative discrepancy in: radial integral = 1/beta - Euler integral at e^{i theta}/alpha.
 
     Writing t/(t - p) = 1 + p/(t - p) with p = alpha e^{-i theta} reduces
@@ -489,13 +471,13 @@ def check_integral_reduction(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TO
     Both sides are evaluated by independent quadratures (different integrands,
     different substitutions), so small residuals are evidence, not tautology.
     """
-    lhs = radial_integral(inst, tol=tol).value
-    pole = inst.alpha * cmath.exp(-1j * inst.theta_value)
-    rhs = 1.0 / inst.beta - euler_integral(1.0 / pole, inst.beta, tol=tol).value
+    lhs = radial_integral(inst).value
+    pole = inst.alpha * cmath.exp(-1j * inst.theta)
+    rhs = 1.0 / inst.beta - euler_integral(1.0 / pole, inst.beta).value
     return abs(lhs - rhs) / max(abs(rhs), 1.0)
 
 
-def check_circle_vs_radial(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> float:
+def check_circle_vs_radial(inst: ProblemInstance) -> float:
     """Residual of: circle integral = enclosed residue + cut jump * radial integral.
 
     Collapsing the circle onto the two banks of the cut leaves (i) the full
@@ -506,8 +488,8 @@ def check_circle_vs_radial(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL)
     cut_jump_factor(beta, theta).  Needs Re(beta) > 0 (ray integrals converge
     at the origin) and, when |alpha| < 1, alpha off the cut.
     """
-    circ = circle_integral(inst, tol=tol).value
-    rad = radial_integral(inst, tol=tol).value
+    circ = circle_integral(inst).value
+    rad = radial_integral(inst).value
     rhs = cut_jump_factor(inst.beta, inst.theta) * rad
     if abs(inst.alpha) < 1.0 and inst.alpha != 0:
         try:

@@ -33,7 +33,7 @@ from .closedform import (
     eval_rational_logsum,
 )
 from .errors import EvaluationError
-from .quadrature import DEFAULT_MAX_PANELS, circle_integral
+from .quadrature import circle_integral
 
 __all__ = [
     "KNOWN_METHODS",
@@ -71,7 +71,7 @@ class EvaluationReport:
 
 def _quadrature_result(inst: ProblemInstance) -> MethodResult:
     tol = min(max(0.01 * inst.tol, 1e-10), 1e-8)
-    q = circle_integral(inst, tol=tol, max_panels=DEFAULT_MAX_PANELS)
+    q = circle_integral(inst, tol=tol)
     diag: dict[str, Any] = {
         "regime": "outside" if inst.alpha_outside() else "inside",
         "subdivisions": q.subdivisions,
@@ -220,7 +220,7 @@ def report_to_jsonable(report: EvaluationReport) -> dict[str, Any]:
         "instance": {
             "alpha": _complex_pair(inst.alpha),
             "beta": _complex_pair(inst.beta),
-            "theta": float(inst.theta_value),
+            "theta": inst.theta,
         },
         "results": results,
         "disagreement": float(report.max_disagreement),

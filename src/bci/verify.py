@@ -102,7 +102,7 @@ def _euler_residuals(rng: random.Random, beta_fix: complex | None) -> Iterator[f
         w = mod * cmath.exp(1j * arg)
         beta = _draw_beta(rng, beta_fix)
         series = hyp2f1_one_b(beta, w, tol=1e-13)
-        quad = euler_integral(w, beta, tol=1e-10)
+        quad = euler_integral(w, beta)
         yield abs(beta * quad.value - series.value) / max(1.0, abs(series.value))
 
 
@@ -137,10 +137,10 @@ def run_verify(
     # left out draw nothing
     residuals: dict[str, Iterable[float]] = {
         "delta": _delta_drifts(rng, nmax, dmax),
-        "reduction": (check_integral_reduction(i, tol=1e-10) for i in _instances(rng, beta, 20)),
+        "reduction": (check_integral_reduction(i) for i in _instances(rng, beta, 20)),
         "reconciliation": (check_reconciliation(i) for i in _instances(rng, beta, 15, inside_only=True)),
         "ode": (ode_residual(i, h=1e-3).relative_residual for i in _instances(rng, beta, 12)),
-        "circle": (check_circle_vs_radial(i, tol=1e-10) for i in _instances(rng, beta, 15)),
+        "circle": (check_circle_vs_radial(i) for i in _instances(rng, beta, 15)),
         "euler": _euler_residuals(rng, beta),
     }
     for name in CHECK_ORDER:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from bci import (
     ANGULAR_GUARD,
-    BranchAngle,
     OnBranchCut,
     ProblemInstance,
     ZeroInput,
@@ -40,14 +39,13 @@ def off_cut(arg, theta):
 
 
 class TestBranchAngle:
-    def test_open_interval(self):
-        with pytest.raises(ValueError):
-            BranchAngle(0.0)
-        with pytest.raises(ValueError):
-            BranchAngle(TWO_PI)
-        with pytest.raises(ValueError):
-            BranchAngle(-1.0)
-        assert BranchAngle(math.pi).theta == math.pi
+    @pytest.mark.parametrize("theta", [0.0, TWO_PI, -1.0])
+    def test_open_interval(self, theta):
+        message = r"branch angle must lie in the open interval \(0, 2\*pi\)"
+        with pytest.raises(ValueError, match=message):
+            ProblemInstance(alpha=0.5, beta=0.5, theta=theta)
+        with pytest.raises(ValueError, match=message):
+            branch_arg(1j, theta)
 
 
 class TestBranchArg:
@@ -175,7 +173,7 @@ class TestProblemInstance:
     def test_coercion_and_theta(self):
         inst = ProblemInstance(alpha=2, beta=1, theta=math.pi)
         assert inst.alpha == 2.0 + 0j and inst.beta == 1.0 + 0j
-        assert inst.theta_value == math.pi
+        assert inst.theta == math.pi
         assert inst.alpha_outside()
 
     def test_exclusion_band(self):

@@ -336,6 +336,21 @@ class TestSweepCommand:
         assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
+class TestBranchAngleRefusal:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--alpha", "0.3@0.8", "--beta", "0.5", "--theta", "7"],
+            ["sweep", "--alpha-mod", "0.5", "--alpha-arg", "1", "--beta", "0.5", "--theta", "0"],
+        ],
+    )
+    def test_angle_outside_the_open_interval_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "branch angle must lie in the open interval (0, 2*pi)" in err
+
+
 class TestVerifyCommand:
     def test_deterministic_and_passing(self, capsys):
         assert main(["verify", "--seed", "11"]) == 0

@@ -70,7 +70,6 @@ class TestClosedForm:
         inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
         got = eval_closed_form(inst, series_tol=1e-15)
         assert got.value == pytest.approx(want, rel=1e-12, abs=1e-12)
-        assert got.diagnostics["series_converged"]
 
     def test_alpha_zero_noninteger_beta(self):
         # pure cut contribution: P(beta, theta)/beta, here 2i / (1/2) = 4i
@@ -105,7 +104,6 @@ class TestDirectSeries:
         inst = ProblemInstance(alpha=0.0, beta=0.5, theta=math.pi)
         r = eval_direct_series(inst)
         assert r.value == pytest.approx(4j, rel=1e-14)
-        assert r.diagnostics["series_converged"]
 
     @given(
         amod=st.floats(min_value=0.0, max_value=0.9),
@@ -345,7 +343,6 @@ class TestEstimatesNearTheBand:
         ref = _mp_circle(alpha, beta, theta)
         for method in [eval_closed_form] + ([] if outside else [eval_direct_series]):
             r = method(inst)
-            assert r.diagnostics.get("series_converged", True)  # integer beta: no series
             assert _error(r, ref) <= r.error_estimate, method.__name__
 
     @pytest.mark.parametrize("band", [0.02, 0.05, 0.3])
@@ -391,7 +388,6 @@ class TestEstimatesNearTheBand:
             r = eval_direct_series(inst)
             last = r.diagnostics["series_terms"] - 1
             q = abs(alpha)
-            assert r.diagnostics["series_converged"]
             assert last > abs(beta) + 1
             assert q**last / abs(beta - last) * q / (1.0 - q) <= min(1e-12, tol)
 

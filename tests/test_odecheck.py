@@ -124,3 +124,23 @@ class TestSingularPoints:
         assert len(finite) == 1
         assert abs(finite[0][0]) < 1e-12
         assert finite[0][1] == "Irregular"
+
+    def test_gauss_equation(self):
+        # a(1-a) I'' + [c - (a+b+1) a] I' - ab I = 0: {0, 1, infinity}, all regular
+        a, b, c = 0.3, 0.7, 1.5
+        coeffs = OdeCoefficients(p2=(0j, 1.0, -1.0), p1=(c, -(a + b + 1.0)), zero_order=-a * b, rhs=0j, regime="inside")
+        pts = singular_points(coeffs)
+        assert [label for _, label in pts] == ["Regular"] * 3
+        assert abs(pts[0][0]) < 1e-12 and abs(pts[1][0] - 1.0) < 1e-12 and pts[2][0] == INFINITY
+
+    def test_ordinary_infinity(self):
+        # a^2 I'' + 2a I' = 0: a^2 p1 - 2a p2 = 0 and no zero-order term, so
+        # infinity is an ordinary point
+        c = OdeCoefficients(p2=(0j, 0j, 1.0 + 0j), p1=(0j, 2.0 + 0j), zero_order=0j, rhs=0j, regime="inside")
+        assert singular_points(c) == [(0, "Regular")]
+
+    def test_regular_at_infinity_without_lower_terms(self):
+        # I'' = 0: solutions 1 and a = 1/x, a pole at x = 0, so infinity is a
+        # regular singular point
+        c = OdeCoefficients(p2=(1.0 + 0j,), p1=(0j,), zero_order=0j, rhs=0j, regime="inside")
+        assert singular_points(c) == [(INFINITY, "Regular")]
