@@ -154,7 +154,7 @@ def _default_tol() -> float:
     return value
 
 
-def _build_parser(default_tol: float) -> _Parser:
+def _build_parser() -> _Parser:
     parser = _Parser(prog="bci", description="Contour integrals of z**beta/(z - alpha) on the unit circle.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -163,7 +163,7 @@ def _build_parser(default_tol: float) -> _Parser:
     ev.add_argument("--beta", required=True, type=str, help="exponent: same forms as --alpha")
     ev.add_argument("--theta", required=True, type=str, help="cut angle in (0, 2pi); accepts pi forms")
     ev.add_argument("--methods", type=str, default=None, help="comma list: theorem,series,quadrature,rational:m/n")
-    ev.add_argument("--tol", type=float, default=default_tol, help="agreement tolerance (env BCI_DEFAULT_TOL)")
+    ev.add_argument("--tol", type=float, default=None, help="agreement tolerance (env BCI_DEFAULT_TOL, else 1e-8)")
     ev.add_argument("--exclusion-band", type=float, default=DEFAULT_EXCLUSION_BAND, help="refusal band around |alpha| = 1")
     ev.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
 
@@ -175,7 +175,7 @@ def _build_parser(default_tol: float) -> _Parser:
         help="exponents: 'mod@arg', '0.5+0.1j' or bare reals (commas separate values, so no 're,im')",
     )
     sw.add_argument("--theta", action="append", default=None, help="cut angles (pi forms allowed)")
-    sw.add_argument("--tol", type=float, default=default_tol)
+    sw.add_argument("--tol", type=float, default=None)
     sw.add_argument("--exclusion-band", type=float, default=DEFAULT_EXCLUSION_BAND)
     sw.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     sw.add_argument("--out", type=str, default=None)
@@ -184,8 +184,6 @@ def _build_parser(default_tol: float) -> _Parser:
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--check", action="append", default=None, choices=list(CHECK_ORDER), help="run only this check (repeatable)")
     vf.add_argument("--tol", type=float, default=None, help="override every check threshold (diagnostic)")
-    vf.add_argument("--nmax", type=int, default=32, help="max filter order for the delta check")
-    vf.add_argument("--dmax", type=int, default=128, help="max filter shift for the delta check")
     vf.add_argument("--beta", type=str, default=None, help="pin the exponent across identity checks")
     vf.add_argument("--out", type=str, default=None)
     return parser
@@ -326,9 +324,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         beta = parse_complex(args.beta) if args.beta is not None else None
         checks = tuple(args.check) if args.check else None
-        report = run_verify(
-            seed=args.seed, checks=checks, tol=args.tol, nmax=args.nmax, dmax=args.dmax, beta=beta
-        )
+        report = run_verify(seed=args.seed, checks=checks, tol=args.tol, beta=beta)
     except (ValueError, EvaluationError) as exc:
         print(f"bci verify: error: {exc}", file=sys.stderr)
         return 1
@@ -343,8 +339,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser(_default_tol())
-    args = parser.parse_args(list(argv) if argv is not None else None)
+    args = _build_parser().parse_args(list(argv) if argv is not None else None)
+    if args.command in ("eval", "sweep") and args.tol is None:
+        args.tol = _default_tol()  # read here, so verify and --help run whatever it holds
     try:
         if args.command == "eval":
             return _cmd_eval(args)

@@ -49,6 +49,11 @@ DEFAULT_STEP = 1e-3
 #: Sentinel for the point at infinity in singular_points output.
 INFINITY = float("inf")
 
+#: singular_points: roots of p2 closer than this (relative to the largest)
+#: are one point, and a remainder this small (relative to the dividend)
+#: counts as zero in an order of vanishing.
+_ROOT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class OdeCoefficients:
@@ -166,22 +171,22 @@ def ode_residual(inst: ProblemInstance, h: float = DEFAULT_STEP) -> OdeResidual:
     return OdeResidual(lhs_minus_rhs=defect, relative_residual=abs(defect) / scale, step=h)
 
 
-def _order(p: np.ndarray, r: complex, tol: float) -> float:
+def _order(p: np.ndarray, r: complex) -> float:
     """Order of vanishing at r of p (descending coefficients, no leading
-    zeros), by repeated np.polydiv by (a - r); a remainder within tol of the
-    dividend's scale counts as zero.  Infinite for the zero polynomial."""
+    zeros), by repeated np.polydiv by (a - r); a remainder within _ROOT_TOL
+    of the dividend's scale counts as zero.  Infinite for the zero polynomial."""
     if not p.any():
         return math.inf
     order = 0
     while len(p) > 1:
         quot, rem = np.polydiv(p, [1.0, -r])
-        if abs(rem[-1]) > tol * max(np.abs(p).max(), 1.0):
+        if abs(rem[-1]) > _ROOT_TOL * max(np.abs(p).max(), 1.0):
             break
         p, order = quot, order + 1
     return order
 
 
-def singular_points(coeffs: OdeCoefficients, root_tol: float = 1e-9) -> list[tuple[complex | float, str]]:
+def singular_points(coeffs: OdeCoefficients) -> list[tuple[complex | float, str]]:
     """Singular points of the homogeneous equation, each classified as
     "Regular" or "Irregular" (Fuchsian criterion); returns [] only if the
     leading coefficient is constant and infinity is an ordinary point.
@@ -210,13 +215,13 @@ def singular_points(coeffs: OdeCoefficients, root_tol: float = 1e-9) -> list[tup
         scale = max(1.0, max(abs(r) for r in roots))
         for raw in roots:
             r = complex(raw)
-            if any(abs(r - s) <= root_tol * scale for s in seen):
+            if any(abs(r - s) <= _ROOT_TOL * scale for s in seen):
                 continue
             seen.append(r)
         seen.sort(key=lambda r: (r.real, r.imag))
         for r in seen:
-            m2 = _order(p2, r, root_tol)
-            regular = m2 - _order(p1, r, root_tol) <= 1 and (not has_c or m2 <= 2)
+            m2 = _order(p2, r)
+            regular = m2 - _order(p1, r) <= 1 and (not has_c or m2 <= 2)
             out.append((r, "Regular" if regular else "Irregular"))
 
     q = np.trim_zeros(np.polysub(np.append(p1, [0.0, 0.0]), np.append(2.0 * p2, 0.0)), "f")

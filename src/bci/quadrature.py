@@ -2,11 +2,12 @@
 
 Engine
 ------
-Plain interval bisection driven by a priority queue.  Each panel gets the
-15-point Gauss-Kronrod rule K15 and the 7-point Gauss rule G7 whose nodes
-are every second K15 node, so the pair costs 15 integrand values, not 22.
-K15 is the panel's value and |K15 - G7| its error estimate (the
-embedded-pair trick); the panel with the worst estimate splits first.  The
+Plain interval bisection in rounds.  Each panel gets the 15-point
+Gauss-Kronrod rule K15 and the 7-point Gauss rule G7 whose nodes are every
+second K15 node, so the pair costs 15 integrand values, not 22.  K15 is the
+panel's value and |K15 - G7| its error estimate (the embedded-pair trick).
+Until the estimates sum to at most goal = tol * max(1, |I|), each round
+bisects every one of the N panels whose estimate exceeds goal / N.  The
 integrands are analytic away from isolated endpoints, so the high-order rule
 converges fast on smooth panels while bisection walks geometrically into
 whatever misbehaviour remains — endpoint oscillation from imaginary
@@ -23,13 +24,20 @@ relative; the rules integrate x^k to 2e-15 for k <= 22 (K15) and k <= 13
 
 The cost of a panel is arithmetic on its nodes (two complex exponentials and
 a division per node on the circle), so fewer nodes pay directly.  The nodes
-of every panel in hand go to f in one flat array: one call for all initial
-panels, then one call per split for both children.  adaptive_quadrature
-starts on the edges its caller gives: the circle and unit-interval integrals
-pass meshes graded toward what the instance says is hard (the sections
-below), and all refine the same way.  Almost every integral meets the
-stopping rule on that first call, so the engine then returns at once, with
-the same bits the queue would give: the panels are already in edge order.
+of the panels to evaluate go to f in one flat array: one call for all
+initial panels, then one per round for all the children, which a stable
+argsort on left edges merges into the panels kept, in edge order.
+Refinement stops unconverged when no panel over its share is wider than
+1e-15 of the interval, or when a round would pass max_panels.
+adaptive_quadrature starts on the edges its caller gives: the circle and
+unit-interval integrals pass meshes graded toward what the instance says is
+hard (the sections below).  Almost every integral stops on that first call:
+none of 1500 eval-mixed circle integrals (seed 1) refine, and 150 of 3000
+unit-interval integrals of run_verify seeds 4000-4029 do.  On two poles 0.01
+from the path (tests/test_quadrature.py) rounds take 5 f calls where
+splitting the worst panel per call took 21; on the identity checks of
+run_verify seeds 4000-4029, 0, 1, 3, 5, 7, 42 and 1000, 3906 where it took
+3984.
 
 Refinement and stopping look only at |K15 - G7|.  That difference can fall
 below the rounding error of the K15 sum itself, so the reported estimate also
@@ -42,8 +50,8 @@ eps * 2 pi * (|beta| + 1) * integral of |f|.  Without that term 7 of 9000
 benchmark-pool estimates fell below their true error, with |beta| up to 40.
 
 Determinism is part of the contract: the CLI promises byte-identical reports,
-so ties in the queue break by insertion order, panels are totalled by a
-sorted pairwise tree, and nothing here threads.
+so each round's splits depend only on the panel arrays, panels are totalled
+by a pairwise tree in edge order, and nothing here threads.
 
 Circle start
 ------------
@@ -73,32 +81,34 @@ seed 1, and 14 base panels in place of 16 gave 1.0037 (12 gave 1.013).
 
 Endpoint singularities
 ----------------------
-For integral_0^1 t^mu * f(t) dt with -1 < Re(mu) < 1 the substitution
+For integral_0^1 t^mu * f(t) dt with Re(mu) > -1 the substitution
 t = u^{1/(1+Re mu)} absorbs exactly the real part of the exponent: the
 transformed integrand is a constant times u^{i c} f(u^s), bounded (|u^{ic}|=1)
 though infinitely oscillatory toward 0 when Im(mu) != 0.  Geometric panel
 refinement handles that: the oscillation amplitude is constant while the
-panel mass shrinks linearly.
+panel mass shrinks linearly.  For Re(mu) >= 1 a smooth t^mu would do
+without it, but f(u^s) with s <= 1/2 is bounded and continuous at 0 too, and
+the graded start below absorbs it: on the run_verify seeds above, sending
+every Re(mu) through the substitution cut the total from 3906 calls to 3826,
+and no check's worst residual grew.
 
-Bisection from four equal panels reaches that geometric mesh one level per
-split, one f call of two panels each, so an integral that needs a panel
-[0, 2^-25] spent 23 calls getting there.  The unit-interval integrals therefore
-start on the mesh 0, 2^-K, ..., 2^-3, 1/4, 1/2, 3/4, 1 (the edges that walk
-builds) in one call, and refine from there as usual.  K = 36 was chosen by
-measurement on the identity checks of run_verify: started from equal panels,
-half the integrals stopped at depth 2 to 10 and the rest at 15 to 33; on the
-graded mesh almost none refine below 2^-K.  The worst residual stopped
-improving at K = 36, and run time was flat from K = 24 to K = 40.  Under
-K15/G7, on run_verify seeds 1000-1029 and 5000-5029: 1.28 f calls per
-integral for every K from 30 to 44 (1.82 at K = 24), and the median and worst
-residual ratios, 1.61e-4 and 2.83e-4, the same from K = 36 to 44 (2.83e-4 and
-1.1e-3 at K = 30), so K stays 36.
+Bisection from four equal panels reaches that geometric mesh one level per f
+call, so an integral that needs a panel [0, 2^-25] spent 23 calls getting
+there.  The unit-interval integrals therefore start on the mesh 0, 2^-K, ...,
+2^-3, 1/4, 1/2, 3/4, 1 (the edges that walk builds) in one call, and refine
+from there as usual.  K = 36 was chosen by measurement on the identity checks
+of run_verify: started from equal panels, half the integrals stopped at depth
+2 to 10 and the rest at 15 to 33; on the graded mesh almost none refine below
+2^-K.  The worst residual stopped improving at K = 36, and run time was flat
+from K = 24 to K = 40.  Under K15/G7, on run_verify seeds 1000-1029 and
+5000-5029: 1.28 f calls per integral for every K from 30 to 44 (1.82 at
+K = 24), and the median and worst residual ratios, 1.61e-4 and 2.83e-4, the
+same from K = 36 to 44 (2.83e-4 and 1.1e-3 at K = 30), so K stays 36.
 """
 
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 import sys
 from dataclasses import dataclass
@@ -238,7 +248,7 @@ class QuadratureResult:
     converged: bool
 
 
-def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray) -> tuple[list, list, list]:
+def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K15 values, |K15 - G7| estimates and K15 masses of many panels, one f call."""
     mid = 0.5 * (lefts + rights)
     half = 0.5 * (rights - lefts)
@@ -247,7 +257,7 @@ def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray) -> tuple[list, l
     rules = half[:, None] * (vals @ _WEIGHTS)
     hi = rules[:, 0]
     mass = half * (np.abs(vals) @ _KRONROD_WEIGHTS)
-    return hi.tolist(), np.abs(hi - rules[:, 1]).tolist(), mass.tolist()
+    return hi, np.abs(hi - rules[:, 1]), mass
 
 
 def _pairwise_sum(values: list[complex]) -> complex:
@@ -275,51 +285,37 @@ def adaptive_quadrature(
 
     f receives a numpy array of abscissae and must return the integrand
     values.  Refinement stops once the summed panel estimates drop below
-    tol * max(1, |value|) (absolute-or-relative) or the panel budget is
-    spent; the latter reports converged=False with the best value so far.
-    The reported estimate adds roundoff times integral |f| to the panel
-    estimates (the summation floor 50 * eps by default, more where f's own
-    values carry rounding), and converged tests that floored estimate.
+    tol * max(1, |value|) (absolute-or-relative), or when no panel can split
+    or a round would pass max_panels; the latter two report converged=False
+    with the best value so far.  The reported estimate adds roundoff times
+    integral |f| to the panel estimates (the summation floor 50 * eps by
+    default, more where f's own values carry rounding), and converged tests
+    that floored estimate.
     """
     lefts, rights = edges[:-1], edges[1:]
     vals, errs, masses = _panels(f, lefts, rights)
-    total = sum(vals, complex(0.0))
-    err_total = sum(errs, 0.0)
-    if err_total <= tol * max(1.0, abs(total)):
-        # the loop below would stop before its first split: its panels are these, in edge order
-        return _result(vals, errs, masses, tol, roundoff)
-    rows = zip(lefts.tolist(), rights.tolist(), vals, errs, masses)
-    heap = [(-err, seq, left, right, val, mass) for seq, (left, right, val, err, mass) in enumerate(rows)]
-    heapq.heapify(heap)  # (-err, seq) keys are unique, so the pop order is fixed
-    seq = len(heap)
-    min_width = abs(edges[-1] - edges[0]) * 1e-15
-    frozen: list[tuple[float, float, complex, float, float]] = []  # panels too narrow to split
-    while err_total > tol * max(1.0, abs(total)) and heap:
-        if len(heap) + len(frozen) >= max_panels:
+    while True:
+        # Python float sums: on the one round most integrals take, cheaper than numpy's
+        val_list, err_list = vals.tolist(), errs.tolist()
+        goal = tol * max(1.0, abs(sum(val_list, complex(0.0))))
+        if not sum(err_list, 0.0) > goal:  # a NaN estimate stops here too
             break
-        neg_err, _, left, right, val, mass = heapq.heappop(heap)
-        err = -neg_err
-        if err == 0.0 or right - left <= min_width:
-            frozen.append((left, right, val, err, mass))
-            continue
-        mid = 0.5 * (left + right)
-        (v1, v2), (e1, e2), (m1, m2) = _panels(f, np.array([left, mid]), np.array([mid, right]))
-        total += v1 + v2 - val
-        err_total += e1 + e2 - err
-        heapq.heappush(heap, (-e1, seq, left, mid, v1, m1))
-        heapq.heappush(heap, (-e2, seq + 1, mid, right, v2, m2))
-        seq += 2
-    panels = frozen + [(left, right, val, -neg, mass) for (neg, _, left, right, val, mass) in heap]
-    panels.sort(key=lambda p: p[0])
-    return _result([p[2] for p in panels], [p[3] for p in panels], [p[4] for p in panels], tol, roundoff)
-
-
-def _result(vals: list, errs: list, masses: list, tol: float, roundoff: float) -> QuadratureResult:
-    """Total of the final panels, given in edge order; the estimate carries the roundoff floor."""
-    value = _pairwise_sum(vals)
-    estimate = math.fsum(errs) + roundoff * math.fsum(masses)
-    converged = estimate <= tol * max(1.0, abs(value))
-    return QuadratureResult(value, estimate, len(vals), converged)
+        split = (errs > goal / errs.size) & (rights - lefts > 1e-15 * (edges[-1] - edges[0]))
+        count = np.count_nonzero(split)
+        if count == 0 or errs.size + count > max_panels:
+            break
+        mids = 0.5 * (lefts[split] + rights[split])
+        child_lefts = np.concatenate((lefts[split], mids))
+        child_rights = np.concatenate((mids, rights[split]))
+        children = (child_lefts, child_rights, *_panels(f, child_lefts, child_rights))
+        keep = ~split
+        order = np.argsort(np.concatenate((lefts[keep], child_lefts)), kind="stable")
+        lefts, rights, vals, errs, masses = (
+            np.concatenate((old[keep], new))[order] for old, new in zip((lefts, rights, vals, errs, masses), children)
+        )
+    value = _pairwise_sum(val_list)
+    estimate = math.fsum(err_list) + roundoff * math.fsum(masses.tolist())
+    return QuadratureResult(value, estimate, len(err_list), estimate <= tol * max(1.0, abs(value)))
 
 
 def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
@@ -396,18 +392,11 @@ def _unit_power_integral(mu: complex, factor: Callable) -> QuadratureResult:
     """integral_0^1 t^mu * factor(t) dt with the endpoint power tamed, to DEFAULT_QUAD_TOL.
 
     factor must be vectorised, smooth and pole-free on (0, 1].  Re(mu) > -1
-    is the caller's responsibility.  Re(mu) >= 1 integrates directly; below
-    that the t = u^{1/(1+Re mu)} substitution described in the module notes
-    removes the real part of the endpoint exponent entirely.
+    is the caller's responsibility.  The t = u^{1/(1+Re mu)} substitution
+    described in the module notes removes the real part of the endpoint
+    exponent entirely.
     """
     mu = complex(mu)
-    if mu.real >= 1.0:
-
-        def f(t: np.ndarray) -> np.ndarray:
-            return np.exp(mu * np.log(t)) * factor(t)
-
-        return adaptive_quadrature(f, _UNIT_EDGES, DEFAULT_QUAD_TOL, DEFAULT_MAX_PANELS)
-
     s = 1.0 / (1.0 + mu.real)  # t = u**s maps (0, 1] onto itself
     c = mu.imag * s  # leftover purely imaginary exponent
 

@@ -42,6 +42,8 @@ DEFAULT_THRESHOLDS = {
 
 _ANGLE_MARGIN = 0.3  # keep Arg(alpha) away from the cut ray
 _INT_MARGIN = 0.05  # keep Re(beta) away from integers
+_DELTA_NMAX = 32  # largest filter order n of the delta check
+_DELTA_DMAX = 128  # largest filter shift |d| of the delta check
 
 
 def _draw_alpha(rng: random.Random, theta: float, inside: bool) -> complex:
@@ -84,13 +86,13 @@ def _worst(residuals: Iterable[float]) -> tuple[int, float]:
     return cases, worst
 
 
-def _delta_drifts(rng: random.Random, nmax: int, dmax: int) -> Iterator[float]:
+def _delta_drifts(rng: random.Random) -> Iterator[float]:
     for k in range(400):
-        n = rng.randint(1, max(1, nmax))
+        n = rng.randint(1, _DELTA_NMAX)
         if k % 2 == 0:
-            d = rng.randint(-dmax, dmax)
+            d = rng.randint(-_DELTA_DMAX, _DELTA_DMAX)
         else:  # force exact multiples so the "exactly 1" branch is exercised
-            span = max(dmax // n, 1)
+            span = _DELTA_DMAX // n
             d = n * rng.randint(-span, span)
         yield roots_of_unity_drift(n, d)[1]
 
@@ -110,8 +112,6 @@ def run_verify(
     seed: int,
     checks: tuple[str, ...] | None = None,
     tol: float | None = None,
-    nmax: int = 32,
-    dmax: int = 128,
     beta: complex | None = None,
 ) -> dict[str, Any]:
     """Run the named checks (all six, in CHECK_ORDER, when None) and return
@@ -136,7 +136,7 @@ def run_verify(
     # generators: a check draws from rng only while it runs, so the checks
     # left out draw nothing
     residuals: dict[str, Iterable[float]] = {
-        "delta": _delta_drifts(rng, nmax, dmax),
+        "delta": _delta_drifts(rng),
         "reduction": (check_integral_reduction(i) for i in _instances(rng, beta, 20)),
         "reconciliation": (check_reconciliation(i) for i in _instances(rng, beta, 15, inside_only=True)),
         "ode": (ode_residual(i, h=1e-3).relative_residual for i in _instances(rng, beta, 12)),

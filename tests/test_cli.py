@@ -406,11 +406,18 @@ class TestVerifyCommand:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr and "overflows" in proc.stderr
 
-    def test_delta_knobs(self, capsys):
-        code = main(["verify", "--seed", "5", "--check", "delta", "--nmax", "8", "--dmax", "16"])
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert doc["checks"][0]["cases"] == 400
+    def test_junk_env_default_tol_is_not_read(self, capsys, monkeypatch):
+        # BCI_DEFAULT_TOL is eval's and sweep's default; verify and --help never read it
+        monkeypatch.setenv("BCI_DEFAULT_TOL", "junk")
+        assert main(["verify", "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "Agree"
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--alpha", "0.3", "--beta", "0.5", "--theta", "pi"])
+        assert exc.value.code == 1
+        assert "BCI_DEFAULT_TOL='junk' is not a number" in capsys.readouterr().err
 
 
 class TestModuleEntry:

@@ -37,6 +37,14 @@ FROZEN_IN_REAL = (0.3, 0.5, math.pi, complex(0.0, 5.0978397870946862))
 #: Eight equal starting panels on [0, 1].
 EIGHTHS = np.linspace(0.0, 1.0, 9)
 
+#: Two poles 0.01 off [0, 1]: the integral of 1/(t - c) over both is
+#: sum of log(1 - c) - log(-c).
+SPOTS = (0.3 + 0.01j, 0.7 + 0.01j)
+
+
+def _two_spots(t):
+    return sum(1.0 / (t - c) for c in SPOTS)
+
 
 class TestAdaptiveEngine:
     def test_polynomial_is_exact(self):
@@ -63,18 +71,32 @@ class TestAdaptiveEngine:
         assert math.isfinite(abs(r.value))
         assert r.abs_error_estimate > 0.0
 
-    def test_one_integrand_call_per_split(self):
+    def test_one_integrand_call_per_round(self):
+        # every panel over either pole splits in the same round, so the
+        # refinement takes a few calls, not one per split
         sizes = []
 
         def f(t):
             sizes.append(t.size)
-            return 1.0 / (t + 0.01)
+            return _two_spots(t)
 
         r = adaptive_quadrature(f, EIGHTHS, tol=1e-10)
-        assert r.converged and r.subdivisions > 8
-        # all initial panels in one call, then both children of each split in one
-        assert len(sizes) == 1 + (r.subdivisions - 8)
-        assert sizes == [8 * 15] + [2 * 15] * (len(sizes) - 1)
+        exact = sum(cmath.log(1.0 - c) - cmath.log(-c) for c in SPOTS)
+        assert r.converged
+        assert abs(r.value - exact) <= r.abs_error_estimate
+        # all initial panels in one call, then the children of each round's splits in one
+        assert len(sizes) <= 5, sizes
+        assert sizes[0] == 8 * 15
+        assert all(size % (2 * 15) == 0 for size in sizes[1:])
+        assert r.subdivisions == 8 + sum(sizes[1:]) // (2 * 15)
+
+    def test_round_past_the_budget_is_not_taken(self):
+        # the two-spot integrand splits six panels a round (the budget test above
+        # splits one): at a budget of 20, the round that would pass it stops
+        # the refinement instead
+        r = adaptive_quadrature(_two_spots, EIGHTHS, tol=1e-10, max_panels=20)
+        assert not r.converged
+        assert r.subdivisions <= 20
 
     def test_result_fields_are_python_scalars(self):
         # reports and trace files serialise these with the json module
@@ -293,7 +315,8 @@ class TestCircleGradedStart:
 class TestEulerIntegral:
     def test_w_zero_trivials(self):
         assert euler_integral(0.0, 2.0).value == pytest.approx(0.5, abs=1e-10)
-        # Re(beta) < 1 goes through the endpoint substitution
+        # every Re(beta) goes through the endpoint substitution: t = u^(1/2)
+        # above (mu = 1), t = u^2 here (mu = -1/2)
         assert euler_integral(0.0, 0.5).value == pytest.approx(2.0, abs=1e-9)
 
     def test_divergent_at_zero(self):
