@@ -65,6 +65,13 @@ def _theta_of(theta: float) -> float:
     return th
 
 
+def require_tol(tol: float) -> None:
+    """Refuse a tolerance that is not finite and positive: an infinite one
+    would pass every comparison it thresholds."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """One evaluation problem: pole alpha, exponent beta, cut angle 0 < theta < 2*pi.
@@ -85,8 +92,7 @@ class ProblemInstance:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "theta", _theta_of(self.theta))
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        require_tol(self.tol)
         if not 0.0 < self.exclusion_band < 1.0:
             raise ValueError("exclusion band must lie in (0, 1)")
 

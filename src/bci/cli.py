@@ -24,7 +24,7 @@ import re
 import sys
 from typing import Any, Sequence
 
-from .branchcut import DEFAULT_EXCLUSION_BAND, ProblemInstance
+from .branchcut import DEFAULT_EXCLUSION_BAND, ProblemInstance, require_tol
 from .closedform import (
     METHOD_CLOSED_FORM,
     METHOD_QUADRATURE,
@@ -247,6 +247,7 @@ def _parse_grid_axis(raw: list[str] | None, parse: Any) -> list[Any]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
+        require_tol(args.tol)  # also on an empty grid
         mods = _parse_grid_axis(args.alpha_mod, float)
         angles = _parse_grid_axis(args.alpha_arg, parse_angle)
         betas = _parse_grid_axis(args.beta, parse_complex)

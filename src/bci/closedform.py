@@ -241,12 +241,23 @@ def eval_direct_series(inst: ProblemInstance) -> MethodResult:
 
 def roots_of_unity_drift(n: int, d: int) -> tuple[float, float]:
     """roots_of_unity_filter's exact value and the distance of the float sum
-    from it.  Angles are reduced with exact integer arithmetic ((j*d) mod n)
-    before any trigonometry, so the drift measures roundoff in the sum."""
-    exact = 1.0 if d % n == 0 else 0.0
-    angles = [TWO_PI * ((j * d) % n) / n for j in range(n)]
-    re = math.fsum(math.cos(a) for a in angles) / n
-    im = math.fsum(math.sin(a) for a in angles) / n
+    from it.  Angles are reduced with exact integer arithmetic before any
+    trigonometry, so the drift measures roundoff in the sum.
+
+    The sum depends on d only through g = gcd(n, d): the residues
+    (j*d) mod n, 0 <= j < n, are the n/g multiples of g, each taken g
+    times.  So only those n/g angles are evaluated, and each list is summed
+    g times over.  math.fsum rounds the exact sum of its inputs once,
+    whatever their order, so the result has the same bits as the sum over
+    j itself.
+    """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    g = math.gcd(n, d)
+    exact = 1.0 if g == n else 0.0
+    angles = [TWO_PI * r / n for r in range(0, n, g)]
+    re = math.fsum([math.cos(a) for a in angles] * g) / n
+    im = math.fsum([math.sin(a) for a in angles] * g) / n
     return exact, math.hypot(re - exact, im)
 
 
@@ -256,10 +267,10 @@ def roots_of_unity_filter(n: int, d: int) -> float:
     This is the multisection identity behind the rational log sum, which
     does not call it: it is the identity that `verify`'s delta check tests,
     through roots_of_unity_drift.  The float sum is recomputed alongside the
-    exact answer and must agree to 1e-12, else ArithmeticError.
+    exact answer and must agree to 1e-12, else ArithmeticError.  It depends
+    on d only through gcd(n, d) (see roots_of_unity_drift), and fsum keeps
+    the sum over those residue classes bit for bit equal to the sum over j.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     exact, drift = roots_of_unity_drift(n, d)
     if drift > 1e-12:
         raise ArithmeticError(f"root-of-unity float sum drifted {drift:.3e} from the exact value {exact}")

@@ -7,7 +7,8 @@ are fully determined by the seed.
 
 Checks
 ------
-delta            root-of-unity filter: float sum vs exact 0/1
+delta            root-of-unity filter: float sum vs exact 0/1, one sum per
+                 residue class (n, gcd(n, d)) drawn in a run
 reduction        radial integral vs its Euler-integral reduction
 reconciliation   cross-regime Euler identity (pole term + closed form)
 ode              finite-difference residual of the regime ODE
@@ -18,10 +19,11 @@ euler            beta * Euler integral vs the 2F1(1, b; 1+b; .) series
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from typing import Any, Iterable, Iterator
 
-from .branchcut import TWO_PI, ProblemInstance, as_integer
+from .branchcut import TWO_PI, ProblemInstance, as_integer, require_tol
 from .closedform import check_reconciliation, roots_of_unity_drift
 from .hypergeometric import hyp2f1_one_b
 from .odecheck import ode_residual
@@ -87,6 +89,8 @@ def _worst(residuals: Iterable[float]) -> tuple[int, float]:
 
 
 def _delta_drifts(rng: random.Random) -> Iterator[float]:
+    # the drift depends on d only through gcd(n, d): one sum per class
+    drifts: dict[tuple[int, int], float] = {}
     for k in range(400):
         n = rng.randint(1, _DELTA_NMAX)
         if k % 2 == 0:
@@ -94,7 +98,10 @@ def _delta_drifts(rng: random.Random) -> Iterator[float]:
         else:  # force exact multiples so the "exactly 1" branch is exercised
             span = _DELTA_DMAX // n
             d = n * rng.randint(-span, span)
-        yield roots_of_unity_drift(n, d)[1]
+        key = (n, math.gcd(n, d))
+        if key not in drifts:
+            drifts[key] = roots_of_unity_drift(n, d)[1]
+        yield drifts[key]
 
 
 def _euler_residuals(rng: random.Random, beta_fix: complex | None) -> Iterator[float]:
@@ -119,9 +126,12 @@ def run_verify(
 
     tol, when given, replaces every check's own threshold — deliberately
     blunt, so `--tol 1e-30` forces a failing report and exercises the
-    Disagree exit path.  beta pins the exponent in every non-delta check;
-    it must satisfy those checks' preconditions (non-integer, Re > 0).
+    Disagree exit path.  It must be finite and positive.  beta pins the
+    exponent in every non-delta check; it must satisfy those checks'
+    preconditions (non-integer, Re > 0).
     """
+    if tol is not None:
+        require_tol(tol)
     if beta is not None and (as_integer(beta) is not None or beta.real <= 0.0):
         raise ValueError(
             f"--beta {beta!r} cannot drive the identity checks: need non-integer beta with Re(beta) > 0"

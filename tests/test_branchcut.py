@@ -190,6 +190,9 @@ class TestProblemInstance:
             ProblemInstance(alpha=2, beta=1, theta=0.0)
         with pytest.raises(ValueError):
             ProblemInstance(alpha=2, beta=1, theta=math.pi, tol=0.0)
+        for tol in (math.inf, -math.inf, math.nan, -1e-8):
+            with pytest.raises(ValueError, match="finite and positive"):
+                ProblemInstance(alpha=2, beta=1, theta=math.pi, tol=tol)
         with pytest.raises(ValueError):
             ProblemInstance(alpha=2, beta=1, theta=math.pi, exclusion_band=1.5)
 

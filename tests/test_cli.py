@@ -351,6 +351,29 @@ class TestBranchAngleRefusal:
         assert "branch angle must lie in the open interval (0, 2*pi)" in err
 
 
+class TestToleranceRefusal:
+    @pytest.mark.parametrize(
+        "argv,env",
+        [
+            (["eval", "--alpha", "0.3", "--beta", "0.5", "--theta", "pi", "--tol", "inf"], None),
+            (["eval", "--alpha", "0.3", "--beta", "0.5", "--theta", "pi"], "inf"),
+            (["sweep", "--alpha-mod", "0.5", "--alpha-arg", "1", "--beta", "0.5", "--theta", "2", "--tol", "inf"], None),
+            (["sweep", "--alpha-mod", "0.5", "--alpha-arg", "1", "--beta", "0.5", "--theta", "2"], "nan"),
+            (["sweep", "--tol", "inf"], None),
+            (["verify", "--seed", "1", "--tol", "inf"], None),
+            (["verify", "--seed", "1", "--tol", "nan"], None),
+        ],
+    )
+    def test_non_finite_tol_exits_1(self, argv, env, capsys, monkeypatch):
+        # an infinite threshold would pass every comparison and print Agree
+        if env is not None:
+            monkeypatch.setenv("BCI_DEFAULT_TOL", env)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"bci {argv[0]}: error:" in err and "finite and positive" in err
+
+
 class TestVerifyCommand:
     def test_deterministic_and_passing(self, capsys):
         assert main(["verify", "--seed", "11"]) == 0

@@ -31,6 +31,8 @@ from bci import (
     int_pow,
     roots_of_unity_filter,
 )
+from bci.branchcut import TWO_PI
+from bci.closedform import roots_of_unity_drift
 
 # Same mpmath contour anchors as in test_quadrature, reused against the
 # analytic route this time.
@@ -154,6 +156,21 @@ class TestRootsOfUnityFilter:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             roots_of_unity_filter(0, 1)
+        with pytest.raises(ValueError):
+            roots_of_unity_drift(0, 1)
+
+    def test_drift_matches_the_sum_over_j_bit_for_bit(self):
+        def reference(n, d):
+            exact = 1.0 if d % n == 0 else 0.0
+            angles = [TWO_PI * ((j * d) % n) / n for j in range(n)]
+            re = math.fsum(math.cos(a) for a in angles) / n
+            im = math.fsum(math.sin(a) for a in angles) / n
+            return exact, math.hypot(re - exact, im)
+
+        cases = [(n, d) for n in range(1, 33) for d in range(-128, 129)]
+        cases += [(n, d) for n in (45, 64, 97, 360) for d in [*range(-2 * n, 2 * n + 1, 7), 0, n, -3 * n]]
+        for n, d in cases:
+            assert roots_of_unity_drift(n, d) == reference(n, d), (n, d)
 
 
 class TestRationalLogSum:
