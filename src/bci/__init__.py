@@ -65,7 +65,9 @@ from .quadrature import (
     check_integral_reduction,
     circle_integral,
     euler_integral,
+    euler_integrals,
     radial_integral,
+    radial_integrals,
 )
 from .report import (
     EvaluationReport,
@@ -113,7 +115,9 @@ __all__ = [
     "adaptive_quadrature",
     "circle_integral",
     "euler_integral",
+    "euler_integrals",
     "radial_integral",
+    "radial_integrals",
     "check_integral_reduction",
     "check_circle_vs_radial",
     # ODE checks

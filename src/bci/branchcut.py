@@ -92,6 +92,8 @@ class ProblemInstance:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "theta", _theta_of(self.theta))
+        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
+            raise ValueError(f"alpha and beta must be finite, got alpha={self.alpha!r}, beta={self.beta!r}")
         require_tol(self.tol)
         if not 0.0 < self.exclusion_band < 1.0:
             raise ValueError("exclusion band must lie in (0, 1)")

@@ -45,7 +45,7 @@ from .errors import (
     ZeroInput,
 )
 from .hypergeometric import DEFAULT_MAX_TERMS, SeriesResult, _series_length, hyp2f1_one_b
-from .quadrature import euler_integral
+from .quadrature import euler_integrals
 
 _EPS = sys.float_info.epsilon
 
@@ -64,6 +64,7 @@ __all__ = [
     "hyp2f1_rational_with_bound",
     "eval_rational_logsum",
     "check_reconciliation",
+    "check_reconciliations",
 ]
 
 # Wire-format method names used in reports; fixed, do not localise.
@@ -401,8 +402,9 @@ def eval_rational_logsum(inst: ProblemInstance, beta: RationalBeta) -> MethodRes
     return MethodResult(value, METHOD_RATIONAL, estimate, diag)
 
 
-def check_reconciliation(inst: ProblemInstance) -> float:
-    """Residual of the identity tying the Euler integral across regimes.
+def check_reconciliations(insts: list[ProblemInstance]) -> list[float]:
+    """Residual of the identity tying the Euler integral across regimes, for
+    each instance; the Euler integrals are one batch.
 
     For 0 < |alpha| < 1 the Euler integral that powers the |alpha| > 1 closed
     form can still be evaluated at w = e^{i theta}/alpha (now |w| > 1, with
@@ -423,30 +425,41 @@ def check_reconciliation(inst: ProblemInstance) -> float:
     Preconditions: 0 < |alpha| < 1 (off the exclusion band), Re(beta) > 0,
     beta not a nonnegative integer, Arg(alpha) != theta.
     """
-    inst.require_alpha_off_circle()
-    alpha, beta, theta = inst.alpha, inst.beta, inst.theta
-    if alpha == 0:
-        raise ZeroInput("the identity needs the pole strictly inside: alpha != 0")
-    if abs(alpha) >= 1.0:
-        raise EvaluationError("the identity is stated for |alpha| < 1")
-    if beta.real <= 0.0:
-        raise DivergentAtZero(f"Re(beta) = {beta.real:g} <= 0: both sides diverge at t = 0")
-    nb = as_integer(beta)
-    if nb is not None and nb >= 0:
-        raise BetaNonNegativeInteger(f"beta = {beta!r}: the pole term's denominator vanishes")
-    try:
-        log_alpha = branch_log(alpha, theta)
-    except OnBranchCut as exc:
-        raise AlphaOnCut(str(exc)) from exc
-    w = cmath.exp(1j * theta) / alpha
-    lhs = euler_integral(w, beta).value
-    try:
-        pole_term = 2j * math.pi * cmath.exp(beta * (log_alpha - 1j * theta)) / (1.0 - cmath.exp(-2j * math.pi * beta))
-    except OverflowError:
-        pole_term = complex(math.inf)
-    if not cmath.isfinite(pole_term):
-        raise NonFiniteValue(f"the pole term overflows at beta = {beta!r}")
-    z = alpha * cmath.exp(-1j * theta)
-    series = _converged(hyp2f1_one_b(-beta, z, tol=min(1e-12, inst.tol)), z)
-    rhs = pole_term + (1.0 - series.value) / beta
-    return abs(lhs - rhs) / max(abs(rhs), 1.0)
+    log_alphas = []
+    for inst in insts:
+        inst.require_alpha_off_circle()
+        alpha, beta = inst.alpha, inst.beta
+        if alpha == 0:
+            raise ZeroInput("the identity needs the pole strictly inside: alpha != 0")
+        if abs(alpha) >= 1.0:
+            raise EvaluationError("the identity is stated for |alpha| < 1")
+        if beta.real <= 0.0:
+            raise DivergentAtZero(f"Re(beta) = {beta.real:g} <= 0: both sides diverge at t = 0")
+        nb = as_integer(beta)
+        if nb is not None and nb >= 0:
+            raise BetaNonNegativeInteger(f"beta = {beta!r}: the pole term's denominator vanishes")
+        try:
+            log_alphas.append(branch_log(alpha, inst.theta))
+        except OnBranchCut as exc:
+            raise AlphaOnCut(str(exc)) from exc
+    ws = [cmath.exp(1j * inst.theta) / inst.alpha for inst in insts]
+    lhs = euler_integrals(ws, [inst.beta for inst in insts])
+    residuals = []
+    for inst, log_alpha, left in zip(insts, log_alphas, lhs):
+        alpha, beta, theta = inst.alpha, inst.beta, inst.theta
+        try:
+            pole_term = 2j * math.pi * cmath.exp(beta * (log_alpha - 1j * theta)) / (1.0 - cmath.exp(-2j * math.pi * beta))
+        except OverflowError:
+            pole_term = complex(math.inf)
+        if not cmath.isfinite(pole_term):
+            raise NonFiniteValue(f"the pole term overflows at beta = {beta!r}")
+        z = alpha * cmath.exp(-1j * theta)
+        series = _converged(hyp2f1_one_b(-beta, z, tol=min(1e-12, inst.tol)), z)
+        rhs = pole_term + (1.0 - series.value) / beta
+        residuals.append(abs(left.value - rhs) / max(abs(rhs), 1.0))
+    return residuals
+
+
+def check_reconciliation(inst: ProblemInstance) -> float:
+    """check_reconciliations for the one instance."""
+    return check_reconciliations([inst])[0]

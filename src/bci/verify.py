@@ -3,7 +3,12 @@
 Each check draws random instances from a seeded generator, measures the
 worst residual of one mathematical identity, and compares it against that
 identity's own accuracy budget.  The draws, and therefore the report bytes,
-are fully determined by the seed.
+are fully determined by the seed.  A check draws all its cases first and
+then evaluates them as one batch, so the unit-interval quadratures of a
+check share one first round (see the quadrature module notes); the draws
+never depend on results, so the order of the rng stream is the one the
+case-by-case loop had.  A check whose residuals include a NaN reports a NaN
+worst residual and fails.
 
 Checks
 ------
@@ -21,13 +26,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .branchcut import TWO_PI, ProblemInstance, as_integer, require_tol
-from .closedform import check_reconciliation, roots_of_unity_drift
+from .closedform import check_reconciliations, roots_of_unity_drift
 from .hypergeometric import hyp2f1_one_b
 from .odecheck import ode_residual
-from .quadrature import check_circle_vs_radial, check_integral_reduction, euler_integral
+from .quadrature import check_circles_vs_radial, check_integral_reductions, euler_integrals
 
 __all__ = ["CHECK_ORDER", "DEFAULT_THRESHOLDS", "run_verify"]
 
@@ -69,23 +74,24 @@ def _draw_beta(rng: random.Random, beta_fix: complex | None) -> complex:
 
 def _instances(
     rng: random.Random, beta_fix: complex | None, count: int, inside_only: bool = False
-) -> Iterator[ProblemInstance]:
-    """count instances, each drawn (theta, then alpha, then beta) as it is
-    taken; alpha alternates inside/outside the circle, starting inside."""
+) -> list[ProblemInstance]:
+    """count instances, each drawn theta, then alpha, then beta; alpha
+    alternates inside/outside the circle, starting inside."""
+    out = []
     for k in range(count):
         theta = rng.uniform(0.1, TWO_PI - 0.1)
         alpha = _draw_alpha(rng, theta, inside=inside_only or k % 2 == 0)
-        yield ProblemInstance(alpha=alpha, beta=_draw_beta(rng, beta_fix), theta=theta)
+        out.append(ProblemInstance(alpha=alpha, beta=_draw_beta(rng, beta_fix), theta=theta))
+    return out
 
 
 def _worst(residuals: Iterable[float]) -> tuple[int, float]:
-    """(number of cases, largest residual) of a check."""
-    cases = 0
-    worst = 0.0
-    for residual in residuals:
-        worst = max(worst, residual)
-        cases += 1
-    return cases, worst
+    """(number of cases, largest residual) of a check; NaN when any residual
+    is NaN, so that the check fails."""
+    residuals = list(residuals)
+    if any(math.isnan(residual) for residual in residuals):
+        return len(residuals), math.nan
+    return len(residuals), max(residuals, default=0.0)
 
 
 def _delta_drifts(rng: random.Random) -> Iterator[float]:
@@ -104,15 +110,16 @@ def _delta_drifts(rng: random.Random) -> Iterator[float]:
         yield drifts[key]
 
 
-def _euler_residuals(rng: random.Random, beta_fix: complex | None) -> Iterator[float]:
+def _euler_residuals(rng: random.Random, beta_fix: complex | None) -> list[float]:
+    ws, betas = [], []
     for _ in range(15):
         mod = rng.uniform(0.1, 0.9)
         arg = rng.uniform(0.0, TWO_PI)
-        w = mod * cmath.exp(1j * arg)
-        beta = _draw_beta(rng, beta_fix)
-        series = hyp2f1_one_b(beta, w, tol=1e-13)
-        quad = euler_integral(w, beta)
-        yield abs(beta * quad.value - series.value) / max(1.0, abs(series.value))
+        ws.append(mod * cmath.exp(1j * arg))
+        betas.append(_draw_beta(rng, beta_fix))
+    series = [hyp2f1_one_b(beta, w, tol=1e-13).value for w, beta in zip(ws, betas)]
+    quads = euler_integrals(ws, betas)
+    return [abs(beta * q.value - f) / max(1.0, abs(f)) for beta, q, f in zip(betas, quads, series)]
 
 
 def run_verify(
@@ -127,11 +134,13 @@ def run_verify(
     tol, when given, replaces every check's own threshold — deliberately
     blunt, so `--tol 1e-30` forces a failing report and exercises the
     Disagree exit path.  It must be finite and positive.  beta pins the
-    exponent in every non-delta check; it must satisfy those checks'
-    preconditions (non-integer, Re > 0).
+    exponent in every non-delta check; it must be finite and satisfy those
+    checks' preconditions (non-integer, Re > 0).
     """
     if tol is not None:
         require_tol(tol)
+    if beta is not None and not cmath.isfinite(beta):
+        raise ValueError(f"--beta {beta!r} is not finite")
     if beta is not None and (as_integer(beta) is not None or beta.real <= 0.0):
         raise ValueError(
             f"--beta {beta!r} cannot drive the identity checks: need non-integer beta with Re(beta) > 0"
@@ -143,20 +152,20 @@ def run_verify(
     rng = random.Random(seed)
     rows = []
     all_pass = True
-    # generators: a check draws from rng only while it runs, so the checks
-    # left out draw nothing
-    residuals: dict[str, Iterable[float]] = {
-        "delta": _delta_drifts(rng),
-        "reduction": (check_integral_reduction(i) for i in _instances(rng, beta, 20)),
-        "reconciliation": (check_reconciliation(i) for i in _instances(rng, beta, 15, inside_only=True)),
-        "ode": (ode_residual(i, h=1e-3).relative_residual for i in _instances(rng, beta, 12)),
-        "circle": (check_circle_vs_radial(i) for i in _instances(rng, beta, 15)),
-        "euler": _euler_residuals(rng, beta),
+    # a check draws from rng only when it runs, so the checks left out draw
+    # nothing; each draws all its cases, then evaluates them as one batch
+    residuals: dict[str, Callable[[], Iterable[float]]] = {
+        "delta": lambda: _delta_drifts(rng),
+        "reduction": lambda: check_integral_reductions(_instances(rng, beta, 20)),
+        "reconciliation": lambda: check_reconciliations(_instances(rng, beta, 15, inside_only=True)),
+        "ode": lambda: [ode_residual(i, h=1e-3).relative_residual for i in _instances(rng, beta, 12)],
+        "circle": lambda: check_circles_vs_radial(_instances(rng, beta, 15)),
+        "euler": lambda: _euler_residuals(rng, beta),
     }
     for name in CHECK_ORDER:
         if name not in selected:
             continue
-        cases, worst = _worst(residuals[name])
+        cases, worst = _worst(residuals[name]())
         threshold = tol if tol is not None else DEFAULT_THRESHOLDS[name]
         ok = worst <= threshold
         all_pass = all_pass and ok

@@ -196,6 +196,12 @@ class TestProblemInstance:
         with pytest.raises(ValueError):
             ProblemInstance(alpha=2, beta=1, theta=math.pi, exclusion_band=1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(math.inf, 1.0)])
+    def test_non_finite_alpha_or_beta_refused(self, bad):
+        for alpha, beta in ((bad, 0.5), (0.3, bad)):
+            with pytest.raises(ValueError, match="alpha and beta must be finite"):
+                ProblemInstance(alpha=alpha, beta=beta, theta=2.0)
+
 
 class TestAsInteger:
     def test_detection(self):

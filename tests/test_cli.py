@@ -374,6 +374,28 @@ class TestToleranceRefusal:
         assert f"bci {argv[0]}: error:" in err and "finite and positive" in err
 
 
+class TestNonFiniteInputRefusal:
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            (["eval", "--alpha", "nan", "--beta", "0.5", "--theta", "2"], "alpha"),
+            (["eval", "--alpha", "inf", "--beta", "0.5", "--theta", "2"], "alpha"),
+            (["eval", "--alpha", "0.3", "--beta", "nan", "--theta", "2"], "beta"),
+            (["eval", "--alpha", "0.3", "--beta", "0.5+infj", "--theta", "2"], "beta"),
+            (["sweep", "--alpha-mod", "inf", "--alpha-arg", "1", "--beta", "0.5", "--theta", "2"], "alpha"),
+            (["sweep", "--alpha-mod", "0.5", "--alpha-arg", "1", "--beta", "0.5,nan", "--theta", "2"], "beta"),
+            (["verify", "--seed", "1", "--beta", "nan", "--check", "reduction"], "beta"),
+            (["verify", "--seed", "1", "--beta", "nan", "--check", "euler"], "beta"),
+            (["verify", "--seed", "1", "--beta", "0.5+infj"], "beta"),
+        ],
+    )
+    def test_exits_1_with_empty_stdout(self, argv, what, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"bci {argv[0]}: error:" in err and what in err and "finite" in err
+
+
 class TestVerifyCommand:
     def test_deterministic_and_passing(self, capsys):
         assert main(["verify", "--seed", "11"]) == 0

@@ -29,4 +29,4 @@ def test_series_and_quadrature_stay_independent(module, forbidden):
 def test_closedform_takes_only_the_euler_integral_from_quadrature():
     # the one edge between the closed forms and the quadrature oracle: it
     # goes when the identity checks move into a module of their own
-    assert _relative_imports("closedform")["quadrature"] == {"euler_integral"}
+    assert _relative_imports("closedform")["quadrature"] == {"euler_integrals"}

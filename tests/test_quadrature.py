@@ -21,9 +21,11 @@ from bci import (
     check_integral_reduction,
     circle_integral,
     euler_integral,
+    euler_integrals,
     evaluate_instance,
     hyp2f1_one_b,
     radial_integral,
+    radial_integrals,
 )
 
 # Contour values computed independently with mpmath (40-digit brute quadrature
@@ -410,6 +412,76 @@ class TestUnitIntervalIntegrals:
                 want = complex(-z * mp.hyp2f1(1, b + 1, b + 2, z) / (b + 1))
             err = abs(r.value - want)
             assert err <= r.abs_error_estimate, (w, beta, theta, err, r.abs_error_estimate)
+
+
+def _unbatched_unit_integral(mu, factor):
+    """The unit-interval integral with scalar parameters in every round: the
+    arithmetic of one integral on its own, for comparison with a batch."""
+    s = 1.0 / (1.0 + mu.real)
+    c = mu.imag * s
+
+    def g(u):
+        lu = np.log(u)
+        return s * np.exp(1j * c * lu) * factor(np.exp(s * lu))
+
+    return adaptive_quadrature(g, bci.quadrature._UNIT_EDGES)
+
+
+def _radial_case(rng):
+    w, beta = _draw_unit_case(rng)
+    theta = rng.uniform(0.05, 2 * math.pi - 0.05)
+    return ProblemInstance(alpha=cmath.exp(1j * theta) / w, beta=beta, theta=theta)
+
+
+class TestUnitIntegralBatches:
+    def test_euler_batch_equals_each_integral_alone(self):
+        rng = random.Random(20261020)
+        cases = [_draw_unit_case(rng) for _ in range(40)]
+        batch = euler_integrals([w for w, _ in cases], [beta for _, beta in cases])
+        first_round = len(bci.quadrature._UNIT_EDGES) - 1
+        assert sum(r.subdivisions > first_round for r in batch) >= 5  # stragglers refine on their own
+        for (w, beta), got in zip(cases, batch):
+            alone = _unbatched_unit_integral(beta - 1.0, lambda t: 1.0 / (1.0 - w * t))
+            assert got == euler_integral(w, beta) == alone, (w, beta)
+
+    def test_radial_batch_equals_each_integral_alone(self):
+        rng = random.Random(20261021)
+        insts = [_radial_case(rng) for _ in range(40)]
+        batch = radial_integrals(insts)
+        first_round = len(bci.quadrature._UNIT_EDGES) - 1
+        assert any(r.subdivisions > first_round for r in batch)
+        for inst, got in zip(insts, batch):
+            pole = inst.alpha * cmath.exp(-1j * inst.theta)
+            alone = _unbatched_unit_integral(inst.beta, lambda t: 1.0 / (t - pole))
+            assert got == radial_integral(inst) == alone, inst
+
+    def test_one_first_round_per_batch(self, monkeypatch):
+        rng = random.Random(20261020)
+        cases = [_draw_unit_case(rng) for _ in range(40)]
+        calls = _count_panels_calls(monkeypatch)
+        rounds = []
+        for w, beta in cases:
+            euler_integral(w, beta)
+            rounds.append(len(calls) - 1)  # the refinement rounds of this integral
+            calls.clear()
+        assert sum(rounds) > 0
+        euler_integrals([w for w, _ in cases], [beta for _, beta in cases])
+        assert len(calls) == 1 + sum(rounds)
+        assert calls[0] == len(bci.quadrature._UNIT_EDGES) - 1
+
+    def test_empty_batch(self):
+        assert euler_integrals([], []) == radial_integrals([]) == []
+
+    def test_every_item_is_checked_before_any_integral(self, monkeypatch):
+        calls = _count_panels_calls(monkeypatch)
+        with pytest.raises(SingularPath):
+            euler_integrals([0.5, 2.0, 0.5], [0.5, 0.5, -0.5])
+        with pytest.raises(DivergentAtZero):
+            euler_integrals([0.5, 0.5, 2.0], [0.5, -0.5, 0.5])
+        good = ProblemInstance(alpha=2.0, beta=0.5, theta=math.pi)
+        with pytest.raises(DivergentAtZero):
+            radial_integrals([good, ProblemInstance(alpha=-2.0, beta=-0.2, theta=math.pi)])
+        assert calls == []
 
 
 class TestIntegralIdentities:

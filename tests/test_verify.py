@@ -1,10 +1,18 @@
 """The seeded self-verification: how much work each check does."""
 
 import math
+import random
 
 import pytest
 
 import bci.verify
+from bci.closedform import check_reconciliation, check_reconciliations
+from bci.quadrature import (
+    check_circle_vs_radial,
+    check_circles_vs_radial,
+    check_integral_reduction,
+    check_integral_reductions,
+)
 from bci.verify import run_verify
 
 # (n, g) with 1 <= n <= 32 and g | n: every residue class the delta check can draw
@@ -26,3 +34,40 @@ def test_delta_sums_once_per_residue_class(seed, classes, monkeypatch):
     # one sum per distinct class among the 400 draws, none summed twice
     assert len(set(calls)) == len(calls) == classes
     assert classes <= _DELTA_CLASSES == 119
+
+
+@pytest.mark.parametrize(
+    "batch,single,inside_only",
+    [
+        (check_integral_reductions, check_integral_reduction, False),
+        (check_reconciliations, check_reconciliation, True),
+        (check_circles_vs_radial, check_circle_vs_radial, False),
+    ],
+)
+def test_batch_checks_equal_the_single_instance_checks(batch, single, inside_only):
+    insts = bci.verify._instances(random.Random(4000), None, 15, inside_only=inside_only)
+    assert batch(insts) == [single(inst) for inst in insts]
+
+
+@pytest.mark.parametrize("where", [0, 7, 19])
+def test_nan_residual_fails_its_check(where, monkeypatch):
+    # max(0.0, nan) is 0.0: a worst-of that drops NaN would pass this check
+    def residuals(insts):
+        out = [1e-12] * len(insts)
+        out[where] = math.nan
+        return out
+
+    monkeypatch.setattr(bci.verify, "check_integral_reductions", residuals)
+    report = run_verify(1, checks=("reduction",))
+    row = report["checks"][0]
+    assert row["cases"] == 20
+    assert math.isnan(row["max_residual"])
+    assert row["pass"] is False
+    assert report["verdict"] == "Disagree"
+
+
+@pytest.mark.parametrize("beta", [complex(math.nan, 0.0), complex(0.5, math.inf), complex(math.inf, 0.0)])
+def test_non_finite_pinned_beta_is_refused(beta):
+    for checks in (None, ("reduction",), ("euler",)):
+        with pytest.raises(ValueError, match="not finite"):
+            run_verify(1, checks=checks, beta=beta)
