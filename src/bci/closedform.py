@@ -423,7 +423,8 @@ def check_reconciliations(insts: list[ProblemInstance]) -> list[float]:
     for cuts far from theta = pi.
 
     Preconditions: 0 < |alpha| < 1 (off the exclusion band), Re(beta) > 0,
-    beta not a nonnegative integer, Arg(alpha) != theta.
+    beta not a nonnegative integer, Arg(alpha) != theta.  An Euler integral
+    or a series that stopped unconverged raises SlowConvergence.
     """
     log_alphas = []
     for inst in insts:
@@ -456,7 +457,7 @@ def check_reconciliations(insts: list[ProblemInstance]) -> list[float]:
         z = alpha * cmath.exp(-1j * theta)
         series = _converged(hyp2f1_one_b(-beta, z, tol=min(1e-12, inst.tol)), z)
         rhs = pole_term + (1.0 - series.value) / beta
-        residuals.append(abs(left.value - rhs) / max(abs(rhs), 1.0))
+        residuals.append(abs(left.converged_value("Euler integral") - rhs) / max(abs(rhs), 1.0))
     return residuals
 
 

@@ -1,9 +1,9 @@
-"""Gauss hypergeometric series, with a fast path for the pattern 2F1(1, b; 1+b; z).
+"""The Gauss hypergeometric series 2F1(1, b; 1+b; z) of the closed forms.
 
 Only |z| < 1 is needed anywhere in this package: the closed forms always feed
 the series an argument of modulus min(|alpha|, 1/|alpha|), which the circle
 exclusion band keeps strictly inside the disk.  No analytic continuation is
-attempted.  The fast path refuses |z| >= 1 with SlowConvergence and fixes its
+attempted.  hyp2f1_one_b refuses |z| >= 1 with SlowConvergence and fixes its
 term count before it sums: the first K >= |b| (from the geometric estimate
 up) with majorant |b/(b+K)| |z|^K |z|/(1-|z|) <= tol, capped at max_terms.
 |b+k| grows with k past |b|, so the majorant bounds the tail (tail_estimate).
@@ -21,17 +21,11 @@ from .errors import InvalidC, SlowConvergence
 
 __all__ = [
     "DEFAULT_MAX_TERMS",
-    "Z_MAX",
     "SeriesResult",
-    "hyp2f1_series",
     "hyp2f1_one_b",
 ]
 
 DEFAULT_MAX_TERMS = 100_000
-
-#: hyp2f1_series refuses arguments with |z| above this.  Its tail ratio is
-#: |z|, so the term count explodes as |z| -> 1.
-Z_MAX = 0.95
 
 
 @dataclass(frozen=True)
@@ -47,52 +41,6 @@ class SeriesResult:
     terms_used: int
     tail_estimate: float
     converged: bool
-
-
-def hyp2f1_series(
-    a: complex,
-    b: complex,
-    c: complex,
-    z: complex,
-    tol: float = 1e-12,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesResult:
-    """2F1(a, b; c; z) = sum_n (a)_n (b)_n / ((c)_n n!) z^n for |z| <= Z_MAX.
-
-    No route of the package calls this: it is the general-parameter
-    reference that the tests hold hyp2f1_one_b to.
-
-    Terms follow the running-ratio recurrence
-        term_{n+1} = term_n * (a+n)(b+n) z / ((c+n)(n+1)),
-    and summation stops once the geometric tail majorant
-    |term| * |z| / (1 - |z|) falls below tol * max(|sum|, 1).  The majorant is
-    only trusted after n has passed |a|, |b| and |c|, where the ratio modulus
-    has settled to ~|z|.  Hitting max_terms returns converged=False with the
-    partial sum instead of raising — the caller can see exactly how far it got.
-    """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    z = complex(z)
-    ci = as_integer(c)
-    if ci is not None and ci <= 0:
-        raise InvalidC(f"c = {c!r} is a non-positive integer: the series terms divide by zero")
-    if abs(z) > Z_MAX:
-        raise SlowConvergence(f"|z| = {abs(z):.6g} exceeds the series domain {Z_MAX:g}")
-    if z == 0:
-        return SeriesResult(complex(1.0), 1, 0.0, True)
-    geom = abs(z) / (1.0 - abs(z))
-    n_trust = max(abs(a), abs(b), abs(c))
-    term = complex(1.0)
-    total = complex(1.0)
-    for n in range(1, max_terms):
-        k = n - 1
-        term *= (a + k) * (b + k) * z / ((c + k) * n)
-        total += term
-        tail = abs(term) * geom
-        if n >= n_trust and tail <= tol * max(abs(total), 1.0):
-            return SeriesResult(total, n + 1, tail, True)
-    return SeriesResult(total, max_terms, abs(term) * geom, False)
 
 
 def _series_length(b: complex, q: float, tol: float, k_min: int, max_terms: int) -> tuple[int, float]:

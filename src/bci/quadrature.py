@@ -6,8 +6,8 @@ Plain interval bisection in rounds.  Each panel gets the 15-point
 Gauss-Kronrod rule K15 and the 7-point Gauss rule G7 whose nodes are every
 second K15 node, so the pair costs 15 integrand values, not 22.  K15 is the
 panel's value and |K15 - G7| its error estimate (the embedded-pair trick).
-Until the estimates sum to at most goal = tol * max(1, |I|), each round
-bisects every one of the N panels whose estimate exceeds goal / N.  The
+Until the estimates sum (math.fsum) to at most goal = tol * max(1, |I|), each
+round bisects every one of the N panels whose estimate exceeds goal / N.  The
 integrands are analytic away from isolated endpoints, so the high-order rule
 converges fast on smooth panels while bisection walks geometrically into
 whatever misbehaviour remains — endpoint oscillation from imaginary
@@ -25,7 +25,7 @@ relative; the rules integrate x^k to 2e-15 for k <= 22 (K15) and k <= 13
 The cost of a panel is arithmetic on its nodes (two complex exponentials and
 a division per node on the circle), so fewer nodes pay directly.  The nodes
 of the panels to evaluate go to f in one flat array: one call for all
-initial panels (shared by a batch of unit-interval integrals, below), then
+initial panels (shared by a batch of integrals, below), then
 one per round for all the children, which a stable
 argsort on left edges merges into the panels kept, in edge order.
 Refinement stops unconverged when no panel over its share is wider than
@@ -108,19 +108,32 @@ same from K = 36 to 44 (2.83e-4 and 1.1e-3 at K = 30), so K stays 36.
 
 Batched first round
 -------------------
-Every unit-interval integral starts on that one mesh, and almost all stop
-there, so a caller with many of them (euler_integrals, radial_integrals)
-evaluates the first round of all in one _panels call: the integrand gets its
-parameters as (k, 1) columns and returns one row of node values per
-integral, and _panels reduces over the last axis.  Each integral that does
-not stop on its row then refines alone, with scalar parameters.  The
-arithmetic per node is the same either way, so each result is the float it
-is when evaluated alone (tests/test_quadrature.py holds them equal).  The
-identity checks of run_verify evaluate each side as one batch: on seeds
-4000-4029 the _panels calls per run fell from 103.43 (85 unit-interval and
-15 circle first rounds, plus refinement rounds) to 23.43 (5 batched first
-rounds, the 15 circle ones, and the same 3.43 refinement rounds); 866 on
-the 37 seeds above.
+Almost every integral stops on its first call, so a caller with many
+evaluates all their first rounds in one _panels call.  The unit-interval
+batches (euler_integrals, radial_integrals) share one mesh, and the
+integrand gets its parameters as (k, 1) columns; circle_integrals lays the
+graded meshes end to end and gives the integrand beta and alpha per node.
+_settle then settles as arrays every integral that meets the stopping rule:
+the panel values, scattered into rows padded with -0.0 (x + -0.0 is x, bit
+for bit), go through _pairwise_sum's tree for all rows at once, and the
+estimates of each row are summed by math.fsum.  Only the ~5% that fail the
+rule go on to _refine, alone, with scalar parameters.  The stopping test
+is _refine's on the same floats (goal = tol * max(1, |tree value|), the
+correctly rounded fsum of the estimates), so a row stops on the same test
+in a batch and alone on every Python: a sequential sum would not do, since
+Python 3.12 made float sum() compensated and numpy's cumsum is not.  The
+arithmetic per node is the same too, so each result is the float it is
+when evaluated alone (tests/test_quadrature.py holds them equal field for
+field).  One trap: BLAS's matrix-vector kernel rounds a row of |f| times
+the K15 weights by its place in the matrix, so end-to-end meshes take
+their masses one product per integral (_panels' blocks).  One product over
+the batch (OpenBLAS 0.3.31, AVX-512 x86-64) changed the estimate of 39 of
+the 3000 eval-mixed seed-2 circle integrals in batches of 15; the values
+and |K15 - G7|, from the matrix-matrix product, kept every bit.
+The _panels calls per run_verify on seeds 4000-4029 fell from 103.43 (85
+unit-interval and 15 circle first rounds, plus refinement rounds) to 23.43
+with the unit-interval batches and to 9.43 with the circle batch: 6
+batched first rounds and the same 3.43 refinement rounds.
 """
 
 from __future__ import annotations
@@ -134,7 +147,7 @@ from typing import Callable
 import numpy as np
 
 from .branchcut import TWO_PI, ProblemInstance, branch_pow, cut_jump_factor
-from .errors import AlphaOnCut, DivergentAtZero, NonFiniteValue, OnBranchCut, SingularPath
+from .errors import AlphaOnCut, DivergentAtZero, NonFiniteValue, OnBranchCut, SingularPath, SlowConvergence
 
 __all__ = [
     "DEFAULT_QUAD_TOL",
@@ -142,6 +155,7 @@ __all__ = [
     "QuadratureResult",
     "adaptive_quadrature",
     "circle_integral",
+    "circle_integrals",
     "euler_integral",
     "euler_integrals",
     "radial_integral",
@@ -268,13 +282,21 @@ class QuadratureResult:
     subdivisions: int
     converged: bool
 
+    def converged_value(self, name: str) -> complex:
+        """value, or SlowConvergence when the quadrature stopped short of its tolerance."""
+        if not self.converged:
+            raise SlowConvergence(f"the {name} stopped unconverged, estimate {self.abs_error_estimate:.3g}")
+        return self.value
 
-def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+
+def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray, blocks: list[int] | None = None) -> tuple:
     """K15 values, |K15 - G7| estimates and K15 masses of many panels, one f call.
 
     f gets the flat array of all nodes.  It may return values with leading
     batch dimensions, one row per integrand; the results then carry the same
-    leading dimensions, with the panels last.
+    leading dimensions, with the panels last.  blocks, the panel counts of
+    integrals laid end to end, takes the masses block by block: BLAS rounds
+    a matrix-vector row by where it sits (module notes).
     """
     mid = 0.5 * (lefts + rights)
     half = 0.5 * (rights - lefts)
@@ -283,8 +305,11 @@ def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndar
     vals = vals.reshape(vals.shape[:-1] + x.shape)
     rules = half[:, None] * (vals @ _WEIGHTS)
     hi = rules[..., 0]
-    mass = half * (np.abs(vals) @ _KRONROD_WEIGHTS)
-    return hi, np.abs(hi - rules[..., 1]), mass
+    size = np.abs(vals)
+    mass = size @ _KRONROD_WEIGHTS if blocks is None else np.concatenate(
+        [part @ _KRONROD_WEIGHTS for part in np.split(size, np.cumsum(blocks[:-1]))]
+    )
+    return hi, np.abs(hi - rules[..., 1]), half * mass
 
 
 def _pairwise_sum(values: list[complex]) -> complex:
@@ -298,6 +323,35 @@ def _pairwise_sum(values: list[complex]) -> complex:
             nxt.append(layer[-1])
         layer = nxt
     return layer[0]
+
+
+def _settle(
+    first: tuple, meshes: list[np.ndarray], alone: Callable, tol: float, roundoffs: list[float]
+) -> list[QuadratureResult]:
+    """The integrals of a batch from first, one _panels call over their meshes
+    laid end to end: each that meets the stopping rule there is settled as
+    arrays, and each other refines alone, on integrand alone(k) (module notes)."""
+    counts = [len(edges) - 1 for edges in meshes]
+    if not counts:
+        return []
+    ends = np.cumsum(counts)
+    # the values in rows padded with -0.0, which adds exactly, through _pairwise_sum's tree
+    rows = np.full((len(counts), 1 << (max(counts) - 1).bit_length()), complex(-0.0, -0.0))
+    rows[np.repeat(np.arange(len(counts)), counts), np.arange(ends[-1]) - np.repeat(ends - counts, counts)] = first[0]
+    while rows.shape[1] > 1:
+        rows = rows[:, 0::2] + rows[:, 1::2]
+    err_list, mass_list = first[1].tolist(), first[2].tolist()
+    results = []
+    for k, (value, end, count, roundoff) in enumerate(zip(rows[:, 0].tolist(), ends.tolist(), counts, roundoffs)):
+        goal = tol * max(1.0, abs(value))
+        err = math.fsum(err_list[end - count : end])
+        if err > goal:
+            own = (part[end - count : end] for part in first)
+            results.append(_refine(alone(k), meshes[k], *own, tol, DEFAULT_MAX_PANELS, roundoff))
+        else:
+            estimate = err + roundoff * math.fsum(mass_list[end - count : end])
+            results.append(QuadratureResult(value, estimate, count, estimate <= goal))
+    return results
 
 
 def adaptive_quadrature(
@@ -336,10 +390,11 @@ def _refine(
     masses on the panels between edges: the stopping test and the rounds."""
     lefts, rights = edges[:-1], edges[1:]
     while True:
-        # Python float sums: on the one round most integrals take, cheaper than numpy's
-        val_list, err_list = vals.tolist(), errs.tolist()
-        goal = tol * max(1.0, abs(sum(val_list, complex(0.0))))
-        if not sum(err_list, 0.0) > goal:  # a NaN estimate stops here too
+        # the stopping test of _settle, on the same floats
+        value = _pairwise_sum(vals.tolist())
+        goal = tol * max(1.0, abs(value))
+        err = math.fsum(errs.tolist())
+        if not err > goal:  # a NaN estimate stops here too
             break
         split = (errs > goal / errs.size) & (rights - lefts > 1e-15 * (edges[-1] - edges[0]))
         count = np.count_nonzero(split)
@@ -354,9 +409,8 @@ def _refine(
         lefts, rights, vals, errs, masses = (
             np.concatenate((old[keep], new))[order] for old, new in zip((lefts, rights, vals, errs, masses), children)
         )
-    value = _pairwise_sum(val_list)
-    estimate = math.fsum(err_list) + roundoff * math.fsum(masses.tolist())
-    return QuadratureResult(value, estimate, len(err_list), estimate <= tol * max(1.0, abs(value)))
+    estimate = err + roundoff * math.fsum(masses.tolist())
+    return QuadratureResult(value, estimate, errs.size, estimate <= goal)
 
 
 def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
@@ -372,22 +426,54 @@ def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> Qua
     NonFiniteValue when the integrand could overflow on the window, or the
     value or estimate is not finite.
     """
+    roundoff = _circle_roundoff(inst)
+    f = _circle_integrand(inst.beta, inst.alpha)
+    return _finite(adaptive_quadrature(f, _circle_edges(inst.theta, inst.alpha, inst.beta), tol, roundoff=roundoff))
+
+
+def circle_integrals(insts: list[ProblemInstance], tol: float = DEFAULT_QUAD_TOL) -> list[QuadratureResult]:
+    """circle_integral for each instance, evaluated as one batch.
+
+    Every instance is checked, in order, before any is integrated.  The
+    first rounds of all share one _panels call, with beta and alpha given
+    per node; each integral that does not stop there refines alone, so each
+    result is the float circle_integral gives (module notes).
+    """
+    if not insts:
+        return []
+    roundoffs = [_circle_roundoff(inst) for inst in insts]
+    meshes = [_circle_edges(inst.theta, inst.alpha, inst.beta) for inst in insts]
+    counts = [len(edges) - 1 for edges in meshes]
+    nodes = np.multiply(counts, len(_NODES))
+    betas = np.repeat([inst.beta for inst in insts], nodes)
+    alphas = np.repeat([inst.alpha for inst in insts], nodes)
+    lefts = np.concatenate([edges[:-1] for edges in meshes])
+    rights = np.concatenate([edges[1:] for edges in meshes])
+    first = _panels(_circle_integrand(betas, alphas), lefts, rights, counts)
+    results = _settle(first, meshes, lambda k: _circle_integrand(insts[k].beta, insts[k].alpha), tol, roundoffs)
+    return [_finite(result) for result in results]
+
+
+def _circle_roundoff(inst: ProblemInstance) -> float:
+    """Factor of integral |f| in the estimate of inst's circle integral (module
+    notes), once inst is checked: alpha off the circle, and no node overflowing."""
     inst.require_alpha_off_circle()
-    th = inst.theta
-    alpha = inst.alpha
-    beta = inst.beta
+    th, alpha, beta = inst.theta, inst.alpha, inst.beta
     # log |z^beta| = -Im(beta) (t - 2 pi) is largest at one end of the window,
     # and |z - alpha| >= |1 - |alpha|| on the circle
     peak = beta.imag * (TWO_PI - th) if beta.imag > 0.0 else -beta.imag * th
     peak -= math.log(abs(1.0 - abs(alpha)))
     if peak > _EXP_LIMIT:
         raise NonFiniteValue(f"|z**beta / (z - alpha)| may reach e^{peak:.6g} on the circle, beyond double precision")
+    return _ROUNDOFF + _EPS * TWO_PI * (abs(beta) + 1.0)
 
-    def f(t: np.ndarray) -> np.ndarray:
-        return np.exp(1j * beta * (t - TWO_PI) + 1j * t) * 1j / (np.exp(1j * t) - alpha)
 
-    roundoff = _ROUNDOFF + _EPS * TWO_PI * (abs(beta) + 1.0)
-    result = adaptive_quadrature(f, _circle_edges(th, alpha, beta), tol, DEFAULT_MAX_PANELS, roundoff)
+def _circle_integrand(beta, alpha) -> Callable:
+    """z**beta / (z - alpha) dz/dt at z = e^{it}, with scalar beta and alpha or one of each per node."""
+    return lambda t: np.exp(1j * beta * (t - TWO_PI) + 1j * t) * 1j / (np.exp(1j * t) - alpha)
+
+
+def _finite(result: QuadratureResult) -> QuadratureResult:
     if not (cmath.isfinite(result.value) and math.isfinite(result.abs_error_estimate)):
         raise NonFiniteValue(f"circle quadrature gave {result.value!r} +- {result.abs_error_estimate!r}")
     return result
@@ -450,17 +536,12 @@ def _unit_power_integrals(mu: list[complex], param: list[complex], factor: Calla
 
     columns = [np.array(values)[:, None] for values in (s, c, param)]
     first = _panels(lambda u: g(u, *columns), _UNIT_EDGES[:-1], _UNIT_EDGES[1:])
-    return [
-        _refine(
-            lambda u, k=k: g(u, s[k], c[k], param[k]),
-            _UNIT_EDGES,
-            *(rows[k] for rows in first),
-            DEFAULT_QUAD_TOL,
-            DEFAULT_MAX_PANELS,
-            _ROUNDOFF,
-        )
-        for k in range(len(mu))
-    ]
+    first = tuple(rows.ravel() for rows in first)
+
+    def alone(k: int) -> Callable:
+        return lambda u: g(u, s[k], c[k], param[k])
+
+    return _settle(first, [_UNIT_EDGES] * len(mu), alone, DEFAULT_QUAD_TOL, [_ROUNDOFF] * len(mu))
 
 
 def euler_integrals(ws: list[complex], betas: list[complex]) -> list[QuadratureResult]:
@@ -525,15 +606,17 @@ def check_integral_reductions(insts: list[ProblemInstance]) -> list[float]:
         integral_0^1 t^beta/(t - p) dt = 1/beta - integral_0^1 t^{beta-1}/(1 - t/p) dt.
     Both sides are evaluated by independent quadratures (different integrands,
     different substitutions), so small residuals are evidence, not tautology.
-    Each side is one batch over the instances.
+    Each side is one batch over the instances, and a quadrature that stopped
+    unconverged raises SlowConvergence.
     """
     lhs = radial_integrals(insts)
     poles = [inst.alpha * cmath.exp(-1j * inst.theta) for inst in insts]
     euler = euler_integrals([1.0 / pole for pole in poles], [inst.beta for inst in insts])
     residuals = []
     for inst, left, right in zip(insts, lhs, euler):
-        rhs = 1.0 / inst.beta - right.value
-        residuals.append(abs(left.value - rhs) / max(abs(rhs), 1.0))
+        radial = left.converged_value("radial integral")
+        rhs = 1.0 / inst.beta - right.converged_value("Euler integral")
+        residuals.append(abs(radial - rhs) / max(abs(rhs), 1.0))
     return residuals
 
 
@@ -553,13 +636,15 @@ def check_circles_vs_radial(insts: list[ProblemInstance]) -> list[float]:
     (ii) the two ray integrals, whose branch powers differ by exactly
     cut_jump_factor(beta, theta).  Needs Re(beta) > 0 (ray integrals converge
     at the origin) and, when |alpha| < 1, alpha off the cut.  The circle
-    integrals run one by one, the radial ones as one batch.
+    integrals are one batch, the radial ones another, and a quadrature that
+    stopped unconverged raises SlowConvergence.
     """
-    circles = [circle_integral(inst).value for inst in insts]
+    circles = circle_integrals(insts)
     radials = radial_integrals(insts)
     residuals = []
-    for inst, circ, rad in zip(insts, circles, radials):
-        rhs = cut_jump_factor(inst.beta, inst.theta) * rad.value
+    for inst, circle, radial in zip(insts, circles, radials):
+        circ = circle.converged_value("circle integral")
+        rhs = cut_jump_factor(inst.beta, inst.theta) * radial.converged_value("radial integral")
         if abs(inst.alpha) < 1.0 and inst.alpha != 0:
             try:
                 rhs += 2j * math.pi * branch_pow(inst.alpha, inst.beta, inst.theta)

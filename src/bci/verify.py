@@ -119,7 +119,9 @@ def _euler_residuals(rng: random.Random, beta_fix: complex | None) -> list[float
         betas.append(_draw_beta(rng, beta_fix))
     series = [hyp2f1_one_b(beta, w, tol=1e-13).value for w, beta in zip(ws, betas)]
     quads = euler_integrals(ws, betas)
-    return [abs(beta * q.value - f) / max(1.0, abs(f)) for beta, q, f in zip(betas, quads, series)]
+    return [
+        abs(beta * q.converged_value("Euler integral") - f) / max(1.0, abs(f)) for beta, q, f in zip(betas, quads, series)
+    ]
 
 
 def run_verify(

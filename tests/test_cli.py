@@ -451,6 +451,14 @@ class TestVerifyCommand:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr and "overflows" in proc.stderr
 
+    def test_unconverged_quadrature_is_refused(self):
+        cmd = [sys.executable, "-m", "bci", "verify", "--seed", "1", "--check", "euler", "--beta", "1e-5+0.2j"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("bci verify: error: the Euler integral stopped unconverged")
+
     def test_junk_env_default_tol_is_not_read(self, capsys, monkeypatch):
         # BCI_DEFAULT_TOL is eval's and sweep's default; verify and --help never read it
         monkeypatch.setenv("BCI_DEFAULT_TOL", "junk")

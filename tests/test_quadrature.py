@@ -13,19 +13,24 @@ from hypothesis import strategies as st
 
 import bci.quadrature
 from bci import (
+    AlphaOnCircle,
     DivergentAtZero,
+    NonFiniteValue,
     ProblemInstance,
     SingularPath,
+    SlowConvergence,
     adaptive_quadrature,
     check_circle_vs_radial,
     check_integral_reduction,
     circle_integral,
+    circle_integrals,
     euler_integral,
     euler_integrals,
     evaluate_instance,
     hyp2f1_one_b,
     radial_integral,
     radial_integrals,
+    run_verify,
 )
 
 # Contour values computed independently with mpmath (40-digit brute quadrature
@@ -237,9 +242,9 @@ def _count_panels_calls(monkeypatch):
     calls = []
     panels = bci.quadrature._panels
 
-    def counted(f, lefts, rights):
+    def counted(f, lefts, rights, *blocks):
         calls.append(len(lefts))
-        return panels(f, lefts, rights)
+        return panels(f, lefts, rights, *blocks)
 
     monkeypatch.setattr(bci.quadrature, "_panels", counted)
     return calls
@@ -347,6 +352,14 @@ class TestEulerIntegral:
         series = hyp2f1_one_b(beta, w, tol=1e-13)
         quad = euler_integral(w, beta)
         assert beta * quad.value == pytest.approx(series.value, rel=1e-8, abs=1e-8)
+
+
+    def test_unconverged_value_is_refused(self):
+        r = euler_integral(0.5 + 0.3j, 1e-9 + 0.2j)
+        assert not r.converged
+        with pytest.raises(SlowConvergence, match="the Euler integral stopped unconverged"):
+            r.converged_value("Euler integral")
+        assert euler_integral(0.5, 0.5).converged_value("Euler integral") == euler_integral(0.5, 0.5).value
 
 
 class TestRadialIntegral:
@@ -482,6 +495,115 @@ class TestUnitIntegralBatches:
         with pytest.raises(DivergentAtZero):
             radial_integrals([good, ProblemInstance(alpha=-2.0, beta=-0.2, theta=math.pi)])
         assert calls == []
+
+
+def _bits(result):
+    """Every field of a quadrature result, each float by its bits."""
+    value, estimate = result.value, result.abs_error_estimate
+    return value.real.hex(), value.imag.hex(), estimate.hex(), result.subdivisions, result.converged
+
+
+#: Circle instances for the batch tests (alpha, beta, theta): poles 0.021
+#: from the circle on both sides with |Im beta| 30-38, a pole image at both
+#: ends of the window, no pole at all, and a pole 2e-4 from the circle.
+EDGE_CIRCLES = [
+    (0.979 * cmath.exp(0.5j), 0.5 + 30j, 1.0),
+    (1.021 * cmath.exp(4.0j), -1.5 - 38j, 3.5),
+    (0.979 * cmath.exp(4.0j), -1.5 - 38j, 1.0),
+    (1.021 * cmath.exp(0.5j), 0.5 + 30j, 3.5),
+    (0.7 * cmath.exp(2.0j + 5e-10j), 0.5 + 0.3j, 2.0),
+    (1.3 * cmath.exp(2.0j - 5e-10j), -1.5 + 0.2j, 2.0),
+    (0.0, 0.5 + 0.3j, 2.0),
+    (1.0002 * cmath.exp(1.3j), 0.5 + 0.2j, 2.5),
+]
+
+
+class TestCircleBatches:
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-13])
+    def test_batch_equals_each_integral_alone(self, tol):
+        rng = random.Random(20261022)
+        insts = [ProblemInstance(alpha=a, beta=b, theta=th, exclusion_band=1e-4) for a, b, th in EDGE_CIRCLES]
+        insts += [_mixed_instance(rng) for _ in range(40)]
+        rng.shuffle(insts)
+        alone = [circle_integral(inst, tol) for inst in insts]
+        first_round = [len(bci.quadrature._circle_edges(i.theta, i.alpha, i.beta)) - 1 for i in insts]
+        assert any(r.subdivisions > n for r, n in zip(alone, first_round))  # stragglers refine on their own
+        start = 0
+        for size in (1, 2, 15, 7, 23):  # ragged batches
+            batch = circle_integrals(insts[start : start + size], tol)
+            assert [_bits(r) for r in batch] == [_bits(r) for r in alone[start : start + size]]
+            start += size
+        assert start == len(insts)
+
+    def test_meshes_end_to_end_keep_every_bit(self):
+        # one |f| @ weights product over all the meshes rounds some masses
+        # differently (module notes), so they are taken block by block
+        rng = random.Random(20261023)
+        meshes = [bci.quadrature._circle_edges(i.theta, i.alpha, i.beta) for i in (_mixed_instance(rng) for _ in range(15))]
+        lefts, rights = np.concatenate([m[:-1] for m in meshes]), np.concatenate([m[1:] for m in meshes])
+        together = bci.quadrature._panels(_two_spots, lefts, rights, [len(m) - 1 for m in meshes])
+        alone = [bci.quadrature._panels(_two_spots, m[:-1], m[1:]) for m in meshes]
+        for got, want in zip(together, zip(*alone)):
+            assert got.tobytes() == np.concatenate(want).tobytes()
+
+    def test_one_first_round_per_batch(self, monkeypatch):
+        insts = [ProblemInstance(alpha=a, beta=b, theta=th, exclusion_band=1e-4) for a, b, th in EDGE_CIRCLES]
+        calls = _count_panels_calls(monkeypatch)
+        rounds = []
+        for inst in insts:
+            circle_integral(inst)
+            rounds.append(len(calls) - 1)
+            calls.clear()
+        assert sum(rounds) > 0
+        circle_integrals(insts)
+        assert len(calls) == 1 + sum(rounds)
+
+    def test_every_instance_is_checked_before_any_integral(self, monkeypatch):
+        calls = _count_panels_calls(monkeypatch)
+        good = ProblemInstance(alpha=0.5, beta=0.5, theta=3.0)
+        overflowing = ProblemInstance(alpha=0.5, beta=0.5 + 1000j, theta=3.0)
+        on_circle = ProblemInstance(alpha=cmath.exp(1j), beta=0.5, theta=3.0)
+        with pytest.raises(NonFiniteValue):
+            circle_integrals([good, overflowing, on_circle])
+        with pytest.raises(AlphaOnCircle):
+            circle_integrals([good, on_circle, overflowing])
+        assert calls == []
+        assert circle_integrals([]) == []
+
+
+class TestArraySettle:
+    def test_rows_settle_as_they_do_alone(self):
+        # poles far from [0, 1] stop on the first round, the two 0.01 from it refine
+        poles = [2.0, 0.5 + 0.01j, 3.0 + 1j, 0.3 - 0.01j, -1.0, 0.7 + 2j]
+        fs = [lambda t, c=c: 1.0 / (t - c) for c in poles]
+        rows = [bci.quadrature._panels(f, EIGHTHS[:-1], EIGHTHS[1:]) for f in fs]
+        rows[2][1][3] = math.nan  # a NaN estimate: the row stops, as `not nan > goal`
+        rows[4][0][5] = complex(math.nan, 0.0)  # a NaN value, with its estimate
+        rows[4][1][5] = math.nan
+        first = tuple(np.concatenate(part) for part in zip(*rows))
+        roundoff = bci.quadrature._ROUNDOFF
+
+        def alone(k):
+            assert k not in (2, 4), "a row with a NaN estimate refined"
+            return fs[k]
+
+        settled = bci.quadrature._settle(first, [EIGHTHS] * len(fs), alone, 1e-10, [roundoff] * len(fs))
+        for k, got in enumerate(settled):
+            want = bci.quadrature._refine(fs[k], EIGHTHS, *rows[k], 1e-10, 20_000, roundoff)
+            assert _bits(got) == _bits(want), k
+        assert [r.subdivisions > 8 for r in settled] == [False, True, False, True, False, False]
+        assert math.isnan(settled[2].abs_error_estimate) and not settled[2].converged
+        assert cmath.isnan(settled[4].value)
+
+
+def test_panels_calls_per_verify_run(monkeypatch):
+    # per run: 6 batched first rounds (the reduction check's two, reconciliation,
+    # the circle check's circle and radial batches, euler) and 3.43 refinement
+    # rounds; 23.43 with the circle integrals one by one
+    calls = _count_panels_calls(monkeypatch)
+    for seed in range(4000, 4030):
+        run_verify(seed)
+    assert len(calls) == 283
 
 
 class TestIntegralIdentities:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import bci.verify
+from bci import SlowConvergence
 from bci.closedform import check_reconciliation, check_reconciliations
 from bci.quadrature import (
     check_circle_vs_radial,
@@ -71,3 +72,11 @@ def test_non_finite_pinned_beta_is_refused(beta):
     for checks in (None, ("reduction",), ("euler",)):
         with pytest.raises(ValueError, match="not finite"):
             run_verify(1, checks=checks, beta=beta)
+
+
+@pytest.mark.parametrize("check", ["reduction", "reconciliation", "euler"])
+def test_unconverged_quadrature_is_refused(check):
+    # at Re(beta) = 1e-5 some Euler integrals stop unconverged on the panel
+    # budget; a residual read off their values gave a false Disagree (euler)
+    with pytest.raises(SlowConvergence, match="Euler integral stopped unconverged"):
+        run_verify(1, checks=(check,), beta=1e-5 + 0.2j)
