@@ -44,7 +44,7 @@ from .errors import (
     SlowConvergence,
     ZeroInput,
 )
-from .hypergeometric import DEFAULT_MAX_TERMS, SeriesResult, _series_length, hyp2f1_one_b
+from .hypergeometric import DEFAULT_MAX_TERMS, SeriesResult, _series_length, hyp2f1_one_b, hyp2f1_one_b_many
 from .quadrature import euler_integrals
 
 _EPS = sys.float_info.epsilon
@@ -57,6 +57,7 @@ __all__ = [
     "MethodResult",
     "RationalBeta",
     "eval_closed_form",
+    "eval_closed_forms",
     "eval_direct_series",
     "roots_of_unity_drift",
     "roots_of_unity_filter",
@@ -160,15 +161,10 @@ def _converged(series: SeriesResult, z: complex) -> SeriesResult:
     return series
 
 
-def eval_closed_form(inst: ProblemInstance, series_tol: float | None = None) -> MethodResult:
-    """Hypergeometric closed form of the circle integral (both regimes).
-
-    Integer beta returns the exact residue case; otherwise the identity at
-    the top of this module is evaluated with the fast 2F1(1, b; 1+b; .) series
-    up to the band.  series_tol overrides the series tolerance (default: the
-    tighter of 1e-12 and the instance tolerance) — the ODE residual checks
-    push it to ~1e-15 so finite differences stay truncation-limited.
-    """
+def _theorem_setup(inst: ProblemInstance) -> MethodResult | tuple[dict[str, Any], complex, float, complex, complex]:
+    """eval_closed_form up to its series: the finished result for integer
+    beta, else (diag, jump, jump_err, b, z) for _theorem_finish, whose
+    series is 2F1(1, b; 1+b; z)."""
     inst.require_alpha_off_circle()
     diag = _base_diagnostics(inst)
     beta = inst.beta
@@ -179,20 +175,56 @@ def eval_closed_form(inst: ProblemInstance, series_tol: float | None = None) -> 
         return MethodResult(value, METHOD_CLOSED_FORM, 1e-15 * (1.0 + abs(value)), diag)
 
     diag["beta_class"] = "generic"
-    tol = series_tol if series_tol is not None else min(1e-12, inst.tol)
     jump, jump_err = cut_jump_with_bound(beta, inst.theta)
-    prefactor = jump / beta
     if inst.alpha_outside():
-        b, z = beta, cmath.exp(1j * inst.theta) / inst.alpha
-    else:
-        b, z = -beta, inst.alpha * cmath.exp(-1j * inst.theta)
-    series = _converged(hyp2f1_one_b(b, z, tol=tol), z)
+        return diag, jump, jump_err, beta, cmath.exp(1j * inst.theta) / inst.alpha
+    return diag, jump, jump_err, -beta, inst.alpha * cmath.exp(-1j * inst.theta)
+
+
+def _theorem_finish(
+    inst: ProblemInstance, setup: tuple[dict[str, Any], complex, float, complex, complex], series: SeriesResult
+) -> MethodResult:
+    """eval_closed_form after its series: the identity's value and estimate."""
+    diag, jump, jump_err, b, z = setup
+    series = _converged(series, z)
+    prefactor = jump / inst.beta
     factor = 1.0 - series.value if inst.alpha_outside() else series.value
     value = prefactor * factor
     diag["series_terms"] = series.terms_used
     rounding = 1e-15 * max(1.0, abs(series.value)) + _argument_rounding(b, z, series.value)
-    estimate = abs(prefactor) * (series.tail_estimate + rounding) + jump_err / abs(beta) * abs(factor)
+    estimate = abs(prefactor) * (series.tail_estimate + rounding) + jump_err / abs(inst.beta) * abs(factor)
     return MethodResult(value, METHOD_CLOSED_FORM, estimate, diag)
+
+
+def eval_closed_form(inst: ProblemInstance, series_tol: float | None = None) -> MethodResult:
+    """Hypergeometric closed form of the circle integral (both regimes).
+
+    Integer beta returns the exact residue case; otherwise the identity at
+    the top of this module is evaluated with the fast 2F1(1, b; 1+b; .) series
+    up to the band.  series_tol overrides the series tolerance (default: the
+    tighter of 1e-12 and the instance tolerance) — the ODE residual checks
+    push it to ~1e-15 so finite differences stay truncation-limited.
+    """
+    setup = _theorem_setup(inst)
+    if isinstance(setup, MethodResult):
+        return setup
+    b, z = setup[3:]
+    tol = series_tol if series_tol is not None else min(1e-12, inst.tol)
+    return _theorem_finish(inst, setup, hyp2f1_one_b(b, z, tol=tol))
+
+
+def eval_closed_forms(insts: list[ProblemInstance], series_tol: float) -> list[MethodResult]:
+    """eval_closed_form(inst, series_tol) for each instance, with the same
+    floats, its series a row of one hyp2f1_one_b_many batch.  Every
+    instance is set up, and every series given its term count, before any
+    is summed, so the first refusal in item order raises first."""
+    setups = [_theorem_setup(inst) for inst in insts]
+    pending = [setup for setup in setups if not isinstance(setup, MethodResult)]
+    sums = iter(hyp2f1_one_b_many([s[3] for s in pending], [s[4] for s in pending], tol=series_tol))
+    return [
+        setup if isinstance(setup, MethodResult) else _theorem_finish(inst, setup, next(sums))
+        for inst, setup in zip(insts, setups)
+    ]
 
 
 def eval_direct_series(inst: ProblemInstance) -> MethodResult:
@@ -445,8 +477,10 @@ def check_reconciliations(insts: list[ProblemInstance]) -> list[float]:
             raise AlphaOnCut(str(exc)) from exc
     ws = [cmath.exp(1j * inst.theta) / inst.alpha for inst in insts]
     lhs = euler_integrals(ws, [inst.beta for inst in insts])
+    zs = [inst.alpha * cmath.exp(-1j * inst.theta) for inst in insts]
+    sums = hyp2f1_one_b_many([-inst.beta for inst in insts], zs, tol=[min(1e-12, inst.tol) for inst in insts])
     residuals = []
-    for inst, log_alpha, left in zip(insts, log_alphas, lhs):
+    for inst, log_alpha, left, z, series in zip(insts, log_alphas, lhs, zs, sums):
         alpha, beta, theta = inst.alpha, inst.beta, inst.theta
         try:
             pole_term = 2j * math.pi * cmath.exp(beta * (log_alpha - 1j * theta)) / (1.0 - cmath.exp(-2j * math.pi * beta))
@@ -454,9 +488,7 @@ def check_reconciliations(insts: list[ProblemInstance]) -> list[float]:
             pole_term = complex(math.inf)
         if not cmath.isfinite(pole_term):
             raise NonFiniteValue(f"the pole term overflows at beta = {beta!r}")
-        z = alpha * cmath.exp(-1j * theta)
-        series = _converged(hyp2f1_one_b(-beta, z, tol=min(1e-12, inst.tol)), z)
-        rhs = pole_term + (1.0 - series.value) / beta
+        rhs = pole_term + (1.0 - _converged(series, z).value) / beta
         residuals.append(abs(left.converged_value("Euler integral") - rhs) / max(abs(rhs), 1.0))
     return residuals
 

@@ -7,11 +7,14 @@ attempted.  hyp2f1_one_b refuses |z| >= 1 with SlowConvergence and fixes its
 term count before it sums: the first K >= |b| (from the geometric estimate
 up) with majorant |b/(b+K)| |z|^K |z|/(1-|z|) <= tol, capped at max_terms.
 |b+k| grows with k past |b|, so the majorant bounds the tail (tail_estimate).
+hyp2f1_one_b_many sums many series in one set of array operations, each
+over its own term count, so each is the float hyp2f1_one_b gives.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,7 @@ __all__ = [
     "DEFAULT_MAX_TERMS",
     "SeriesResult",
     "hyp2f1_one_b",
+    "hyp2f1_one_b_many",
 ]
 
 DEFAULT_MAX_TERMS = 100_000
@@ -87,3 +91,48 @@ def hyp2f1_one_b(
     powers = np.multiply.accumulate(np.full(last, z))  # z, z^2, ..., z^last
     total = 1.0 + (b / (b + np.arange(1, last + 1)) * powers).sum()
     return SeriesResult(complex(total), last + 1, tail, tail <= tol)
+
+
+def hyp2f1_one_b_many(
+    bs: Sequence[complex],
+    zs: Sequence[complex],
+    tol: float | Sequence[float] = 1e-12,
+    max_terms: int = DEFAULT_MAX_TERMS,
+) -> list[SeriesResult]:
+    """hyp2f1_one_b(b, z, tol, max_terms) for each pair, field for field;
+    tol is one float for every pair or one per pair.
+
+    Every pair is checked and given its term count first, in item order, so
+    the first non-positive integer b (InvalidC) or |z| >= 1 (SlowConvergence)
+    raises before anything is summed.  The sums then share each array
+    operation and keep the arithmetic of hyp2f1_one_b: the powers are one
+    np.multiply.accumulate along rows padded to the longest series; each
+    row's own terms k = 1..K are laid end to end, after a zero per row; and
+    np.add.reduceat sums each row from its zero, the same pairwise sum that
+    .sum() of that row alone does from the zero it starts from.
+    """
+    bs = [complex(b) for b in bs]
+    zs = [complex(z) for z in zs]
+    tols = [tol] * len(bs) if isinstance(tol, (int, float)) else list(tol)
+    counts = []
+    for b, z, t in zip(bs, zs, tols, strict=True):
+        bi = as_integer(b)
+        if bi is not None and bi <= 0:
+            raise InvalidC(f"b = {b!r} makes c = 1+b a non-positive integer parameter")
+        counts.append((0, 0.0) if z == 0 else _series_length(b, abs(z), t, max(1, math.ceil(abs(b))), max_terms))
+    if not counts:
+        return []
+    lasts = np.array([last for last, _ in counts])
+    row = np.repeat(np.arange(len(counts)), lasts)  # the row of each term, rows end to end
+    place = np.arange(1, len(row) + 1)
+    k = place - (np.cumsum(lasts) - lasts)[row]  # 1..lasts[r] along row r
+    powers = np.multiply.accumulate(np.repeat(np.array(zs)[:, None], lasts.max(), axis=1), axis=1)[row, k - 1]
+    b_rep = np.array(bs)[row]
+    flat = np.zeros(len(counts) + len(row), dtype=complex)  # a zero before each row
+    flat[place + row] = b_rep / (b_rep + k) * powers
+    starts = np.cumsum(lasts + 1) - (lasts + 1)
+    totals = (1.0 + np.add.reduceat(flat, starts)).tolist()
+    return [
+        SeriesResult(complex(1.0), 1, 0.0, True) if z == 0 else SeriesResult(total, last + 1, tail, tail <= t)
+        for z, t, total, (last, tail) in zip(zs, tols, totals, counts)
+    ]

@@ -16,7 +16,10 @@ linear ODE with polynomial coefficients in alpha:
 Verifying that independently computed values of I satisfy these equations —
 to fourth order in the finite-difference step — is a differential check that
 no pointwise comparison replicates: it exercises the alpha-dependence of the
-implementation, not just isolated values.
+implementation, not just isolated values.  ode_residuals checks a list of
+instances with one batch of closed-form values at all their stencil points
+(closedform.eval_closed_forms, the floats of eval_closed_form at each
+point); ode_residual is its one-instance form.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Literal
 import numpy as np
 
 from .branchcut import ProblemInstance, as_integer, cut_jump_factor
-from .closedform import eval_closed_form
+from .closedform import eval_closed_forms
 from .errors import IntegerBeta, RegimeStraddle
 
 __all__ = [
@@ -41,6 +44,7 @@ __all__ = [
     "ode_coefficients_inside",
     "coefficients_for",
     "ode_residual",
+    "ode_residuals",
     "singular_points",
 ]
 
@@ -127,10 +131,10 @@ def _band_guard(inst: ProblemInstance, offsets: tuple[float, ...], h: float) -> 
             )
 
 
-def ode_residual(inst: ProblemInstance, h: float = DEFAULT_STEP) -> OdeResidual:
-    """Finite-difference residual of the regime ODE at inst.alpha.
+def ode_residuals(insts: list[ProblemInstance], h: float = DEFAULT_STEP) -> list[OdeResidual]:
+    """Finite-difference residual of the regime ODE at each inst.alpha.
 
-    I is evaluated by eval_closed_form at five stencil points displaced along
+    I is evaluated by the closed form at five stencil points displaced along
     the real direction (I is analytic in alpha off the circle and cut, so any
     fixed direction serves), with fourth-order central differences:
 
@@ -141,25 +145,36 @@ def ode_residual(inst: ProblemInstance, h: float = DEFAULT_STEP) -> OdeResidual:
     residual by ~16x until series tolerance (~1e-15/h^2) takes over; the
     conservative acceptance factor is 8.  The relative residual is the
     defect over the natural scale of the equation at this point.
+
+    h must be finite and positive.  Every instance is checked first, in
+    order (IntegerBeta, then RegimeStraddle for a stencil that leaves its
+    regime); then the 5 values per instance are one eval_closed_forms batch
+    at series tolerance 1e-15, the floats eval_closed_form gives each point.
     """
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
-    n = as_integer(inst.beta)
-    if n is not None:
-        raise IntegerBeta(
-            f"beta = {n}: the integral is piecewise trivial in alpha and the ODE check is vacuous"
-        )
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"step h must be positive and finite, got {h!r}")
     offsets = (-2.0, -1.0, 0.0, 1.0, 2.0)
-    _band_guard(inst, offsets, h)
-    coeffs = coefficients_for(inst)
-    values = [
-        eval_closed_form(dataclasses.replace(inst, alpha=inst.alpha + k * h), series_tol=1e-15).value
-        for k in offsets
+    coeffs = []
+    for inst in insts:
+        n = as_integer(inst.beta)
+        if n is not None:
+            raise IntegerBeta(
+                f"beta = {n}: the integral is piecewise trivial in alpha and the ODE check is vacuous"
+            )
+        _band_guard(inst, offsets, h)
+        coeffs.append(coefficients_for(inst))
+    points = [dataclasses.replace(inst, alpha=inst.alpha + k * h) for inst in insts for k in offsets]
+    values = [r.value for r in eval_closed_forms(points, series_tol=1e-15)]
+    return [
+        _residual(inst.alpha, c, values[5 * j : 5 * j + 5], h) for j, (inst, c) in enumerate(zip(insts, coeffs))
     ]
+
+
+def _residual(a: complex, coeffs: OdeCoefficients, values: list[complex], h: float) -> OdeResidual:
+    """ode_residuals' stencil at a, from I at a - 2h, a - h, a, a + h, a + 2h."""
     i_m2, i_m1, i_0, i_p1, i_p2 = values
     d1 = (-i_p2 + 8.0 * i_p1 - 8.0 * i_m1 + i_m2) / (12.0 * h)
     d2 = (-i_p2 + 16.0 * i_p1 - 30.0 * i_0 + 16.0 * i_m1 - i_m2) / (12.0 * h * h)
-    a = inst.alpha
     lhs = _poly_at(coeffs.p2, a) * d2 + _poly_at(coeffs.p1, a) * d1 + coeffs.zero_order * i_0
     defect = lhs - coeffs.rhs
     scale = max(
@@ -169,6 +184,11 @@ def ode_residual(inst: ProblemInstance, h: float = DEFAULT_STEP) -> OdeResidual:
         1.0,
     )
     return OdeResidual(lhs_minus_rhs=defect, relative_residual=abs(defect) / scale, step=h)
+
+
+def ode_residual(inst: ProblemInstance, h: float = DEFAULT_STEP) -> OdeResidual:
+    """ode_residuals for the one instance."""
+    return ode_residuals([inst], h)[0]
 
 
 def _order(p: np.ndarray, r: complex) -> float:

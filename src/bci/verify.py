@@ -5,20 +5,24 @@ worst residual of one mathematical identity, and compares it against that
 identity's own accuracy budget.  The draws, and therefore the report bytes,
 are fully determined by the seed.  A check draws all its cases first and
 then evaluates them as one batch, so the unit-interval quadratures of a
-check share one first round (see the quadrature module notes); the draws
-never depend on results, so the order of the rng stream is the one the
-case-by-case loop had.  A check whose residuals include a NaN reports a NaN
-worst residual and fails.
+check share one first round (see the quadrature module notes) and its
+2F1(1, b; 1+b; .) series are the rows of one hyp2f1_one_b_many call, each
+the float of its single sum; the draws never depend on results, so the
+order of the rng stream is the one the case-by-case loop had.  A check
+whose residuals include a NaN reports a NaN worst residual and fails.
 
 Checks
 ------
 delta            root-of-unity filter: float sum vs exact 0/1, one sum per
                  residue class (n, gcd(n, d)) drawn in a run
 reduction        radial integral vs its Euler-integral reduction
-reconciliation   cross-regime Euler identity (pole term + closed form)
-ode              finite-difference residual of the regime ODE
+reconciliation   cross-regime Euler identity (pole term + closed form):
+                 15 Euler integrals and 15 series, one batch each
+ode              finite-difference residual of the regime ODE: 12 draws x 5
+                 stencil points, one eval_closed_forms batch of 60 series
 circle           contour integral vs residue + jump * radial integral
-euler            beta * Euler integral vs the 2F1(1, b; 1+b; .) series
+euler            beta * Euler integral vs the 2F1(1, b; 1+b; .) series:
+                 15 Euler integrals and 15 series, one batch each
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ import random
 from typing import Any, Callable, Iterable, Iterator
 
 from .branchcut import TWO_PI, ProblemInstance, as_integer, require_tol
-from .closedform import check_reconciliations, roots_of_unity_drift
-from .hypergeometric import hyp2f1_one_b
-from .odecheck import ode_residual
+from .closedform import _converged, check_reconciliations, roots_of_unity_drift
+from .hypergeometric import hyp2f1_one_b_many
+from .odecheck import ode_residuals
 from .quadrature import check_circles_vs_radial, check_integral_reductions, euler_integrals
 
 __all__ = ["CHECK_ORDER", "DEFAULT_THRESHOLDS", "run_verify"]
@@ -117,7 +121,7 @@ def _euler_residuals(rng: random.Random, beta_fix: complex | None) -> list[float
         arg = rng.uniform(0.0, TWO_PI)
         ws.append(mod * cmath.exp(1j * arg))
         betas.append(_draw_beta(rng, beta_fix))
-    series = [hyp2f1_one_b(beta, w, tol=1e-13).value for w, beta in zip(ws, betas)]
+    series = [_converged(f, w).value for f, w in zip(hyp2f1_one_b_many(betas, ws, tol=1e-13), ws)]
     quads = euler_integrals(ws, betas)
     return [
         abs(beta * q.converged_value("Euler integral") - f) / max(1.0, abs(f)) for beta, q, f in zip(betas, quads, series)
@@ -160,7 +164,7 @@ def run_verify(
         "delta": lambda: _delta_drifts(rng),
         "reduction": lambda: check_integral_reductions(_instances(rng, beta, 20)),
         "reconciliation": lambda: check_reconciliations(_instances(rng, beta, 15, inside_only=True)),
-        "ode": lambda: [ode_residual(i, h=1e-3).relative_residual for i in _instances(rng, beta, 12)],
+        "ode": lambda: [r.relative_residual for r in ode_residuals(_instances(rng, beta, 12), h=1e-3)],
         "circle": lambda: check_circles_vs_radial(_instances(rng, beta, 15)),
         "euler": lambda: _euler_residuals(rng, beta),
     }

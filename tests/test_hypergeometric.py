@@ -2,13 +2,15 @@
 
 import cmath
 import math
+import random
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bci import InvalidC, SlowConvergence, hyp2f1_one_b
+import bci.hypergeometric
+from bci import InvalidC, SlowConvergence, hyp2f1_one_b, hyp2f1_one_b_many
 
 
 class TestOneBPath:
@@ -105,3 +107,68 @@ class TestOneBTermCount:
         for z in (1.0, -1j, cmath.exp(0.3j) / abs(cmath.exp(0.3j))):
             with pytest.raises(SlowConvergence):
                 hyp2f1_one_b(0.5, z)
+
+
+def _fields(r):
+    """A SeriesResult as bits: value parts by repr, the rest as is."""
+    return (repr(r.value.real), repr(r.value.imag), r.terms_used, repr(r.tail_estimate), r.converged)
+
+
+def _draws(seed, count):
+    """(b, z) with |Im b| up to 40 and |z| from 0 to 0.979, some b near a
+    negative integer, some z = 0: rows of 1 to ~1500 terms."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        re = rng.choice([rng.uniform(-6.0, 6.0), rng.randint(-6, 6) + rng.choice([-1e-3, 1e-3])])
+        b = complex(re, rng.choice([0.0, 1e-7, rng.uniform(-2.0, 2.0), rng.uniform(-40.0, 40.0)]))
+        q = rng.choice([0.0, rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.979), 0.979])
+        out.append((b, q * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))))
+    return out
+
+
+class TestOneBBatch:
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13, 1e-15])
+    @pytest.mark.parametrize("seed,count", [(1, 1), (2, 2), (3, 15), (4, 60), (5, 97)])
+    def test_rows_equal_the_single_sums(self, seed, count, tol):
+        pairs = _draws(seed, count)
+        many = hyp2f1_one_b_many([b for b, _ in pairs], [z for _, z in pairs], tol=tol)
+        assert [_fields(r) for r in many] == [_fields(hyp2f1_one_b(b, z, tol=tol)) for b, z in pairs]
+
+    def test_rows_span_one_to_many_terms(self):
+        pairs = _draws(6, 200)
+        terms = [r.terms_used for r in hyp2f1_one_b_many([b for b, _ in pairs], [z for _, z in pairs], tol=1e-15)]
+        assert min(terms) == 1 and max(terms) > 1400
+
+    def test_tolerance_per_row_and_the_cap(self):
+        pairs = _draws(7, 30)
+        tols = [random.Random(k).choice([0.0, 1e-6, 1e-12, 1e-15]) for k in range(30)]
+        bs, zs = [b for b, _ in pairs], [z for _, z in pairs]
+        many = hyp2f1_one_b_many(bs, zs, tol=tols, max_terms=200)
+        assert not all(r.converged for r in many)  # the cap binds on some rows
+        assert [_fields(r) for r in many] == [
+            _fields(hyp2f1_one_b(b, z, tol=t, max_terms=200)) for b, z, t in zip(bs, zs, tols)
+        ]
+
+    def test_empty_batch(self):
+        assert hyp2f1_one_b_many([], []) == []
+
+    @pytest.mark.parametrize(
+        "bad,error,match",
+        [
+            ((-3.0, 0.5), InvalidC, r"b = \(-3\+0j\)"),
+            ((0.0, 0.0), InvalidC, r"b = 0j"),
+            ((0.5, 1.0), SlowConvergence, r"\|z\| = 1 "),
+            ((0.5, -1j), SlowConvergence, r"\|z\| = 1 "),
+        ],
+    )
+    def test_first_refusal_raises_before_any_sum(self, bad, error, match, monkeypatch):
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError("numpy reached before every pair was checked")
+
+        monkeypatch.setattr(bci.hypergeometric, "np", NoArrays())
+        # later pairs that are refused too (b = -2, |z| = 2) must not raise first
+        bs, zs = [0.5, 1.5 + 2j, bad[0], -2.0, 0.5], [0.3, 0.9j, bad[1], 0.5, 2.0]
+        with pytest.raises(error, match=match):
+            hyp2f1_one_b_many(bs, zs)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import bci.odecheck
 from bci import (
     INFINITY,
     IntegerBeta,
@@ -15,9 +16,11 @@ from bci import (
     cut_jump_factor,
     hyp2f1_one_b,
     eval_closed_form,
+    eval_closed_forms,
     ode_coefficients_inside,
     ode_coefficients_outside,
     ode_residual,
+    ode_residuals,
     singular_points,
 )
 
@@ -86,6 +89,47 @@ class TestOdeResidual:
     def test_invalid_step(self):
         with pytest.raises(ValueError):
             ode_residual(ProblemInstance(alpha=2.0, beta=0.5, theta=2.0), h=0.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+    @pytest.mark.parametrize("alpha", [2.0, 0.5])
+    def test_step_not_finite_and_positive_is_refused(self, alpha, h):
+        # nan and inf used to reach the stencil: RegimeStraddle, or a
+        # ValueError about alpha from the instance at alpha + nan
+        with pytest.raises(ValueError, match="step h must be positive"):
+            ode_residual(ProblemInstance(alpha=alpha, beta=0.5, theta=2.0), h=h)
+
+    def test_batch_checks_every_instance_before_any_value(self, monkeypatch):
+        def no_values(points, series_tol):
+            raise AssertionError("evaluated before every instance was checked")
+
+        monkeypatch.setattr(bci.odecheck, "eval_closed_forms", no_values)
+        good = ProblemInstance(alpha=2.0, beta=0.5, theta=2.0)
+        integer = ProblemInstance(alpha=2.0, beta=3, theta=2.0)
+        straddle = ProblemInstance(alpha=1.06, beta=0.5, theta=2.0)
+        with pytest.raises(ValueError, match="step h must be positive"):
+            ode_residuals([integer, good], h=math.nan)
+        with pytest.raises(IntegerBeta):
+            ode_residuals([good, integer, straddle], h=0.05)
+        with pytest.raises(RegimeStraddle):
+            ode_residuals([good, straddle, integer], h=0.05)
+
+    def test_empty_batch(self):
+        assert ode_residuals([]) == []
+
+
+class TestClosedFormBatch:
+    def test_batch_equals_each_point_alone(self):
+        # both regimes, an integer beta row and a |Im beta| = 40 row, at the
+        # ODE's series tolerance and a rougher one
+        insts = [
+            ProblemInstance(alpha=a, beta=beta, theta=theta)
+            for a in (2.0 * cmath.exp(1.1j), 0.45 * cmath.exp(2.7j), 1.05, 0.0, 4.9j)
+            for beta, theta in ((0.7 + 0.2j, 2.0), (3, 1.0), (0.5 - 40j, 5.5), (-2.5 + 1e-7j, 0.3))
+        ]
+        for tol in (1e-15, 1e-9):
+            assert [repr(r) for r in eval_closed_forms(insts, tol)] == [
+                repr(eval_closed_form(inst, series_tol=tol)) for inst in insts
+            ]
 
 
 class TestJumpScaling:

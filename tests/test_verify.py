@@ -1,13 +1,17 @@
 """The seeded self-verification: how much work each check does."""
 
+import functools
 import math
 import random
 
 import pytest
 
+import bci.closedform
+import bci.odecheck
 import bci.verify
 from bci import SlowConvergence
 from bci.closedform import check_reconciliation, check_reconciliations
+from bci.odecheck import ode_residual, ode_residuals
 from bci.quadrature import (
     check_circle_vs_radial,
     check_circles_vs_radial,
@@ -43,11 +47,47 @@ def test_delta_sums_once_per_residue_class(seed, classes, monkeypatch):
         (check_integral_reductions, check_integral_reduction, False),
         (check_reconciliations, check_reconciliation, True),
         (check_circles_vs_radial, check_circle_vs_radial, False),
+        (functools.partial(ode_residuals, h=1e-3), functools.partial(ode_residual, h=1e-3), False),
+        (functools.partial(ode_residuals, h=5e-4), functools.partial(ode_residual, h=5e-4), False),
     ],
 )
 def test_batch_checks_equal_the_single_instance_checks(batch, single, inside_only):
     insts = bci.verify._instances(random.Random(4000), None, 15, inside_only=inside_only)
-    assert batch(insts) == [single(inst) for inst in insts]
+    # repr writes every float by its bits
+    assert [repr(r) for r in batch(insts)] == [repr(single(inst)) for inst in insts]
+
+
+@pytest.mark.parametrize(
+    "check,module,rows",
+    [("reconciliation", bci.closedform, [15]), ("ode", bci.closedform, [60]), ("euler", bci.verify, [15])],
+)
+def test_series_checks_sum_one_batch(check, module, rows, monkeypatch):
+    batches = []
+    many = module.hyp2f1_one_b_many
+
+    def counting(bs, zs, tol):
+        batches.append(len(bs))
+        return many(bs, zs, tol)
+
+    def single(*args, **kwargs):
+        raise AssertionError("a per-point closed form or series")
+
+    monkeypatch.setattr(module, "hyp2f1_one_b_many", counting)
+    monkeypatch.setattr(bci.closedform, "eval_closed_form", single)
+    monkeypatch.setattr(bci.odecheck, "eval_closed_form", single, raising=False)
+    monkeypatch.setattr(bci.closedform, "hyp2f1_one_b", single)
+    report = run_verify(1, checks=(check,))
+    assert report["verdict"] == "Agree"
+    # the ode check: 12 draws x 5 stencil points in one batch
+    assert batches == rows
+
+
+@pytest.mark.parametrize("check,module", [("reconciliation", bci.closedform), ("euler", bci.verify)])
+def test_unconverged_series_is_refused(check, module, monkeypatch):
+    many = module.hyp2f1_one_b_many
+    monkeypatch.setattr(module, "hyp2f1_one_b_many", lambda bs, zs, tol: many(bs, zs, tol, max_terms=5))
+    with pytest.raises(SlowConvergence, match="the 2F1 series needs more than 5 terms"):
+        run_verify(1, checks=(check,))
 
 
 @pytest.mark.parametrize("where", [0, 7, 19])
