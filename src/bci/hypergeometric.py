@@ -66,6 +66,17 @@ def _series_length(b: complex, q: float, tol: float, k_min: int, max_terms: int)
         k += max(1, math.ceil(math.log(tol / tail) / math.log(q)))
 
 
+def _plan(b: complex, z: complex, tol: float, max_terms: int) -> tuple[int, float]:
+    """Index K of the last term of the series at (b, z) and its tail majorant, after refusing
+    a non-positive integer b (InvalidC) and |z| >= 1 (SlowConvergence); z = 0 has no terms."""
+    bi = as_integer(b)
+    if bi is not None and bi <= 0:
+        raise InvalidC(f"b = {b!r} makes c = 1+b a non-positive integer parameter")
+    if z == 0:
+        return 0, 0.0
+    return _series_length(b, abs(z), tol, max(1, math.ceil(abs(b))), max_terms)
+
+
 def hyp2f1_one_b(
     b: complex,
     z: complex,
@@ -82,12 +93,7 @@ def hyp2f1_one_b(
     """
     b = complex(b)
     z = complex(z)
-    bi = as_integer(b)
-    if bi is not None and bi <= 0:
-        raise InvalidC(f"b = {b!r} makes c = 1+b a non-positive integer parameter")
-    if z == 0:
-        return SeriesResult(complex(1.0), 1, 0.0, True)
-    last, tail = _series_length(b, abs(z), tol, max(1, math.ceil(abs(b))), max_terms)
+    last, tail = _plan(b, z, tol, max_terms)
     powers = np.multiply.accumulate(np.full(last, z))  # z, z^2, ..., z^last
     total = 1.0 + (b / (b + np.arange(1, last + 1)) * powers).sum()
     return SeriesResult(complex(total), last + 1, tail, tail <= tol)
@@ -114,12 +120,7 @@ def hyp2f1_one_b_many(
     bs = [complex(b) for b in bs]
     zs = [complex(z) for z in zs]
     tols = [tol] * len(bs) if isinstance(tol, (int, float)) else list(tol)
-    counts = []
-    for b, z, t in zip(bs, zs, tols, strict=True):
-        bi = as_integer(b)
-        if bi is not None and bi <= 0:
-            raise InvalidC(f"b = {b!r} makes c = 1+b a non-positive integer parameter")
-        counts.append((0, 0.0) if z == 0 else _series_length(b, abs(z), t, max(1, math.ceil(abs(b))), max_terms))
+    counts = [_plan(b, z, t, max_terms) for b, z, t in zip(bs, zs, tols, strict=True)]
     if not counts:
         return []
     lasts = np.array([last for last, _ in counts])
@@ -132,7 +133,4 @@ def hyp2f1_one_b_many(
     flat[place + row] = b_rep / (b_rep + k) * powers
     starts = np.cumsum(lasts + 1) - (lasts + 1)
     totals = (1.0 + np.add.reduceat(flat, starts)).tolist()
-    return [
-        SeriesResult(complex(1.0), 1, 0.0, True) if z == 0 else SeriesResult(total, last + 1, tail, tail <= t)
-        for z, t, total, (last, tail) in zip(zs, tols, totals, counts)
-    ]
+    return [SeriesResult(total, last + 1, tail, tail <= t) for t, total, (last, tail) in zip(tols, totals, counts)]

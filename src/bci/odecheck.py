@@ -25,7 +25,6 @@ point); ode_residual is its one-instance form.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -163,7 +162,7 @@ def ode_residuals(insts: list[ProblemInstance], h: float = DEFAULT_STEP) -> list
             )
         _band_guard(inst, offsets, h)
         coeffs.append(coefficients_for(inst))
-    points = [dataclasses.replace(inst, alpha=inst.alpha + k * h) for inst in insts for k in offsets]
+    points = [ProblemInstance(i.alpha + k * h, i.beta, i.theta, i.tol, i.exclusion_band) for i in insts for k in offsets]
     values = [r.value for r in eval_closed_forms(points, series_tol=1e-15)]
     return [
         _residual(inst.alpha, c, values[5 * j : 5 * j + 5], h) for j, (inst, c) in enumerate(zip(insts, coeffs))

@@ -25,9 +25,8 @@ relative; the rules integrate x^k to 2e-15 for k <= 22 (K15) and k <= 13
 The cost of a panel is arithmetic on its nodes (two complex exponentials and
 a division per node on the circle), so fewer nodes pay directly.  The nodes
 of the panels to evaluate go to f in one flat array: one call for all
-initial panels (shared by a batch of integrals, below), then
-one per round for all the children, which a stable
-argsort on left edges merges into the panels kept, in edge order.
+initial panels (shared by a batch of integrals, below), then one per round
+for the children of all the panels split, which join the panels kept.
 Refinement stops unconverged when no panel over its share is wider than
 1e-15 of the interval, or when a round would pass max_panels.
 adaptive_quadrature starts on the edges its caller gives: the circle and
@@ -50,9 +49,10 @@ argument reaches |beta + 1| 2 pi, so its estimate adds
 eps * 2 pi * (|beta| + 1) * integral of |f|.  Without that term 7 of 9000
 benchmark-pool estimates fell below their true error, with |beta| up to 40.
 
-Determinism is part of the contract: the CLI promises byte-identical reports,
-so each round's splits depend only on the panel arrays, panels are totalled
-by a pairwise tree in edge order, and nothing here threads.
+Determinism is part of the contract: the CLI promises byte-identical
+reports.  Every total over panels is math.fsum, correctly rounded, so no
+panel order changes a bit, and nothing here threads.  A total fsum cannot
+form (an overflow, or inf - inf) is NaN; a value not finite never converges.
 
 Circle start
 ------------
@@ -113,27 +113,22 @@ evaluates all their first rounds in one _panels call.  The unit-interval
 batches (euler_integrals, radial_integrals) share one mesh, and the
 integrand gets its parameters as (k, 1) columns; circle_integrals lays the
 graded meshes end to end and gives the integrand beta and alpha per node.
-_settle then settles as arrays every integral that meets the stopping rule:
-the panel values, scattered into rows padded with -0.0 (x + -0.0 is x, bit
-for bit), go through _pairwise_sum's tree for all rows at once, and the
-estimates of each row are summed by math.fsum.  Only the ~5% that fail the
-rule go on to _refine, alone, with scalar parameters.  The stopping test
-is _refine's on the same floats (goal = tol * max(1, |tree value|), the
-correctly rounded fsum of the estimates), so a row stops on the same test
-in a batch and alone on every Python: a sequential sum would not do, since
-Python 3.12 made float sum() compensated and numpy's cumsum is not.  The
-arithmetic per node is the same too, so each result is the float it is
-when evaluated alone (tests/test_quadrature.py holds them equal field for
-field).  One trap: BLAS's matrix-vector kernel rounds a row of |f| times
-the K15 weights by its place in the matrix, so end-to-end meshes take
-their masses one product per integral (_panels' blocks).  One product over
-the batch (OpenBLAS 0.3.31, AVX-512 x86-64) changed the estimate of 39 of
-the 3000 eval-mixed seed-2 circle integrals in batches of 15; the values
-and |K15 - G7|, from the matrix-matrix product, kept every bit.
-The _panels calls per run_verify on seeds 4000-4029 fell from 103.43 (85
-unit-interval and 15 circle first rounds, plus refinement rounds) to 23.43
-with the unit-interval batches and to 9.43 with the circle batch: 6
-batched first rounds and the same 3.43 refinement rounds.
+_settle then puts each integral's panels to _refine's stopping test
+(_judge), and only the ~5% that fail it go on to _refine, alone, with scalar
+parameters.  The arithmetic per node is the same in a batch and alone, and
+an exact total does not care where a panel sits, so each result is the
+float it is when evaluated alone (tests/test_quadrature.py holds them equal
+field for field, and a shuffled batch or first round to the same bits).
+One trap: BLAS's matrix-vector kernel rounds a row of |f| times the K15
+weights by its place in the matrix (OpenBLAS 0.3.31, AVX-512 x86-64: the
+rows after the last multiple of 8 take another kernel).  So end-to-end
+meshes take their masses one product per integral (_panels' blocks), and
+each round gives f the children in edge order, whatever the panel order.
+One product over the batch changed the estimate of 39 of the 3000
+eval-mixed seed-2 circle integrals in batches of 15; the values and
+|K15 - G7|, from the matrix-matrix product, kept every bit.
+Batching took the _panels calls per run_verify (seeds 4000-4029) from
+103.43 to 9.43: 6 batched first rounds and the same 3.43 refinement rounds.
 """
 
 from __future__ import annotations
@@ -312,45 +307,45 @@ def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray, blocks: list[int
     return hi, np.abs(hi - rules[..., 1]), half * mass
 
 
-def _pairwise_sum(values: list[complex]) -> complex:
-    """Fixed-shape pairwise tree sum: independent of refinement history."""
-    if not values:
-        return complex(0.0)
-    layer = values
-    while len(layer) > 1:
-        nxt = [layer[i] + layer[i + 1] for i in range(0, len(layer) - 1, 2)]
-        if len(layer) % 2:
-            nxt.append(layer[-1])
-        layer = nxt
-    return layer[0]
+def _fsum(parts: list[float]) -> float:
+    """math.fsum, or NaN for a sum it cannot form (an intermediate overflow, or inf - inf)."""
+    try:
+        return math.fsum(parts)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def _judge(re: list, im: list, errs: list, masses: list, tol: float, roundoff: float) -> tuple:
+    """The stopping test on an integral's panels, as float lists: (its result,
+    goal = tol * max(1, |value|), whether the summed estimates are at most goal
+    or NaN).  A value that is not finite gets a NaN goal: it stops unconverged."""
+    value = complex(_fsum(re), _fsum(im))
+    goal = tol * max(1.0, abs(value)) if cmath.isfinite(value) else math.nan
+    err = _fsum(errs)
+    estimate = err + roundoff * _fsum(masses)
+    return QuadratureResult(value, estimate, len(errs), estimate <= goal), goal, not err > goal
+
+
+def _lists(vals: np.ndarray, errs: np.ndarray, masses: np.ndarray) -> list[list[float]]:
+    return [vals.real.tolist(), vals.imag.tolist(), errs.tolist(), masses.tolist()]
 
 
 def _settle(
     first: tuple, meshes: list[np.ndarray], alone: Callable, tol: float, roundoffs: list[float]
 ) -> list[QuadratureResult]:
     """The integrals of a batch from first, one _panels call over their meshes
-    laid end to end: each that meets the stopping rule there is settled as
-    arrays, and each other refines alone, on integrand alone(k) (module notes)."""
-    counts = [len(edges) - 1 for edges in meshes]
-    if not counts:
-        return []
-    ends = np.cumsum(counts)
-    # the values in rows padded with -0.0, which adds exactly, through _pairwise_sum's tree
-    rows = np.full((len(counts), 1 << (max(counts) - 1).bit_length()), complex(-0.0, -0.0))
-    rows[np.repeat(np.arange(len(counts)), counts), np.arange(ends[-1]) - np.repeat(ends - counts, counts)] = first[0]
-    while rows.shape[1] > 1:
-        rows = rows[:, 0::2] + rows[:, 1::2]
-    err_list, mass_list = first[1].tolist(), first[2].tolist()
+    laid end to end: each that meets the stopping rule there is settled, and
+    each other refines alone, on integrand alone(k) (module notes)."""
+    re, im, errs, masses = _lists(*first)
     results = []
-    for k, (value, end, count, roundoff) in enumerate(zip(rows[:, 0].tolist(), ends.tolist(), counts, roundoffs)):
-        goal = tol * max(1.0, abs(value))
-        err = math.fsum(err_list[end - count : end])
-        if err > goal:
-            own = (part[end - count : end] for part in first)
-            results.append(_refine(alone(k), meshes[k], *own, tol, DEFAULT_MAX_PANELS, roundoff))
-        else:
-            estimate = err + roundoff * math.fsum(mass_list[end - count : end])
-            results.append(QuadratureResult(value, estimate, count, estimate <= goal))
+    end = 0
+    for k, (edges, roundoff) in enumerate(zip(meshes, roundoffs)):
+        start, end = end, end + len(edges) - 1
+        result, _, stops = _judge(re[start:end], im[start:end], errs[start:end], masses[start:end], tol, roundoff)
+        if not stops:
+            own = (part[start:end] for part in first)
+            result = _refine(alone(k), (edges[:-1], edges[1:], *own), tol, DEFAULT_MAX_PANELS, roundoff)
+        results.append(result)
     return results
 
 
@@ -373,44 +368,31 @@ def adaptive_quadrature(
     default, more where f's own values carry rounding), and converged tests
     that floored estimate.
     """
-    return _refine(f, edges, *_panels(f, edges[:-1], edges[1:]), tol, max_panels, roundoff)
-
-
-def _refine(
-    f: Callable,
-    edges: np.ndarray,
-    vals: np.ndarray,
-    errs: np.ndarray,
-    masses: np.ndarray,
-    tol: float,
-    max_panels: int,
-    roundoff: float,
-) -> QuadratureResult:
-    """adaptive_quadrature from the first round's panel values, estimates and
-    masses on the panels between edges: the stopping test and the rounds."""
     lefts, rights = edges[:-1], edges[1:]
+    return _refine(f, (lefts, rights, *_panels(f, lefts, rights)), tol, max_panels, roundoff)
+
+
+def _refine(f: Callable, panels: tuple, tol: float, max_panels: int, roundoff: float) -> QuadratureResult:
+    """adaptive_quadrature from its first round: panels holds the left and
+    right edges, K15 values, estimates and masses of the panels, in any order."""
     while True:
-        # the stopping test of _settle, on the same floats
-        value = _pairwise_sum(vals.tolist())
-        goal = tol * max(1.0, abs(value))
-        err = math.fsum(errs.tolist())
-        if not err > goal:  # a NaN estimate stops here too
-            break
-        split = (errs > goal / errs.size) & (rights - lefts > 1e-15 * (edges[-1] - edges[0]))
+        lefts, rights, vals, errs, masses = panels
+        result, goal, stops = _judge(*_lists(vals, errs, masses), tol, roundoff)
+        if stops:
+            return result
+        split = (errs > goal / errs.size) & (rights - lefts > 1e-15 * (rights.max() - lefts.min()))
         count = np.count_nonzero(split)
         if count == 0 or errs.size + count > max_panels:
-            break
-        mids = 0.5 * (lefts[split] + rights[split])
-        child_lefts = np.concatenate((lefts[split], mids))
-        child_rights = np.concatenate((mids, rights[split]))
+            return result
+        # panels do not overlap, so both ends sorted pair up again: the
+        # children in edge order, whatever the panel order (module notes)
+        split_lefts, split_rights = np.sort(lefts[split]), np.sort(rights[split])
+        mids = 0.5 * (split_lefts + split_rights)
+        child_lefts = np.concatenate((split_lefts, mids))
+        child_rights = np.concatenate((mids, split_rights))
         children = (child_lefts, child_rights, *_panels(f, child_lefts, child_rights))
         keep = ~split
-        order = np.argsort(np.concatenate((lefts[keep], child_lefts)), kind="stable")
-        lefts, rights, vals, errs, masses = (
-            np.concatenate((old[keep], new))[order] for old, new in zip((lefts, rights, vals, errs, masses), children)
-        )
-    estimate = err + roundoff * math.fsum(masses.tolist())
-    return QuadratureResult(value, estimate, errs.size, estimate <= goal)
+        panels = [np.concatenate((old[keep], new)) for old, new in zip(panels, children)]
 
 
 def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:

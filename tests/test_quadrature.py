@@ -119,6 +119,25 @@ class TestAdaptiveEngine:
         assert loose.subdivisions <= tight.subdivisions
         assert tight.converged
 
+    def test_total_past_the_float_range_is_not_finite(self):
+        # eight panels of 1.25e308 sum past the largest float: math.fsum raises
+        # OverflowError there, and the result is a non-finite value instead
+        r = adaptive_quadrature(lambda t: np.full(t.shape, 1e307 + 0j), np.linspace(0.0, 100.0, 9))
+        assert not cmath.isfinite(r.value)
+        assert not math.isfinite(r.abs_error_estimate)
+        assert not r.converged and r.subdivisions == 8
+        with pytest.raises(NonFiniteValue):
+            bci.quadrature._finite(r)
+
+    def test_inf_minus_inf_total_is_not_finite(self):
+        # panels of +inf and -inf: math.fsum raises ValueError on their sum
+        with np.errstate(invalid="ignore"):
+            r = adaptive_quadrature(lambda t: np.where(t < 50.0, np.inf, -np.inf) + 0j, np.linspace(0.0, 100.0, 9))
+        assert not cmath.isfinite(r.value)
+        assert not r.converged and r.subdivisions == 8
+        with pytest.raises(NonFiniteValue):
+            bci.quadrature._finite(r)
+
 
 class TestKronrodRule:
     """The K15 / G7 pair of bci.quadrature, checked by its moments, not a table."""
@@ -589,11 +608,63 @@ class TestArraySettle:
 
         settled = bci.quadrature._settle(first, [EIGHTHS] * len(fs), alone, 1e-10, [roundoff] * len(fs))
         for k, got in enumerate(settled):
-            want = bci.quadrature._refine(fs[k], EIGHTHS, *rows[k], 1e-10, 20_000, roundoff)
+            want = bci.quadrature._refine(fs[k], (EIGHTHS[:-1], EIGHTHS[1:], *rows[k]), 1e-10, 20_000, roundoff)
             assert _bits(got) == _bits(want), k
         assert [r.subdivisions > 8 for r in settled] == [False, True, False, True, False, False]
         assert math.isnan(settled[2].abs_error_estimate) and not settled[2].converged
         assert cmath.isnan(settled[4].value)
+
+
+class TestPanelOrder:
+    """Every total is math.fsum, which is exact, so no panel or row order changes a bit."""
+
+    #: Integrands that refine from a start of 8 or 11 panels: poles 0.01 and
+    #: 1e-4 from [0, 1], an oscillation, and a power with its endpoint.
+    INTEGRANDS = (
+        _two_spots,
+        lambda t: 1.0 / (t - 0.5 - 1e-4j),
+        lambda t: np.exp(60j * t) / (t + 0.02),
+        lambda t: t**-0.4 * np.exp(3j * t),
+    )
+
+    def test_shuffled_panels_refine_to_the_same_bits(self):
+        # the children of each round also reach f in edge order, the same
+        # nodes in the same places: _panels' masses round by place (module notes)
+        rng = np.random.default_rng(20261019)
+        roundoff = bci.quadrature._ROUNDOFF
+        for edges in (EIGHTHS, np.linspace(0.0, 1.0, 12)):
+            lefts, rights = edges[:-1], edges[1:]
+            for f in self.INTEGRANDS:
+                first = bci.quadrature._panels(f, lefts, rights)
+
+                def refine(p):
+                    nodes = []
+                    g = lambda t: nodes.append(t.tobytes()) or f(t)
+                    got = bci.quadrature._refine(g, [part[p] for part in (lefts, rights, *first)], 1e-12, 20_000, roundoff)
+                    return _bits(got), nodes
+
+                want = refine(np.arange(len(lefts)))
+                assert want[0][3] > len(lefts) + 8 and len(want[1]) >= 3  # several rounds of splits
+                for _ in range(6):
+                    assert refine(rng.permutation(len(lefts))) == want
+
+    def test_shuffled_rows_settle_to_the_same_bits(self):
+        rng = np.random.default_rng(20261020)
+        poles = [2.0, 0.5 + 0.01j, 3.0 + 1j, 0.3 - 0.01j, -1.0, 0.7 + 2j, 0.5 - 1e-4j]
+        fs = [lambda t, c=c: 1.0 / (t - c) for c in poles]
+        meshes = [EIGHTHS if k % 2 else np.linspace(0.0, 1.0, 12) for k in range(len(fs))]
+        rows = [bci.quadrature._panels(f, m[:-1], m[1:]) for f, m in zip(fs, meshes)]
+        roundoffs = [bci.quadrature._ROUNDOFF] * len(fs)
+
+        def settle(order):
+            first = tuple(np.concatenate(part) for part in zip(*(rows[k] for k in order)))
+            got = bci.quadrature._settle(first, [meshes[k] for k in order], lambda j: fs[order[j]], 1e-12, roundoffs)
+            return {k: _bits(r) for k, r in zip(order, got)}
+
+        want = settle(list(range(len(fs))))
+        assert [want[k][3] > len(meshes[k]) - 1 for k in range(len(fs))] == [False, True, False, True, False, False, True]
+        for _ in range(6):
+            assert settle(rng.permutation(len(fs)).tolist()) == want
 
 
 def test_panels_calls_per_verify_run(monkeypatch):
