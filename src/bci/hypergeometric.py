@@ -50,9 +50,9 @@ class SeriesResult:
 def _series_length(b: complex, q: float, tol: float, k_min: int, max_terms: int) -> tuple[int, float]:
     """Index K of the last term to sum and its tail majorant |b/(b+K)| q^K q/(1-q):
     the geometric estimate or k_min, then jumps while the majorant exceeds tol.
-    Capped at max_terms - 1; q = 0 gives (k_min, 0.0) and q >= 1 is refused."""
+    Capped at max_terms - 1; q = 0 has no terms, (0, 0.0), and q >= 1 is refused."""
     if q == 0.0:
-        return k_min, 0.0
+        return 0, 0.0
     if not q < 1.0:
         raise SlowConvergence(f"|z| = {q:.17g} is not inside the unit disk")
     geom = q / (1.0 - q)

@@ -25,7 +25,7 @@ relative; the rules integrate x^k to 2e-15 for k <= 22 (K15) and k <= 13
 The cost of a panel is arithmetic on its nodes (two complex exponentials and
 a division per node on the circle), so fewer nodes pay directly.  The nodes
 of the panels to evaluate go to f in one flat array: one call for all
-initial panels (shared by a batch of integrals, below), then one per round
+initial panels (shared by a unit-interval batch, below), then one per round
 for the children of all the panels split, which join the panels kept.
 Refinement stops unconverged when no panel over its share is wider than
 1e-15 of the interval, or when a round would pass max_panels.
@@ -108,27 +108,25 @@ same from K = 36 to 44 (2.83e-4 and 1.1e-3 at K = 30), so K stays 36.
 
 Batched first round
 -------------------
-Almost every integral stops on its first call, so a caller with many
-evaluates all their first rounds in one _panels call.  The unit-interval
-batches (euler_integrals, radial_integrals) share one mesh, and the
-integrand gets its parameters as (k, 1) columns; circle_integrals lays the
-graded meshes end to end and gives the integrand beta and alpha per node.
-_settle then puts each integral's panels to _refine's stopping test
-(_judge), and only the ~5% that fail it go on to _refine, alone, with scalar
-parameters.  The arithmetic per node is the same in a batch and alone, and
-an exact total does not care where a panel sits, so each result is the
-float it is when evaluated alone (tests/test_quadrature.py holds them equal
-field for field, and a shuffled batch or first round to the same bits).
-One trap: BLAS's matrix-vector kernel rounds a row of |f| times the K15
-weights by its place in the matrix (OpenBLAS 0.3.31, AVX-512 x86-64: the
-rows after the last multiple of 8 take another kernel).  So end-to-end
-meshes take their masses one product per integral (_panels' blocks), and
-each round gives f the children in edge order, whatever the panel order.
-One product over the batch changed the estimate of 39 of the 3000
-eval-mixed seed-2 circle integrals in batches of 15; the values and
-|K15 - G7|, from the matrix-matrix product, kept every bit.
-Batching took the _panels calls per run_verify (seeds 4000-4029) from
-103.43 to 9.43: 6 batched first rounds and the same 3.43 refinement rounds.
+Almost every integral stops on its first call, so the unit-interval batches
+(euler_integrals, radial_integrals) evaluate all their first rounds in one
+_panels call on their shared mesh.  The integrand gets its parameters as
+(k, 1) columns, and numpy takes the products of its (k, P, 15) values with
+the weights integral by integral.  _settle puts each integral to _refine's
+stopping test (_judge), and only the ~5% that fail it refine, alone, with
+scalar parameters.  So each result is the float it is alone
+(tests/test_quadrature.py holds them equal field for field, and a shuffled
+batch or first round to the same bits).
+
+No product spans two integrals, and each round gives f the children in edge
+order, because BLAS may round a row of a product by its place in the matrix:
+OpenBLAS 0.3.31 does in |f| times the K15 weights on AVX-512 x86-64, and
+also in the values times the rules under OPENBLAS_CORETYPE=Sandybridge.
+Circle integrals, whose meshes differ in length, therefore run one by one:
+laid end to end in one product, 73 of 450 run_verify circle integrals (seeds
+4000-4029) lost their bits alone under Sandybridge.  A circle batch must give
+each integral its own product.  A run_verify (seeds 4000-4029) makes 23.43
+_panels calls: 5 batched first rounds, 15 circle integrals, 3.43 refinements.
 """
 
 from __future__ import annotations
@@ -284,14 +282,12 @@ class QuadratureResult:
         return self.value
 
 
-def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray, blocks: list[int] | None = None) -> tuple:
+def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray) -> tuple:
     """K15 values, |K15 - G7| estimates and K15 masses of many panels, one f call.
 
     f gets the flat array of all nodes.  It may return values with leading
     batch dimensions, one row per integrand; the results then carry the same
-    leading dimensions, with the panels last.  blocks, the panel counts of
-    integrals laid end to end, takes the masses block by block: BLAS rounds
-    a matrix-vector row by where it sits (module notes).
+    leading dimensions, with the panels last.
     """
     mid = 0.5 * (lefts + rights)
     half = 0.5 * (rights - lefts)
@@ -300,11 +296,7 @@ def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray, blocks: list[int
     vals = vals.reshape(vals.shape[:-1] + x.shape)
     rules = half[:, None] * (vals @ _WEIGHTS)
     hi = rules[..., 0]
-    size = np.abs(vals)
-    mass = size @ _KRONROD_WEIGHTS if blocks is None else np.concatenate(
-        [part @ _KRONROD_WEIGHTS for part in np.split(size, np.cumsum(blocks[:-1]))]
-    )
-    return hi, np.abs(hi - rules[..., 1]), half * mass
+    return hi, np.abs(hi - rules[..., 1]), half * (np.abs(vals) @ _KRONROD_WEIGHTS)
 
 
 def _fsum(parts: list[float]) -> float:
@@ -414,26 +406,12 @@ def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> Qua
 
 
 def circle_integrals(insts: list[ProblemInstance], tol: float = DEFAULT_QUAD_TOL) -> list[QuadratureResult]:
-    """circle_integral for each instance, evaluated as one batch.
-
-    Every instance is checked, in order, before any is integrated.  The
-    first rounds of all share one _panels call, with beta and alpha given
-    per node; each integral that does not stop there refines alone, so each
-    result is the float circle_integral gives (module notes).
-    """
-    if not insts:
-        return []
-    roundoffs = [_circle_roundoff(inst) for inst in insts]
-    meshes = [_circle_edges(inst.theta, inst.alpha, inst.beta) for inst in insts]
-    counts = [len(edges) - 1 for edges in meshes]
-    nodes = np.multiply(counts, len(_NODES))
-    betas = np.repeat([inst.beta for inst in insts], nodes)
-    alphas = np.repeat([inst.alpha for inst in insts], nodes)
-    lefts = np.concatenate([edges[:-1] for edges in meshes])
-    rights = np.concatenate([edges[1:] for edges in meshes])
-    first = _panels(_circle_integrand(betas, alphas), lefts, rights, counts)
-    results = _settle(first, meshes, lambda k: _circle_integrand(insts[k].beta, insts[k].alpha), tol, roundoffs)
-    return [_finite(result) for result in results]
+    """circle_integral for each instance, once every instance is checked, in
+    order.  Each is integrated alone, so each result is the float
+    circle_integral gives on any BLAS kernel (module notes)."""
+    for inst in insts:
+        _circle_roundoff(inst)
+    return [circle_integral(inst, tol) for inst in insts]
 
 
 def _circle_roundoff(inst: ProblemInstance) -> float:
@@ -450,8 +428,8 @@ def _circle_roundoff(inst: ProblemInstance) -> float:
     return _ROUNDOFF + _EPS * TWO_PI * (abs(beta) + 1.0)
 
 
-def _circle_integrand(beta, alpha) -> Callable:
-    """z**beta / (z - alpha) dz/dt at z = e^{it}, with scalar beta and alpha or one of each per node."""
+def _circle_integrand(beta: complex, alpha: complex) -> Callable:
+    """z**beta / (z - alpha) dz/dt at z = e^{it}."""
     return lambda t: np.exp(1j * beta * (t - TWO_PI) + 1j * t) * 1j / (np.exp(1j * t) - alpha)
 
 
@@ -618,8 +596,8 @@ def check_circles_vs_radial(insts: list[ProblemInstance]) -> list[float]:
     (ii) the two ray integrals, whose branch powers differ by exactly
     cut_jump_factor(beta, theta).  Needs Re(beta) > 0 (ray integrals converge
     at the origin) and, when |alpha| < 1, alpha off the cut.  The circle
-    integrals are one batch, the radial ones another, and a quadrature that
-    stopped unconverged raises SlowConvergence.
+    integrals run one by one, the radial ones as one batch, and a quadrature
+    that stopped unconverged raises SlowConvergence.
     """
     circles = circle_integrals(insts)
     radials = radial_integrals(insts)

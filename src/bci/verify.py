@@ -20,7 +20,8 @@ reconciliation   cross-regime Euler identity (pole term + closed form):
                  15 Euler integrals and 15 series, one batch each
 ode              finite-difference residual of the regime ODE: 12 draws x 5
                  stencil points, one eval_closed_forms batch of 60 series
-circle           contour integral vs residue + jump * radial integral
+circle           contour integral vs residue + jump * radial integral: 15
+                 circle integrals one by one, 15 radial integrals as one batch
 euler            beta * Euler integral vs the 2F1(1, b; 1+b; .) series:
                  15 Euler integrals and 15 series, one batch each
 """

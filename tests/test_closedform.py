@@ -31,7 +31,7 @@ from bci import (
     int_pow,
     roots_of_unity_filter,
 )
-from bci.branchcut import TWO_PI
+from bci.branchcut import TWO_PI, cut_jump_with_bound
 from bci.closedform import roots_of_unity_drift
 
 # Same mpmath contour anchors as in test_quadrature, reused against the
@@ -106,6 +106,15 @@ class TestDirectSeries:
         inst = ProblemInstance(alpha=0.0, beta=0.5, theta=math.pi)
         r = eval_direct_series(inst)
         assert r.value == pytest.approx(4j, rel=1e-14)
+
+    def test_alpha_zero_sums_no_terms(self):
+        # past k = 0 every term is zero, so the sum is 1/beta; the value and
+        # estimate keep the bits they had when the zero terms were summed
+        beta, theta = 7.5 + 0.3j, 2.0
+        r = eval_direct_series(ProblemInstance(alpha=0.0, beta=beta, theta=theta))
+        assert r.diagnostics["series_terms"] == 1
+        assert r.value == cut_jump_with_bound(beta, theta)[0] * (1.0 / beta)
+        assert r.error_estimate.hex() == "0x1.d4c167dce5706p-47"
 
     @given(
         amod=st.floats(min_value=0.0, max_value=0.9),

@@ -261,9 +261,9 @@ def _count_panels_calls(monkeypatch):
     calls = []
     panels = bci.quadrature._panels
 
-    def counted(f, lefts, rights, *blocks):
+    def counted(f, lefts, rights):
         calls.append(len(lefts))
-        return panels(f, lefts, rights, *blocks)
+        return panels(f, lefts, rights)
 
     monkeypatch.setattr(bci.quadrature, "_panels", counted)
     return calls
@@ -554,28 +554,19 @@ class TestCircleBatches:
             start += size
         assert start == len(insts)
 
-    def test_meshes_end_to_end_keep_every_bit(self):
-        # one |f| @ weights product over all the meshes rounds some masses
-        # differently (module notes), so they are taken block by block
-        rng = random.Random(20261023)
-        meshes = [bci.quadrature._circle_edges(i.theta, i.alpha, i.beta) for i in (_mixed_instance(rng) for _ in range(15))]
-        lefts, rights = np.concatenate([m[:-1] for m in meshes]), np.concatenate([m[1:] for m in meshes])
-        together = bci.quadrature._panels(_two_spots, lefts, rights, [len(m) - 1 for m in meshes])
-        alone = [bci.quadrature._panels(_two_spots, m[:-1], m[1:]) for m in meshes]
-        for got, want in zip(together, zip(*alone)):
-            assert got.tobytes() == np.concatenate(want).tobytes()
+    def test_verify_circle_check_integrates_each_circle_alone(self, monkeypatch):
+        # a batch laid end to end in one BLAS product rounds rows by their
+        # place on some kernels (module notes), so each goes through circle_integral
+        insts = []
+        alone = bci.quadrature.circle_integral
 
-    def test_one_first_round_per_batch(self, monkeypatch):
-        insts = [ProblemInstance(alpha=a, beta=b, theta=th, exclusion_band=1e-4) for a, b, th in EDGE_CIRCLES]
-        calls = _count_panels_calls(monkeypatch)
-        rounds = []
-        for inst in insts:
-            circle_integral(inst)
-            rounds.append(len(calls) - 1)
-            calls.clear()
-        assert sum(rounds) > 0
-        circle_integrals(insts)
-        assert len(calls) == 1 + sum(rounds)
+        def counted(inst, tol=bci.quadrature.DEFAULT_QUAD_TOL):
+            insts.append(inst)
+            return alone(inst, tol)
+
+        monkeypatch.setattr(bci.quadrature, "circle_integral", counted)
+        report = run_verify(4000, checks=("circle",))
+        assert report["checks"][0]["cases"] == len(insts) == 15
 
     def test_every_instance_is_checked_before_any_integral(self, monkeypatch):
         calls = _count_panels_calls(monkeypatch)
@@ -668,13 +659,13 @@ class TestPanelOrder:
 
 
 def test_panels_calls_per_verify_run(monkeypatch):
-    # per run: 6 batched first rounds (the reduction check's two, reconciliation,
-    # the circle check's circle and radial batches, euler) and 3.43 refinement
-    # rounds; 23.43 with the circle integrals one by one
+    # per run: 5 batched first rounds (the reduction check's two, reconciliation,
+    # the circle check's radial batch, euler), the circle check's 15 circle
+    # integrals one by one, and 3.43 refinement rounds
     calls = _count_panels_calls(monkeypatch)
     for seed in range(4000, 4030):
         run_verify(seed)
-    assert len(calls) == 283
+    assert len(calls) == 703
 
 
 class TestIntegralIdentities:
