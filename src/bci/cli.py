@@ -22,7 +22,7 @@ import math
 import os
 import re
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .branchcut import DEFAULT_EXCLUSION_BAND, ProblemInstance, require_tol
 from .closedform import (
@@ -189,10 +189,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _open_out(path: str | None) -> tuple[Any, bool]:
+def _emit(cmd: str, path: str | None, write: Callable[[Any], None]) -> bool:
+    """write(stream) on stdout, or on the file at path.  A file that cannot be
+    opened or written gives one error line on stderr and False."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        write(sys.stdout)
+        sys.stdout.flush()
+        return True
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            write(stream)
+    except BrokenPipeError:
+        raise  # a reader that closed a pipe early: main ends quietly
+    except OSError as exc:
+        print(f"bci {cmd}: error: cannot write --out {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _exit_code(report: EvaluationReport) -> int:
@@ -221,13 +233,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print(f"bci eval: error: {exc}", file=sys.stderr)
         return 1
     report = evaluate_instance(inst, methods=methods, rational=rational)
-    stream, owned = _open_out(args.out)
-    try:
-        stream.write(dumps_canonical(report_to_jsonable(report)) + "\n")
-        stream.flush()
-    finally:
-        if owned:
-            stream.close()
+    if not _emit("eval", args.out, lambda stream: stream.write(dumps_canonical(report_to_jsonable(report)) + "\n")):
+        return 1
     for name, us in report.timing_us.items():
         print(f"# {name}: {us:.1f} us", file=sys.stderr)
     return _exit_code(report)
@@ -243,6 +250,40 @@ def _parse_grid_axis(raw: list[str] | None, parse: Any) -> list[Any]:
             if piece:
                 out.append(parse(piece))
     return out
+
+
+def _write_jsonl(stream: Any, reports: list[EvaluationReport]) -> None:
+    for report in reports:
+        stream.write(dumps_canonical(report_to_jsonable(report)) + "\n")
+        stream.flush()
+
+
+def _write_csv(stream: Any, reports: list[EvaluationReport]) -> None:
+    writer = csv.writer(stream)
+    writer.writerow(
+        [
+            "alpha_re", "alpha_im", "beta_re", "beta_im", "theta",
+            "method", "value_re", "value_im", "error_estimate", "status",
+            "disagreement", "verdict",
+        ]
+    )
+    for report in reports:
+        inst = report.instance
+        base = [repr(x) for x in (inst.alpha.real, inst.alpha.imag, inst.beta.real, inst.beta.imag, inst.theta)]
+        for row in report_to_jsonable(report)["results"]:
+            value = row["value"]
+            writer.writerow(
+                base
+                + [
+                    row["method"],
+                    "" if value is None else repr(value[0]),
+                    "" if value is None else repr(value[1]),
+                    "" if row["error_estimate"] is None else repr(row["error_estimate"]),
+                    row["status"],
+                    repr(report.max_disagreement),
+                    report.verdict,
+                ]
+            )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -267,50 +308,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 1
 
     reports = [evaluate_instance(inst) for inst in instances]
-
-    stream, owned = _open_out(args.out)
     counts = {"Agree": 0, "Partial": 0, "Disagree": 0, "Uncertified": 0, "Refused": 0}
-    try:
-        if args.format == "jsonl":
-            for report in reports:
-                counts[report.verdict] += 1
-                stream.write(dumps_canonical(report_to_jsonable(report)) + "\n")
-                stream.flush()
-        else:
-            writer = csv.writer(stream)
-            writer.writerow(
-                [
-                    "alpha_re", "alpha_im", "beta_re", "beta_im", "theta",
-                    "method", "value_re", "value_im", "error_estimate", "status",
-                    "disagreement", "verdict",
-                ]
-            )
-            for report in reports:
-                counts[report.verdict] += 1
-                inst = report.instance
-                base = [
-                    repr(inst.alpha.real), repr(inst.alpha.imag),
-                    repr(inst.beta.real), repr(inst.beta.imag),
-                    repr(inst.theta),
-                ]
-                for row in report_to_jsonable(report)["results"]:
-                    value = row["value"]
-                    writer.writerow(
-                        base
-                        + [
-                            row["method"],
-                            "" if value is None else repr(value[0]),
-                            "" if value is None else repr(value[1]),
-                            "" if row["error_estimate"] is None else repr(row["error_estimate"]),
-                            row["status"],
-                            repr(report.max_disagreement),
-                            report.verdict,
-                        ]
-                    )
-            stream.flush()
-    finally:
-        if owned:
-            stream.close()
+    for report in reports:
+        counts[report.verdict] += 1
+    write = _write_jsonl if args.format == "jsonl" else _write_csv
+    if not _emit("sweep", args.out, lambda stream: write(stream, reports)):
+        return 1
     print(
         f"# rows={len(reports)} agree={counts['Agree']} partial={counts['Partial']} "
         f"disagree={counts['Disagree']} uncertified={counts['Uncertified']} refused={counts['Refused']}",
@@ -329,13 +332,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except (ValueError, EvaluationError) as exc:
         print(f"bci verify: error: {exc}", file=sys.stderr)
         return 1
-    stream, owned = _open_out(args.out)
-    try:
-        stream.write(dumps_canonical(report) + "\n")
-        stream.flush()
-    finally:
-        if owned:
-            stream.close()
+    if not _emit("verify", args.out, lambda stream: stream.write(dumps_canonical(report) + "\n")):
+        return 1
     return 0 if report["verdict"] == "Agree" else 2
 
 

@@ -196,31 +196,30 @@ def _theorem_finish(
     return MethodResult(value, METHOD_CLOSED_FORM, estimate, diag)
 
 
-def eval_closed_form(inst: ProblemInstance, series_tol: float | None = None) -> MethodResult:
+def eval_closed_form(inst: ProblemInstance) -> MethodResult:
     """Hypergeometric closed form of the circle integral (both regimes).
 
     Integer beta returns the exact residue case; otherwise the identity at
     the top of this module is evaluated with the fast 2F1(1, b; 1+b; .) series
-    up to the band.  series_tol overrides the series tolerance (default: the
-    tighter of 1e-12 and the instance tolerance) — the ODE residual checks
-    push it to ~1e-15 so finite differences stay truncation-limited.
+    up to the band, to the tighter of 1e-12 and the instance tolerance.
     """
     setup = _theorem_setup(inst)
     if isinstance(setup, MethodResult):
         return setup
     b, z = setup[3:]
-    tol = series_tol if series_tol is not None else min(1e-12, inst.tol)
-    return _theorem_finish(inst, setup, hyp2f1_one_b(b, z, tol=tol))
+    return _theorem_finish(inst, setup, hyp2f1_one_b(b, z, tol=min(1e-12, inst.tol)))
 
 
-def eval_closed_forms(insts: list[ProblemInstance], series_tol: float) -> list[MethodResult]:
-    """eval_closed_form(inst, series_tol) for each instance, with the same
-    floats, its series a row of one hyp2f1_one_b_many batch.  Every
-    instance is set up, and every series given its term count, before any
-    is summed, so the first refusal in item order raises first."""
+def eval_closed_forms(insts: list[ProblemInstance]) -> list[MethodResult]:
+    """eval_closed_form(inst) for each instance, with the same floats, its
+    series a row of one hyp2f1_one_b_many batch at that instance's series
+    tolerance.  Every instance is set up, and every series given its term
+    count, before any is summed, so the first refusal in item order raises
+    first."""
     setups = [_theorem_setup(inst) for inst in insts]
-    pending = [setup for setup in setups if not isinstance(setup, MethodResult)]
-    sums = iter(hyp2f1_one_b_many([s[3] for s in pending], [s[4] for s in pending], tol=series_tol))
+    pending = [(inst, setup) for inst, setup in zip(insts, setups) if not isinstance(setup, MethodResult)]
+    bs, zs, tols = [s[3] for _, s in pending], [s[4] for _, s in pending], [min(1e-12, i.tol) for i, _ in pending]
+    sums = iter(hyp2f1_one_b_many(bs, zs, tol=tols))
     return [
         setup if isinstance(setup, MethodResult) else _theorem_finish(inst, setup, next(sums))
         for inst, setup in zip(insts, setups)

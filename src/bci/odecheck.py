@@ -19,7 +19,8 @@ no pointwise comparison replicates: it exercises the alpha-dependence of the
 implementation, not just isolated values.  ode_residuals checks a list of
 instances with one batch of closed-form values at all their stencil points
 (closedform.eval_closed_forms, the floats of eval_closed_form at each
-point); ode_residual is its one-instance form.
+point).  The points carry tol 1e-15, which sums each series that far, so the
+differences stay truncation-limited; ode_residual is its one-instance form.
 """
 
 from __future__ import annotations
@@ -148,7 +149,8 @@ def ode_residuals(insts: list[ProblemInstance], h: float = DEFAULT_STEP) -> list
     h must be finite and positive.  Every instance is checked first, in
     order (IntegerBeta, then RegimeStraddle for a stencil that leaves its
     regime); then the 5 values per instance are one eval_closed_forms batch
-    at series tolerance 1e-15, the floats eval_closed_form gives each point.
+    over stencil points of tol 1e-15, the floats eval_closed_form gives each
+    point.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step h must be positive and finite, got {h!r}")
@@ -162,8 +164,8 @@ def ode_residuals(insts: list[ProblemInstance], h: float = DEFAULT_STEP) -> list
             )
         _band_guard(inst, offsets, h)
         coeffs.append(coefficients_for(inst))
-    points = [ProblemInstance(i.alpha + k * h, i.beta, i.theta, i.tol, i.exclusion_band) for i in insts for k in offsets]
-    values = [r.value for r in eval_closed_forms(points, series_tol=1e-15)]
+    points = [ProblemInstance(i.alpha + k * h, i.beta, i.theta, 1e-15, i.exclusion_band) for i in insts for k in offsets]
+    values = [r.value for r in eval_closed_forms(points)]
     return [
         _residual(inst.alpha, c, values[5 * j : 5 * j + 5], h) for j, (inst, c) in enumerate(zip(insts, coeffs))
     ]

@@ -112,8 +112,9 @@ Almost every integral stops on its first call, so the unit-interval batches
 (euler_integrals, radial_integrals) evaluate all their first rounds in one
 _panels call on their shared mesh.  The integrand gets its parameters as
 (k, 1) columns, and numpy takes the products of its (k, P, 15) values with
-the weights integral by integral.  _settle puts each integral to _refine's
-stopping test (_judge), and only the ~5% that fail it refine, alone, with
+the weights integral by integral.  Each integral's row of that round goes
+straight to _refine, whose first step is the stopping test (_judge), so no
+separate pass repeats it; only the ~5% that fail it refine, alone, with
 scalar parameters.  So each result is the float it is alone
 (tests/test_quadrature.py holds them equal field for field, and a shuffled
 batch or first round to the same bits).
@@ -299,46 +300,23 @@ def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray) -> tuple:
     return hi, np.abs(hi - rules[..., 1]), half * (np.abs(vals) @ _KRONROD_WEIGHTS)
 
 
-def _fsum(parts: list[float]) -> float:
-    """math.fsum, or NaN for a sum it cannot form (an intermediate overflow, or inf - inf)."""
+def _fsum(parts: np.ndarray) -> float:
+    """math.fsum of an array, or NaN for a sum it cannot form (an intermediate overflow, or inf - inf)."""
     try:
-        return math.fsum(parts)
+        return math.fsum(parts.tolist())
     except (OverflowError, ValueError):
         return math.nan
 
 
-def _judge(re: list, im: list, errs: list, masses: list, tol: float, roundoff: float) -> tuple:
-    """The stopping test on an integral's panels, as float lists: (its result,
-    goal = tol * max(1, |value|), whether the summed estimates are at most goal
-    or NaN).  A value that is not finite gets a NaN goal: it stops unconverged."""
-    value = complex(_fsum(re), _fsum(im))
+def _judge(vals: np.ndarray, errs: np.ndarray, masses: np.ndarray, tol: float, roundoff: float) -> tuple:
+    """The stopping test on an integral's panels: (its result, goal = tol *
+    max(1, |value|), whether the summed estimates are at most goal or NaN).
+    A value that is not finite gets a NaN goal: it stops unconverged."""
+    value = complex(_fsum(vals.real), _fsum(vals.imag))
     goal = tol * max(1.0, abs(value)) if cmath.isfinite(value) else math.nan
     err = _fsum(errs)
     estimate = err + roundoff * _fsum(masses)
     return QuadratureResult(value, estimate, len(errs), estimate <= goal), goal, not err > goal
-
-
-def _lists(vals: np.ndarray, errs: np.ndarray, masses: np.ndarray) -> list[list[float]]:
-    return [vals.real.tolist(), vals.imag.tolist(), errs.tolist(), masses.tolist()]
-
-
-def _settle(
-    first: tuple, meshes: list[np.ndarray], alone: Callable, tol: float, roundoffs: list[float]
-) -> list[QuadratureResult]:
-    """The integrals of a batch from first, one _panels call over their meshes
-    laid end to end: each that meets the stopping rule there is settled, and
-    each other refines alone, on integrand alone(k) (module notes)."""
-    re, im, errs, masses = _lists(*first)
-    results = []
-    end = 0
-    for k, (edges, roundoff) in enumerate(zip(meshes, roundoffs)):
-        start, end = end, end + len(edges) - 1
-        result, _, stops = _judge(re[start:end], im[start:end], errs[start:end], masses[start:end], tol, roundoff)
-        if not stops:
-            own = (part[start:end] for part in first)
-            result = _refine(alone(k), (edges[:-1], edges[1:], *own), tol, DEFAULT_MAX_PANELS, roundoff)
-        results.append(result)
-    return results
 
 
 def adaptive_quadrature(
@@ -369,7 +347,7 @@ def _refine(f: Callable, panels: tuple, tol: float, max_panels: int, roundoff: f
     right edges, K15 values, estimates and masses of the panels, in any order."""
     while True:
         lefts, rights, vals, errs, masses = panels
-        result, goal, stops = _judge(*_lists(vals, errs, masses), tol, roundoff)
+        result, goal, stops = _judge(vals, errs, masses, tol, roundoff)
         if stops:
             return result
         split = (errs > goal / errs.size) & (rights - lefts > 1e-15 * (rights.max() - lefts.min()))
@@ -495,13 +473,13 @@ def _unit_power_integrals(mu: list[complex], param: list[complex], factor: Calla
         return s * np.exp(1j * c * lu) * factor(np.exp(s * lu), p)
 
     columns = [np.array(values)[:, None] for values in (s, c, param)]
-    first = _panels(lambda u: g(u, *columns), _UNIT_EDGES[:-1], _UNIT_EDGES[1:])
-    first = tuple(rows.ravel() for rows in first)
-
-    def alone(k: int) -> Callable:
-        return lambda u: g(u, s[k], c[k], param[k])
-
-    return _settle(first, [_UNIT_EDGES] * len(mu), alone, DEFAULT_QUAD_TOL, [_ROUNDOFF] * len(mu))
+    lefts, rights = _UNIT_EDGES[:-1], _UNIT_EDGES[1:]
+    vals, errs, masses = _panels(lambda u: g(u, *columns), lefts, rights)
+    return [
+        _refine(lambda u, k=k: g(u, s[k], c[k], param[k]), (lefts, rights, vals[k], errs[k], masses[k]),
+                DEFAULT_QUAD_TOL, DEFAULT_MAX_PANELS, _ROUNDOFF)
+        for k in range(len(mu))
+    ]
 
 
 def euler_integrals(ws: list[complex], betas: list[complex]) -> list[QuadratureResult]:

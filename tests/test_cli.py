@@ -481,3 +481,31 @@ class TestModuleEntry:
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["verdict"] == "Agree"
+
+
+class TestOutOption:
+    COMMANDS = [
+        ["eval", "--alpha", "0.3@0.8", "--beta", "0.5", "--theta", "2"],
+        ["sweep", "--alpha-mod", "0.5,2", "--alpha-arg", "1", "--beta", "0.7", "--theta", "pi"],
+        ["sweep", "--alpha-mod", "0.5,2", "--alpha-arg", "1", "--beta", "0.7", "--theta", "pi", "--format", "csv"],
+        ["verify", "--seed", "1", "--check", "delta"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_out_file_holds_the_stdout_bytes(self, argv, tmp_path, capsys):
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        target = tmp_path / "f"
+        assert main(argv + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == printed.encode()
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_unwritable_out_is_one_error_line(self, argv, tmp_path, capsys):
+        target = tmp_path / "missing" / "f"
+        assert main(argv + ["--out", str(target)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        [line] = out.err.splitlines()
+        assert line.startswith(f"bci {argv[0]}: error: cannot write --out {target}: ")
+        assert not target.parent.exists()

@@ -69,8 +69,8 @@ class TestResidueCases:
 class TestClosedForm:
     @pytest.mark.parametrize("alpha,beta,theta,want", FROZEN)
     def test_frozen_contours(self, alpha, beta, theta, want):
-        inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
-        got = eval_closed_form(inst, series_tol=1e-15)
+        inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta, tol=1e-15)
+        got = eval_closed_form(inst)
         assert got.value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_alpha_zero_noninteger_beta(self):
@@ -79,9 +79,9 @@ class TestClosedForm:
         assert eval_closed_form(inst).value == pytest.approx(4j, rel=1e-14)
 
     def test_error_estimate_scales_with_series_tol(self):
-        inst = ProblemInstance(alpha=0.8 * cmath.exp(1.0j), beta=0.3, theta=2.0)
-        rough = eval_closed_form(inst, series_tol=1e-6)
-        sharp = eval_closed_form(inst, series_tol=1e-15)
+        # the series runs to the instance tolerance, at most 1e-12
+        rough = eval_closed_form(ProblemInstance(alpha=0.8 * cmath.exp(1.0j), beta=0.3, theta=2.0, tol=1e-12))
+        sharp = eval_closed_form(ProblemInstance(alpha=0.8 * cmath.exp(1.0j), beta=0.3, theta=2.0, tol=1e-15))
         assert abs(rough.value - sharp.value) <= rough.error_estimate + sharp.error_estimate
         assert sharp.error_estimate < rough.error_estimate
 
@@ -223,9 +223,9 @@ class TestRationalLogSum:
         ],
     )
     def test_eval_matches_closed_form(self, alpha, m, n):
-        inst = ProblemInstance(alpha=alpha, beta=m / n, theta=2.4)
+        inst = ProblemInstance(alpha=alpha, beta=m / n, theta=2.4, tol=1e-15)
         got = eval_rational_logsum(inst, RationalBeta(m, n)).value
-        want = eval_closed_form(inst, series_tol=1e-15).value
+        want = eval_closed_form(inst).value
         assert got == pytest.approx(want, rel=1e-11)
 
     def test_beta_mismatch_is_a_bug(self):

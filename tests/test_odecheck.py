@@ -99,7 +99,7 @@ class TestOdeResidual:
             ode_residual(ProblemInstance(alpha=alpha, beta=0.5, theta=2.0), h=h)
 
     def test_batch_checks_every_instance_before_any_value(self, monkeypatch):
-        def no_values(points, series_tol):
+        def no_values(points):
             raise AssertionError("evaluated before every instance was checked")
 
         monkeypatch.setattr(bci.odecheck, "eval_closed_forms", no_values)
@@ -121,15 +121,28 @@ class TestClosedFormBatch:
     def test_batch_equals_each_point_alone(self):
         # both regimes, an integer beta row and a |Im beta| = 40 row, at the
         # ODE's series tolerance and a rougher one
-        insts = [
-            ProblemInstance(alpha=a, beta=beta, theta=theta)
+        for tol in (1e-15, 1e-9):
+            insts = self.instances([tol])
+            assert [repr(r) for r in eval_closed_forms(insts)] == [repr(eval_closed_form(inst)) for inst in insts]
+
+    def test_mixed_tols_in_one_batch(self):
+        # each row sums its series to its own instance's tolerance
+        insts = self.instances([1e-8, 1e-13, 1e-15])
+        assert len({inst.tol for inst in insts}) == 3
+        assert [repr(r) for r in eval_closed_forms(insts)] == [repr(eval_closed_form(inst)) for inst in insts]
+
+    @staticmethod
+    def instances(tols):
+        """Closed-form instances in both regimes, the tolerances taken in turn."""
+        points = [
+            (a, beta, theta)
             for a in (2.0 * cmath.exp(1.1j), 0.45 * cmath.exp(2.7j), 1.05, 0.0, 4.9j)
             for beta, theta in ((0.7 + 0.2j, 2.0), (3, 1.0), (0.5 - 40j, 5.5), (-2.5 + 1e-7j, 0.3))
         ]
-        for tol in (1e-15, 1e-9):
-            assert [repr(r) for r in eval_closed_forms(insts, tol)] == [
-                repr(eval_closed_form(inst, series_tol=tol)) for inst in insts
-            ]
+        return [
+            ProblemInstance(alpha=a, beta=beta, theta=theta, tol=tols[k % len(tols)])
+            for k, (a, beta, theta) in enumerate(points)
+        ]
 
 
 class TestJumpScaling:
@@ -137,8 +150,8 @@ class TestJumpScaling:
         # beta / cut_jump_factor turns the |alpha| < 1 value into 2F1(1, -beta; 1-beta; alpha e^{-i theta})
         beta, theta = 0.8 - 0.3j, 2.6
         alpha = 0.55 * cmath.exp(1.2j)
-        inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
-        value = eval_closed_form(inst, series_tol=1e-15).value
+        inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta, tol=1e-15)
+        value = eval_closed_form(inst).value
         want = hyp2f1_one_b(-beta, alpha * cmath.exp(-1j * theta), tol=1e-14).value
         assert beta / cut_jump_factor(beta, theta) * value == pytest.approx(want, rel=1e-12)
 

@@ -583,27 +583,27 @@ class TestCircleBatches:
 
 class TestArraySettle:
     def test_rows_settle_as_they_do_alone(self):
-        # poles far from [0, 1] stop on the first round, the two 0.01 from it refine
+        # each row of a batched first round goes to _refine; a row with a NaN
+        # estimate (`not nan > goal`) or a NaN value (NaN goal) stops there
         poles = [2.0, 0.5 + 0.01j, 3.0 + 1j, 0.3 - 0.01j, -1.0, 0.7 + 2j]
         fs = [lambda t, c=c: 1.0 / (t - c) for c in poles]
         rows = [bci.quadrature._panels(f, EIGHTHS[:-1], EIGHTHS[1:]) for f in fs]
-        rows[2][1][3] = math.nan  # a NaN estimate: the row stops, as `not nan > goal`
-        rows[4][0][5] = complex(math.nan, 0.0)  # a NaN value, with its estimate
+        rows[2][1][3] = math.nan
+        rows[4][0][5] = complex(math.nan, 0.0)
         rows[4][1][5] = math.nan
-        first = tuple(np.concatenate(part) for part in zip(*rows))
+
+        def uncalled(t):
+            raise AssertionError("a row with a NaN estimate refined")
+
+        fs[2] = fs[4] = uncalled
         roundoff = bci.quadrature._ROUNDOFF
-
-        def alone(k):
-            assert k not in (2, 4), "a row with a NaN estimate refined"
-            return fs[k]
-
-        settled = bci.quadrature._settle(first, [EIGHTHS] * len(fs), alone, 1e-10, [roundoff] * len(fs))
-        for k, got in enumerate(settled):
-            want = bci.quadrature._refine(fs[k], (EIGHTHS[:-1], EIGHTHS[1:], *rows[k]), 1e-10, 20_000, roundoff)
-            assert _bits(got) == _bits(want), k
+        settled = [
+            bci.quadrature._refine(f, (EIGHTHS[:-1], EIGHTHS[1:], *row), 1e-10, 20_000, roundoff)
+            for f, row in zip(fs, rows)
+        ]
         assert [r.subdivisions > 8 for r in settled] == [False, True, False, True, False, False]
         assert math.isnan(settled[2].abs_error_estimate) and not settled[2].converged
-        assert cmath.isnan(settled[4].value)
+        assert cmath.isnan(settled[4].value) and not settled[4].converged
 
 
 class TestPanelOrder:
@@ -639,23 +639,27 @@ class TestPanelOrder:
                 for _ in range(6):
                     assert refine(rng.permutation(len(lefts))) == want
 
-    def test_shuffled_rows_settle_to_the_same_bits(self):
+    def test_shuffled_batch_keeps_each_items_bits(self):
+        # every row of a unit-interval batch, those that refine included,
+        # gives the same bits wherever it sits in the batch
         rng = np.random.default_rng(20261020)
-        poles = [2.0, 0.5 + 0.01j, 3.0 + 1j, 0.3 - 0.01j, -1.0, 0.7 + 2j, 0.5 - 1e-4j]
-        fs = [lambda t, c=c: 1.0 / (t - c) for c in poles]
-        meshes = [EIGHTHS if k % 2 else np.linspace(0.0, 1.0, 12) for k in range(len(fs))]
-        rows = [bci.quadrature._panels(f, m[:-1], m[1:]) for f, m in zip(fs, meshes)]
-        roundoffs = [bci.quadrature._ROUNDOFF] * len(fs)
+        draw = random.Random(20261022)
+        # and a pole 0.01 from [0, 1] in each, which refines
+        cases = [_draw_unit_case(draw) for _ in range(11)] + [(1.0 / (0.3 - 0.01j), 0.7 + 0.2j)]
+        insts = [_radial_case(draw) for _ in range(11)]
+        insts.append(ProblemInstance(alpha=(0.5 + 0.01j) * cmath.exp(2j), beta=0.7 + 0.2j, theta=2.0))
+        first_round = len(bci.quadrature._UNIT_EDGES) - 1
 
-        def settle(order):
-            first = tuple(np.concatenate(part) for part in zip(*(rows[k] for k in order)))
-            got = bci.quadrature._settle(first, [meshes[k] for k in order], lambda j: fs[order[j]], 1e-12, roundoffs)
-            return {k: _bits(r) for k, r in zip(order, got)}
+        def batches(order):
+            euler = euler_integrals([cases[k][0] for k in order], [cases[k][1] for k in order])
+            radial = radial_integrals([insts[k] for k in order])
+            return {k: (_bits(e), _bits(r)) for k, e, r in zip(order, euler, radial)}
 
-        want = settle(list(range(len(fs))))
-        assert [want[k][3] > len(meshes[k]) - 1 for k in range(len(fs))] == [False, True, False, True, False, False, True]
+        want = batches(list(range(12)))
+        assert any(e[3] > first_round for e, _ in want.values())
+        assert any(r[3] > first_round for _, r in want.values())
         for _ in range(6):
-            assert settle(rng.permutation(len(fs)).tolist()) == want
+            assert batches(rng.permutation(12).tolist()) == want
 
 
 def test_panels_calls_per_verify_run(monkeypatch):
