@@ -6,7 +6,8 @@ tolerance (verdict Uncertified), 1 for usage errors or instances where every
 method failed (verdict Refused).  A sweep exits 2 when any row would, else 1
 when every row is Refused, else 0, so a one-row sweep exits as eval does.
 A reader that closes stdout early (`bci sweep ... | head -1`) ends the
-command quietly with status 1.  JSON on stdout is canonical: strict JSON
+command quietly with status 1; any other stdout write error gives one error
+line on stderr and status 1.  JSON on stdout is canonical: strict JSON
 with keys in a fixed order, floats as their shortest round-trip repr and
 non-finite values as the strings "NaN", "Infinity", "-Infinity", so
 identical inputs give identical bytes.  Human chatter, timings included,
@@ -101,7 +102,8 @@ def parse_complex(text: str) -> complex:
 def parse_methods(text: str) -> tuple[list[str], RationalBeta | None]:
     """Comma-separated method tokens -> (wire names, rational exponent).
 
-    Tokens: theorem, series, quadrature, rational:m/n (e.g. rational:-3/4).
+    Tokens: theorem, series, quadrature, rational:m/n (e.g. rational:-3/4),
+    each at most once: a route listed twice would only agree with itself.
     """
     names: list[str] = []
     rational: RationalBeta | None = None
@@ -110,10 +112,8 @@ def parse_methods(text: str) -> tuple[list[str], RationalBeta | None]:
         if not tok:
             continue
         if tok in _METHOD_TOKENS:
-            names.append(_METHOD_TOKENS[tok])
+            name = _METHOD_TOKENS[tok]
         elif tok.startswith("rational:"):
-            if rational is not None:
-                raise ValueError("rational:m/n may appear only once")
             body = tok[len("rational:") :]
             m_text, sep, n_text = body.partition("/")
             if not sep:
@@ -122,11 +122,14 @@ def parse_methods(text: str) -> tuple[list[str], RationalBeta | None]:
                 rational = RationalBeta(int(m_text), int(n_text))
             except ValueError as exc:
                 raise ValueError(f"malformed rational exponent {token!r}: {exc}") from None
-            names.append(METHOD_RATIONAL)
+            name = METHOD_RATIONAL
         else:
             raise ValueError(
                 f"unknown method {token!r}; expected theorem, series, quadrature, rational:m/n"
             )
+        if name in names:
+            raise ValueError(f"method {tok.partition(':')[0]!r} appears more than once")
+        names.append(name)
     if not names:
         raise ValueError("no methods selected")
     return names, rational
@@ -190,19 +193,24 @@ def _build_parser() -> _Parser:
 
 
 def _emit(cmd: str, path: str | None, write: Callable[[Any], None]) -> bool:
-    """write(stream) on stdout, or on the file at path.  A file that cannot be
-    opened or written gives one error line on stderr and False."""
-    if path is None:
-        write(sys.stdout)
-        sys.stdout.flush()
-        return True
+    """write(stream) on stdout, or on the file at path; False when the stream
+    cannot be opened or written.  That gives one error line on stderr, except
+    for a reader that closed a pipe early, which ends the command quietly."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as stream:
-            write(stream)
-    except BrokenPipeError:
-        raise  # a reader that closed a pipe early: main ends quietly
+        if path is None:
+            write(sys.stdout)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as stream:
+                write(stream)
     except OSError as exc:
-        print(f"bci {cmd}: error: cannot write --out {path}: {exc.strerror or exc}", file=sys.stderr)
+        if not isinstance(exc, BrokenPipeError):
+            where = "stdout" if path is None else f"--out {path}"
+            print(f"bci {cmd}: error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        if path is None:
+            # as the Python docs advise for SIGPIPE: point stdout at devnull, so
+            # the flush at exit cannot raise again on what is still buffered
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return False
     return True
 
@@ -341,18 +349,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(list(argv) if argv is not None else None)
     if args.command in ("eval", "sweep") and args.tol is None:
         args.tol = _default_tol()  # read here, so verify and --help run whatever it holds
-    try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_verify(args)
-    except BrokenPipeError:
-        # The reader closed stdout.  As the Python docs advise for SIGPIPE, point
-        # stdout at devnull so the flush at exit cannot raise again, and fail.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 1
+    if args.command == "eval":
+        return _cmd_eval(args)
+    if args.command == "sweep":
+        return _cmd_sweep(args)
+    return _cmd_verify(args)
 
 
 if __name__ == "__main__":

@@ -13,14 +13,13 @@ converges fast on smooth panels while bisection walks geometrically into
 whatever misbehaviour remains — endpoint oscillation from imaginary
 exponents, or a pole sitting near (never on) the path.
 
-The nodes and weights are computed at import: Laurie's algorithm (Math.
-Comp. 66, 1997) extends the Legendre recurrence to the Kronrod one, the
-eigenvalues of its Jacobi matrix (numpy.linalg.eigh, Golub-Welsch) give the
-nodes and weights, and symmetrising makes the nodes exactly antisymmetric
-with the centre at 0.0.  Against the same algorithm run at 40 digits in
-mpmath the nodes are within 2.4e-16 and the K15 weights within 7e-15
-relative; the rules integrate x^k to 2e-15 for k <= 22 (K15) and k <= 13
-(G7), and tests/test_quadrature.py holds them to that.
+The nodes and weights are QUADPACK's qk15 table (Piessens et al., 1983),
+typed at its 33 published digits; each reads as the double nearest the
+exact constant, found at 60 digits in mpmath.  The rules integrate x^k to
+within 4e-16 for k <= 22 (K15) and k <= 13 (G7), and tests/test_quadrature.py
+holds them to that.  A symmetric 15-point rule of degree 22 whose every
+second node carries a 7-point rule of degree 13 is unique, so a wrong
+constant shows as a moment error.
 
 The cost of a panel is arithmetic on its nodes (two complex exponentials and
 a division per node on the circle), so fewer nodes pay directly.  The nodes
@@ -67,18 +66,15 @@ t0 +- h 2^k with h = |log|alpha|| / 2, also around t0 +- 2 pi so that a pole
 near the cut grades both ends; and, from the peak end, the points 2/|Im beta|
 times 2^k.  Both runs of points double up to two base panels.  Measured on
 the eval-mixed pools of seeds 1, 2 and 5 (3000 integrals each, tol 1e-10):
-the calls per integral are 1.0007, 1.0000 and 1.0000 with these constants,
-under the earlier G15/G7 pair and again under K15/G7.
+the calls per integral are 1.0007, 1.0000 and 1.0000 with these constants.
 Pole grading below a distance of 0.6: 0.5 gave 1.004 and 1.003 on seeds 2
 and 5, 0.45 gave 1.01; a first step of 0.7 |log|alpha|| gave 1.001 on seed 5,
 1.0 gave 1.13 on seed 1, while 0.25 and 0.35 only added panels.  Peak grading
 once |Im beta| 2 pi/16 > 2: every threshold from 0.5 to 2 gave the same calls
 and 2 the fewest panels; 4 gave 1.0003 on seed 5, 6 gave 1.018 on seed 1, and
 none at all 1.27; a first step of 1/|Im beta| only added panels, 4/|Im beta|
-gave 1.0017 on seed 1.  Mean panels went from 17.2 to 20.2.  Re-measured
-under K15/G7, the figures repeat: pole reach 0.5 gave 1.003 to 1.004, a pole
-step of 0.7 gave 1.001 on seed 5, a peak step of 4/|Im beta| gave 1.0017 on
-seed 1, and 14 base panels in place of 16 gave 1.0037 (12 gave 1.013).
+gave 1.0017 on seed 1.  Mean panels went from 17.2 to 20.2.  14 base panels
+in place of 16 gave 1.0037 (12 gave 1.013).
 
 Endpoint singularities
 ----------------------
@@ -101,8 +97,8 @@ from there as usual.  K = 36 was chosen by measurement on the identity checks
 of run_verify: started from equal panels, half the integrals stopped at depth
 2 to 10 and the rest at 15 to 33; on the graded mesh almost none refine below
 2^-K.  The worst residual stopped improving at K = 36, and run time was flat
-from K = 24 to K = 40.  Under K15/G7, on run_verify seeds 1000-1029 and
-5000-5029: 1.28 f calls per integral for every K from 30 to 44 (1.82 at
+from K = 24 to K = 40.  On run_verify seeds 1000-1029 and 5000-5029:
+1.28 f calls per integral for every K from 30 to 44 (1.82 at
 K = 24), and the median and worst residual ratios, 1.61e-4 and 2.83e-4, the
 same from K = 36 to 44 (2.83e-4 and 1.1e-3 at K = 30), so K stays 36.
 
@@ -164,84 +160,32 @@ DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_MAX_PANELS = 20_000
 
 
-def _legendre_recurrence(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """First n coefficients (a_k, b_k) of the monic Legendre three-term recurrence.
+#: QUADPACK's qk15 table (Piessens et al., 1983), from x = 1 in to the centre:
+#: the K15 nodes and weights, and the G7 weights on every second node.
+_XGK = [
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.000000000000000000000000000000000,
+]
+_WGK = [
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+]
+_WG = [
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+]
 
-    p_{k+1}(x) = (x - a_k) p_k(x) - b_k p_{k-1}(x), with b_0 = integral_{-1}^1 dx.
-    """
-    k = np.arange(n, dtype=float)
-    b = np.empty(n)
-    b[0] = 2.0
-    b[1:] = k[1:] ** 2 / (4.0 * k[1:] ** 2 - 1.0)
-    return np.zeros(n), b
-
-
-def _kronrod_recurrence(n: int, a0: np.ndarray, b0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Recurrence of the 2n+1 point Gauss-Kronrod rule extending the n point Gauss rule.
-
-    Laurie's algorithm (Math. Comp. 66, 1997, 1133-1145), in the form of
-    Gautschi's r_kronrod: a0 and b0 hold at least ceil(3n/2) + 1 coefficients
-    of the measure's own recurrence.  The returned 2n+1 coefficients define a
-    Jacobi matrix whose eigenvalues are the Kronrod nodes.
-    """
-    a = np.zeros(2 * n + 1)
-    b = np.zeros(2 * n + 1)
-    a[: 3 * n // 2 + 1] = a0[: 3 * n // 2 + 1]
-    b[: (3 * n + 1) // 2 + 1] = b0[: (3 * n + 1) // 2 + 1]
-    s = np.zeros(n // 2 + 2)
-    t = np.zeros(n // 2 + 2)
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        k = np.arange((m + 1) // 2, -1, -1)
-        l = m - k
-        s[k + 1] = np.cumsum((a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k] - b[l] * s[k + 1])
-        s, t = t, s
-    j = np.arange(n // 2, -1, -1)
-    s[j + 1] = s[j]
-    for m in range(n - 1, 2 * n - 2):
-        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
-        l = m - k
-        j = n - 1 - l
-        s[j + 1] = np.cumsum(-(a[k + n + 1] - a[l]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[l] * s[j + 2])
-        last = j[-1]
-        k = (m + 1) // 2
-        if m % 2 == 0:
-            a[k + n + 1] = a[k] + (s[last + 1] - b[k + n + 1] * s[last + 2]) / t[last + 2]
-        else:
-            b[k + n + 1] = s[last + 1] / s[last + 2]
-        s, t = t, s
-    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
-    return a, b
-
-
-def _gauss_rule(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights from recurrence coefficients: Golub-Welsch by numpy.linalg.eigh."""
-    off = np.sqrt(b[1:])
-    nodes, vectors = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
-    return nodes, b[0] * vectors[0] ** 2
-
-
-def _kronrod_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 2n+1 Kronrod nodes on [-1, 1] and a (2n+1, 2) array of weights.
-
-    Column 0 holds the Kronrod weights, column 1 the n-point Gauss weights on
-    the nodes they share (every second node) and 0 elsewhere, so one product
-    with the node values gives both rules.  Nodes and weights are symmetrised,
-    which puts the centre node at exactly 0.0.
-    """
-    a0, b0 = _legendre_recurrence((3 * n + 1) // 2 + 1)
-    nodes, kronrod = _gauss_rule(*_kronrod_recurrence(n, a0, b0))
-    _, gauss = _gauss_rule(*_legendre_recurrence(n))
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = np.zeros((2 * n + 1, 2))
-    weights[:, 0] = 0.5 * (kronrod + kronrod[::-1])
-    weights[1::2, 1] = 0.5 * (gauss + gauss[::-1])
-    return nodes, weights
-
-
-#: One panel's abscissae on [-1, 1] and its K15 / G7 weights (see the module notes).
-_NODES, _WEIGHTS = _kronrod_pair(7)
-_KRONROD_WEIGHTS = np.ascontiguousarray(_WEIGHTS[:, 0])
+#: One panel's abscissae on [-1, 1] in increasing order, and a C-contiguous
+#: (15, 2) array of weights: the K15 column, and the G7 column with 0 on the
+#: nodes G7 does not use, so one product with the node values gives both rules.
+_NODES = np.array([-x for x in _XGK[:-1]] + _XGK[::-1])
+_KRONROD_WEIGHTS = np.array(_WGK[:-1] + _WGK[::-1])
+_WEIGHTS = np.column_stack((_KRONROD_WEIGHTS, np.zeros(15)))
+_WEIGHTS[1::2, 1] = _WG + _WG[-2::-1]
 
 _EPS = sys.float_info.epsilon
 

@@ -89,9 +89,9 @@ def evaluate_instance(
 
     methods lists wire names from KNOWN_METHODS; None selects the closed form
     and quadrature, plus the direct series when |alpha| < 1 and the rational
-    log sum when `rational` is supplied.  Per-method numerical refusals
-    (EvaluationError subclasses) become MethodFailure records; anything else
-    — a genuine bug — propagates.
+    log sum when `rational` is supplied; a name listed twice is refused.
+    Per-method numerical refusals (EvaluationError subclasses) become
+    MethodFailure records; anything else — a genuine bug — propagates.
 
     The verdict is "Disagree" when the largest pairwise relative disagreement
     exceeds inst.tol (or is not a number).  Otherwise it is "Uncertified"
@@ -113,6 +113,8 @@ def evaluate_instance(
         for name in selected:
             if name not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {name!r}; expected one of {KNOWN_METHODS}")
+            if selected.count(name) > 1:
+                raise ValueError(f"method {name!r} is listed more than once; one route cannot cross-check itself")
     if METHOD_RATIONAL in selected and rational is None:
         raise ValueError("the rational log-sum method needs an explicit RationalBeta exponent")
 

@@ -69,7 +69,11 @@ class TestParseMethods:
         # normalisation happens here too
         assert parse_methods("rational:2/4")[1] == RationalBeta(1, 2)
 
-    @pytest.mark.parametrize("text", ["nope", "rational:5", "rational:1/2,rational:1/3", "rational:4/2", ""])
+    @pytest.mark.parametrize(
+        "text",
+        ["nope", "rational:5", "rational:1/2,rational:1/3", "rational:4/2", "", "theorem,theorem",
+         "quadrature,theorem,quadrature"],
+    )
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_methods(text)
@@ -509,3 +513,13 @@ class TestOutOption:
         [line] = out.err.splitlines()
         assert line.startswith(f"bci {argv[0]}: error: cannot write --out {target}: ")
         assert not target.parent.exists()
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full to fail every write")
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_unwritable_stdout_is_one_error_line(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "bci"] + argv, stdout=full, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"bci {argv[0]}: error: cannot write stdout: ")

@@ -130,3 +130,10 @@ class TestVerdict:
         # alone, with nothing to disagree with, it is not vouched for either
         alone = evaluate_instance(ProblemInstance(alpha=0.3, beta=0.5, theta=2.0), methods=[METHOD_CLOSED_FORM])
         assert alone.verdict == "Uncertified"
+
+    def test_repeated_method_is_refused(self):
+        # one route listed twice would agree with itself and pass for a cross-check
+        from bci import METHOD_QUADRATURE, ProblemInstance, evaluate_instance
+
+        with pytest.raises(ValueError, match="more than once"):
+            evaluate_instance(ProblemInstance(alpha=1.5, beta=0.5, theta=2.0), methods=[METHOD_QUADRATURE] * 2)
