@@ -21,32 +21,38 @@ holds them to that.  A symmetric 15-point rule of degree 22 whose every
 second node carries a 7-point rule of degree 13 is unique, so a wrong
 constant shows as a moment error.
 
-The cost of a panel is arithmetic on its nodes (two complex exponentials and
-a division per node on the circle), so fewer nodes pay directly.  The nodes
+The cost of a panel is arithmetic on its nodes (on the circle one complex
+exponential and a division per node, and a second exponential off the
+plain start), so fewer nodes pay directly.  The nodes
 of the panels to evaluate go to f in one flat array: one call for all
 initial panels (shared by a unit-interval batch, below), then one per round
 for the children of all the panels split, which join the panels kept.
 Refinement stops unconverged when no panel over its share is wider than
 1e-15 of the interval, or when a round would pass max_panels.
 adaptive_quadrature starts on the edges its caller gives: the circle and
-unit-interval integrals pass meshes graded toward what the instance says is
-hard (the sections below).  Almost every integral stops on that first call:
-none of 1500 eval-mixed circle integrals (seed 1) refine, and 150 of 3000
-unit-interval integrals of run_verify seeds 4000-4029 do.  On two poles 0.01
-from the path (tests/test_quadrature.py) rounds take 5 f calls where
-splitting the worst panel per call took 21; on the identity checks of
-run_verify seeds 4000-4029, 0, 1, 3, 5, 7, 42 and 1000, 3906 where it took
-3984.
+unit-interval integrals start on meshes graded toward what the instance says
+is hard (the sections below).  Almost every integral stops on that first
+round: none of 9000 eval-mixed circle integrals (seeds 1, 2 and 5) refine,
+and 150 of 3000 unit-interval integrals of run_verify seeds 4000-4029 do.
+On two poles 0.01 from the path (tests/test_quadrature.py) rounds take 5 f
+calls where splitting the worst panel per call took 21; on the identity
+checks of run_verify seeds 4000-4029, 0, 1, 3, 5, 7, 42 and 1000, 3906 where
+it took 3984.
 
 Refinement and stopping look only at |K15 - G7|.  That difference can fall
 below the rounding error of the K15 sum itself, so the reported estimate also
 carries QUADPACK's floor, 50 * eps * integral of |f| (Piessens et al., 1983;
 the integral of |f| is taken with the K15 weights), and converged is judged
-on that floored estimate.  The circle integrand
-exp(i beta (t - 2 pi) + i t) carries the rounding of an exponential whose
-argument reaches |beta + 1| 2 pi, so its estimate adds
-eps * 2 pi * (|beta| + 1) * integral of |f|.  Without that term 7 of 9000
-benchmark-pool estimates fell below their true error, with |beta| up to 40.
+on that floored estimate.  On the circle, the power exp(i beta s) carries
+the rounding of an exponential whose argument reaches |beta| 2 pi, and
+z = e^{is} its own, so the estimate adds eps * 2 pi * (|beta| + 1) *
+integral of |f|.  Without that term 7 of 9000 benchmark-pool estimates fell
+below their true error, with |beta| up to 40, when the start graded toward
+the pole; on the subtracted integrand (below) those pools hold without it,
+the smallest estimate 1.9 times its error, and it stays as the bound it is.
+The residue added back, 2 pi c, is rounded in its product, and the estimate
+carries 2 eps |2 pi c| for it (_judge): at beta = 0 the subtracted integrand
+is 0 and that rounding, 2.4e-16 at c = 1, is the whole error.
 
 Determinism is part of the contract: the CLI promises byte-identical
 reports.  Every total over panels is math.fsum, correctly rounded, so no
@@ -55,26 +61,48 @@ form (an overflow, or inf - inf) is NaN; a value not finite never converges.
 
 Circle start
 ------------
-Two features of integral z^beta/(z - alpha) dz are known before any node is
-evaluated: the pole at t = arg(alpha) - i log|alpha|, a distance |log|alpha||
-from the window, and |z^beta| = e^{-Im(beta) (t - 2 pi)}, which peaks at
-t = theta for Im(beta) > 0 and at theta + 2 pi below 0.  From 16 equal panels
-bisection found both one call per level (2.17 calls per integral on the
-eval-mixed benchmark pool, 7.5 at |z| near 1).  The start mesh therefore
-adds, to the 16 equal panels, the pole's image t0 in the window and the points
-t0 +- h 2^k with h = |log|alpha|| / 2, also around t0 +- 2 pi so that a pole
-near the cut grades both ends; and, from the peak end, the points 2/|Im beta|
-times 2^k.  Both runs of points double up to two base panels.  Measured on
-the eval-mixed pools of seeds 1, 2 and 5 (3000 integrals each, tol 1e-10):
-the calls per integral are 1.0007, 1.0000 and 1.0000 with these constants.
-Pole grading below a distance of 0.6: 0.5 gave 1.004 and 1.003 on seeds 2
-and 5, 0.45 gave 1.01; a first step of 0.7 |log|alpha|| gave 1.001 on seed 5,
-1.0 gave 1.13 on seed 1, while 0.25 and 0.35 only added panels.  Peak grading
-once |Im beta| 2 pi/16 > 2: every threshold from 0.5 to 2 gave the same calls
-and 2 the fewest panels; 4 gave 1.0003 on seed 5, 6 gave 1.018 on seed 1, and
-none at all 1.27; a first step of 1/|Im beta| only added panels, 4/|Im beta|
-gave 1.0017 on seed 1.  Mean panels went from 17.2 to 20.2.  14 base panels
-in place of 16 gave 1.0037 (12 gave 1.013).
+The integral of z^beta/(z - alpha) dz has one pole, at
+s0 = arg(alpha) - i log|alpha| with arg(alpha) in the window, and its residue
+c = alpha^beta = e^{i beta s0} is known before any node is evaluated.  When the
+pole is within _POLE_REACH of the window, circle_integral integrates
+(z^beta - c)/(z - alpha) dz, analytic at s0, and adds 2 pi i c when the pole is
+inside (Helsing & Ojala, J. Comput. Phys. 227, 2008, subtract near-contour
+poles from Cauchy integrals the same way).  The images s0 +- 2 pi keep
+residues scaled by e^{+-2 pi i beta}, which the subtraction does not cancel,
+so the start adds, to 16 equal panels, the points s0 +- 2 pi +- h 2^k with
+h = |log|alpha|| / 2 that fall in the window: a pole near the cut grades the
+window's ends.  |z^beta| = e^{-Im(beta) s} peaks at theta - 2 pi for
+Im(beta) > 0 and at theta below 0; once |Im beta| 2 pi/16 > 2 the points
+2/|Im beta| times 2^k grade in from that end.  Both runs of points double up
+to two base panels.  A start without such points (71.8% of the eval-mixed
+pool of seed 1, against 0% when the start also graded toward s0) takes
+module constants: with lo = theta - 2 pi its nodes are lo + _PLAIN_NODES
+and e^{is} is e^{i lo} _PLAIN_TURNS, with no node build and one complex
+exponential fewer.
+
+On the eval-mixed pools of seeds 1, 2 and 5 (3000 integrals each, tol
+1e-10) every integral converges on its start, on 16.9 panels on average
+against 20.2 when the pole's own image was graded, and every estimate holds
+against the benchmark reference.  Under custom bands, with |alpha| 1-3 bands
+from the circle and Re beta, Im beta in [-3, 3], the estimate held on each
+of 2400 draws at bands 1e-4 and 1e-6 (16.1 panels, 19 with arg(alpha)
+within 0.3 of the cut).  Grading toward s0 held on 58 of 80 such draws at
+1e-6 and 38 of 60 near the cut (tests/test_quadrature.py), on 70 panels:
+near the pole, e^{is} - alpha carries a relative rounding of
+eps/|e^{is} - alpha|, about pi eps/||alpha| - 1|| over the window, which
+neither |K15 - G7| nor the rounding terms covered.
+
+The subtraction is skipped, and s0 graded like its images, when
+|alpha|^Re(beta), the ratio of |c| to |z^beta| at arg(alpha), exceeds
+e^_POLE_GROWTH: there c dwarfs the integrand and its rounding the value.
+At alpha = 1.5 e^i, beta = 40 + 0.3i, theta = 2 the subtracted integral
+stopped unconverged on 19881 panels with an error of 1e-9; skipped, it
+converges on 71 with 2e-15.  That only happens where the pole lies further
+from the circle than about _POLE_GROWTH/|Re beta|, where grading toward it
+is sound.  The grading constants were chosen on the eval-mixed pools when
+the start still graded toward s0: a first step of 0.5 |log|alpha|| and a
+reach of 0.6 took the fewest calls, as did a peak threshold of 2 and a first
+step of 2/|Im beta|, and 14 base panels in place of 16 refined more.
 
 Endpoint singularities
 ----------------------
@@ -122,8 +150,10 @@ also in the values times the rules under OPENBLAS_CORETYPE=Sandybridge.
 Circle integrals, whose meshes differ in length, therefore run one by one:
 laid end to end in one product, 73 of 450 run_verify circle integrals (seeds
 4000-4029) lost their bits alone under Sandybridge.  A circle batch must give
-each integral its own product.  A run_verify (seeds 4000-4029) makes 23.43
-_panels calls: 5 batched first rounds, 15 circle integrals, 3.43 refinements.
+each integral its own product.  A run_verify (seeds 4000-4029) makes 8.6
+_panels calls: 5 batched first rounds, 0.17 graded circle starts and 3.43
+refinements; its other 14.83 circle integrals take the plain start, which
+calls f directly, and none refines.
 """
 
 from __future__ import annotations
@@ -196,15 +226,27 @@ _ROUNDOFF = 50.0 * _EPS
 _UNIT_DEPTH = 36
 _UNIT_EDGES = np.array([0.0] + [2.0**-k for k in range(_UNIT_DEPTH, 2, -1)] + [0.25, 0.5, 0.75, 1.0])
 
-#: Graded start of the circle integral (see the module notes): equal base
-#: panels, plus points doubling away from the pole's image when the pole is
-#: within _POLE_REACH of the window, and from the end where |z^beta| peaks
-#: when |Im beta| times the base width exceeds _PEAK_MIN.
+#: Start of the circle integral (see the module notes): equal panels, plus
+#: points doubling away from the pole's images one turn either side of the
+#: window when the pole is within _POLE_REACH of it (and from the window's own
+#: image too when the pole is not subtracted), and from the end where
+#: |z^beta| peaks when |Im beta| times the panel width exceeds _PEAK_MIN.
 _CIRCLE_PANELS = 16
 _POLE_REACH = 0.6
 _POLE_STEP = 0.5  # first step, as a fraction of the pole's distance |log|alpha||
 _PEAK_MIN = 2.0
 _PEAK_STEP = 2.0  # first step, divided by |Im beta|
+#: The residue c = alpha^beta is subtracted only while |alpha|^Re(beta), the
+#: ratio of |c| to |z^beta| at z = alpha / |alpha|, is at most e^_POLE_GROWTH.
+_POLE_GROWTH = 2.0
+
+#: The plain start (no grading points) relative to the window's left end:
+#: its edges, the panels' half widths, its 16 x 15 nodes in panel order, and
+#: e^{i node}.
+_PLAIN_EDGES = (TWO_PI / _CIRCLE_PANELS) * np.arange(_CIRCLE_PANELS + 1.0)
+_PLAIN_HALF = 0.5 * (_PLAIN_EDGES[1:] - _PLAIN_EDGES[:-1])
+_PLAIN_NODES = (0.5 * (_PLAIN_EDGES[:-1] + _PLAIN_EDGES[1:])[:, None] + _PLAIN_HALF[:, None] * _NODES).ravel()
+_PLAIN_TURNS = np.exp(1j * _PLAIN_NODES)
 
 #: circle_integral refuses when its integrand may reach e^_EXP_LIMIT on the
 #: window: a little below the float overflow at e^709.78, so no node overflows.
@@ -237,29 +279,40 @@ def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray) -> tuple:
     mid = 0.5 * (lefts + rights)
     half = 0.5 * (rights - lefts)
     x = mid[:, None] + half[:, None] * _NODES
-    vals = np.asarray(f(x.ravel()), dtype=complex)
-    vals = vals.reshape(vals.shape[:-1] + x.shape)
+    return _rules(np.asarray(f(x.ravel()), dtype=complex), half)
+
+
+def _rules(vals: np.ndarray, half: np.ndarray) -> tuple:
+    """_panels from the integrand's values at the nodes, given the panels' half widths."""
+    vals = vals.reshape(vals.shape[:-1] + (half.size, 15))
     rules = half[:, None] * (vals @ _WEIGHTS)
     hi = rules[..., 0]
     return hi, np.abs(hi - rules[..., 1]), half * (np.abs(vals) @ _KRONROD_WEIGHTS)
 
 
-def _fsum(parts: np.ndarray) -> float:
-    """math.fsum of an array, or NaN for a sum it cannot form (an intermediate overflow, or inf - inf)."""
+def _fsum(parts: np.ndarray, extra: float = 0.0) -> float:
+    """math.fsum of an array and extra, or NaN for a sum it cannot form (an
+    intermediate overflow, or inf - inf)."""
+    terms = parts.tolist()
+    if extra:
+        terms.append(extra)
     try:
-        return math.fsum(parts.tolist())
+        return math.fsum(terms)
     except (OverflowError, ValueError):
         return math.nan
 
 
-def _judge(vals: np.ndarray, errs: np.ndarray, masses: np.ndarray, tol: float, roundoff: float) -> tuple:
-    """The stopping test on an integral's panels: (its result, goal = tol *
-    max(1, |value|), whether the summed estimates are at most goal or NaN).
-    A value that is not finite gets a NaN goal: it stops unconverged."""
-    value = complex(_fsum(vals.real), _fsum(vals.imag))
+def _judge(
+    vals: np.ndarray, errs: np.ndarray, masses: np.ndarray, tol: float, roundoff: float, offset: complex
+) -> tuple:
+    """The stopping test on an integral's panels plus offset: (its result,
+    goal = tol * max(1, |value|), whether the summed estimates are at most goal
+    or NaN).  The estimate carries offset's own rounding, 2 eps |offset|.  A
+    value that is not finite gets a NaN goal: it stops unconverged."""
+    value = complex(_fsum(vals.real, offset.real), _fsum(vals.imag, offset.imag))
     goal = tol * max(1.0, abs(value)) if cmath.isfinite(value) else math.nan
     err = _fsum(errs)
-    estimate = err + roundoff * _fsum(masses)
+    estimate = err + roundoff * _fsum(masses) + 2.0 * _EPS * abs(offset)
     return QuadratureResult(value, estimate, len(errs), estimate <= goal), goal, not err > goal
 
 
@@ -286,12 +339,15 @@ def adaptive_quadrature(
     return _refine(f, (lefts, rights, *_panels(f, lefts, rights)), tol, max_panels, roundoff)
 
 
-def _refine(f: Callable, panels: tuple, tol: float, max_panels: int, roundoff: float) -> QuadratureResult:
+def _refine(
+    f: Callable, panels: tuple, tol: float, max_panels: int, roundoff: float, offset: complex = 0j
+) -> QuadratureResult:
     """adaptive_quadrature from its first round: panels holds the left and
-    right edges, K15 values, estimates and masses of the panels, in any order."""
+    right edges, K15 values, estimates and masses of the panels, in any order.
+    The result is the integral plus offset, a constant known in closed form."""
     while True:
         lefts, rights, vals, errs, masses = panels
-        result, goal, stops = _judge(vals, errs, masses, tol, roundoff)
+        result, goal, stops = _judge(vals, errs, masses, tol, roundoff, offset)
         if stops:
             return result
         split = (errs > goal / errs.size) & (rights - lefts > 1e-15 * (rights.max() - lefts.min()))
@@ -312,19 +368,36 @@ def _refine(f: Callable, panels: tuple, tol: float, max_panels: int, roundoff: f
 def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     """Contour integral of z**beta / (z - alpha) over the unit circle.
 
-    Parameterised as z = e^{it} on the window t in [theta, theta + 2*pi],
+    Parameterised as z = e^{is} on the window s in [theta - 2 pi, theta],
     which walks the circle once starting and ending on the cut.  There the
-    branch argument of e^{it} is t - 2*pi, so the power is exp(i*beta*(t-2*pi))
-    with no logarithm calls in the hot loop.  That integrand is analytic on the
+    branch argument of e^{is} is s itself, so the power is exp(i beta s) with
+    no logarithm calls in the hot loop.  That integrand is analytic on the
     closed window (the cut only enters through its endpoints, which Gauss nodes
-    never touch).  The engine starts on the mesh of _circle_edges, and the
-    estimate adds the rounding of the exponential (module notes).  Raises
+    never touch).  A pole near the circle is subtracted: the engine integrates
+    (z^beta - c) / (z - alpha) dz with c = alpha^beta on the window's branch,
+    and 2 pi i c is added when the pole is inside.  The engine starts on the
+    mesh of _circle_start, and the estimate adds the rounding of the
+    exponential and of the residue added back (module notes).  Raises
     NonFiniteValue when the integrand could overflow on the window, or the
     value or estimate is not finite.
     """
     roundoff = _circle_roundoff(inst)
-    f = _circle_integrand(inst.beta, inst.alpha)
-    return _finite(adaptive_quadrature(f, _circle_edges(inst.theta, inst.alpha, inst.beta), tol, roundoff=roundoff))
+    lo, alpha, beta = inst.theta - TWO_PI, inst.alpha, inst.beta
+    edges, pole = _circle_start(lo, alpha, beta)
+    c = 0j if pole is None else cmath.exp(1j * beta * pole)
+    g = _circle_integrand(beta, alpha, c)
+    f = lambda s: g(s, np.exp(1j * s))
+    if edges is None:
+        lefts, rights = lo + _PLAIN_EDGES[:-1], lo + _PLAIN_EDGES[1:]
+        first = _rules(g(lo + _PLAIN_NODES, cmath.exp(1j * lo) * _PLAIN_TURNS), _PLAIN_HALF)
+    else:
+        lefts, rights = edges[:-1], edges[1:]
+        first = _panels(f, lefts, rights)
+    # the i of dz = i z ds multiplies the total, the enclosed residue 2 pi i c included
+    offset = 0j if inst.alpha_outside() else TWO_PI * c
+    r = _refine(f, (lefts, rights, *first), tol, DEFAULT_MAX_PANELS, roundoff, offset)
+    value = complex(-r.value.imag, r.value.real)
+    return _finite(QuadratureResult(value, r.abs_error_estimate, r.subdivisions, r.converged))
 
 
 def circle_integrals(insts: list[ProblemInstance], tol: float = DEFAULT_QUAD_TOL) -> list[QuadratureResult]:
@@ -341,7 +414,7 @@ def _circle_roundoff(inst: ProblemInstance) -> float:
     notes), once inst is checked: alpha off the circle, and no node overflowing."""
     inst.require_alpha_off_circle()
     th, alpha, beta = inst.theta, inst.alpha, inst.beta
-    # log |z^beta| = -Im(beta) (t - 2 pi) is largest at one end of the window,
+    # log |z^beta| = -Im(beta) s is largest at one end of the window,
     # and |z - alpha| >= |1 - |alpha|| on the circle
     peak = beta.imag * (TWO_PI - th) if beta.imag > 0.0 else -beta.imag * th
     peak -= math.log(abs(1.0 - abs(alpha)))
@@ -350,9 +423,10 @@ def _circle_roundoff(inst: ProblemInstance) -> float:
     return _ROUNDOFF + _EPS * TWO_PI * (abs(beta) + 1.0)
 
 
-def _circle_integrand(beta: complex, alpha: complex) -> Callable:
-    """z**beta / (z - alpha) dz/dt at z = e^{it}."""
-    return lambda t: np.exp(1j * beta * (t - TWO_PI) + 1j * t) * 1j / (np.exp(1j * t) - alpha)
+def _circle_integrand(beta: complex, alpha: complex, c: complex) -> Callable:
+    """z (z**beta - c) / (z - alpha) at s, given z = e^{is}: the integrand over
+    ds, short of the constant factor i."""
+    return lambda s, z: z * (np.exp(1j * beta * s) - c) / (z - alpha)
 
 
 def _finite(result: QuadratureResult) -> QuadratureResult:
@@ -361,40 +435,53 @@ def _finite(result: QuadratureResult) -> QuadratureResult:
     return result
 
 
-def _circle_edges(th: float, alpha: complex, beta: complex) -> np.ndarray:
-    """Starting mesh of circle_integral on [th, th + 2 pi]: see the module notes.
+def _circle_start(lo: float, alpha: complex, beta: complex) -> tuple:
+    """Start of circle_integral on [lo, lo + 2 pi] (module notes): (the graded
+    edges, or None for the plain start; the pole s0 = arg(alpha) - i log|alpha|,
+    arg(alpha) in the window, when its residue is subtracted, or None).
 
-    Built from Python floats, sorted and deduplicated, so it is a pure
-    function of the instance.
+    The edges are built from Python floats, sorted and deduplicated, so they
+    are a pure function of the instance.
     """
     width = TWO_PI / _CIRCLE_PANELS
     reach = 2.0 * width
-    lo, hi = th, th + TWO_PI
-    points = [lo + k * width for k in range(1, _CIRCLE_PANELS)]
+    hi = lo + TWO_PI
+    points = []
 
     def grade(start: float, step: float, sign: float) -> None:
         while step <= reach:
             points.append(start + sign * step)
             step *= 2.0
 
-    dist = abs(math.log(abs(alpha))) if alpha != 0 else math.inf
+    pole = None
+    log_mod = math.log(abs(alpha)) if alpha != 0 else -math.inf
+    dist = abs(log_mod)
     if dist < _POLE_REACH:
-        # the pole sits at t = arg(alpha) - i log|alpha|; grade both sides of
-        # its image and of the image one turn away, so a pole near the cut
-        # grades both ends of the window
-        t0 = lo + (cmath.phase(alpha) - lo) % TWO_PI
-        for centre in (t0 - TWO_PI, t0, t0 + TWO_PI):
-            points.append(centre)
+        # the pole's images one turn away keep residues scaled by e^{+-2 pi i
+        # beta}, which the subtraction leaves; grade both sides of each, so a
+        # pole near the cut grades both ends of the window
+        s0 = lo + (cmath.phase(alpha) - lo) % TWO_PI
+        centres = [s0 - TWO_PI, s0 + TWO_PI]
+        if beta.real * log_mod <= _POLE_GROWTH:
+            pole = complex(s0, -log_mod)
+        else:
+            centres.append(s0)
+            points.append(s0)
+        for centre in centres:
             grade(centre, _POLE_STEP * dist, 1.0)
             grade(centre, _POLE_STEP * dist, -1.0)
     im = abs(beta.imag)
     if im * width > _PEAK_MIN:
-        # |z^beta| = e^{-Im(beta) (t - 2 pi)} peaks at lo for Im(beta) > 0, at hi below 0
+        # |z^beta| = e^{-Im(beta) s} peaks at lo for Im(beta) > 0, at hi below 0
         if beta.imag > 0.0:
             grade(lo, _PEAK_STEP / im, 1.0)
         else:
             grade(hi, _PEAK_STEP / im, -1.0)
-    return np.array([lo] + sorted({p for p in points if lo < p < hi}) + [hi])
+    points = [p for p in points if lo < p < hi]
+    if not points:
+        return None, pole
+    points += [lo + k * width for k in range(1, _CIRCLE_PANELS)]
+    return np.array([lo] + sorted(set(points)) + [hi]), pole
 
 
 def _unit_power_integrals(mu: list[complex], param: list[complex], factor: Callable) -> list[QuadratureResult]:

@@ -261,6 +261,51 @@ class TestCircleAgainstMpmath:
             assert err <= r.abs_error_estimate, (alpha, beta, theta, err, r.abs_error_estimate)
 
 
+def _near_band_instance(rng, band, near_cut):
+    """|alpha| 1-3 bands from the circle, inside or out, with arg alpha within
+    0.3 rad of the cut at theta or at least 0.3 rad from it."""
+    mod = 1.0 + rng.choice((-1, 1)) * band * rng.uniform(1.0, 3.0)
+    theta = rng.uniform(0.05, 2 * math.pi - 0.05)
+    offset = rng.choice((-1, 1)) * rng.uniform(0.0, 0.3) if near_cut else rng.uniform(0.3, 2 * math.pi - 0.3)
+    beta = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+    return ProblemInstance(alpha=mod * cmath.exp(1j * (theta + offset)), beta=beta, theta=theta, exclusion_band=band)
+
+
+class TestCircleNearTheBand:
+    @pytest.mark.parametrize("band", [1e-4, 1e-6])
+    @pytest.mark.parametrize("near_cut,count", [(False, 80), (True, 60)])
+    def test_estimate_holds_on_few_panels(self, band, near_cut, count):
+        # with the start graded toward the pole, the estimate held on 79/80
+        # and 60/60 of these draws at band 1e-4 (away from the cut, then near
+        # it) and on 58/80 and 38/60 at 1e-6, on 46-73 panels; with the pole
+        # subtracted the integrand is smooth there
+        rng = random.Random(f"near-band:{band}:{near_cut}")
+        panels = 0
+        for _ in range(count):
+            inst = _near_band_instance(rng, band, near_cut)
+            r = circle_integral(inst)
+            err = abs(r.value - _mp_circle(inst.alpha, inst.beta, inst.theta))
+            assert r.converged and err <= r.abs_error_estimate, (inst, err, r.abs_error_estimate)
+            panels += r.subdivisions
+        assert panels / count <= 20.0, panels / count
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_estimate_covers_the_added_residue(self, n):
+        # integer beta = n >= 0 with alpha inside: the integral is 2 pi i alpha^n,
+        # all of it the added residue; z^n - c vanishes identically at n = 0, so
+        # only the rounding of 2 pi i c covers the error there
+        rng = random.Random(n)
+        for _ in range(40):
+            mod = rng.uniform(0.56, 0.979)
+            alpha = mod * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            r = circle_integral(ProblemInstance(alpha=alpha, beta=n, theta=rng.uniform(0.05, 2 * math.pi - 0.05)))
+            with mp.workdps(30):
+                want = complex(2j * mp.pi * mp.mpc(alpha) ** n)
+            err = abs(r.value - want)
+            assert r.converged and err <= r.abs_error_estimate, (alpha, err, r.abs_error_estimate)
+            assert r.abs_error_estimate > 0.0
+
+
 def _count_panels_calls(monkeypatch):
     """Patch bci.quadrature._panels to count its calls; returns the live counter list."""
     calls = []
@@ -293,12 +338,17 @@ def _mixed_instance(rng):
 class TestCircleGradedStart:
     def test_about_one_call_per_circle_integral(self, monkeypatch):
         # started on 16 equal panels, bisection toward the pole and the peak of
-        # |z^beta| took ~2.2 calls per integral on this domain
+        # |z^beta| took ~2.2 calls per integral on this domain; a graded start
+        # is one _panels call and the cached plain start none, so any call
+        # beyond those is a refinement round
         calls = _count_panels_calls(monkeypatch)
         rng = random.Random(20261019)
+        graded = 0
         for _ in range(200):
-            assert circle_integral(_mixed_instance(rng), tol=1e-10).converged
-        assert len(calls) / 200 <= 1.05, len(calls)
+            inst = _mixed_instance(rng)
+            graded += bci.quadrature._circle_start(inst.theta - 2 * math.pi, inst.alpha, inst.beta)[0] is not None
+            assert circle_integral(inst, tol=1e-10).converged
+        assert (len(calls) - graded) / 200 <= 0.05, (len(calls), graded)
 
     @pytest.mark.parametrize(
         "alpha,beta,theta,band",
@@ -309,6 +359,10 @@ class TestCircleGradedStart:
             (1.0002 * cmath.exp(1.3j), 0.5 + 0.2j, 2.5, 1e-4),  # pole 2e-4 from the circle
             (0.6 * cmath.exp(0.4j), 0.5 + 100j, 3.0, 0.02),  # |z^beta| peaks at theta
             (1.7 * cmath.exp(4.0j), -1.0 - 100j, 3.0, 0.02),  # ... and at theta + 2 pi
+            # |alpha|^Re(beta) = e^16 and e^15: a subtracted residue that large
+            # stopped unconverged on ~2e4 panels, so the pole is graded instead
+            (1.5 * cmath.exp(1.0j), 40.0 + 0.3j, 2.0, 0.02),
+            (0.6 * cmath.exp(1.0j), -30.0 + 0.3j, 2.0, 0.02),
         ],
     )
     def test_edge_cases_converge_within_estimate(self, alpha, beta, theta, band):
@@ -319,13 +373,32 @@ class TestCircleGradedStart:
         assert err <= r.abs_error_estimate, (err, r.abs_error_estimate)
 
     def test_start_mesh_is_graded_and_deterministic(self):
-        edges = bci.quadrature._circle_edges(2.5, 1.0002 * cmath.exp(1.3j), 0.5 + 0.2j)
-        assert edges[0] == 2.5 and edges[-1] == 2.5 + 2 * math.pi
+        start = bci.quadrature._circle_start
+        lo, width = 2.5 - 2 * math.pi, 2 * math.pi / 16
+        # a pole 2e-4 from the circle mid-window is subtracted: no point grades toward it
+        edges, pole = start(lo, 1.0002 * cmath.exp(1.3j), 0.5 + 0.2j)
+        assert edges is None
+        assert pole.real == pytest.approx(1.3, abs=1e-12) and pole.imag == -math.log(1.0002)
+        # |Im beta| = 30 grades the left end, where |z^beta| peaks, and still not the pole
+        edges, _ = start(lo, 1.0002 * cmath.exp(1.3j), 0.5 + 30j)
+        assert edges[0] == lo and edges[-1] == lo + 2 * math.pi
         assert np.all(np.diff(edges) > 0.0)
-        t0 = 1.3 + 2 * math.pi  # the pole's image in the window
-        nearest = np.sort(np.abs(edges - t0))
-        assert nearest[0] == 0.0 and nearest[1] == pytest.approx(1e-4, rel=1e-2)
-        again = bci.quadrature._circle_edges(2.5, 1.0002 * cmath.exp(1.3j), 0.5 + 0.2j)
+        assert np.diff(edges)[0] == pytest.approx(2.0 / 30)
+        assert np.min(np.abs(edges - 1.3)) > 0.02
+        # a pole 2e-4 from the circle and 1e-3 past the cut at theta: subtracted at
+        # the window's left end, while its image one turn on grades the right end
+        edges, pole = start(lo, 1.0002 * cmath.exp(2.501j), 0.5 + 0.2j)
+        steps = np.diff(edges)
+        assert pole.real == pytest.approx(lo + 1e-3, abs=1e-12)
+        assert steps[-1] < 1e-3 and steps[-4:-2] / steps[-3:-1] == pytest.approx([2.0, 2.0])
+        assert steps[0] == pytest.approx(width)
+        # ... and 1e-3 before it: the image one turn back grades the left end
+        edges, pole = start(lo, 1.0002 * cmath.exp(2.499j), 0.5 + 0.2j)
+        steps = np.diff(edges)
+        assert pole.real == pytest.approx(2.499, abs=1e-12)
+        assert steps[0] < 1e-3 and steps[1:3] / steps[2:4] == pytest.approx([0.5, 0.5])
+        assert steps[-1] == pytest.approx(width)
+        again, _ = start(lo, 1.0002 * cmath.exp(2.499j), 0.5 + 0.2j)
         assert edges.tobytes() == again.tobytes()
 
     def test_overflowing_power_is_refused(self):
@@ -529,7 +602,8 @@ def _bits(result):
 
 #: Circle instances for the batch tests (alpha, beta, theta): poles 0.021
 #: from the circle on both sides with |Im beta| 30-38, a pole image at both
-#: ends of the window, no pole at all, and a pole 2e-4 from the circle.
+#: ends of the window, no pole at all, a pole 2e-4 from the circle, and
+#: Re beta = 12, whose oscillation refines from the 16-panel start.
 EDGE_CIRCLES = [
     (0.979 * cmath.exp(0.5j), 0.5 + 30j, 1.0),
     (1.021 * cmath.exp(4.0j), -1.5 - 38j, 3.5),
@@ -539,6 +613,7 @@ EDGE_CIRCLES = [
     (1.3 * cmath.exp(2.0j - 5e-10j), -1.5 + 0.2j, 2.0),
     (0.0, 0.5 + 0.3j, 2.0),
     (1.0002 * cmath.exp(1.3j), 0.5 + 0.2j, 2.5),
+    (0.5 * cmath.exp(1j), 12.0 + 0.3j, 2.0),
 ]
 
 
@@ -550,10 +625,11 @@ class TestCircleBatches:
         insts += [_mixed_instance(rng) for _ in range(40)]
         rng.shuffle(insts)
         alone = [circle_integral(inst, tol) for inst in insts]
-        first_round = [len(bci.quadrature._circle_edges(i.theta, i.alpha, i.beta)) - 1 for i in insts]
+        starts = [bci.quadrature._circle_start(i.theta - 2 * math.pi, i.alpha, i.beta)[0] for i in insts]
+        first_round = [16 if edges is None else len(edges) - 1 for edges in starts]
         assert any(r.subdivisions > n for r, n in zip(alone, first_round))  # stragglers refine on their own
         start = 0
-        for size in (1, 2, 15, 7, 23):  # ragged batches
+        for size in (1, 2, 15, 7, 24):  # ragged batches
             batch = circle_integrals(insts[start : start + size], tol)
             assert [_bits(r) for r in batch] == [_bits(r) for r in alone[start : start + size]]
             start += size
@@ -669,12 +745,13 @@ class TestPanelOrder:
 
 def test_panels_calls_per_verify_run(monkeypatch):
     # per run: 5 batched first rounds (the reduction check's two, reconciliation,
-    # the circle check's radial batch, euler), the circle check's 15 circle
-    # integrals one by one, and 3.43 refinement rounds
+    # the circle check's radial batch, euler) and 3.43 refinement rounds; of
+    # the 450 circle integrals, 5 start graded and the rest on the cached
+    # plain start, which needs no _panels call, and none refines
     calls = _count_panels_calls(monkeypatch)
     for seed in range(4000, 4030):
         run_verify(seed)
-    assert len(calls) == 703
+    assert len(calls) == 258
 
 
 class TestIntegralIdentities:
