@@ -154,13 +154,6 @@ def _argument_rounding(b: complex, z: complex, f: complex) -> float:
     return 3.0 * _EPS * abs(b) * abs(1.0 / (1.0 - z) - f)
 
 
-def _converged(series: SeriesResult, z: complex) -> SeriesResult:
-    """series, unless max_terms cut it short of its tolerance: SlowConvergence."""
-    if not series.converged:
-        raise SlowConvergence(f"the 2F1 series needs more than {series.terms_used} terms at |z| = {abs(z):.6g}")
-    return series
-
-
 def _theorem_setup(inst: ProblemInstance) -> MethodResult | tuple[dict[str, Any], complex, float, complex, complex]:
     """eval_closed_form up to its series: the finished result for integer
     beta, else (diag, jump, jump_err, b, z) for _theorem_finish, whose
@@ -186,7 +179,6 @@ def _theorem_finish(
 ) -> MethodResult:
     """eval_closed_form after its series: the identity's value and estimate."""
     diag, jump, jump_err, b, z = setup
-    series = _converged(series, z)
     prefactor = jump / inst.beta
     factor = 1.0 - series.value if inst.alpha_outside() else series.value
     value = prefactor * factor
@@ -455,7 +447,8 @@ def check_reconciliations(insts: list[ProblemInstance]) -> list[float]:
 
     Preconditions: 0 < |alpha| < 1 (off the exclusion band), Re(beta) > 0,
     beta not a nonnegative integer, Arg(alpha) != theta.  An Euler integral
-    or a series that stopped unconverged raises SlowConvergence.
+    that stopped unconverged, or a series capped short of its tolerance,
+    raises SlowConvergence.
     """
     log_alphas = []
     for inst in insts:
@@ -479,7 +472,7 @@ def check_reconciliations(insts: list[ProblemInstance]) -> list[float]:
     zs = [inst.alpha * cmath.exp(-1j * inst.theta) for inst in insts]
     sums = hyp2f1_one_b_many([-inst.beta for inst in insts], zs, tol=[min(1e-12, inst.tol) for inst in insts])
     residuals = []
-    for inst, log_alpha, left, z, series in zip(insts, log_alphas, lhs, zs, sums):
+    for inst, log_alpha, left, series in zip(insts, log_alphas, lhs, sums):
         alpha, beta, theta = inst.alpha, inst.beta, inst.theta
         try:
             pole_term = 2j * math.pi * cmath.exp(beta * (log_alpha - 1j * theta)) / (1.0 - cmath.exp(-2j * math.pi * beta))
@@ -487,7 +480,7 @@ def check_reconciliations(insts: list[ProblemInstance]) -> list[float]:
             pole_term = complex(math.inf)
         if not cmath.isfinite(pole_term):
             raise NonFiniteValue(f"the pole term overflows at beta = {beta!r}")
-        rhs = pole_term + (1.0 - _converged(series, z).value) / beta
+        rhs = pole_term + (1.0 - series.value) / beta
         residuals.append(abs(left.converged_value("Euler integral") - rhs) / max(abs(rhs), 1.0))
     return residuals
 

@@ -3,10 +3,12 @@
 Only |z| < 1 is needed anywhere in this package: the closed forms always feed
 the series an argument of modulus min(|alpha|, 1/|alpha|), which the circle
 exclusion band keeps strictly inside the disk.  No analytic continuation is
-attempted.  hyp2f1_one_b refuses |z| >= 1 with SlowConvergence and fixes its
-term count before it sums: the first K >= |b| (from the geometric estimate
-up) with majorant |b/(b+K)| |z|^K |z|/(1-|z|) <= tol, capped at max_terms.
-|b+k| grows with k past |b|, so the majorant bounds the tail (tail_estimate).
+attempted.  hyp2f1_one_b fixes its term count before it sums: the first
+K >= |b| (from the geometric estimate up) with majorant
+|b/(b+K)| |z|^K |z|/(1-|z|) <= tol.  |b+k| grows with k past |b|, so the
+majorant bounds the tail (tail_estimate).  It refuses with SlowConvergence,
+before summing anything, |z| >= 1 and a series whose majorant still exceeds
+tol at max_terms terms.
 hyp2f1_one_b_many sums many series in one set of array operations, each
 over its own term count, so each is the float hyp2f1_one_b gives.
 """
@@ -34,17 +36,11 @@ DEFAULT_MAX_TERMS = 100_000
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Partial-sum value plus the bookkeeping needed to judge it.
-
-    converged means the geometric tail bound dropped below the tolerance
-    before max_terms; otherwise the partial sum is still returned, with
-    tail_estimate saying how bad it might be.
-    """
+    """Partial-sum value, its term count and its tail bound, at most the tolerance."""
 
     value: complex
     terms_used: int
     tail_estimate: float
-    converged: bool
 
 
 def _series_length(b: complex, q: float, tol: float, k_min: int, max_terms: int) -> tuple[int, float]:
@@ -68,13 +64,17 @@ def _series_length(b: complex, q: float, tol: float, k_min: int, max_terms: int)
 
 def _plan(b: complex, z: complex, tol: float, max_terms: int) -> tuple[int, float]:
     """Index K of the last term of the series at (b, z) and its tail majorant, after refusing
-    a non-positive integer b (InvalidC) and |z| >= 1 (SlowConvergence); z = 0 has no terms."""
+    a non-positive integer b (InvalidC), and |z| >= 1 or a majorant above tol at the
+    max_terms cap (SlowConvergence); z = 0 has no terms."""
     bi = as_integer(b)
     if bi is not None and bi <= 0:
         raise InvalidC(f"b = {b!r} makes c = 1+b a non-positive integer parameter")
     if z == 0:
         return 0, 0.0
-    return _series_length(b, abs(z), tol, max(1, math.ceil(abs(b))), max_terms)
+    last, tail = _series_length(b, abs(z), tol, max(1, math.ceil(abs(b))), max_terms)
+    if not tail <= tol:
+        raise SlowConvergence(f"the 2F1 series needs more than {last + 1} terms at |z| = {abs(z):.6g}")
+    return last, tail
 
 
 def hyp2f1_one_b(
@@ -96,7 +96,7 @@ def hyp2f1_one_b(
     last, tail = _plan(b, z, tol, max_terms)
     powers = np.multiply.accumulate(np.full(last, z))  # z, z^2, ..., z^last
     total = 1.0 + (b / (b + np.arange(1, last + 1)) * powers).sum()
-    return SeriesResult(complex(total), last + 1, tail, tail <= tol)
+    return SeriesResult(complex(total), last + 1, tail)
 
 
 def hyp2f1_one_b_many(
@@ -109,13 +109,14 @@ def hyp2f1_one_b_many(
     tol is one float for every pair or one per pair.
 
     Every pair is checked and given its term count first, in item order, so
-    the first non-positive integer b (InvalidC) or |z| >= 1 (SlowConvergence)
-    raises before anything is summed.  The sums then share each array
-    operation and keep the arithmetic of hyp2f1_one_b: the powers are one
-    np.multiply.accumulate along rows padded to the longest series; each
-    row's own terms k = 1..K are laid end to end, after a zero per row; and
-    np.add.reduceat sums each row from its zero, the same pairwise sum that
-    .sum() of that row alone does from the zero it starts from.
+    the first non-positive integer b (InvalidC), or |z| >= 1 or series capped
+    short of its tol (SlowConvergence), raises before anything is summed.
+    The sums then share each array operation and keep the arithmetic of
+    hyp2f1_one_b: the powers are one np.multiply.accumulate along rows
+    padded to the longest series; each row's own terms k = 1..K are laid end
+    to end, after a zero per row; and np.add.reduceat sums each row from its
+    zero, the same pairwise sum that .sum() of that row alone does from the
+    zero it starts from.
     """
     bs = [complex(b) for b in bs]
     zs = [complex(z) for z in zs]
@@ -133,4 +134,4 @@ def hyp2f1_one_b_many(
     flat[place + row] = b_rep / (b_rep + k) * powers
     starts = np.cumsum(lasts + 1) - (lasts + 1)
     totals = (1.0 + np.add.reduceat(flat, starts)).tolist()
-    return [SeriesResult(total, last + 1, tail, tail <= t) for t, total, (last, tail) in zip(tols, totals, counts)]
+    return [SeriesResult(total, last + 1, tail) for total, (last, tail) in zip(totals, counts)]

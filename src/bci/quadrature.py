@@ -55,9 +55,12 @@ carries 2 eps |2 pi c| for it (_judge): at beta = 0 the subtracted integrand
 is 0 and that rounding, 2.4e-16 at c = 1, is the whole error.
 
 Determinism is part of the contract: the CLI promises byte-identical
-reports.  Every total over panels is math.fsum, correctly rounded, so no
-panel order changes a bit, and nothing here threads.  A total fsum cannot
-form (an overflow, or inf - inf) is NaN; a value not finite never converges.
+reports.  Each panel's two rules and mass are sums over its own 15 values
+in numpy's einsum loop, which calls no BLAS, so a panel gives the same bits
+wherever it sits and on every BLAS kernel; every total over panels is
+math.fsum, correctly rounded, so no panel order changes a bit either, and
+nothing here threads.  A total fsum cannot form (an overflow, or inf - inf)
+is NaN; a value not finite never converges.
 
 Circle start
 ------------
@@ -135,25 +138,15 @@ Batched first round
 Almost every integral stops on its first call, so the unit-interval batches
 (euler_integrals, radial_integrals) evaluate all their first rounds in one
 _panels call on their shared mesh.  The integrand gets its parameters as
-(k, 1) columns, and numpy takes the products of its (k, P, 15) values with
-the weights integral by integral.  Each integral's row of that round goes
-straight to _refine, whose first step is the stopping test (_judge), so no
-separate pass repeats it; only the ~5% that fail it refine, alone, with
-scalar parameters.  So each result is the float it is alone
-(tests/test_quadrature.py holds them equal field for field, and a shuffled
-batch or first round to the same bits).
-
-No product spans two integrals, and each round gives f the children in edge
-order, because BLAS may round a row of a product by its place in the matrix:
-OpenBLAS 0.3.31 does in |f| times the K15 weights on AVX-512 x86-64, and
-also in the values times the rules under OPENBLAS_CORETYPE=Sandybridge.
-Circle integrals, whose meshes differ in length, therefore run one by one:
-laid end to end in one product, 73 of 450 run_verify circle integrals (seeds
-4000-4029) lost their bits alone under Sandybridge.  A circle batch must give
-each integral its own product.  A run_verify (seeds 4000-4029) makes 8.6
-_panels calls: 5 batched first rounds, 0.17 graded circle starts and 3.43
-refinements; its other 14.83 circle integrals take the plain start, which
-calls f directly, and none refines.
+(k, 1) columns, and _rules reduces the (k, P, 15) values panel by panel.
+Each integral's row of that round goes straight to _refine, whose first
+step is the stopping test (_judge), so no separate pass repeats it; only the
+~5% that fail it refine, alone, with scalar parameters.  So each result is
+the float it is alone (tests/test_quadrature.py holds them equal field for
+field, and a shuffled batch or first round to the same bits).  A run_verify
+(seeds 4000-4029) makes 8.6 _panels calls: 5 batched first rounds, 0.17
+graded circle starts and 3.43 refinements; its other 14.83 circle integrals
+take the plain start, which calls f directly, and none refines.
 """
 
 from __future__ import annotations
@@ -209,13 +202,14 @@ _WG = [
     0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
 ]
 
-#: One panel's abscissae on [-1, 1] in increasing order, and a C-contiguous
-#: (15, 2) array of weights: the K15 column, and the G7 column with 0 on the
-#: nodes G7 does not use, so one product with the node values gives both rules.
+#: One panel's abscissae on [-1, 1] in increasing order, its K15 weights, and
+#: a C-contiguous (2, 15) array of weights: the K15 row, and the G7 row with 0
+#: on the nodes G7 does not use, so one reduction over a panel's values gives
+#: both rules.  It is complex, as the values are, so einsum casts nothing.
 _NODES = np.array([-x for x in _XGK[:-1]] + _XGK[::-1])
 _KRONROD_WEIGHTS = np.array(_WGK[:-1] + _WGK[::-1])
-_WEIGHTS = np.column_stack((_KRONROD_WEIGHTS, np.zeros(15)))
-_WEIGHTS[1::2, 1] = _WG + _WG[-2::-1]
+_RULE_WEIGHTS = np.array([_KRONROD_WEIGHTS, np.zeros(15)], dtype=complex)
+_RULE_WEIGHTS[1, 1::2] = _WG + _WG[-2::-1]
 
 _EPS = sys.float_info.epsilon
 
@@ -283,11 +277,12 @@ def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray) -> tuple:
 
 
 def _rules(vals: np.ndarray, half: np.ndarray) -> tuple:
-    """_panels from the integrand's values at the nodes, given the panels' half widths."""
+    """_panels from the integrand's values at the nodes, given the panels' half
+    widths; each panel's results depend on its own values alone (module notes)."""
     vals = vals.reshape(vals.shape[:-1] + (half.size, 15))
-    rules = half[:, None] * (vals @ _WEIGHTS)
+    rules = half[:, None] * np.einsum("...j,kj->...k", vals, _RULE_WEIGHTS)
     hi = rules[..., 0]
-    return hi, np.abs(hi - rules[..., 1]), half * (np.abs(vals) @ _KRONROD_WEIGHTS)
+    return hi, np.abs(hi - rules[..., 1]), half * np.einsum("...j,j->...", np.abs(vals), _KRONROD_WEIGHTS)
 
 
 def _fsum(parts: np.ndarray, extra: float = 0.0) -> float:
@@ -354,9 +349,7 @@ def _refine(
         count = np.count_nonzero(split)
         if count == 0 or errs.size + count > max_panels:
             return result
-        # panels do not overlap, so both ends sorted pair up again: the
-        # children in edge order, whatever the panel order (module notes)
-        split_lefts, split_rights = np.sort(lefts[split]), np.sort(rights[split])
+        split_lefts, split_rights = lefts[split], rights[split]
         mids = 0.5 * (split_lefts + split_rights)
         child_lefts = np.concatenate((split_lefts, mids))
         child_rights = np.concatenate((mids, split_rights))
@@ -401,9 +394,7 @@ def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> Qua
 
 
 def circle_integrals(insts: list[ProblemInstance], tol: float = DEFAULT_QUAD_TOL) -> list[QuadratureResult]:
-    """circle_integral for each instance, once every instance is checked, in
-    order.  Each is integrated alone, so each result is the float
-    circle_integral gives on any BLAS kernel (module notes)."""
+    """circle_integral for each instance, once every instance is checked, in order."""
     for inst in insts:
         _circle_roundoff(inst)
     return [circle_integral(inst, tol) for inst in insts]

@@ -34,7 +34,7 @@ import random
 from typing import Any, Callable, Iterable, Iterator
 
 from .branchcut import TWO_PI, ProblemInstance, as_integer, require_tol
-from .closedform import _converged, check_reconciliations, roots_of_unity_drift
+from .closedform import check_reconciliations, roots_of_unity_drift
 from .hypergeometric import hyp2f1_one_b_many
 from .odecheck import ode_residuals
 from .quadrature import check_circles_vs_radial, check_integral_reductions, euler_integrals
@@ -122,7 +122,7 @@ def _euler_residuals(rng: random.Random, beta_fix: complex | None) -> list[float
         arg = rng.uniform(0.0, TWO_PI)
         ws.append(mod * cmath.exp(1j * arg))
         betas.append(_draw_beta(rng, beta_fix))
-    series = [_converged(f, w).value for f, w in zip(hyp2f1_one_b_many(betas, ws, tol=1e-13), ws)]
+    series = [f.value for f in hyp2f1_one_b_many(betas, ws, tol=1e-13)]
     quads = euler_integrals(ws, betas)
     return [
         abs(beta * q.converged_value("Euler integral") - f) / max(1.0, abs(f)) for beta, q, f in zip(betas, quads, series)

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 
 import mpmath as mp
 import pytest
@@ -48,7 +49,7 @@ class TestOneBPath:
 
     def test_z_zero(self):
         r = hyp2f1_one_b(0.7 - 0.3j, 0.0)
-        assert r.value == 1.0 and r.converged
+        assert r.value == 1.0 and r.tail_estimate == 0.0
 
 
 def _majorant(b, z, k):
@@ -66,7 +67,7 @@ class TestOneBTermCount:
     def test_count_rule(self, b, z, tol):
         r = hyp2f1_one_b(b, z, tol=tol)
         last = r.terms_used - 1
-        assert r.converged
+        assert r.tail_estimate <= tol
         assert last >= abs(b)
         assert _majorant(b, z, last) <= tol
         assert r.tail_estimate == pytest.approx(_majorant(b, z, last), rel=1e-12)
@@ -84,20 +85,25 @@ class TestOneBTermCount:
         sharp = hyp2f1_one_b(b, z, tol=1e-15)
         assert abs(rough.value - sharp.value) <= rough.tail_estimate + sharp.tail_estimate + 1e-14
 
-    def test_cap_binds(self):
-        r = hyp2f1_one_b(0.5, 0.9, tol=1e-12, max_terms=20)
-        assert not r.converged
+    def test_cap_binds(self, monkeypatch):
+        # a tol just above the majorant at the cap sums to the cap
+        tail = _majorant(0.5, 0.9, 19)
+        r = hyp2f1_one_b(0.5, 0.9, tol=1.01 * tail, max_terms=20)
         assert r.terms_used == 20
-        assert r.tail_estimate == pytest.approx(_majorant(0.5, 0.9, 19), rel=1e-12)
+        assert r.tail_estimate == pytest.approx(tail, rel=1e-12)
         assert r.value == pytest.approx(sum(0.5 / (0.5 + k) * 0.9**k for k in range(20)), rel=1e-14)
+        # a tol below it is refused from the term count, before numpy builds a term
+        monkeypatch.setattr(bci.hypergeometric, "np", None)
+        with pytest.raises(SlowConvergence, match=r"^the 2F1 series needs more than 20 terms at \|z\| = 0\.9$"):
+            hyp2f1_one_b(0.5, 0.9, tol=1e-12, max_terms=20)
 
-    def test_zero_tol_sums_to_the_cap(self):
-        r = hyp2f1_one_b(0.5, 0.25, tol=0.0, max_terms=30)
-        assert (r.terms_used, r.converged) == (30, False)
+    def test_zero_tol_is_refused_at_the_cap(self):
+        with pytest.raises(SlowConvergence, match="needs more than 30 terms"):
+            hyp2f1_one_b(0.5, 0.25, tol=0.0, max_terms=30)
 
     def test_z_zero_and_invalid_b_unchanged(self):
         r = hyp2f1_one_b(3.5 + 2j, 0.0, tol=0.0, max_terms=5)
-        assert (r.value, r.terms_used, r.tail_estimate, r.converged) == (1.0, 1, 0.0, True)
+        assert (r.value, r.terms_used, r.tail_estimate) == (1.0, 1, 0.0)
         for b in (0.0, -1.0, -7 + 0j):
             with pytest.raises(InvalidC):
                 hyp2f1_one_b(b, 0.5)
@@ -111,7 +117,7 @@ class TestOneBTermCount:
 
 def _fields(r):
     """A SeriesResult as bits: value parts by repr, the rest as is."""
-    return (repr(r.value.real), repr(r.value.imag), r.terms_used, repr(r.tail_estimate), r.converged)
+    return (repr(r.value.real), repr(r.value.imag), r.terms_used, repr(r.tail_estimate))
 
 
 def _draws(seed, count):
@@ -141,14 +147,23 @@ class TestOneBBatch:
         assert min(terms) == 1 and max(terms) > 1400
 
     def test_tolerance_per_row_and_the_cap(self):
+        # rows the cap stops short of their tol refuse alone, and the first of
+        # them in item order refuses the batch; the other rows sum as alone
         pairs = _draws(7, 30)
         tols = [random.Random(k).choice([0.0, 1e-6, 1e-12, 1e-15]) for k in range(30)]
-        bs, zs = [b for b, _ in pairs], [z for _, z in pairs]
-        many = hyp2f1_one_b_many(bs, zs, tol=tols, max_terms=200)
-        assert not all(r.converged for r in many)  # the cap binds on some rows
-        assert [_fields(r) for r in many] == [
-            _fields(hyp2f1_one_b(b, z, tol=t, max_terms=200)) for b, z, t in zip(bs, zs, tols)
-        ]
+        rows = []
+        for (b, z), t in zip(pairs, tols):
+            try:
+                rows.append((b, z, t, _fields(hyp2f1_one_b(b, z, tol=t, max_terms=200))))
+            except SlowConvergence as exc:
+                rows.append((b, z, t, str(exc)))
+        refused = [row for row in rows if isinstance(row[3], str)]
+        summed = [row for row in rows if not isinstance(row[3], str)]
+        assert len(refused) > 1 and len({t for _, _, t, _ in summed}) > 1
+        with pytest.raises(SlowConvergence, match=f"^{re.escape(refused[0][3])}$"):
+            hyp2f1_one_b_many(*zip(*[row[:3] for row in rows]), max_terms=200)
+        bs, zs, ts, want = zip(*summed)
+        assert [_fields(r) for r in hyp2f1_one_b_many(bs, zs, tol=ts, max_terms=200)] == list(want)
 
     def test_empty_batch(self):
         assert hyp2f1_one_b_many([], []) == []

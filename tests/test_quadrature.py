@@ -152,25 +152,26 @@ class TestKronrodRule:
         return [abs(math.fsum(weights * nodes**k) - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) for k in degrees]
 
     def test_exact_degrees(self):
-        kronrod, gauss = bci.quadrature._WEIGHTS.T
+        kronrod, gauss = bci.quadrature._RULE_WEIGHTS.real
         assert max(self._moment_errors(kronrod, range(23))) <= 4e-16
         assert max(self._moment_errors(gauss, range(14))) <= 4e-16
 
     def test_inexact_beyond_their_degrees(self):
         # a 15-point Gauss rule would still be exact here (degree 29)
-        kronrod, gauss = bci.quadrature._WEIGHTS.T
+        kronrod, gauss = bci.quadrature._RULE_WEIGHTS.real
         (k24,) = self._moment_errors(kronrod, [24])
         (g14,) = self._moment_errors(gauss, [14])
         assert k24 > 1e-10 and g14 > 1e-4
 
     def test_symmetric_nodes_and_positive_weights(self):
-        nodes, weights = bci.quadrature._NODES, bci.quadrature._WEIGHTS
-        assert nodes.shape == (15,) and weights.shape == (15, 2)
+        nodes, weights = bci.quadrature._NODES, bci.quadrature._RULE_WEIGHTS
+        assert nodes.shape == (15,) and weights.shape == (2, 15) and weights.flags["C_CONTIGUOUS"]
         assert np.array_equal(nodes, -nodes[::-1]) and nodes[7] == 0.0
         assert np.all(np.diff(nodes) > 0.0) and -1.0 < nodes[0]
-        assert np.all(weights[:, 0] > 0.0)
+        assert np.all(weights.imag == 0.0) and np.array_equal(weights[0].real, bci.quadrature._KRONROD_WEIGHTS)
+        assert np.all(weights[0].real > 0.0)
         # G7 lives on every second node
-        assert np.all(weights[1::2, 1] > 0.0) and np.all(weights[0::2, 1] == 0.0)
+        assert np.all(weights[1, 1::2].real > 0.0) and np.all(weights[1, 0::2] == 0.0)
 
 
 class TestCircleIntegral:
@@ -636,8 +637,8 @@ class TestCircleBatches:
         assert start == len(insts)
 
     def test_verify_circle_check_integrates_each_circle_alone(self, monkeypatch):
-        # a batch laid end to end in one BLAS product rounds rows by their
-        # place on some kernels (module notes), so each goes through circle_integral
+        # circle_integrals has no batch form of its own: each circle goes
+        # through circle_integral
         insts = []
         alone = bci.quadrature.circle_integral
 
@@ -700,8 +701,8 @@ class TestPanelOrder:
     )
 
     def test_shuffled_panels_refine_to_the_same_bits(self):
-        # the children of each round also reach f in edge order, the same
-        # nodes in the same places: _panels' masses round by place (module notes)
+        # the children of each round reach f in the order of their parents,
+        # and each panel's rules depend on its own values alone
         rng = np.random.default_rng(20261019)
         roundoff = bci.quadrature._ROUNDOFF
         for edges in (EIGHTHS, np.linspace(0.0, 1.0, 12)):
@@ -710,15 +711,31 @@ class TestPanelOrder:
                 first = bci.quadrature._panels(f, lefts, rights)
 
                 def refine(p):
-                    nodes = []
-                    g = lambda t: nodes.append(t.tobytes()) or f(t)
+                    calls = []
+                    g = lambda t: calls.append(t.size) or f(t)
                     got = bci.quadrature._refine(g, [part[p] for part in (lefts, rights, *first)], 1e-12, 20_000, roundoff)
-                    return _bits(got), nodes
+                    return _bits(got), len(calls)
 
                 want = refine(np.arange(len(lefts)))
-                assert want[0][3] > len(lefts) + 8 and len(want[1]) >= 3  # several rounds of splits
+                assert want[0][3] > len(lefts) + 8 and want[1] >= 3  # several rounds of splits
                 for _ in range(6):
                     assert refine(rng.permutation(len(lefts))) == want
+
+    def test_each_panel_rounds_alone(self):
+        # a panel's K15 value, estimate and mass keep their bits when the
+        # panels around it are permuted, and equal those of the panel alone
+        rng = np.random.default_rng(20261021)
+        for count in range(1, 60):
+            scale = 10.0 ** rng.integers(-3, 4, (count, 1))
+            vals = (rng.standard_normal((count, 15)) + 1j * rng.standard_normal((count, 15))) * scale
+            half = rng.uniform(1e-3, 1.0, count)
+            want = bci.quadrature._rules(vals.ravel(), half)
+            alone = [bci.quadrature._rules(vals[k], half[k : k + 1]) for k in range(count)]
+            for part, parts in zip(want, zip(*alone)):
+                assert part.tobytes() == np.concatenate(parts).tobytes()
+            p = rng.permutation(count)
+            for part, shuffled in zip(want, bci.quadrature._rules(vals[p].ravel(), half[p])):
+                assert part[p].tobytes() == shuffled.tobytes()
 
     def test_shuffled_batch_keeps_each_items_bits(self):
         # every row of a unit-interval batch, those that refine included,
