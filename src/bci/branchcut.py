@@ -112,12 +112,11 @@ class ProblemInstance:
 def as_integer(beta: complex) -> int | None:
     """Return beta as an int when both components sit within 1e-12 of one, else None."""
     b = complex(beta)
-    if not (math.isfinite(b.real) and math.isfinite(b.imag)):
+    # the imaginary part first: it settles almost every non-integer, a NaN too
+    if not (abs(b.imag) < INTEGER_DETECTION_TOL and math.isfinite(b.real)):
         return None
     n = round(b.real)
-    if abs(b.real - n) < INTEGER_DETECTION_TOL and abs(b.imag) < INTEGER_DETECTION_TOL:
-        return int(n)
-    return None
+    return n if abs(b.real - n) < INTEGER_DETECTION_TOL else None
 
 
 def int_pow(z: complex, n: int) -> complex:

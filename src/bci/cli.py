@@ -23,6 +23,7 @@ import math
 import os
 import re
 import sys
+import time
 from typing import Any, Callable, Sequence
 
 from .branchcut import DEFAULT_EXCLUSION_BAND, ProblemInstance, require_tol
@@ -86,7 +87,8 @@ def parse_complex(text: str) -> complex:
             mod = float(mod_text)
         except ValueError:
             raise ValueError(f"cannot parse modulus in {text!r}") from None
-        return mod * complex(math.cos(parse_angle(arg_text)), math.sin(parse_angle(arg_text)))
+        angle = parse_angle(arg_text)
+        return mod * complex(math.cos(angle), math.sin(angle))
     if "," in s:
         re_text, _, im_text = s.partition(",")
         try:
@@ -241,9 +243,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print(f"bci eval: error: {exc}", file=sys.stderr)
         return 1
     report = evaluate_instance(inst, methods=methods, rational=rational)
-    if not _emit("eval", args.out, lambda stream: stream.write(dumps_canonical(report_to_jsonable(report)) + "\n")):
+    start = time.perf_counter()
+    line = dumps_canonical(report_to_jsonable(report)) + "\n"
+    timing_us = {**report.timing_us, "serialise": (time.perf_counter() - start) * 1e6}
+    if not _emit("eval", args.out, lambda stream: stream.write(line)):
         return 1
-    for name, us in report.timing_us.items():
+    for name, us in timing_us.items():
         print(f"# {name}: {us:.1f} us", file=sys.stderr)
     return _exit_code(report)
 

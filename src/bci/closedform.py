@@ -44,7 +44,7 @@ from .errors import (
     SlowConvergence,
     ZeroInput,
 )
-from .hypergeometric import DEFAULT_MAX_TERMS, SeriesResult, _series_length, hyp2f1_one_b, hyp2f1_one_b_many
+from .hypergeometric import DEFAULT_MAX_TERMS, SeriesResult, _powers, _series_length, hyp2f1_one_b, hyp2f1_one_b_many
 from .quadrature import euler_integrals
 
 _EPS = sys.float_info.epsilon
@@ -122,8 +122,9 @@ class RationalBeta:
         return self.m / self.n
 
 
-def _base_diagnostics(inst: ProblemInstance) -> dict[str, Any]:
-    diag: dict[str, Any] = {"regime": "outside" if inst.alpha_outside() else "inside"}
+def _base_diagnostics(inst: ProblemInstance, outside: bool) -> dict[str, Any]:
+    """The regime, given as inst.alpha_outside(), and whether alpha is on the cut."""
+    diag: dict[str, Any] = {"regime": "outside" if outside else "inside"}
     if inst.alpha != 0:
         try:
             branch_arg(inst.alpha, inst.theta)
@@ -159,7 +160,8 @@ def _theorem_setup(inst: ProblemInstance) -> MethodResult | tuple[dict[str, Any]
     beta, else (diag, jump, jump_err, b, z) for _theorem_finish, whose
     series is 2F1(1, b; 1+b; z)."""
     inst.require_alpha_off_circle()
-    diag = _base_diagnostics(inst)
+    outside = inst.alpha_outside()
+    diag = _base_diagnostics(inst, outside)
     beta = inst.beta
     n = as_integer(beta)
     if n is not None:
@@ -169,7 +171,7 @@ def _theorem_setup(inst: ProblemInstance) -> MethodResult | tuple[dict[str, Any]
 
     diag["beta_class"] = "generic"
     jump, jump_err = cut_jump_with_bound(beta, inst.theta)
-    if inst.alpha_outside():
+    if outside:
         return diag, jump, jump_err, beta, cmath.exp(1j * inst.theta) / inst.alpha
     return diag, jump, jump_err, -beta, inst.alpha * cmath.exp(-1j * inst.theta)
 
@@ -239,7 +241,7 @@ def eval_direct_series(inst: ProblemInstance) -> MethodResult:
     inst.require_alpha_off_circle()
     if inst.alpha_outside():
         raise EvaluationError("the direct series converges only for |alpha| < 1")
-    diag = _base_diagnostics(inst)
+    diag = _base_diagnostics(inst, False)
     beta = inst.beta
     n = as_integer(beta)
     if n is not None and n >= 0:
@@ -254,8 +256,7 @@ def eval_direct_series(inst: ProblemInstance) -> MethodResult:
     last, tail = _series_length(-beta, abs(z), tol * abs(beta), math.floor(abs(beta) + 1.0) + 1, DEFAULT_MAX_TERMS)
     if tail > tol * abs(beta):
         raise SlowConvergence(f"the direct series needs more than {last + 1} terms at |z| = {abs(z):.6g}")
-    powers = np.multiply.accumulate(np.full(last, z))  # z, z^2, ..., z^last
-    total = complex(1.0 / beta + (powers / (beta - np.arange(1, last + 1))).sum())
+    total = complex(1.0 / beta + np.add.reduce(_powers(z, last) / (beta - np.arange(1.0, last + 1))))
     diag["series_terms"] = last + 1
     value = prefactor * total
     rounding = _argument_rounding(-beta, z, beta * total) / abs(beta)  # total = F(-beta, z)/beta
@@ -401,13 +402,14 @@ def eval_rational_logsum(inst: ProblemInstance, beta: RationalBeta) -> MethodRes
         raise ValueError(
             f"instance beta {inst.beta!r} does not match the rational exponent {beta.m}/{beta.n}"
         )
-    diag = _base_diagnostics(inst)
+    outside = inst.alpha_outside()
+    diag = _base_diagnostics(inst, outside)
     diag["m"] = beta.m
     diag["n"] = beta.n
     b = beta.value
     jump, jump_err = cut_jump_with_bound(b, inst.theta)
     prefactor = jump * (beta.n / beta.m)
-    if inst.alpha_outside():
+    if outside:
         # outside form carries 2F1(1, beta; 1+beta; .)
         z = cmath.exp(1j * inst.theta) / inst.alpha
         used = beta

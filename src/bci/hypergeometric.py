@@ -77,6 +77,13 @@ def _plan(b: complex, z: complex, tol: float, max_terms: int) -> tuple[int, floa
     return last, tail
 
 
+def _powers(z: complex, last: int) -> np.ndarray:
+    """z, z^2, ..., z^last: one np.multiply.accumulate, over a buffer filled with z."""
+    powers = np.empty(last, dtype=complex)
+    powers.fill(z)
+    return np.multiply.accumulate(powers)
+
+
 def hyp2f1_one_b(
     b: complex,
     z: complex,
@@ -94,8 +101,8 @@ def hyp2f1_one_b(
     b = complex(b)
     z = complex(z)
     last, tail = _plan(b, z, tol, max_terms)
-    powers = np.multiply.accumulate(np.full(last, z))  # z, z^2, ..., z^last
-    total = 1.0 + (b / (b + np.arange(1, last + 1)) * powers).sum()
+    # k as floats: b + k then needs no integer-to-complex cast, with the same bits
+    total = 1.0 + np.add.reduce(b / (b + np.arange(1.0, last + 1)) * _powers(z, last))
     return SeriesResult(complex(total), last + 1, tail)
 
 

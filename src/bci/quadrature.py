@@ -21,12 +21,16 @@ holds them to that.  A symmetric 15-point rule of degree 22 whose every
 second node carries a 7-point rule of degree 13 is unique, so a wrong
 constant shows as a moment error.
 
-The cost of a panel is arithmetic on its nodes (on the circle one complex
-exponential and a division per node, and a second exponential off the
-plain start), so fewer nodes pay directly.  The nodes
-of the panels to evaluate go to f in one flat array: one call for all
-initial panels (shared by a unit-interval batch, below), then one per round
-for the children of all the panels split, which join the panels kept.
+A panel costs arithmetic on its nodes (on the circle one complex exponential
+and a division per node, and a second exponential off the plain start), and a
+first round of 16 panels as much again in numpy calls and Python: of ~26 us
+for a plain circle start (2-core AVX-512 Xeon), the integrand takes ~7.5,
+_rules ~8.6 (two einsum ~5), _judge ~2.6 and the start ~0.3.  So a start that
+cannot grade returns first, nothing is subtracted when c = 0, and an integral
+builds one result.  The nodes of the panels to evaluate go to f in one flat
+array: one call for all initial panels (shared by a unit-interval batch,
+below), then one per round for the children of all the panels split, which
+join the panels kept.
 Refinement stops unconverged when no panel over its share is wider than
 1e-15 of the interval, or when a round would pass max_panels.
 adaptive_quadrature starts on the edges its caller gives: the circle and
@@ -226,6 +230,7 @@ _UNIT_EDGES = np.array([0.0] + [2.0**-k for k in range(_UNIT_DEPTH, 2, -1)] + [0
 #: image too when the pole is not subtracted), and from the end where
 #: |z^beta| peaks when |Im beta| times the panel width exceeds _PEAK_MIN.
 _CIRCLE_PANELS = 16
+_CIRCLE_WIDTH = TWO_PI / _CIRCLE_PANELS
 _POLE_REACH = 0.6
 _POLE_STEP = 0.5  # first step, as a fraction of the pole's distance |log|alpha||
 _PEAK_MIN = 2.0
@@ -237,7 +242,7 @@ _POLE_GROWTH = 2.0
 #: The plain start (no grading points) relative to the window's left end:
 #: its edges, the panels' half widths, its 16 x 15 nodes in panel order, and
 #: e^{i node}.
-_PLAIN_EDGES = (TWO_PI / _CIRCLE_PANELS) * np.arange(_CIRCLE_PANELS + 1.0)
+_PLAIN_EDGES = _CIRCLE_WIDTH * np.arange(_CIRCLE_PANELS + 1.0)
 _PLAIN_HALF = 0.5 * (_PLAIN_EDGES[1:] - _PLAIN_EDGES[:-1])
 _PLAIN_NODES = (0.5 * (_PLAIN_EDGES[:-1] + _PLAIN_EDGES[1:])[:, None] + _PLAIN_HALF[:, None] * _NODES).ravel()
 _PLAIN_TURNS = np.exp(1j * _PLAIN_NODES)
@@ -300,15 +305,15 @@ def _fsum(parts: np.ndarray, extra: float = 0.0) -> float:
 def _judge(
     vals: np.ndarray, errs: np.ndarray, masses: np.ndarray, tol: float, roundoff: float, offset: complex
 ) -> tuple:
-    """The stopping test on an integral's panels plus offset: (its result,
-    goal = tol * max(1, |value|), whether the summed estimates are at most goal
-    or NaN).  The estimate carries offset's own rounding, 2 eps |offset|.  A
-    value that is not finite gets a NaN goal: it stops unconverged."""
+    """The stopping test on an integral's panels plus offset: (its value and
+    estimate, goal = tol * max(1, |value|), whether the summed estimates are at
+    most goal or NaN).  The estimate carries offset's own rounding, 2 eps
+    |offset|.  A value that is not finite gets a NaN goal: it stops unconverged."""
     value = complex(_fsum(vals.real, offset.real), _fsum(vals.imag, offset.imag))
     goal = tol * max(1.0, abs(value)) if cmath.isfinite(value) else math.nan
     err = _fsum(errs)
     estimate = err + roundoff * _fsum(masses) + 2.0 * _EPS * abs(offset)
-    return QuadratureResult(value, estimate, len(errs), estimate <= goal), goal, not err > goal
+    return value, estimate, goal, not err > goal
 
 
 def adaptive_quadrature(
@@ -331,18 +336,19 @@ def adaptive_quadrature(
     that floored estimate.
     """
     lefts, rights = edges[:-1], edges[1:]
-    return _refine(f, (lefts, rights, *_panels(f, lefts, rights)), tol, max_panels, roundoff)
+    return QuadratureResult(*_refine(f, (lefts, rights, *_panels(f, lefts, rights)), tol, max_panels, roundoff))
 
 
 def _refine(
     f: Callable, panels: tuple, tol: float, max_panels: int, roundoff: float, offset: complex = 0j
-) -> QuadratureResult:
-    """adaptive_quadrature from its first round: panels holds the left and
-    right edges, K15 values, estimates and masses of the panels, in any order.
-    The result is the integral plus offset, a constant known in closed form."""
+) -> tuple:
+    """adaptive_quadrature from its first round, as QuadratureResult fields, of
+    the integral plus offset (a constant known in closed form): panels holds the
+    left and right edges, K15 values, estimates and masses, in any order."""
     while True:
         lefts, rights, vals, errs, masses = panels
-        result, goal, stops = _judge(vals, errs, masses, tol, roundoff, offset)
+        value, estimate, goal, stops = _judge(vals, errs, masses, tol, roundoff, offset)
+        result = value, estimate, errs.size, estimate <= goal
         if stops:
             return result
         split = (errs > goal / errs.size) & (rights - lefts > 1e-15 * (rights.max() - lefts.min()))
@@ -377,20 +383,18 @@ def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> Qua
     roundoff = _circle_roundoff(inst)
     lo, alpha, beta = inst.theta - TWO_PI, inst.alpha, inst.beta
     edges, pole = _circle_start(lo, alpha, beta)
-    c = 0j if pole is None else cmath.exp(1j * beta * pole)
+    c = None if pole is None else cmath.exp(1j * beta * pole)
     g = _circle_integrand(beta, alpha, c)
     f = lambda s: g(s, np.exp(1j * s))
     if edges is None:
-        lefts, rights = lo + _PLAIN_EDGES[:-1], lo + _PLAIN_EDGES[1:]
+        edges = lo + _PLAIN_EDGES
         first = _rules(g(lo + _PLAIN_NODES, cmath.exp(1j * lo) * _PLAIN_TURNS), _PLAIN_HALF)
     else:
-        lefts, rights = edges[:-1], edges[1:]
-        first = _panels(f, lefts, rights)
+        first = _panels(f, edges[:-1], edges[1:])
     # the i of dz = i z ds multiplies the total, the enclosed residue 2 pi i c included
-    offset = 0j if inst.alpha_outside() else TWO_PI * c
-    r = _refine(f, (lefts, rights, *first), tol, DEFAULT_MAX_PANELS, roundoff, offset)
-    value = complex(-r.value.imag, r.value.real)
-    return _finite(QuadratureResult(value, r.abs_error_estimate, r.subdivisions, r.converged))
+    offset = 0j if c is None or inst.alpha_outside() else TWO_PI * c
+    value, *rest = _refine(f, (edges[:-1], edges[1:], *first), tol, DEFAULT_MAX_PANELS, roundoff, offset)
+    return _finite(QuadratureResult(complex(-value.imag, value.real), *rest))
 
 
 def circle_integrals(insts: list[ProblemInstance], tol: float = DEFAULT_QUAD_TOL) -> list[QuadratureResult]:
@@ -414,9 +418,11 @@ def _circle_roundoff(inst: ProblemInstance) -> float:
     return _ROUNDOFF + _EPS * TWO_PI * (abs(beta) + 1.0)
 
 
-def _circle_integrand(beta: complex, alpha: complex, c: complex) -> Callable:
+def _circle_integrand(beta: complex, alpha: complex, c: complex | None) -> Callable:
     """z (z**beta - c) / (z - alpha) at s, given z = e^{is}: the integrand over
-    ds, short of the constant factor i."""
+    ds, short of the constant factor i; c = None gives the bits of c = 0j."""
+    if c is None:
+        return lambda s, z: z * np.exp(1j * beta * s) / (z - alpha)
     return lambda s, z: z * (np.exp(1j * beta * s) - c) / (z - alpha)
 
 
@@ -434,19 +440,26 @@ def _circle_start(lo: float, alpha: complex, beta: complex) -> tuple:
     The edges are built from Python floats, sorted and deduplicated, so they
     are a pure function of the instance.
     """
-    width = TWO_PI / _CIRCLE_PANELS
-    reach = 2.0 * width
+    log_mod = math.log(abs(alpha)) if alpha != 0 else -math.inf
+    dist = abs(log_mod)
+    im = abs(beta.imag)
+    if dist >= _POLE_REACH and im * _CIRCLE_WIDTH <= _PEAK_MIN:
+        return None, None  # nothing grades: the plain start
+    reach = 2.0 * _CIRCLE_WIDTH
     hi = lo + TWO_PI
     points = []
 
     def grade(start: float, step: float, sign: float) -> None:
-        while step <= reach:
-            points.append(start + sign * step)
-            step *= 2.0
+        # the points run monotonically from near to at most far, so a walk
+        # with both ends on one side of the window adds none
+        near, far = start + sign * step, start + sign * reach
+        if (near < hi and far > lo) if sign > 0.0 else (far < hi and near > lo):
+            while step <= reach:
+                if lo < (point := start + sign * step) < hi:
+                    points.append(point)
+                step *= 2.0
 
     pole = None
-    log_mod = math.log(abs(alpha)) if alpha != 0 else -math.inf
-    dist = abs(log_mod)
     if dist < _POLE_REACH:
         # the pole's images one turn away keep residues scaled by e^{+-2 pi i
         # beta}, which the subtraction leaves; grade both sides of each, so a
@@ -457,21 +470,20 @@ def _circle_start(lo: float, alpha: complex, beta: complex) -> tuple:
             pole = complex(s0, -log_mod)
         else:
             centres.append(s0)
-            points.append(s0)
+            if lo < s0 < hi:
+                points.append(s0)
         for centre in centres:
             grade(centre, _POLE_STEP * dist, 1.0)
             grade(centre, _POLE_STEP * dist, -1.0)
-    im = abs(beta.imag)
-    if im * width > _PEAK_MIN:
+    if im * _CIRCLE_WIDTH > _PEAK_MIN:
         # |z^beta| = e^{-Im(beta) s} peaks at lo for Im(beta) > 0, at hi below 0
         if beta.imag > 0.0:
             grade(lo, _PEAK_STEP / im, 1.0)
         else:
             grade(hi, _PEAK_STEP / im, -1.0)
-    points = [p for p in points if lo < p < hi]
     if not points:
         return None, pole
-    points += [lo + k * width for k in range(1, _CIRCLE_PANELS)]
+    points += [lo + k * _CIRCLE_WIDTH for k in range(1, _CIRCLE_PANELS)]
     return np.array([lo] + sorted(set(points)) + [hi]), pole
 
 
@@ -498,8 +510,10 @@ def _unit_power_integrals(mu: list[complex], param: list[complex], factor: Calla
     lefts, rights = _UNIT_EDGES[:-1], _UNIT_EDGES[1:]
     vals, errs, masses = _panels(lambda u: g(u, *columns), lefts, rights)
     return [
-        _refine(lambda u, k=k: g(u, s[k], c[k], param[k]), (lefts, rights, vals[k], errs[k], masses[k]),
-                DEFAULT_QUAD_TOL, DEFAULT_MAX_PANELS, _ROUNDOFF)
+        QuadratureResult(*_refine(
+            lambda u, k=k: g(u, s[k], c[k], param[k]), (lefts, rights, vals[k], errs[k], masses[k]),
+            DEFAULT_QUAD_TOL, DEFAULT_MAX_PANELS, _ROUNDOFF,
+        ))
         for k in range(len(mu))
     ]
 

@@ -137,17 +137,17 @@ def evaluate_instance(
         timing[name] = (time.perf_counter() - start) * 1e6
 
     survivors = [r for r in results if isinstance(r, MethodResult)]
-    values = [r.value for r in survivors]
+    scales = [max(1.0, abs(r.value)) for r in survivors]
     disagreement = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            gap = abs(values[i] - values[j]) / max(1.0, abs(values[i]), abs(values[j]))
+    for i, first in enumerate(survivors):
+        for j in range(i + 1, len(survivors)):
+            gap = abs(first.value - survivors[j].value) / max(scales[i], scales[j])
             disagreement = max(disagreement, gap if gap == gap else math.inf)  # NaN never agrees
     if not survivors:
         verdict = "Refused"
     elif disagreement > inst.tol:
         verdict = "Disagree"
-    elif not all(cmath.isfinite(r.value) and r.error_estimate <= inst.tol * max(1.0, abs(r.value)) for r in survivors):
+    elif not all(cmath.isfinite(r.value) and r.error_estimate <= inst.tol * scale for r, scale in zip(survivors, scales)):
         verdict = "Uncertified"
     else:
         verdict = "Agree" if len(survivors) == len(results) else "Partial"
@@ -161,7 +161,8 @@ def evaluate_instance(
 
 
 #: allow_nan=False: non-finite floats raise instead of becoming bare NaN.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+#: check_circular=False: a report is a tree, so no id markers are kept.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
 
 
 def _quote_non_finite(obj: Any) -> Any:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import bci.cli
 from bci import RationalBeta
 from bci.cli import main, parse_angle, parse_complex, parse_methods
 
@@ -49,6 +50,14 @@ class TestParseComplex:
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_complex(text)
+
+    def test_polar_form_parses_the_angle_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bci.cli, "parse_angle", lambda text: calls.append(text) or parse_angle(text))
+        got = parse_complex("0.3@2pi/3")
+        assert calls == ["2pi/3"]
+        want = 0.3 * complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
     def test_python_complex_literals(self):
         assert parse_complex("0.5+0.1j") == 0.5 + 0.1j
@@ -101,6 +110,17 @@ class TestEvalCommand:
         err_lines = out.err.strip().splitlines()
         assert err_lines and all(l.startswith("# ") and l.endswith(" us") for l in err_lines)
         assert not any(l.startswith("#") for l in out.out.splitlines())
+
+    def test_stderr_times_each_method_then_serialisation(self, capsys):
+        argv = ["eval", "--alpha", "0.3@0.8", "--beta", "0.5", "--theta", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        names = [line[2:].split(":")[0] for line in out.err.splitlines()]
+        assert names == ["TheoremHypergeometric", "Quadrature", "SeriesDirect", "serialise"]
+        assert all(float(line.split(": ")[1].removesuffix(" us")) >= 0.0 for line in out.err.splitlines())
+        # the timings change nothing on stdout
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.out
 
     def test_all_methods_fail_exits_1(self, capsys):
         code = main(["eval", "--alpha", "1.0", "--beta", "0.5", "--theta", "pi"])

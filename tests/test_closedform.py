@@ -5,6 +5,7 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -131,6 +132,32 @@ class TestDirectSeries:
         series = eval_direct_series(inst).value
         closed = eval_closed_form(inst).value
         assert series == pytest.approx(closed, rel=1e-10, abs=1e-10)
+
+    def test_sums_keep_the_bits_of_a_full_buffer_sum(self):
+        # the direct series and hyp2f1_one_b fill one buffer with z, take the
+        # running product, divide by float k and reduce with np.add.reduce:
+        # each sum has the bits of np.full, an integer arange and .sum()
+        rng = random.Random(20261019)
+        for _ in range(300):
+            alpha = rng.uniform(0.0, 0.97) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            beta = complex(rng.uniform(-3.0, 3.0), rng.choice((rng.uniform(-3.0, 3.0), rng.uniform(-40.0, 40.0))))
+            theta = rng.uniform(0.01, 2 * math.pi - 0.01)
+            inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
+            z = alpha * cmath.exp(-1j * theta)
+            try:
+                direct = eval_direct_series(inst)
+            except (SlowConvergence, NonFiniteValue):
+                continue
+            last = direct.diagnostics["series_terms"] - 1
+            powers = np.multiply.accumulate(np.full(last, z))
+            total = complex(1.0 / beta + (powers / (beta - np.arange(1, last + 1))).sum())
+            want = cut_jump_with_bound(beta, theta)[0] * total
+            assert (direct.value.real.hex(), direct.value.imag.hex()) == (want.real.hex(), want.imag.hex())
+            series = hyp2f1_one_b(-beta, z)
+            last = series.terms_used - 1
+            powers = np.multiply.accumulate(np.full(last, z))
+            total = complex(1.0 + (-beta / (-beta + np.arange(1, last + 1)) * powers).sum())
+            assert (series.value.real.hex(), series.value.imag.hex()) == (total.real.hex(), total.imag.hex())
 
 
 class TestRationalBeta:

@@ -32,6 +32,7 @@ from bci import (
     radial_integrals,
     run_verify,
 )
+from bci.quadrature import QuadratureResult
 
 # Contour values computed independently with mpmath (40-digit brute quadrature
 # of the parameterised circle).
@@ -417,6 +418,90 @@ class TestCircleGradedStart:
                 circle_integral(near)
 
 
+def _full_circle_start(lo, alpha, beta):
+    """_circle_start without its short cuts: every grading walk runs to the
+    reach, and the window filter comes after all of them."""
+    q = bci.quadrature
+    width = 2.0 * math.pi / q._CIRCLE_PANELS
+    hi = lo + 2.0 * math.pi
+    points = []
+
+    def grade(start, step, sign):
+        while step <= 2.0 * width:
+            points.append(start + sign * step)
+            step *= 2.0
+
+    pole = None
+    log_mod = math.log(abs(alpha)) if alpha != 0 else -math.inf
+    dist = abs(log_mod)
+    if dist < q._POLE_REACH:
+        s0 = lo + (cmath.phase(alpha) - lo) % (2.0 * math.pi)
+        centres = [s0 - 2.0 * math.pi, s0 + 2.0 * math.pi]
+        if beta.real * log_mod <= q._POLE_GROWTH:
+            pole = complex(s0, -log_mod)
+        else:
+            centres.append(s0)
+            points.append(s0)
+        for centre in centres:
+            grade(centre, q._POLE_STEP * dist, 1.0)
+            grade(centre, q._POLE_STEP * dist, -1.0)
+    im = abs(beta.imag)
+    if im * width > q._PEAK_MIN:
+        if beta.imag > 0.0:
+            grade(lo, q._PEAK_STEP / im, 1.0)
+        else:
+            grade(hi, q._PEAK_STEP / im, -1.0)
+    points = [p for p in points if lo < p < hi]
+    if not points:
+        return None, pole
+    points += [lo + k * width for k in range(1, q._CIRCLE_PANELS)]
+    return np.array([lo] + sorted(set(points)) + [hi]), pole
+
+
+class TestCircleShortCuts:
+    """Each short cut of circle_integral gives the bits of the path it skips."""
+
+    def test_integrand_without_residue_is_the_one_subtracting_zero(self):
+        rng = np.random.default_rng(20261019)
+        s = np.concatenate((rng.uniform(-2 * math.pi, 2 * math.pi, 300), [0.0, -0.0, math.pi, -math.pi]))
+        turns = [np.exp(1j * s), np.array([complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -1.0)] * 101 + [1j])]
+        for beta in (0.5 + 0.3j, -1.5 - 38j, 3.0 + 0j, complex(0.0, -0.0), 12.0 + 0.3j):
+            for alpha in (0.0, 0.3 * cmath.exp(2j), 1.5 * cmath.exp(-1j), complex(-0.0, 2.0)):
+                for z in turns:
+                    plain = bci.quadrature._circle_integrand(beta, alpha, None)(s, z)
+                    subtracted = bci.quadrature._circle_integrand(beta, alpha, 0j)(s, z)
+                    assert plain.tobytes() == subtracted.tobytes(), (beta, alpha)
+
+    def test_start_equals_the_full_construction(self):
+        # both sides of |log|alpha|| = _POLE_REACH (the pole may grade) and of
+        # |Im beta| 2 pi/16 = _PEAK_MIN (the peak may grade), poles near the
+        # cut, where grading walks cross the window's ends, and no pole at all
+        rng = random.Random(20261019)
+        reach, peak_min = bci.quadrature._POLE_REACH, bci.quadrature._PEAK_MIN
+        width = 2 * math.pi / 16
+        peak = peak_min / width
+        cases = {"plain": 0, "early": 0, "graded": 0}
+        for _ in range(4000):
+            theta = rng.uniform(0.01, 2 * math.pi - 0.01)
+            log_mod = rng.choice((-1, 1)) * reach * (1.0 + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-15, -0.5))
+            arg = rng.choice((rng.uniform(0.0, 2 * math.pi), theta + rng.uniform(-0.2, 0.2)))
+            alpha = 0.0 if rng.random() < 0.02 else math.exp(log_mod) * cmath.exp(1j * arg)
+            im = rng.choice((-1, 1)) * peak * (1.0 + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-15, -0.5))
+            beta = complex(rng.choice((rng.uniform(-3, 3), rng.uniform(-40, 40))), im)
+            lo = theta - 2 * math.pi
+            edges, pole = bci.quadrature._circle_start(lo, alpha, beta)
+            want_edges, want_pole = _full_circle_start(lo, alpha, beta)
+            assert pole == want_pole or pole is want_pole is None, (lo, alpha, beta)
+            if want_edges is None:
+                assert edges is None, (lo, alpha, beta)
+                early = abs(math.log(abs(alpha)) if alpha != 0 else -math.inf) >= reach and abs(im) * width <= peak_min
+                cases["early" if early else "plain"] += 1
+            else:
+                assert edges.tobytes() == want_edges.tobytes(), (lo, alpha, beta)
+                cases["graded"] += 1
+        assert min(cases.values()) >= 100, cases
+
+
 class TestEulerIntegral:
     def test_w_zero_trivials(self):
         assert euler_integral(0.0, 2.0).value == pytest.approx(0.5, abs=1e-10)
@@ -680,7 +765,7 @@ class TestArraySettle:
         fs[2] = fs[4] = uncalled
         roundoff = bci.quadrature._ROUNDOFF
         settled = [
-            bci.quadrature._refine(f, (EIGHTHS[:-1], EIGHTHS[1:], *row), 1e-10, 20_000, roundoff)
+            QuadratureResult(*bci.quadrature._refine(f, (EIGHTHS[:-1], EIGHTHS[1:], *row), 1e-10, 20_000, roundoff))
             for f, row in zip(fs, rows)
         ]
         assert [r.subdivisions > 8 for r in settled] == [False, True, False, True, False, False]
@@ -713,7 +798,9 @@ class TestPanelOrder:
                 def refine(p):
                     calls = []
                     g = lambda t: calls.append(t.size) or f(t)
-                    got = bci.quadrature._refine(g, [part[p] for part in (lefts, rights, *first)], 1e-12, 20_000, roundoff)
+                    got = QuadratureResult(
+                        *bci.quadrature._refine(g, [part[p] for part in (lefts, rights, *first)], 1e-12, 20_000, roundoff)
+                    )
                     return _bits(got), len(calls)
 
                 want = refine(np.arange(len(lefts)))
