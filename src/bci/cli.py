@@ -217,12 +217,13 @@ def _emit(cmd: str, path: str | None, write: Callable[[Any], None]) -> bool:
     return True
 
 
-def _exit_code(report: EvaluationReport) -> int:
-    if report.verdict == "Refused":
-        return 1
-    if report.verdict in ("Disagree", "Uncertified"):
+def _exit_code(reports: list[EvaluationReport]) -> int:
+    """2 when any report disagrees or is uncertified, else 1 when every one is
+    Refused, else 0: eval passes its one report, sweep its rows."""
+    verdicts = {report.verdict for report in reports}
+    if verdicts & {"Disagree", "Uncertified"}:
         return 2
-    return 0
+    return 1 if verdicts == {"Refused"} else 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -231,14 +232,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         beta = parse_complex(args.beta)
         theta = parse_angle(args.theta)
         methods, rational = parse_methods(args.methods) if args.methods else (None, None)
-        if rational is not None and abs(beta - rational.value) > 1e-9 * max(1.0, abs(rational.value)):
+        inst = ProblemInstance(
+            alpha=alpha, beta=beta, theta=theta, tol=args.tol, exclusion_band=args.exclusion_band
+        )
+        if rational is not None and not rational.matches(beta):
             raise ValueError(
                 f"--beta {args.beta} does not equal the requested rational exponent "
                 f"{rational.m}/{rational.n}"
             )
-        inst = ProblemInstance(
-            alpha=alpha, beta=beta, theta=theta, tol=args.tol, exclusion_band=args.exclusion_band
-        )
     except ValueError as exc:
         print(f"bci eval: error: {exc}", file=sys.stderr)
         return 1
@@ -250,7 +251,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         return 1
     for name, us in timing_us.items():
         print(f"# {name}: {us:.1f} us", file=sys.stderr)
-    return _exit_code(report)
+    return _exit_code([report])
 
 
 def _parse_grid_axis(raw: list[str] | None, parse: Any) -> list[Any]:
@@ -332,9 +333,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"disagree={counts['Disagree']} uncertified={counts['Uncertified']} refused={counts['Refused']}",
         file=sys.stderr,
     )
-    if counts["Disagree"] or counts["Uncertified"]:
-        return 2
-    return 1 if reports and counts["Refused"] == len(reports) else 0
+    return _exit_code(reports)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -121,9 +121,19 @@ class RationalBeta:
     def value(self) -> float:
         return self.m / self.n
 
+    def matches(self, beta: complex) -> bool:
+        """Whether beta is m/n to within 1e-9 * max(1, |m/n|); a wider gap is
+        a caller's mistake, not a numerical condition."""
+        return abs(beta - self.value) <= 1e-9 * max(1.0, abs(self.value))
 
-def _base_diagnostics(inst: ProblemInstance, outside: bool) -> dict[str, Any]:
-    """The regime, given as inst.alpha_outside(), and whether alpha is on the cut."""
+
+def _regime(inst: ProblemInstance) -> tuple[bool, dict[str, Any], complex]:
+    """The setup the three closed-form routes share, once alpha is off the
+    band: (whether alpha is outside the circle, the base diagnostics, the
+    series argument z = e^{i theta}/alpha outside or alpha e^{-i theta}
+    inside).  The diagnostics give the regime and whether alpha is on the cut."""
+    inst.require_alpha_off_circle()
+    outside = inst.alpha_outside()
     diag: dict[str, Any] = {"regime": "outside" if outside else "inside"}
     if inst.alpha != 0:
         try:
@@ -132,7 +142,8 @@ def _base_diagnostics(inst: ProblemInstance, outside: bool) -> dict[str, Any]:
             # The formulas below never take a branch power of alpha itself, so
             # this is informational: related identities (residue terms) do.
             diag["alpha_arg_on_cut"] = True
-    return diag
+    z = cmath.exp(1j * inst.theta) / inst.alpha if outside else inst.alpha * cmath.exp(-1j * inst.theta)
+    return outside, diag, z
 
 
 def _residue_value(inst: ProblemInstance, n: int) -> complex:
@@ -155,13 +166,13 @@ def _argument_rounding(b: complex, z: complex, f: complex) -> float:
     return 3.0 * _EPS * abs(b) * abs(1.0 / (1.0 - z) - f)
 
 
-def _theorem_setup(inst: ProblemInstance) -> MethodResult | tuple[dict[str, Any], complex, float, complex, complex]:
+def _theorem_setup(
+    inst: ProblemInstance,
+) -> MethodResult | tuple[bool, dict[str, Any], complex, float, complex, complex]:
     """eval_closed_form up to its series: the finished result for integer
-    beta, else (diag, jump, jump_err, b, z) for _theorem_finish, whose
-    series is 2F1(1, b; 1+b; z)."""
-    inst.require_alpha_off_circle()
-    outside = inst.alpha_outside()
-    diag = _base_diagnostics(inst, outside)
+    beta, else (outside, diag, jump, jump_err, b, z) for _theorem_finish,
+    whose series is 2F1(1, b; 1+b; z)."""
+    outside, diag, z = _regime(inst)
     beta = inst.beta
     n = as_integer(beta)
     if n is not None:
@@ -171,18 +182,16 @@ def _theorem_setup(inst: ProblemInstance) -> MethodResult | tuple[dict[str, Any]
 
     diag["beta_class"] = "generic"
     jump, jump_err = cut_jump_with_bound(beta, inst.theta)
-    if outside:
-        return diag, jump, jump_err, beta, cmath.exp(1j * inst.theta) / inst.alpha
-    return diag, jump, jump_err, -beta, inst.alpha * cmath.exp(-1j * inst.theta)
+    return outside, diag, jump, jump_err, beta if outside else -beta, z
 
 
 def _theorem_finish(
-    inst: ProblemInstance, setup: tuple[dict[str, Any], complex, float, complex, complex], series: SeriesResult
+    inst: ProblemInstance, setup: tuple[bool, dict[str, Any], complex, float, complex, complex], series: SeriesResult
 ) -> MethodResult:
     """eval_closed_form after its series: the identity's value and estimate."""
-    diag, jump, jump_err, b, z = setup
+    outside, diag, jump, jump_err, b, z = setup
     prefactor = jump / inst.beta
-    factor = 1.0 - series.value if inst.alpha_outside() else series.value
+    factor = 1.0 - series.value if outside else series.value
     value = prefactor * factor
     diag["series_terms"] = series.terms_used
     rounding = 1e-15 * max(1.0, abs(series.value)) + _argument_rounding(b, z, series.value)
@@ -200,7 +209,7 @@ def eval_closed_form(inst: ProblemInstance) -> MethodResult:
     setup = _theorem_setup(inst)
     if isinstance(setup, MethodResult):
         return setup
-    b, z = setup[3:]
+    b, z = setup[-2:]
     return _theorem_finish(inst, setup, hyp2f1_one_b(b, z, tol=min(1e-12, inst.tol)))
 
 
@@ -212,7 +221,7 @@ def eval_closed_forms(insts: list[ProblemInstance]) -> list[MethodResult]:
     first."""
     setups = [_theorem_setup(inst) for inst in insts]
     pending = [(inst, setup) for inst, setup in zip(insts, setups) if not isinstance(setup, MethodResult)]
-    bs, zs, tols = [s[3] for _, s in pending], [s[4] for _, s in pending], [min(1e-12, i.tol) for i, _ in pending]
+    bs, zs, tols = [s[-2] for _, s in pending], [s[-1] for _, s in pending], [min(1e-12, i.tol) for i, _ in pending]
     sums = iter(hyp2f1_one_b_many(bs, zs, tol=tols))
     return [
         setup if isinstance(setup, MethodResult) else _theorem_finish(inst, setup, next(sums))
@@ -235,13 +244,14 @@ def eval_direct_series(inst: ProblemInstance) -> MethodResult:
 
     beta in Z_{>=0} would hit a zero denominator at k = beta; there the
     integral is the plain residue 2*pi*i*alpha^beta, returned directly with a
-    diagnostic rather than raised (negative integers need no redirect: the
-    jump factor vanishes and the sum is finite, so the product is exactly 0).
+    diagnostic rather than raised.  Negative integers need no redirect: the
+    sum is finite and the jump factor is 0 up to its rounding, so the value
+    is roundoff where the residue theorem gives 0, and the estimate covers it
+    through the jump's rounding bound.
     """
-    inst.require_alpha_off_circle()
-    if inst.alpha_outside():
+    outside, diag, z = _regime(inst)
+    if outside:
         raise EvaluationError("the direct series converges only for |alpha| < 1")
-    diag = _base_diagnostics(inst, False)
     beta = inst.beta
     n = as_integer(beta)
     if n is not None and n >= 0:
@@ -252,7 +262,6 @@ def eval_direct_series(inst: ProblemInstance) -> MethodResult:
     diag["beta_class"] = "integer" if n is not None else "generic"
     prefactor, jump_err = cut_jump_with_bound(beta, inst.theta)  # refuses an overflow before the sum
     tol = min(1e-12, inst.tol)
-    z = inst.alpha * cmath.exp(-1j * inst.theta)
     last, tail = _series_length(-beta, abs(z), tol * abs(beta), math.floor(abs(beta) + 1.0) + 1, DEFAULT_MAX_TERMS)
     if tail > tol * abs(beta):
         raise SlowConvergence(f"the direct series needs more than {last + 1} terms at |z| = {abs(z):.6g}")
@@ -394,33 +403,23 @@ def eval_rational_logsum(inst: ProblemInstance, beta: RationalBeta) -> MethodRes
     Evaluates the same closed forms as eval_closed_form but with the
     hypergeometric factor computed by hyp2f1_rational — n logarithms and a
     handful of shifts instead of a truncated series, and therefore exact up
-    to roundoff.  The instance's beta must match m/n (to 1e-9); mismatches
-    are a caller bug, not a numerical condition.
+    to roundoff.  The instance's beta must match m/n (RationalBeta.matches),
+    checked once alpha is off the band; a mismatch raises ValueError.
     """
-    inst.require_alpha_off_circle()
-    if abs(inst.beta - beta.value) > 1e-9 * max(1.0, abs(beta.value)):
+    outside, diag, z = _regime(inst)
+    if not beta.matches(inst.beta):
         raise ValueError(
             f"instance beta {inst.beta!r} does not match the rational exponent {beta.m}/{beta.n}"
         )
-    outside = inst.alpha_outside()
-    diag = _base_diagnostics(inst, outside)
     diag["m"] = beta.m
     diag["n"] = beta.n
     b = beta.value
     jump, jump_err = cut_jump_with_bound(b, inst.theta)
     prefactor = jump * (beta.n / beta.m)
-    if outside:
-        # outside form carries 2F1(1, beta; 1+beta; .)
-        z = cmath.exp(1j * inst.theta) / inst.alpha
-        used = beta
-        g, g_err = hyp2f1_rational_with_bound(z, used)
-        factor = 1.0 - g
-    else:
-        # inside form carries 2F1(1, -beta; 1-beta; .)
-        z = inst.alpha * cmath.exp(-1j * inst.theta)
-        used = RationalBeta(-beta.m, beta.n)
-        g, g_err = hyp2f1_rational_with_bound(z, used)
-        factor = g
+    # the outside form carries 2F1(1, beta; 1+beta; .), the inside one 2F1(1, -beta; 1-beta; .)
+    used = beta if outside else RationalBeta(-beta.m, beta.n)
+    g, g_err = hyp2f1_rational_with_bound(z, used)
+    factor = 1.0 - g if outside else g
     value = prefactor * factor
     diag["up_shifts"] = max((used.m - used.m % used.n) // used.n, 0)
     estimate = abs(prefactor) * (g_err + _argument_rounding(used.value, z, g)) + jump_err / abs(b) * abs(factor)

@@ -1,5 +1,8 @@
 """Adaptive Gauss quadrature oracles for the circle and unit-interval integrals.
 
+These notes give the reason for each choice and the conditions it needs;
+the measurements behind the choices are in CHANGES.md.
+
 Engine
 ------
 Plain interval bisection in rounds.  Each panel gets the 15-point
@@ -7,7 +10,8 @@ Gauss-Kronrod rule K15 and the 7-point Gauss rule G7 whose nodes are every
 second K15 node, so the pair costs 15 integrand values, not 22.  K15 is the
 panel's value and |K15 - G7| its error estimate (the embedded-pair trick).
 Until the estimates sum (math.fsum) to at most goal = tol * max(1, |I|), each
-round bisects every one of the N panels whose estimate exceeds goal / N.  The
+round bisects every one of the N panels whose estimate exceeds goal / N, so
+an integral with several hard spots refines them all in one f call.  The
 integrands are analytic away from isolated endpoints, so the high-order rule
 converges fast on smooth panels while bisection walks geometrically into
 whatever misbehaviour remains — endpoint oscillation from imaginary
@@ -21,27 +25,19 @@ holds them to that.  A symmetric 15-point rule of degree 22 whose every
 second node carries a 7-point rule of degree 13 is unique, so a wrong
 constant shows as a moment error.
 
-A panel costs arithmetic on its nodes (on the circle one complex exponential
-and a division per node, and a second exponential off the plain start), and a
-first round of 16 panels as much again in numpy calls and Python: of ~26 us
-for a plain circle start (2-core AVX-512 Xeon), the integrand takes ~7.5,
-_rules ~8.6 (two einsum ~5), _judge ~2.6 and the start ~0.3.  So a start that
-cannot grade returns first, nothing is subtracted when c = 0, and an integral
-builds one result.  The nodes of the panels to evaluate go to f in one flat
-array: one call for all initial panels (shared by a unit-interval batch,
-below), then one per round for the children of all the panels split, which
-join the panels kept.
+A first round of 16 panels costs about as much in numpy calls and Python as
+in arithmetic on its nodes, so the fixed cost is kept small: a start that
+cannot grade returns before building anything, nothing is subtracted when
+c = 0, and an integral builds one result.  The nodes of the panels to
+evaluate go to f in one flat array: one call for all initial panels (shared
+by a unit-interval batch, below), then one per round for the children of all
+the panels split, which join the panels kept.
 Refinement stops unconverged when no panel over its share is wider than
 1e-15 of the interval, or when a round would pass max_panels.
 adaptive_quadrature starts on the edges its caller gives: the circle and
 unit-interval integrals start on meshes graded toward what the instance says
-is hard (the sections below).  Almost every integral stops on that first
-round: none of 9000 eval-mixed circle integrals (seeds 1, 2 and 5) refine,
-and 150 of 3000 unit-interval integrals of run_verify seeds 4000-4029 do.
-On two poles 0.01 from the path (tests/test_quadrature.py) rounds take 5 f
-calls where splitting the worst panel per call took 21; on the identity
-checks of run_verify seeds 4000-4029, 0, 1, 3, 5, 7, 42 and 1000, 3906 where
-it took 3984.
+is hard (the sections below), so almost every integral stops on that first
+round.
 
 Refinement and stopping look only at |K15 - G7|.  That difference can fall
 below the rounding error of the K15 sum itself, so the reported estimate also
@@ -50,13 +46,11 @@ the integral of |f| is taken with the K15 weights), and converged is judged
 on that floored estimate.  On the circle, the power exp(i beta s) carries
 the rounding of an exponential whose argument reaches |beta| 2 pi, and
 z = e^{is} its own, so the estimate adds eps * 2 pi * (|beta| + 1) *
-integral of |f|.  Without that term 7 of 9000 benchmark-pool estimates fell
-below their true error, with |beta| up to 40, when the start graded toward
-the pole; on the subtracted integrand (below) those pools hold without it,
-the smallest estimate 1.9 times its error, and it stays as the bound it is.
+integral of |f|.  That term is a bound on a rounding that happens, so it
+stays even where a scan finds the estimate holds without it.
 The residue added back, 2 pi c, is rounded in its product, and the estimate
 carries 2 eps |2 pi c| for it (_judge): at beta = 0 the subtracted integrand
-is 0 and that rounding, 2.4e-16 at c = 1, is the whole error.
+is 0 and that rounding is the whole error.
 
 Determinism is part of the contract: the CLI promises byte-identical
 reports.  Each panel's two rules and mass are sums over its own 15 values
@@ -81,35 +75,27 @@ h = |log|alpha|| / 2 that fall in the window: a pole near the cut grades the
 window's ends.  |z^beta| = e^{-Im(beta) s} peaks at theta - 2 pi for
 Im(beta) > 0 and at theta below 0; once |Im beta| 2 pi/16 > 2 the points
 2/|Im beta| times 2^k grade in from that end.  Both runs of points double up
-to two base panels.  A start without such points (71.8% of the eval-mixed
-pool of seed 1, against 0% when the start also graded toward s0) takes
-module constants: with lo = theta - 2 pi its nodes are lo + _PLAIN_NODES
-and e^{is} is e^{i lo} _PLAIN_TURNS, with no node build and one complex
-exponential fewer.
+to two base panels.  A start without such points takes module constants:
+with lo = theta - 2 pi its nodes are lo + _PLAIN_NODES and e^{is} is
+e^{i lo} _PLAIN_TURNS, with no node build and one complex exponential fewer.
 
-On the eval-mixed pools of seeds 1, 2 and 5 (3000 integrals each, tol
-1e-10) every integral converges on its start, on 16.9 panels on average
-against 20.2 when the pole's own image was graded, and every estimate holds
-against the benchmark reference.  Under custom bands, with |alpha| 1-3 bands
-from the circle and Re beta, Im beta in [-3, 3], the estimate held on each
-of 2400 draws at bands 1e-4 and 1e-6 (16.1 panels, 19 with arg(alpha)
-within 0.3 of the cut).  Grading toward s0 held on 58 of 80 such draws at
-1e-6 and 38 of 60 near the cut (tests/test_quadrature.py), on 70 panels:
-near the pole, e^{is} - alpha carries a relative rounding of
-eps/|e^{is} - alpha|, about pi eps/||alpha| - 1|| over the window, which
-neither |K15 - G7| nor the rounding terms covered.
+The pole is subtracted rather than graded toward because near it e^{is} -
+alpha carries a relative rounding of eps/|e^{is} - alpha|, about
+pi eps/||alpha| - 1|| over the window, which neither |K15 - G7| nor the
+rounding terms cover: a mesh graded toward s0 lets the estimate fall below
+the error under custom bands close to the circle (tests/test_quadrature.py,
+TestCircleNearTheBand).
 
 The subtraction is skipped, and s0 graded like its images, when
 |alpha|^Re(beta), the ratio of |c| to |z^beta| at arg(alpha), exceeds
-e^_POLE_GROWTH: there c dwarfs the integrand and its rounding the value.
-At alpha = 1.5 e^i, beta = 40 + 0.3i, theta = 2 the subtracted integral
-stopped unconverged on 19881 panels with an error of 1e-9; skipped, it
-converges on 71 with 2e-15.  That only happens where the pole lies further
-from the circle than about _POLE_GROWTH/|Re beta|, where grading toward it
-is sound.  The grading constants were chosen on the eval-mixed pools when
-the start still graded toward s0: a first step of 0.5 |log|alpha|| and a
-reach of 0.6 took the fewest calls, as did a peak threshold of 2 and a first
-step of 2/|Im beta|, and 14 base panels in place of 16 refined more.
+e^_POLE_GROWTH: there c dwarfs the integrand and its rounding the value, and
+the subtracted integral need not converge (alpha = 1.5 e^i,
+beta = 40 + 0.3i, theta = 2 in tests/test_quadrature.py).  That only happens
+where the pole lies further from the circle than about _POLE_GROWTH/|Re beta|,
+where grading toward it is sound.  The grading constants (a first step of
+0.5 |log|alpha||, a reach of 0.6, a peak threshold of 2, a first step of
+2/|Im beta| and 16 base panels) were chosen as those taking the fewest
+calls on the eval-mixed pools.
 
 Endpoint singularities
 ----------------------
@@ -120,22 +106,16 @@ though infinitely oscillatory toward 0 when Im(mu) != 0.  Geometric panel
 refinement handles that: the oscillation amplitude is constant while the
 panel mass shrinks linearly.  For Re(mu) >= 1 a smooth t^mu would do
 without it, but f(u^s) with s <= 1/2 is bounded and continuous at 0 too, and
-the graded start below absorbs it: on the run_verify seeds above, sending
-every Re(mu) through the substitution cut the total from 3906 calls to 3826,
-and no check's worst residual grew.
+the graded start below absorbs it, so every Re(mu) takes the one path: on
+the identity checks of run_verify it takes no more calls and loses no accuracy.
 
-Bisection from four equal panels reaches that geometric mesh one level per f
-call, so an integral that needs a panel [0, 2^-25] spent 23 calls getting
-there.  The unit-interval integrals therefore start on the mesh 0, 2^-K, ...,
-2^-3, 1/4, 1/2, 3/4, 1 (the edges that walk builds) in one call, and refine
-from there as usual.  K = 36 was chosen by measurement on the identity checks
-of run_verify: started from equal panels, half the integrals stopped at depth
-2 to 10 and the rest at 15 to 33; on the graded mesh almost none refine below
-2^-K.  The worst residual stopped improving at K = 36, and run time was flat
-from K = 24 to K = 40.  On run_verify seeds 1000-1029 and 5000-5029:
-1.28 f calls per integral for every K from 30 to 44 (1.82 at
-K = 24), and the median and worst residual ratios, 1.61e-4 and 2.83e-4, the
-same from K = 36 to 44 (2.83e-4 and 1.1e-3 at K = 30), so K stays 36.
+Bisection from equal panels would reach that geometric mesh one level per f
+call, and the integrals of run_verify's identity checks need panels as deep
+as 2^-33.  The unit-interval integrals therefore start on the mesh 0, 2^-K,
+..., 2^-3, 1/4, 1/2, 3/4, 1 (the edges that walk builds) in one call, and
+refine from there as usual.  K = 36 was chosen by measurement on those
+checks: the worst residual stops improving at K = 36, and a deeper K costs
+no more calls.
 
 Batched first round
 -------------------
@@ -144,13 +124,10 @@ Almost every integral stops on its first call, so the unit-interval batches
 _panels call on their shared mesh.  The integrand gets its parameters as
 (k, 1) columns, and _rules reduces the (k, P, 15) values panel by panel.
 Each integral's row of that round goes straight to _refine, whose first
-step is the stopping test (_judge), so no separate pass repeats it; only the
-~5% that fail it refine, alone, with scalar parameters.  So each result is
+step is the stopping test (_judge), so no separate pass repeats it; only
+those that fail it refine, alone, with scalar parameters.  So each result is
 the float it is alone (tests/test_quadrature.py holds them equal field for
-field, and a shuffled batch or first round to the same bits).  A run_verify
-(seeds 4000-4029) makes 8.6 _panels calls: 5 batched first rounds, 0.17
-graded circle starts and 3.43 refinements; its other 14.83 circle integrals
-take the plain start, which calls f directly, and none refines.
+field, and a shuffled batch or first round to the same bits).
 """
 
 from __future__ import annotations
@@ -321,7 +298,6 @@ def adaptive_quadrature(
     edges: np.ndarray,
     tol: float = DEFAULT_QUAD_TOL,
     max_panels: int = DEFAULT_MAX_PANELS,
-    roundoff: float = _ROUNDOFF,
 ) -> QuadratureResult:
     """Integrate the vectorised complex integrand f from edges[0] to edges[-1],
     starting on the panels between the given increasing edges.
@@ -330,13 +306,12 @@ def adaptive_quadrature(
     values.  Refinement stops once the summed panel estimates drop below
     tol * max(1, |value|) (absolute-or-relative), or when no panel can split
     or a round would pass max_panels; the latter two report converged=False
-    with the best value so far.  The reported estimate adds roundoff times
-    integral |f| to the panel estimates (the summation floor 50 * eps by
-    default, more where f's own values carry rounding), and converged tests
+    with the best value so far.  The reported estimate adds the summation
+    floor 50 * eps * integral |f| to the panel estimates, and converged tests
     that floored estimate.
     """
     lefts, rights = edges[:-1], edges[1:]
-    return QuadratureResult(*_refine(f, (lefts, rights, *_panels(f, lefts, rights)), tol, max_panels, roundoff))
+    return QuadratureResult(*_refine(f, (lefts, rights, *_panels(f, lefts, rights)), tol, max_panels, _ROUNDOFF))
 
 
 def _refine(
@@ -372,13 +347,11 @@ def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> Qua
     branch argument of e^{is} is s itself, so the power is exp(i beta s) with
     no logarithm calls in the hot loop.  That integrand is analytic on the
     closed window (the cut only enters through its endpoints, which Gauss nodes
-    never touch).  A pole near the circle is subtracted: the engine integrates
-    (z^beta - c) / (z - alpha) dz with c = alpha^beta on the window's branch,
-    and 2 pi i c is added when the pole is inside.  The engine starts on the
-    mesh of _circle_start, and the estimate adds the rounding of the
-    exponential and of the residue added back (module notes).  Raises
-    NonFiniteValue when the integrand could overflow on the window, or the
-    value or estimate is not finite.
+    never touch).  A pole near the circle is subtracted and its residue
+    added back, the engine starts on the mesh of _circle_start, and the
+    estimate adds the rounding of the exponential and of that residue (module
+    notes).  Raises NonFiniteValue when the integrand could overflow on the
+    window, or the value or estimate is not finite.
     """
     roundoff = _circle_roundoff(inst)
     lo, alpha, beta = inst.theta - TWO_PI, inst.alpha, inst.beta

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bci.cli
-from bci import RationalBeta
+from bci import ProblemInstance, RationalBeta, eval_rational_logsum
 from bci.cli import main, parse_angle, parse_complex, parse_methods
 
 
@@ -254,6 +254,33 @@ class TestEvalCommand:
         assert (doc["verdict"], code) == ("Partial", 0)
 
 
+class TestRationalMatch:
+    """bci eval --methods rational:m/n refuses exactly the exponents that
+    eval_rational_logsum refuses: those further than 1e-9 * max(1, |m/n|)
+    from m/n."""
+
+    @pytest.mark.parametrize("m,n,alpha", [(1, 3, "0.5@1"), (-2, 5, "2@1"), (7, 3, "0.5@1"), (-11, 4, "2@1")])
+    @pytest.mark.parametrize("step", [1.0, -1.0, 1j])
+    @pytest.mark.parametrize("scale,matches", [(1.0 - 1e-5, True), (1.0 + 1e-5, False)])
+    def test_library_and_cli_refuse_alike(self, m, n, alpha, step, scale, matches, capsys):
+        rational = RationalBeta(m, n)
+        beta = rational.value + step * scale * 1e-9 * max(1.0, abs(rational.value))
+        assert rational.matches(beta) is matches
+        inst = ProblemInstance(alpha=parse_complex(alpha), beta=beta, theta=2.0)
+        argv = ["eval", "--alpha", alpha, "--beta", repr(beta), "--theta", "2", "--methods", f"rational:{m}/{n}"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if matches:
+            assert math.isfinite(eval_rational_logsum(inst, rational).error_estimate)
+            (row,) = json.loads(out)["results"]
+            assert (row["method"], row["status"], code) == ("RationalLogSum", "ok", 0)
+        else:
+            with pytest.raises(ValueError, match="does not match"):
+                eval_rational_logsum(inst, rational)
+            assert (code, out) == (1, "")
+            assert "does not equal the requested rational exponent" in err
+
+
 class TestSweepCommand:
     def test_uncertified_rows_counted_and_exit_2(self, capsys):
         code = main(["sweep", "--alpha-mod", "0.3", "--alpha-arg", "0.8", "--beta", "0.5", "--theta", "2.0",
@@ -277,21 +304,31 @@ class TestSweepCommand:
         assert code == 0  # another row produced values
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-    def test_one_refused_row_exits_as_eval(self, fmt, capsys):
-        instance = ["--alpha-mod", "0.5", "--alpha-arg", "1", "--beta", "0.5+1000j", "--theta", "3"]
-        code = main(["sweep"] + instance + ["--format", fmt])
+    @pytest.mark.parametrize(
+        "verdict,mod,arg,beta,theta,extra,code",
+        [
+            ("Agree", "0.5", "1", "0.5", "3", [], 0),
+            ("Partial", "0.9999999998", "0", "0.5", "2", ["--exclusion-band", "1e-10"], 0),
+            ("Uncertified", "0.3", "0.8", "0.5", "2.0", ["--tol", "1e-14"], 2),
+            ("Disagree", "0.5", "1", "2.00000000001", "2", [], 2),
+            ("Refused", "0.5", "1", "0.5+1000j", "3", [], 1),
+        ],
+    )
+    def test_one_row_exits_as_eval(self, fmt, verdict, mod, arg, beta, theta, extra, code, capsys):
+        eval_code = main(["eval", "--alpha", f"{mod}@{arg}", "--beta", beta, "--theta", theta] + extra)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == verdict
+        instance = ["--alpha-mod", mod, "--alpha-arg", arg, "--beta", beta, "--theta", theta] + extra
+        sweep_code = main(["sweep"] + instance + ["--format", fmt])
         out = capsys.readouterr()
-        assert "rows=1 " in out.err and "refused=1" in out.err
+        assert "rows=1 " in out.err and f"{verdict.lower()}=1" in out.err
         if fmt == "jsonl":
-            (row,) = [json.loads(line) for line in out.out.splitlines()]
-            assert row["verdict"] == "Refused"
+            assert [json.loads(line) for line in out.out.splitlines()] == [doc]
         else:
             rows = list(csv.DictReader(out.out.splitlines()))
-            assert len(rows) == 3
-            assert {(r["status"], r["verdict"]) for r in rows} == {("NonFiniteValue", "Refused")}
-        eval_code = main(["eval", "--alpha", "0.5@1", "--beta", "0.5+1000j", "--theta", "3"])
-        capsys.readouterr()
-        assert code == eval_code == 1
+            got = [(r["method"], r["status"], r["verdict"]) for r in rows]
+            assert got == [(r["method"], r["status"], verdict) for r in doc["results"]]
+        assert sweep_code == eval_code == code
 
     def test_jsonl_grid(self, capsys):
         code = main(

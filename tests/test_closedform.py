@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bci import (
+    AlphaOnCircle,
     AlphaOnCut,
     DEFAULT_THRESHOLDS,
     BetaNonNegativeInteger,
@@ -258,6 +259,11 @@ class TestRationalLogSum:
     def test_beta_mismatch_is_a_bug(self):
         inst = ProblemInstance(alpha=0.5, beta=0.5, theta=2.0)
         with pytest.raises(ValueError):
+            eval_rational_logsum(inst, RationalBeta(1, 3))
+
+    def test_band_is_checked_before_the_match(self):
+        inst = ProblemInstance(alpha=1.01, beta=0.5, theta=2.0)
+        with pytest.raises(AlphaOnCircle):
             eval_rational_logsum(inst, RationalBeta(1, 3))
 
 
