@@ -139,24 +139,20 @@ def parse_methods(text: str) -> tuple[list[str], RationalBeta | None]:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage, which collides with the
-    'methods disagree' code; force usage errors onto status 1."""
+    'methods disagree' code; force usage errors onto status 1.  argparse
+    takes a token for an option unless it is a plain decimal such as -0.75,
+    so -2j, -2,0 and -1e-3 would be refused as values; any token of a dash
+    and then a digit or a dot is a value here."""
+
+    def _parse_optional(self, arg_string: str):
+        if re.match(r"-[\d.]", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _default_tol() -> float:
-    raw = os.environ.get("BCI_DEFAULT_TOL")
-    if raw is None:
-        return 1e-8
-    try:
-        value = float(raw)
-    except ValueError:
-        print(f"bci: error: BCI_DEFAULT_TOL={raw!r} is not a number", file=sys.stderr)
-        raise SystemExit(1) from None
-    return value
 
 
 def _build_parser() -> _Parser:
@@ -168,7 +164,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--beta", required=True, type=str, help="exponent: same forms as --alpha")
     ev.add_argument("--theta", required=True, type=str, help="cut angle in (0, 2pi); accepts pi forms")
     ev.add_argument("--methods", type=str, default=None, help="comma list: theorem,series,quadrature,rational:m/n")
-    ev.add_argument("--tol", type=float, default=None, help="agreement tolerance (env BCI_DEFAULT_TOL, else 1e-8)")
+    ev.add_argument("--tol", type=float, default=1e-8, help="agreement tolerance (default %(default)s)")
     ev.add_argument("--exclusion-band", type=float, default=DEFAULT_EXCLUSION_BAND, help="refusal band around |alpha| = 1")
     ev.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
 
@@ -180,7 +176,7 @@ def _build_parser() -> _Parser:
         help="exponents: 'mod@arg', '0.5+0.1j' or bare reals (commas separate values, so no 're,im')",
     )
     sw.add_argument("--theta", action="append", default=None, help="cut angles (pi forms allowed)")
-    sw.add_argument("--tol", type=float, default=None)
+    sw.add_argument("--tol", type=float, default=1e-8)
     sw.add_argument("--exclusion-band", type=float, default=DEFAULT_EXCLUSION_BAND)
     sw.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
     sw.add_argument("--out", type=str, default=None)
@@ -351,8 +347,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(list(argv) if argv is not None else None)
-    if args.command in ("eval", "sweep") and args.tol is None:
-        args.tol = _default_tol()  # read here, so verify and --help run whatever it holds
     if args.command == "eval":
         return _cmd_eval(args)
     if args.command == "sweep":

@@ -44,7 +44,7 @@ from .errors import (
     SlowConvergence,
     ZeroInput,
 )
-from .hypergeometric import DEFAULT_MAX_TERMS, SeriesResult, _powers, _series_length, hyp2f1_one_b, hyp2f1_one_b_many
+from .hypergeometric import SeriesResult, _powers, _series_length, hyp2f1_one_b, hyp2f1_one_b_many
 from .quadrature import euler_integrals
 
 _EPS = sys.float_info.epsilon
@@ -222,7 +222,7 @@ def eval_closed_forms(insts: list[ProblemInstance]) -> list[MethodResult]:
     setups = [_theorem_setup(inst) for inst in insts]
     pending = [(inst, setup) for inst, setup in zip(insts, setups) if not isinstance(setup, MethodResult)]
     bs, zs, tols = [s[-2] for _, s in pending], [s[-1] for _, s in pending], [min(1e-12, i.tol) for i, _ in pending]
-    sums = iter(hyp2f1_one_b_many(bs, zs, tol=tols))
+    sums = iter(hyp2f1_one_b_many(bs, zs, tols))
     return [
         setup if isinstance(setup, MethodResult) else _theorem_finish(inst, setup, next(sums))
         for inst, setup in zip(insts, setups)
@@ -240,7 +240,7 @@ def eval_direct_series(inst: ProblemInstance) -> MethodResult:
     method instead of being folded away — two routes, one number.  Its terms
     z^k/(beta - k) are |b/(b+k) z^k|/|beta| in modulus with b = -beta, so it
     takes the term count of hyp2f1_one_b at tol |beta|, from K > |beta| + 1,
-    and raises SlowConvergence before summing when max_terms caps it short.
+    and raises SlowConvergence before summing when its term cap stops it short.
 
     beta in Z_{>=0} would hit a zero denominator at k = beta; there the
     integral is the plain residue 2*pi*i*alpha^beta, returned directly with a
@@ -262,7 +262,7 @@ def eval_direct_series(inst: ProblemInstance) -> MethodResult:
     diag["beta_class"] = "integer" if n is not None else "generic"
     prefactor, jump_err = cut_jump_with_bound(beta, inst.theta)  # refuses an overflow before the sum
     tol = min(1e-12, inst.tol)
-    last, tail = _series_length(-beta, abs(z), tol * abs(beta), math.floor(abs(beta) + 1.0) + 1, DEFAULT_MAX_TERMS)
+    last, tail = _series_length(-beta, abs(z), tol * abs(beta), math.floor(abs(beta) + 1.0) + 1)
     if tail > tol * abs(beta):
         raise SlowConvergence(f"the direct series needs more than {last + 1} terms at |z| = {abs(z):.6g}")
     total = complex(1.0 / beta + np.add.reduce(_powers(z, last) / (beta - np.arange(1.0, last + 1))))
@@ -471,7 +471,7 @@ def check_reconciliations(insts: list[ProblemInstance]) -> list[float]:
     ws = [cmath.exp(1j * inst.theta) / inst.alpha for inst in insts]
     lhs = euler_integrals(ws, [inst.beta for inst in insts])
     zs = [inst.alpha * cmath.exp(-1j * inst.theta) for inst in insts]
-    sums = hyp2f1_one_b_many([-inst.beta for inst in insts], zs, tol=[min(1e-12, inst.tol) for inst in insts])
+    sums = hyp2f1_one_b_many([-inst.beta for inst in insts], zs, [min(1e-12, inst.tol) for inst in insts])
     residuals = []
     for inst, log_alpha, left, series in zip(insts, log_alphas, lhs, sums):
         alpha, beta, theta = inst.alpha, inst.beta, inst.theta

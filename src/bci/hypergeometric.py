@@ -8,7 +8,7 @@ K >= |b| (from the geometric estimate up) with majorant
 |b/(b+K)| |z|^K |z|/(1-|z|) <= tol.  |b+k| grows with k past |b|, so the
 majorant bounds the tail (tail_estimate).  It refuses with SlowConvergence,
 before summing anything, |z| >= 1 and a series whose majorant still exceeds
-tol at max_terms terms.
+tol at DEFAULT_MAX_TERMS terms, the cap read when a series is planned.
 hyp2f1_one_b_many sums many series in one set of array operations, each
 over its own term count, so each is the float hyp2f1_one_b gives.
 """
@@ -43,16 +43,16 @@ class SeriesResult:
     tail_estimate: float
 
 
-def _series_length(b: complex, q: float, tol: float, k_min: int, max_terms: int) -> tuple[int, float]:
+def _series_length(b: complex, q: float, tol: float, k_min: int) -> tuple[int, float]:
     """Index K of the last term to sum and its tail majorant |b/(b+K)| q^K q/(1-q):
     the geometric estimate or k_min, then jumps while the majorant exceeds tol.
-    Capped at max_terms - 1; q = 0 has no terms, (0, 0.0), and q >= 1 is refused."""
+    Capped at DEFAULT_MAX_TERMS - 1; q = 0 has no terms, (0, 0.0), and q >= 1 is refused."""
     if q == 0.0:
         return 0, 0.0
     if not q < 1.0:
         raise SlowConvergence(f"|z| = {q:.17g} is not inside the unit disk")
     geom = q / (1.0 - q)
-    last = max_terms - 1
+    last = DEFAULT_MAX_TERMS - 1
     k = max(k_min, math.ceil(math.log(min(tol / geom, 1.0)) / math.log(q))) if tol > 0.0 else last
     while True:
         k = min(k, last)
@@ -62,16 +62,16 @@ def _series_length(b: complex, q: float, tol: float, k_min: int, max_terms: int)
         k += max(1, math.ceil(math.log(tol / tail) / math.log(q)))
 
 
-def _plan(b: complex, z: complex, tol: float, max_terms: int) -> tuple[int, float]:
+def _plan(b: complex, z: complex, tol: float) -> tuple[int, float]:
     """Index K of the last term of the series at (b, z) and its tail majorant, after refusing
     a non-positive integer b (InvalidC), and |z| >= 1 or a majorant above tol at the
-    max_terms cap (SlowConvergence); z = 0 has no terms."""
+    DEFAULT_MAX_TERMS cap (SlowConvergence); z = 0 has no terms."""
     bi = as_integer(b)
     if bi is not None and bi <= 0:
         raise InvalidC(f"b = {b!r} makes c = 1+b a non-positive integer parameter")
     if z == 0:
         return 0, 0.0
-    last, tail = _series_length(b, abs(z), tol, max(1, math.ceil(abs(b))), max_terms)
+    last, tail = _series_length(b, abs(z), tol, max(1, math.ceil(abs(b))))
     if not tail <= tol:
         raise SlowConvergence(f"the 2F1 series needs more than {last + 1} terms at |z| = {abs(z):.6g}")
     return last, tail
@@ -84,12 +84,7 @@ def _powers(z: complex, last: int) -> np.ndarray:
     return np.multiply.accumulate(powers)
 
 
-def hyp2f1_one_b(
-    b: complex,
-    z: complex,
-    tol: float = 1e-12,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesResult:
+def hyp2f1_one_b(b: complex, z: complex, tol: float = 1e-12) -> SeriesResult:
     """sum_{k>=0} b/(b+k) z^k, which is 2F1(1, b; 1+b; z) term for term.
 
     The (1, b; 1+b) parameter pattern collapses the Pochhammer ratio to
@@ -100,20 +95,14 @@ def hyp2f1_one_b(
     """
     b = complex(b)
     z = complex(z)
-    last, tail = _plan(b, z, tol, max_terms)
+    last, tail = _plan(b, z, tol)
     # k as floats: b + k then needs no integer-to-complex cast, with the same bits
     total = 1.0 + np.add.reduce(b / (b + np.arange(1.0, last + 1)) * _powers(z, last))
     return SeriesResult(complex(total), last + 1, tail)
 
 
-def hyp2f1_one_b_many(
-    bs: Sequence[complex],
-    zs: Sequence[complex],
-    tol: float | Sequence[float] = 1e-12,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> list[SeriesResult]:
-    """hyp2f1_one_b(b, z, tol, max_terms) for each pair, field for field;
-    tol is one float for every pair or one per pair.
+def hyp2f1_one_b_many(bs: Sequence[complex], zs: Sequence[complex], tols: Sequence[float]) -> list[SeriesResult]:
+    """hyp2f1_one_b(b, z, tol) for each triple of bs, zs and tols, field for field.
 
     Every pair is checked and given its term count first, in item order, so
     the first non-positive integer b (InvalidC), or |z| >= 1 or series capped
@@ -127,8 +116,7 @@ def hyp2f1_one_b_many(
     """
     bs = [complex(b) for b in bs]
     zs = [complex(z) for z in zs]
-    tols = [tol] * len(bs) if isinstance(tol, (int, float)) else list(tol)
-    counts = [_plan(b, z, t, max_terms) for b, z, t in zip(bs, zs, tols, strict=True)]
+    counts = [_plan(b, z, tol) for b, z, tol in zip(bs, zs, tols, strict=True)]
     if not counts:
         return []
     lasts = np.array([last for last, _ in counts])

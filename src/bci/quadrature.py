@@ -33,7 +33,7 @@ evaluate go to f in one flat array: one call for all initial panels (shared
 by a unit-interval batch, below), then one per round for the children of all
 the panels split, which join the panels kept.
 Refinement stops unconverged when no panel over its share is wider than
-1e-15 of the interval, or when a round would pass max_panels.
+1e-15 of the interval, or when a round would pass DEFAULT_MAX_PANELS.
 adaptive_quadrature starts on the edges its caller gives: the circle and
 unit-interval integrals start on meshes graded toward what the instance says
 is hard (the sections below), so almost every integral stops on that first
@@ -293,30 +293,23 @@ def _judge(
     return value, estimate, goal, not err > goal
 
 
-def adaptive_quadrature(
-    f: Callable,
-    edges: np.ndarray,
-    tol: float = DEFAULT_QUAD_TOL,
-    max_panels: int = DEFAULT_MAX_PANELS,
-) -> QuadratureResult:
+def adaptive_quadrature(f: Callable, edges: np.ndarray, tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     """Integrate the vectorised complex integrand f from edges[0] to edges[-1],
     starting on the panels between the given increasing edges.
 
     f receives a numpy array of abscissae and must return the integrand
     values.  Refinement stops once the summed panel estimates drop below
     tol * max(1, |value|) (absolute-or-relative), or when no panel can split
-    or a round would pass max_panels; the latter two report converged=False
-    with the best value so far.  The reported estimate adds the summation
-    floor 50 * eps * integral |f| to the panel estimates, and converged tests
-    that floored estimate.
+    or a round would pass DEFAULT_MAX_PANELS; the latter two report
+    converged=False with the best value so far.  The reported estimate adds
+    the summation floor 50 * eps * integral |f| to the panel estimates, and
+    converged tests that floored estimate.
     """
     lefts, rights = edges[:-1], edges[1:]
-    return QuadratureResult(*_refine(f, (lefts, rights, *_panels(f, lefts, rights)), tol, max_panels, _ROUNDOFF))
+    return QuadratureResult(*_refine(f, (lefts, rights, *_panels(f, lefts, rights)), tol, _ROUNDOFF))
 
 
-def _refine(
-    f: Callable, panels: tuple, tol: float, max_panels: int, roundoff: float, offset: complex = 0j
-) -> tuple:
+def _refine(f: Callable, panels: tuple, tol: float, roundoff: float, offset: complex = 0j) -> tuple:
     """adaptive_quadrature from its first round, as QuadratureResult fields, of
     the integral plus offset (a constant known in closed form): panels holds the
     left and right edges, K15 values, estimates and masses, in any order."""
@@ -328,7 +321,7 @@ def _refine(
             return result
         split = (errs > goal / errs.size) & (rights - lefts > 1e-15 * (rights.max() - lefts.min()))
         count = np.count_nonzero(split)
-        if count == 0 or errs.size + count > max_panels:
+        if count == 0 or errs.size + count > DEFAULT_MAX_PANELS:
             return result
         split_lefts, split_rights = lefts[split], rights[split]
         mids = 0.5 * (split_lefts + split_rights)
@@ -366,7 +359,7 @@ def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> Qua
         first = _panels(f, edges[:-1], edges[1:])
     # the i of dz = i z ds multiplies the total, the enclosed residue 2 pi i c included
     offset = 0j if c is None or inst.alpha_outside() else TWO_PI * c
-    value, *rest = _refine(f, (edges[:-1], edges[1:], *first), tol, DEFAULT_MAX_PANELS, roundoff, offset)
+    value, *rest = _refine(f, (edges[:-1], edges[1:], *first), tol, roundoff, offset)
     return _finite(QuadratureResult(complex(-value.imag, value.real), *rest))
 
 
@@ -485,7 +478,7 @@ def _unit_power_integrals(mu: list[complex], param: list[complex], factor: Calla
     return [
         QuadratureResult(*_refine(
             lambda u, k=k: g(u, s[k], c[k], param[k]), (lefts, rights, vals[k], errs[k], masses[k]),
-            DEFAULT_QUAD_TOL, DEFAULT_MAX_PANELS, _ROUNDOFF,
+            DEFAULT_QUAD_TOL, _ROUNDOFF,
         ))
         for k in range(len(mu))
     ]

@@ -88,6 +88,41 @@ class TestParseMethods:
             parse_methods(text)
 
 
+class TestNegativeValues:
+    """A flag's value may start with a dash: argparse alone reads only plain
+    decimals such as -0.75 as values, and would refuse -2j or -2,0."""
+
+    @pytest.mark.parametrize(
+        "flag,text",
+        [("--beta", "-2j"), ("--alpha", "-2,0"), ("--alpha", "-0.3+0.2j"), ("--beta", "-1e-3"), ("--beta", "-.5")],
+    )
+    def test_eval_reads_the_value(self, flag, text, capsys):
+        given = {"--alpha": "0.5", "--beta": "0.5", flag: text}
+        assert main(["eval", "--alpha", given["--alpha"], "--beta", given["--beta"], "--theta", "2"]) == 0
+        z = parse_complex(text)
+        assert json.loads(capsys.readouterr().out)["instance"][flag[2:]] == [z.real, z.imag]
+
+    def test_sweep_reads_the_value(self, capsys):
+        assert main(["sweep", "--alpha-mod", "0.3", "--alpha-arg", "0.8", "--beta", "-2j", "--theta", "2"]) == 0
+        (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert row["instance"]["beta"] == [0.0, -2.0]
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--beta", "--theta", "2"], "argument --beta: expected one argument"),
+            (["--beta", "0.5", "--theta", "2", "--bogus"], "unrecognized arguments: --bogus"),
+            (["--beta", "0.5", "--theta", "2", "-3"], "unrecognized arguments: -3"),
+        ],
+    )
+    def test_options_and_stray_values_are_still_refused(self, extra, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--alpha", "0.5"] + extra)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+
 class TestEvalCommand:
     def test_agreement_and_schema(self, capsys):
         code = main(
@@ -211,16 +246,21 @@ class TestEvalCommand:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_env_default_tol(self, capsys, monkeypatch):
-        monkeypatch.setenv("BCI_DEFAULT_TOL", "1e-15")
-        code = main(["eval", "--alpha", "0.3@0.8", "--beta", "0.5", "--theta", "2.0",
-                     "--methods", "theorem,quadrature"])
-        capsys.readouterr()
-        assert code == 2  # the env-tightened tolerance flags the tiny gap
-        monkeypatch.setenv("BCI_DEFAULT_TOL", "not-a-number")
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--alpha", "0.3", "--beta", "0.5", "--theta", "pi"])
-        assert exc.value.code == 1
+    @pytest.mark.parametrize("env", ["1e-15", "junk", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--alpha", "0.3@0.8", "--beta", "0.5", "--theta", "2.0", "--methods", "theorem,quadrature"],
+            ["sweep", "--alpha-mod", "0.3", "--alpha-arg", "0.8", "--beta", "0.5", "--theta", "2.0"],
+        ],
+    )
+    def test_env_tol_is_not_read(self, argv, env, capsys, monkeypatch):
+        # the argv alone sets the bytes: a tolerance of 1e-15 would flag the
+        # tiny gap between these methods (exit 2), and junk or inf would exit 1
+        want = main(argv), capsys.readouterr().out
+        assert want[0] == 0 and want[1]
+        monkeypatch.setenv("BCI_DEFAULT_TOL", env)
+        assert (main(argv), capsys.readouterr().out) == want
 
     def test_uncertified_when_estimates_exceed_tol(self, capsys):
         # the gap (~1e-15) is within 1e-14, but quadrature's estimate (~9e-14) is not
@@ -243,7 +283,7 @@ class TestEvalCommand:
         assert doc["verdict"] != "Agree"
 
     def test_unconverged_series_is_refused(self, capsys):
-        # both series stop at max_terms far short of the tolerance; quadrature alone answers
+        # both series reach their term cap far short of the tolerance; quadrature alone answers
         code = main(["eval", "--alpha", "0.9999999998", "--beta", "0.5", "--theta", "2",
                      "--exclusion-band", "1e-10"])
         doc = json.loads(capsys.readouterr().out)
@@ -414,21 +454,17 @@ class TestBranchAngleRefusal:
 
 class TestToleranceRefusal:
     @pytest.mark.parametrize(
-        "argv,env",
+        "argv",
         [
-            (["eval", "--alpha", "0.3", "--beta", "0.5", "--theta", "pi", "--tol", "inf"], None),
-            (["eval", "--alpha", "0.3", "--beta", "0.5", "--theta", "pi"], "inf"),
-            (["sweep", "--alpha-mod", "0.5", "--alpha-arg", "1", "--beta", "0.5", "--theta", "2", "--tol", "inf"], None),
-            (["sweep", "--alpha-mod", "0.5", "--alpha-arg", "1", "--beta", "0.5", "--theta", "2"], "nan"),
-            (["sweep", "--tol", "inf"], None),
-            (["verify", "--seed", "1", "--tol", "inf"], None),
-            (["verify", "--seed", "1", "--tol", "nan"], None),
+            ["eval", "--alpha", "0.3", "--beta", "0.5", "--theta", "pi", "--tol", "inf"],
+            ["sweep", "--alpha-mod", "0.5", "--alpha-arg", "1", "--beta", "0.5", "--theta", "2", "--tol", "inf"],
+            ["sweep", "--tol", "inf"],
+            ["verify", "--seed", "1", "--tol", "inf"],
+            ["verify", "--seed", "1", "--tol", "nan"],
         ],
     )
-    def test_non_finite_tol_exits_1(self, argv, env, capsys, monkeypatch):
+    def test_non_finite_tol_exits_1(self, argv, capsys):
         # an infinite threshold would pass every comparison and print Agree
-        if env is not None:
-            monkeypatch.setenv("BCI_DEFAULT_TOL", env)
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -519,19 +555,6 @@ class TestVerifyCommand:
         assert proc.stdout == ""
         [line] = proc.stderr.splitlines()
         assert line.startswith("bci verify: error: the Euler integral stopped unconverged")
-
-    def test_junk_env_default_tol_is_not_read(self, capsys, monkeypatch):
-        # BCI_DEFAULT_TOL is eval's and sweep's default; verify and --help never read it
-        monkeypatch.setenv("BCI_DEFAULT_TOL", "junk")
-        assert main(["verify", "--seed", "1"]) == 0
-        assert json.loads(capsys.readouterr().out)["verdict"] == "Agree"
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--alpha", "0.3", "--beta", "0.5", "--theta", "pi"])
-        assert exc.value.code == 1
-        assert "BCI_DEFAULT_TOL='junk' is not a number" in capsys.readouterr().err
 
 
 class TestModuleEntry:

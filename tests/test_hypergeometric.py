@@ -87,22 +87,25 @@ class TestOneBTermCount:
 
     def test_cap_binds(self, monkeypatch):
         # a tol just above the majorant at the cap sums to the cap
+        monkeypatch.setattr(bci.hypergeometric, "DEFAULT_MAX_TERMS", 20)
         tail = _majorant(0.5, 0.9, 19)
-        r = hyp2f1_one_b(0.5, 0.9, tol=1.01 * tail, max_terms=20)
+        r = hyp2f1_one_b(0.5, 0.9, tol=1.01 * tail)
         assert r.terms_used == 20
         assert r.tail_estimate == pytest.approx(tail, rel=1e-12)
         assert r.value == pytest.approx(sum(0.5 / (0.5 + k) * 0.9**k for k in range(20)), rel=1e-14)
         # a tol below it is refused from the term count, before numpy builds a term
         monkeypatch.setattr(bci.hypergeometric, "np", None)
         with pytest.raises(SlowConvergence, match=r"^the 2F1 series needs more than 20 terms at \|z\| = 0\.9$"):
-            hyp2f1_one_b(0.5, 0.9, tol=1e-12, max_terms=20)
+            hyp2f1_one_b(0.5, 0.9, tol=1e-12)
 
-    def test_zero_tol_is_refused_at_the_cap(self):
+    def test_zero_tol_is_refused_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(bci.hypergeometric, "DEFAULT_MAX_TERMS", 30)
         with pytest.raises(SlowConvergence, match="needs more than 30 terms"):
-            hyp2f1_one_b(0.5, 0.25, tol=0.0, max_terms=30)
+            hyp2f1_one_b(0.5, 0.25, tol=0.0)
 
-    def test_z_zero_and_invalid_b_unchanged(self):
-        r = hyp2f1_one_b(3.5 + 2j, 0.0, tol=0.0, max_terms=5)
+    def test_z_zero_and_invalid_b_unchanged(self, monkeypatch):
+        monkeypatch.setattr(bci.hypergeometric, "DEFAULT_MAX_TERMS", 5)
+        r = hyp2f1_one_b(3.5 + 2j, 0.0, tol=0.0)
         assert (r.value, r.terms_used, r.tail_estimate) == (1.0, 1, 0.0)
         for b in (0.0, -1.0, -7 + 0j):
             with pytest.raises(InvalidC):
@@ -138,35 +141,42 @@ class TestOneBBatch:
     @pytest.mark.parametrize("seed,count", [(1, 1), (2, 2), (3, 15), (4, 60), (5, 97)])
     def test_rows_equal_the_single_sums(self, seed, count, tol):
         pairs = _draws(seed, count)
-        many = hyp2f1_one_b_many([b for b, _ in pairs], [z for _, z in pairs], tol=tol)
+        many = hyp2f1_one_b_many([b for b, _ in pairs], [z for _, z in pairs], [tol] * count)
         assert [_fields(r) for r in many] == [_fields(hyp2f1_one_b(b, z, tol=tol)) for b, z in pairs]
 
     def test_rows_span_one_to_many_terms(self):
         pairs = _draws(6, 200)
-        terms = [r.terms_used for r in hyp2f1_one_b_many([b for b, _ in pairs], [z for _, z in pairs], tol=1e-15)]
+        terms = [r.terms_used for r in hyp2f1_one_b_many([b for b, _ in pairs], [z for _, z in pairs], [1e-15] * 200)]
         assert min(terms) == 1 and max(terms) > 1400
 
-    def test_tolerance_per_row_and_the_cap(self):
+    def test_tolerance_per_row_and_the_cap(self, monkeypatch):
         # rows the cap stops short of their tol refuse alone, and the first of
         # them in item order refuses the batch; the other rows sum as alone
+        monkeypatch.setattr(bci.hypergeometric, "DEFAULT_MAX_TERMS", 200)
         pairs = _draws(7, 30)
         tols = [random.Random(k).choice([0.0, 1e-6, 1e-12, 1e-15]) for k in range(30)]
         rows = []
         for (b, z), t in zip(pairs, tols):
             try:
-                rows.append((b, z, t, _fields(hyp2f1_one_b(b, z, tol=t, max_terms=200))))
+                rows.append((b, z, t, _fields(hyp2f1_one_b(b, z, tol=t))))
             except SlowConvergence as exc:
                 rows.append((b, z, t, str(exc)))
         refused = [row for row in rows if isinstance(row[3], str)]
         summed = [row for row in rows if not isinstance(row[3], str)]
         assert len(refused) > 1 and len({t for _, _, t, _ in summed}) > 1
         with pytest.raises(SlowConvergence, match=f"^{re.escape(refused[0][3])}$"):
-            hyp2f1_one_b_many(*zip(*[row[:3] for row in rows]), max_terms=200)
+            hyp2f1_one_b_many(*zip(*[row[:3] for row in rows]))
         bs, zs, ts, want = zip(*summed)
-        assert [_fields(r) for r in hyp2f1_one_b_many(bs, zs, tol=ts, max_terms=200)] == list(want)
+        assert [_fields(r) for r in hyp2f1_one_b_many(bs, zs, ts)] == list(want)
 
     def test_empty_batch(self):
-        assert hyp2f1_one_b_many([], []) == []
+        assert hyp2f1_one_b_many([], [], []) == []
+
+    def test_one_tolerance_per_pair(self):
+        with pytest.raises(ValueError):
+            hyp2f1_one_b_many([0.5, 1.5], [0.3, 0.4], [1e-12])
+        with pytest.raises(TypeError):
+            hyp2f1_one_b_many([0.5], [0.3], 1e-12)
 
     @pytest.mark.parametrize(
         "bad,error,match",
@@ -186,4 +196,4 @@ class TestOneBBatch:
         # later pairs that are refused too (b = -2, |z| = 2) must not raise first
         bs, zs = [0.5, 1.5 + 2j, bad[0], -2.0, 0.5], [0.3, 0.9j, bad[1], 0.5, 2.0]
         with pytest.raises(error, match=match):
-            hyp2f1_one_b_many(bs, zs)
+            hyp2f1_one_b_many(bs, zs, [1e-12] * len(bs))

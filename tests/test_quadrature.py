@@ -72,8 +72,9 @@ class TestAdaptiveEngine:
         assert r.converged
         assert abs(r.value - exact) <= 2.0 * r.abs_error_estimate + 1e-13
 
-    def test_budget_exhaustion_still_returns(self):
-        r = adaptive_quadrature(lambda t: 1.0 / (t + 1e-6), EIGHTHS, tol=1e-10, max_panels=16)
+    def test_budget_exhaustion_still_returns(self, monkeypatch):
+        monkeypatch.setattr(bci.quadrature, "DEFAULT_MAX_PANELS", 16)
+        r = adaptive_quadrature(lambda t: 1.0 / (t + 1e-6), EIGHTHS, tol=1e-10)
         assert not r.converged
         assert r.subdivisions <= 16
         assert math.isfinite(abs(r.value))
@@ -98,11 +99,12 @@ class TestAdaptiveEngine:
         assert all(size % (2 * 15) == 0 for size in sizes[1:])
         assert r.subdivisions == 8 + sum(sizes[1:]) // (2 * 15)
 
-    def test_round_past_the_budget_is_not_taken(self):
+    def test_round_past_the_budget_is_not_taken(self, monkeypatch):
         # the two-spot integrand splits six panels a round (the budget test above
         # splits one): at a budget of 20, the round that would pass it stops
         # the refinement instead
-        r = adaptive_quadrature(_two_spots, EIGHTHS, tol=1e-10, max_panels=20)
+        monkeypatch.setattr(bci.quadrature, "DEFAULT_MAX_PANELS", 20)
+        r = adaptive_quadrature(_two_spots, EIGHTHS, tol=1e-10)
         assert not r.converged
         assert r.subdivisions <= 20
 
@@ -765,7 +767,7 @@ class TestArraySettle:
         fs[2] = fs[4] = uncalled
         roundoff = bci.quadrature._ROUNDOFF
         settled = [
-            QuadratureResult(*bci.quadrature._refine(f, (EIGHTHS[:-1], EIGHTHS[1:], *row), 1e-10, 20_000, roundoff))
+            QuadratureResult(*bci.quadrature._refine(f, (EIGHTHS[:-1], EIGHTHS[1:], *row), 1e-10, roundoff))
             for f, row in zip(fs, rows)
         ]
         assert [r.subdivisions > 8 for r in settled] == [False, True, False, True, False, False]
@@ -799,7 +801,7 @@ class TestPanelOrder:
                     calls = []
                     g = lambda t: calls.append(t.size) or f(t)
                     got = QuadratureResult(
-                        *bci.quadrature._refine(g, [part[p] for part in (lefts, rights, *first)], 1e-12, 20_000, roundoff)
+                        *bci.quadrature._refine(g, [part[p] for part in (lefts, rights, *first)], 1e-12, roundoff)
                     )
                     return _bits(got), len(calls)
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import bci.closedform
+import bci.hypergeometric
 import bci.odecheck
 import bci.verify
 from bci import SlowConvergence
@@ -65,9 +66,9 @@ def test_series_checks_sum_one_batch(check, module, rows, monkeypatch):
     batches = []
     many = module.hyp2f1_one_b_many
 
-    def counting(bs, zs, tol):
+    def counting(bs, zs, tols):
         batches.append(len(bs))
-        return many(bs, zs, tol)
+        return many(bs, zs, tols)
 
     def single(*args, **kwargs):
         raise AssertionError("a per-point closed form or series")
@@ -84,10 +85,14 @@ def test_series_checks_sum_one_batch(check, module, rows, monkeypatch):
 
 @pytest.mark.parametrize("check,module", [("reconciliation", bci.closedform), ("euler", bci.verify)])
 def test_unconverged_series_is_refused(check, module, monkeypatch):
+    # the batch refuses at the term cap, read when it plans each series
+    batches = []
     many = module.hyp2f1_one_b_many
-    monkeypatch.setattr(module, "hyp2f1_one_b_many", lambda bs, zs, tol: many(bs, zs, tol, max_terms=5))
+    monkeypatch.setattr(module, "hyp2f1_one_b_many", lambda bs, zs, tols: batches.append(len(bs)) or many(bs, zs, tols))
+    monkeypatch.setattr(bci.hypergeometric, "DEFAULT_MAX_TERMS", 5)
     with pytest.raises(SlowConvergence, match="the 2F1 series needs more than 5 terms"):
         run_verify(1, checks=(check,))
+    assert batches == [15]
 
 
 @pytest.mark.parametrize("where", [0, 7, 19])
@@ -112,6 +117,12 @@ def test_non_finite_pinned_beta_is_refused(beta):
     for checks in (None, ("reduction",), ("euler",)):
         with pytest.raises(ValueError, match="not finite"):
             run_verify(1, checks=checks, beta=beta)
+
+
+def test_no_checks_is_refused():
+    # a verdict over no checks would be an Agree that checked nothing
+    with pytest.raises(ValueError, match="^no checks selected$"):
+        run_verify(1, checks=())
 
 
 @pytest.mark.parametrize("check", ["reduction", "reconciliation", "euler"])
