@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AlphaOnCircle, NonFiniteValue, OnBranchCut, ZeroInput
 
@@ -72,31 +72,39 @@ def require_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class _Instance(NamedTuple):
+    alpha: complex
+    beta: complex
+    theta: float
+    tol: float
+    exclusion_band: float
+
+
+class ProblemInstance(_Instance):
     """One evaluation problem: pole alpha, exponent beta, cut angle 0 < theta < 2*pi.
 
     tol is the relative tolerance used both as the methods' internal accuracy
     target and as the cross-method agreement threshold.  exclusion_band is
     the half-width of the annulus around |alpha| = 1 inside which evaluation
-    refuses to run (AlphaOnCircle).
+    refuses to run (AlphaOnCircle).  An immutable named tuple whose fields
+    are checked on every construction, _replace and unpickling included.
     """
 
-    alpha: complex
-    beta: complex
-    theta: float
-    tol: float = 1e-8
-    exclusion_band: float = DEFAULT_EXCLUSION_BAND
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "theta", _theta_of(self.theta))
-        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
-            raise ValueError(f"alpha and beta must be finite, got alpha={self.alpha!r}, beta={self.beta!r}")
-        require_tol(self.tol)
-        if not 0.0 < self.exclusion_band < 1.0:
+    def __new__(
+        cls, alpha: complex, beta: complex, theta: float, tol: float = 1e-8, exclusion_band: float = DEFAULT_EXCLUSION_BAND
+    ) -> ProblemInstance:
+        alpha, beta, theta = complex(alpha), complex(beta), _theta_of(theta)
+        if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+            raise ValueError(f"alpha and beta must be finite, got alpha={alpha!r}, beta={beta!r}")
+        require_tol(tol)
+        if not 0.0 < exclusion_band < 1.0:
             raise ValueError("exclusion band must lie in (0, 1)")
+        return super().__new__(cls, alpha, beta, theta, tol, exclusion_band)
+
+    # the named tuple's _make, behind _replace, would skip __new__ and its checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def alpha_outside(self) -> bool:
         """True when the pole lies outside the unit circle."""

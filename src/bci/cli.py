@@ -45,7 +45,7 @@ from .verify import CHECK_ORDER, run_verify
 
 __all__ = ["main", "parse_angle", "parse_complex", "parse_methods"]
 
-_PI_FORM = re.compile(r"^([+-]?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$")
+_PI_FORM = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)\*?pi(?:/(\d*\.?\d+))?$")
 
 _METHOD_TOKENS = {
     "theorem": METHOD_CLOSED_FORM,
@@ -56,7 +56,7 @@ _METHOD_TOKENS = {
 
 def parse_angle(text: str) -> float:
     """Angles in radians, with pi shorthand: 'pi', '2pi', 'pi/3', '2*pi/3',
-    '0.5pi', or any plain float literal."""
+    '0.5pi', or any finite float literal."""
     s = text.strip().lower().replace(" ", "")
     match = _PI_FORM.match(s)
     if match:
@@ -72,9 +72,12 @@ def parse_angle(text: str) -> float:
             raise ValueError(f"zero divisor in angle {text!r}")
         return coef * math.pi / div
     try:
-        return float(s)
+        angle = float(s)
     except ValueError:
         raise ValueError(f"cannot parse angle {text!r}; try '2.1', 'pi', '2pi/3'") from None
+    if not math.isfinite(angle):
+        raise ValueError(f"angle {text!r} is not finite")
+    return angle
 
 
 def parse_complex(text: str) -> complex:

@@ -19,8 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -75,8 +74,7 @@ METHOD_RATIONAL = "RationalLogSum"
 METHOD_QUADRATURE = "Quadrature"
 
 
-@dataclass(frozen=True)
-class MethodResult:
+class MethodResult(NamedTuple):
     """One method's value for one instance, with an honest error estimate.
 
     diagnostics always records the regime (inside/outside the unit circle)
@@ -90,20 +88,24 @@ class MethodResult:
     diagnostics: dict[str, Any]
 
 
-@dataclass(frozen=True)
-class RationalBeta:
+class _Fraction(NamedTuple):
+    m: int
+    n: int
+
+
+class RationalBeta(_Fraction):
     """Exact rational exponent m/n, normalised to lowest terms with n >= 2.
 
     Built only from caller-supplied integers — floats are never silently
     reinterpreted as fractions.  A pair that reduces to an integer raises
-    IntegerBeta: the log-sum route needs a genuine fraction.
+    IntegerBeta: the log-sum route needs a genuine fraction.  Like
+    ProblemInstance, an immutable named tuple checked on every construction.
     """
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        m, n = int(self.m), int(self.n)
+    def __new__(cls, m: int, n: int) -> RationalBeta:
+        m, n = int(m), int(n)
         if n == 0:
             raise ValueError("denominator must be nonzero")
         if n < 0:
@@ -112,10 +114,11 @@ class RationalBeta:
         if g > 1:
             m //= g
             n //= g
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
         if n == 1:
             raise IntegerBeta(f"{m}/{n} reduces to an integer; the log-sum form needs a genuine fraction")
+        return super().__new__(cls, m, n)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def value(self) -> float:

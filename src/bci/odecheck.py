@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -59,8 +58,7 @@ INFINITY = float("inf")
 _ROOT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class OdeCoefficients:
+class OdeCoefficients(NamedTuple):
     """Polynomial data for  p2(a) I'' + p1(a) I' + zero_order I = rhs.
 
     p2 and p1 hold ascending coefficient tuples (constant term first); the
@@ -74,8 +72,7 @@ class OdeCoefficients:
     regime: Literal["inside", "outside"]
 
 
-@dataclass(frozen=True)
-class OdeResidual:
+class OdeResidual(NamedTuple):
     lhs_minus_rhs: complex
     relative_residual: float
     step: float

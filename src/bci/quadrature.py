@@ -135,8 +135,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -229,8 +228,7 @@ _PLAIN_TURNS = np.exp(1j * _PLAIN_NODES)
 _EXP_LIMIT = 700.0
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Value, honest absolute error estimate, and how hard it was to get."""
 
     value: complex

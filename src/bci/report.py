@@ -17,8 +17,7 @@ import cmath
 import json
 import math
 import time
-from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .branchcut import ProblemInstance
 from .closedform import (
@@ -47,8 +46,7 @@ __all__ = [
 KNOWN_METHODS = (METHOD_CLOSED_FORM, METHOD_SERIES, METHOD_QUADRATURE, METHOD_RATIONAL)
 
 
-@dataclass(frozen=True)
-class MethodFailure:
+class MethodFailure(NamedTuple):
     """A method that declined to produce a value, and why.
 
     status holds the exception class name (the wire-visible code) and
@@ -60,8 +58,7 @@ class MethodFailure:
     detail: str
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     instance: ProblemInstance
     results: tuple[MethodResult | MethodFailure, ...]
     max_disagreement: float

@@ -32,10 +32,22 @@ class TestParseAngle:
     def test_forms(self, text, want):
         assert parse_angle(text) == pytest.approx(want, rel=1e-15)
 
-    @pytest.mark.parametrize("text", ["", "pie", "pi/0", "2x"])
+    @pytest.mark.parametrize("text", ["", "pie", "pi/0", "2x", ".pi", "+.pi", "-.pi", "inf", "-inf", "nan"])
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_angle(text)
+
+    @pytest.mark.parametrize(
+        "flag,text,shown",
+        [("--theta", ".pi", "'.pi'"), ("--theta", "+.pi", "'+.pi'"), ("--theta", "-.pi", "'-.pi'"),
+         ("--alpha", "1@inf", "'inf'"), ("--alpha", "1@-inf", "'-inf'")],
+    )
+    def test_message_names_the_input(self, flag, text, shown, capsys):
+        given = {"--alpha": "0.5", "--theta": "2", flag: text}
+        assert main(["eval", "--alpha", given["--alpha"], "--beta", "0.5", "--theta", given["--theta"]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("bci eval: error: ") and shown in err and "convert" not in err and "domain" not in err
 
 
 class TestParseComplex:
@@ -46,7 +58,7 @@ class TestParseComplex:
         got = parse_complex("2@pi/3")
         assert got == pytest.approx(2 * complex(math.cos(math.pi / 3), math.sin(math.pi / 3)))
 
-    @pytest.mark.parametrize("text", ["", "a,b", "x@1", "1@y", "1,2,3"])
+    @pytest.mark.parametrize("text", ["", "a,b", "x@1", "1@y", "1,2,3", "1@inf", "1@-inf", "1@.pi"])
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_complex(text)

@@ -30,3 +30,19 @@ def test_closedform_takes_only_the_euler_integral_from_quadrature():
     # the one edge between the closed forms and the quadrature oracle: it
     # goes when the identity checks move into a module of their own
     assert _relative_imports("closedform")["quadrature"] == {"euler_integrals"}
+
+
+def test_no_module_imports_dataclasses():
+    # the records are named tuples: each frozen dataclass would exec its
+    # generated methods at every `import bci`
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            importers += [path.name for name in names if name.partition(".")[0] == "dataclasses"]
+    assert importers == []

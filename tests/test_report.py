@@ -1,12 +1,27 @@
-"""Canonical JSON writer: strict output, bit-exact floats, stable bytes."""
+"""Canonical JSON writer: strict output, bit-exact floats, stable bytes; and
+the contract of the records a report is built from."""
 
+import copy
 import json
 import math
+import pickle
 import random
 import struct
 
 import pytest
 
+from bci import (
+    EvaluationReport,
+    IntegerBeta,
+    MethodFailure,
+    MethodResult,
+    OdeCoefficients,
+    OdeResidual,
+    ProblemInstance,
+    QuadratureResult,
+    RationalBeta,
+    SeriesResult,
+)
 from bci.cli import main
 from bci.report import dumps_canonical
 
@@ -137,3 +152,95 @@ class TestVerdict:
 
         with pytest.raises(ValueError, match="more than once"):
             evaluate_instance(ProblemInstance(alpha=1.5, beta=0.5, theta=2.0), methods=[METHOD_QUADRATURE] * 2)
+
+
+_INSTANCE = ProblemInstance(0.4 + 0.2j, 0.5 + 0.1j, 3.0)
+_OK = MethodResult(1 + 2j, "Quadrature", 1e-13, {"regime": "inside"})
+_FAILURE = MethodFailure("SeriesDirect", "SlowConvergence", "stopped")
+
+#: (record, its repr): each repr is the one the frozen dataclasses these
+#: records replaced gave on the same fields.
+_RECORDS = [
+    (_INSTANCE, "ProblemInstance(alpha=(0.4+0.2j), beta=(0.5+0.1j), theta=3.0, tol=1e-08, exclusion_band=0.02)"),
+    (RationalBeta(2, -4), "RationalBeta(m=-1, n=2)"),
+    (_OK, "MethodResult(value=(1+2j), method='Quadrature', error_estimate=1e-13, diagnostics={'regime': 'inside'})"),
+    (SeriesResult(0.5 + 0.25j, 12, 3e-17), "SeriesResult(value=(0.5+0.25j), terms_used=12, tail_estimate=3e-17)"),
+    (
+        QuadratureResult(1j, 2e-14, 30, True),
+        "QuadratureResult(value=1j, abs_error_estimate=2e-14, subdivisions=30, converged=True)",
+    ),
+    (
+        OdeCoefficients((0j, 1j), (1 + 0j,), 0.5 + 0j, 0j, "inside"),
+        "OdeCoefficients(p2=(0j, 1j), p1=((1+0j),), zero_order=(0.5+0j), rhs=0j, regime='inside')",
+    ),
+    (OdeResidual(1e-12 + 0j, 1e-10, 1e-3), "OdeResidual(lhs_minus_rhs=(1e-12+0j), relative_residual=1e-10, step=0.001)"),
+    (_FAILURE, "MethodFailure(method='SeriesDirect', status='SlowConvergence', detail='stopped')"),
+    (
+        EvaluationReport(_INSTANCE, (_OK, _FAILURE), 0.0, "Partial", {"Quadrature": 1.5}),
+        "EvaluationReport(instance=ProblemInstance(alpha=(0.4+0.2j), beta=(0.5+0.1j), theta=3.0, tol=1e-08, "
+        "exclusion_band=0.02), results=(MethodResult(value=(1+2j), method='Quadrature', error_estimate=1e-13, "
+        "diagnostics={'regime': 'inside'}), MethodFailure(method='SeriesDirect', status='SlowConvergence', "
+        "detail='stopped')), max_disagreement=0.0, verdict='Partial', timing_us={'Quadrature': 1.5})",
+    ),
+]
+
+
+@pytest.mark.parametrize("record,text", _RECORDS, ids=[type(r).__name__ for r, _ in _RECORDS])
+class TestRecords:
+    """The nine records are immutable named tuples with the fields, reprs and
+    equality of the frozen dataclasses they replaced."""
+
+    def test_fields_cannot_be_assigned(self, record, text):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_repr(self, record, text):
+        assert repr(record) == text
+
+    def test_equality_is_field_for_field(self, record, text):
+        fields = {name: getattr(record, name) for name in record._fields}
+        assert type(record)(**fields) == record
+        assert list(fields.values()) == list(record)
+
+    def test_pickle_and_deepcopy_round_trip(self, record, text):
+        for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(again) is type(record) and again == record
+
+
+class TestValidatedRecords:
+    """ProblemInstance and RationalBeta check their fields however they are built."""
+
+    @pytest.mark.parametrize("bad", [{"theta": 10.0}, {"alpha": complex("nan")}])
+    def test_instance_refuses_every_construction(self, bad):
+        fields = {"alpha": 0.4 + 0.2j, "beta": 0.5, "theta": 3.0, **bad}
+        for build in (
+            lambda: ProblemInstance(fields["alpha"], fields["beta"], fields["theta"]),
+            lambda: ProblemInstance(**fields),
+            lambda: _INSTANCE._replace(**bad),
+            lambda: ProblemInstance._make((fields["alpha"], fields["beta"], fields["theta"], 1e-8, 0.02)),
+        ):
+            with pytest.raises(ValueError):
+                build()
+
+    def test_instance_normalises_on_replace(self):
+        got = _INSTANCE._replace(beta=2, theta=1)
+        assert (got.beta, got.theta) == (2 + 0j, 1.0) and type(got.beta) is complex and type(got.theta) is float
+
+    def test_rational_normalises_every_construction(self):
+        want = (-1, 2)
+        assert RationalBeta(2, -4) == RationalBeta(m=2, n=-4) == RationalBeta(1, 3)._replace(m=2, n=-4) == want
+        assert (RationalBeta(2, -4).m, RationalBeta(2, -4).n) == want
+
+    @pytest.mark.parametrize("bad,error", [({"n": 0}, ValueError), ({"n": 1}, IntegerBeta)])
+    def test_rational_refuses_every_construction(self, bad, error):
+        fields = {"m": 1, "n": 3, **bad}
+        for build in (
+            lambda: RationalBeta(fields["m"], fields["n"]),
+            lambda: RationalBeta(**fields),
+            lambda: RationalBeta(1, 3)._replace(**bad),
+        ):
+            with pytest.raises(error):
+                build()
