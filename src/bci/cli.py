@@ -268,7 +268,6 @@ def _parse_grid_axis(raw: list[str] | None, parse: Any) -> list[Any]:
 def _write_jsonl(stream: Any, reports: list[EvaluationReport]) -> None:
     for report in reports:
         stream.write(dumps_canonical(report_to_jsonable(report)) + "\n")
-        stream.flush()
 
 
 def _write_csv(stream: Any, reports: list[EvaluationReport]) -> None:

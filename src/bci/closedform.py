@@ -302,8 +302,8 @@ def roots_of_unity_filter(n: int, d: int) -> float:
     """(1/n) sum_{j=0}^{n-1} e^{2 pi i j d / n}: exactly 1.0 if n | d, else 0.0.
 
     This is the multisection identity behind the rational log sum, which
-    does not call it: it is the identity that `verify`'s delta check tests,
-    through roots_of_unity_drift.  The float sum is recomputed alongside the
+    computes its multisection itself and does not call it; the tests hold
+    it to the exact value.  The float sum is recomputed alongside the
     exact answer and must agree to 1e-12, else ArithmeticError.  It depends
     on d only through gcd(n, d) (see roots_of_unity_drift), and fsum keeps
     the sum over those residue classes bit for bit equal to the sum over j.

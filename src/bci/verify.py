@@ -1,20 +1,18 @@
 """Seeded self-verification: internal identities checked end to end.
 
-Each check draws random instances from a seeded generator, measures the
-worst residual of one mathematical identity, and compares it against that
-identity's own accuracy budget.  The draws, and therefore the report bytes,
-are fully determined by the seed.  A check draws all its cases first and
-then evaluates them as one batch, so the unit-interval quadratures of a
-check share one first round (see the quadrature module notes) and its
-2F1(1, b; 1+b; .) series are the rows of one hyp2f1_one_b_many call, each
-the float of its single sum; the draws never depend on results, so the
-order of the rng stream is the one the case-by-case loop had.  A check
+Each check draws random instances, measures the worst residual of one
+mathematical identity, and compares it against that identity's own
+accuracy budget.  A check draws from its own generator, seeded with
+"<seed>:<name>", so its row depends on the seed alone, not on which checks
+ran before it, and the report bytes are fully determined by the seed.  A
+check draws all its cases first and then evaluates them as one batch, so
+the unit-interval quadratures of a check share one first round (see the
+quadrature module notes) and its 2F1(1, b; 1+b; .) series are the rows of
+one hyp2f1_one_b_many call, each the float of its single sum.  A check
 whose residuals include a NaN reports a NaN worst residual and fails.
 
 Checks
 ------
-delta            root-of-unity filter: float sum vs exact 0/1, one sum per
-                 residue class (n, gcd(n, d)) drawn in a run
 reduction        radial integral vs its Euler-integral reduction
 reconciliation   cross-regime Euler identity (pole term + closed form):
                  15 Euler integrals and 15 series, one batch each
@@ -24,6 +22,10 @@ circle           contour integral vs residue + jump * radial integral: 15
                  circle integrals one by one, 15 radial integrals as one batch
 euler            beta * Euler integral vs the 2F1(1, b; 1+b; .) series:
                  15 Euler integrals and 15 series, one batch each
+
+The root-of-unity filter behind the rational log sum is not a check here:
+that route computes its multisection itself, so no route runs through
+roots_of_unity_filter, and the tests hold the filter to its exact value.
 """
 
 from __future__ import annotations
@@ -31,31 +33,18 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from .branchcut import TWO_PI, ProblemInstance, as_integer, require_tol
-from .closedform import check_reconciliations, roots_of_unity_drift
+from .closedform import check_reconciliations
 from .hypergeometric import hyp2f1_one_b_many
 from .odecheck import ode_residuals
 from .quadrature import check_circles_vs_radial, check_integral_reductions, euler_integrals
 
 __all__ = ["CHECK_ORDER", "DEFAULT_THRESHOLDS", "run_verify"]
 
-CHECK_ORDER = ("delta", "reduction", "reconciliation", "ode", "circle", "euler")
-
-DEFAULT_THRESHOLDS = {
-    "delta": 1e-12,
-    "reduction": 1e-6,
-    "reconciliation": 1e-6,
-    "ode": 1e-4,
-    "circle": 1e-6,
-    "euler": 1e-8,
-}
-
 _ANGLE_MARGIN = 0.3  # keep Arg(alpha) away from the cut ray
 _INT_MARGIN = 0.05  # keep Re(beta) away from integers
-_DELTA_NMAX = 32  # largest filter order n of the delta check
-_DELTA_DMAX = 128  # largest filter shift |d| of the delta check
 
 
 def _draw_alpha(rng: random.Random, theta: float, inside: bool) -> complex:
@@ -99,22 +88,6 @@ def _worst(residuals: Iterable[float]) -> tuple[int, float]:
     return len(residuals), max(residuals, default=0.0)
 
 
-def _delta_drifts(rng: random.Random) -> Iterator[float]:
-    # the drift depends on d only through gcd(n, d): one sum per class
-    drifts: dict[tuple[int, int], float] = {}
-    for k in range(400):
-        n = rng.randint(1, _DELTA_NMAX)
-        if k % 2 == 0:
-            d = rng.randint(-_DELTA_DMAX, _DELTA_DMAX)
-        else:  # force exact multiples so the "exactly 1" branch is exercised
-            span = _DELTA_DMAX // n
-            d = n * rng.randint(-span, span)
-        key = (n, math.gcd(n, d))
-        if key not in drifts:
-            drifts[key] = roots_of_unity_drift(n, d)[1]
-        yield drifts[key]
-
-
 def _euler_residuals(rng: random.Random, beta_fix: complex | None) -> list[float]:
     ws, betas = [], []
     for _ in range(15):
@@ -129,20 +102,35 @@ def _euler_residuals(rng: random.Random, beta_fix: complex | None) -> list[float
     ]
 
 
+#: name -> (threshold, residuals(rng, beta)), in report order; beta is the
+#: pinned exponent or None
+_CHECKS: dict[str, tuple[float, Callable[[random.Random, complex | None], Iterable[float]]]] = {
+    "reduction": (1e-6, lambda rng, beta: check_integral_reductions(_instances(rng, beta, 20))),
+    "reconciliation": (1e-6, lambda rng, beta: check_reconciliations(_instances(rng, beta, 15, inside_only=True))),
+    "ode": (1e-4, lambda rng, beta: [r.relative_residual for r in ode_residuals(_instances(rng, beta, 12))]),
+    "circle": (1e-6, lambda rng, beta: check_circles_vs_radial(_instances(rng, beta, 15))),
+    "euler": (1e-8, _euler_residuals),
+}
+
+CHECK_ORDER = tuple(_CHECKS)
+
+DEFAULT_THRESHOLDS = {name: threshold for name, (threshold, _) in _CHECKS.items()}
+
+
 def run_verify(
     seed: int,
     checks: tuple[str, ...] | None = None,
     tol: float | None = None,
     beta: complex | None = None,
 ) -> dict[str, Any]:
-    """Run the named checks (all six, in CHECK_ORDER, when None) and return
+    """Run the named checks (all five, in CHECK_ORDER, when None) and return
     the verdict report.
 
     tol, when given, replaces every check's own threshold — deliberately
     blunt, so `--tol 1e-30` forces a failing report and exercises the
     Disagree exit path.  It must be finite and positive.  beta pins the
-    exponent in every non-delta check; it must be finite and satisfy those
-    checks' preconditions (non-integer, Re > 0).
+    exponent in every check; it must be finite and satisfy the checks'
+    preconditions (non-integer, Re > 0).
     """
     if tol is not None:
         require_tol(tol)
@@ -156,35 +144,16 @@ def run_verify(
     if not selected:
         raise ValueError("no checks selected")  # a verdict over no checks would pass vacuously
     for name in selected:
-        if name not in CHECK_ORDER:
+        if name not in _CHECKS:
             raise ValueError(f"unknown check {name!r}; expected one of {CHECK_ORDER}")
-    rng = random.Random(seed)
     rows = []
-    all_pass = True
-    # a check draws from rng only when it runs, so the checks left out draw
-    # nothing; each draws all its cases, then evaluates them as one batch
-    residuals: dict[str, Callable[[], Iterable[float]]] = {
-        "delta": lambda: _delta_drifts(rng),
-        "reduction": lambda: check_integral_reductions(_instances(rng, beta, 20)),
-        "reconciliation": lambda: check_reconciliations(_instances(rng, beta, 15, inside_only=True)),
-        "ode": lambda: [r.relative_residual for r in ode_residuals(_instances(rng, beta, 12))],
-        "circle": lambda: check_circles_vs_radial(_instances(rng, beta, 15)),
-        "euler": lambda: _euler_residuals(rng, beta),
-    }
     for name in CHECK_ORDER:
         if name not in selected:
             continue
-        cases, worst = _worst(residuals[name]())
-        threshold = tol if tol is not None else DEFAULT_THRESHOLDS[name]
+        own, residuals = _CHECKS[name]
+        cases, worst = _worst(residuals(random.Random(f"{seed}:{name}"), beta))
+        threshold = own if tol is None else tol
         ok = worst <= threshold
-        all_pass = all_pass and ok
-        rows.append(
-            {
-                "name": name,
-                "cases": cases,
-                "max_residual": worst,
-                "threshold": threshold,
-                "pass": ok,
-            }
-        )
-    return {"seed": seed, "checks": rows, "verdict": "Agree" if all_pass else "Disagree"}
+        rows.append({"name": name, "cases": cases, "max_residual": worst, "threshold": threshold, "pass": ok})
+    verdict = "Agree" if all(row["pass"] for row in rows) else "Disagree"
+    return {"seed": seed, "checks": rows, "verdict": verdict}

@@ -516,7 +516,7 @@ class TestVerifyCommand:
         assert doc["seed"] == 11
         assert doc["verdict"] == "Agree"
         assert [c["name"] for c in doc["checks"]] == [
-            "delta", "reduction", "reconciliation", "ode", "circle", "euler",
+            "reduction", "reconciliation", "ode", "circle", "euler",
         ]
         assert all(c["pass"] for c in doc["checks"])
         assert main(["verify", "--seed", "12"]) == 0
@@ -532,10 +532,19 @@ class TestVerifyCommand:
         assert all(c["threshold"] == 1e-30 for c in doc["checks"])
 
     def test_check_subset(self, capsys):
-        code = main(["verify", "--seed", "5", "--check", "delta", "--check", "euler"])
+        code = main(["verify", "--seed", "5", "--check", "euler", "--check", "reduction"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert [c["name"] for c in doc["checks"]] == ["delta", "euler"]
+        assert [c["name"] for c in doc["checks"]] == ["reduction", "euler"]
+
+    def test_delta_check_is_gone(self, capsys):
+        # the root-of-unity filter runs in no route, so verify has no check of it
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "1", "--check", "delta"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "invalid choice: 'delta'" in err
 
     def test_beta_pin(self, capsys):
         assert main(["verify", "--seed", "5", "--check", "ode", "--beta", "1.3,0.2"]) == 0
@@ -545,7 +554,7 @@ class TestVerifyCommand:
         assert "beta" in err
 
     def test_readme_example_is_current(self, capsys):
-        command = "bci verify --seed 7 --check delta --check euler"
+        command = "bci verify --seed 7 --check reduction --check euler"
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         after = readme.split(f"```sh\n{command}\n```\n", 1)[1]
         shown = after.split("```json\n", 1)[1].split("```", 1)[0]
@@ -571,7 +580,7 @@ class TestVerifyCommand:
 
 class TestModuleEntry:
     def test_subprocess_byte_identical(self):
-        cmd = [sys.executable, "-m", "bci", "verify", "--seed", "3", "--check", "delta"]
+        cmd = [sys.executable, "-m", "bci", "verify", "--seed", "3", "--check", "euler"]
         first = subprocess.run(cmd, capture_output=True, timeout=120)
         second = subprocess.run(cmd, capture_output=True, timeout=120)
         assert first.returncode == 0
@@ -584,7 +593,7 @@ class TestOutOption:
         ["eval", "--alpha", "0.3@0.8", "--beta", "0.5", "--theta", "2"],
         ["sweep", "--alpha-mod", "0.5,2", "--alpha-arg", "1", "--beta", "0.7", "--theta", "pi"],
         ["sweep", "--alpha-mod", "0.5,2", "--alpha-arg", "1", "--beta", "0.7", "--theta", "pi", "--format", "csv"],
-        ["verify", "--seed", "1", "--check", "delta"],
+        ["verify", "--seed", "1", "--check", "euler"],
     ]
 
     @pytest.mark.parametrize("argv", COMMANDS)

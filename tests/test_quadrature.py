@@ -851,13 +851,13 @@ class TestPanelOrder:
 
 def test_panels_calls_per_verify_run(monkeypatch):
     # per run: 5 batched first rounds (the reduction check's two, reconciliation,
-    # the circle check's radial batch, euler) and 3.43 refinement rounds; of
-    # the 450 circle integrals, 5 start graded and the rest on the cached
+    # the circle check's radial batch, euler) and 3.57 refinement rounds; of
+    # the 450 circle integrals, 15 start graded and the rest on the cached
     # plain start, which needs no _panels call, and none refines
     calls = _count_panels_calls(monkeypatch)
     for seed in range(4000, 4030):
         run_verify(seed)
-    assert len(calls) == 258
+    assert len(calls) == 272
 
 
 class TestIntegralIdentities:

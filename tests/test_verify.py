@@ -21,25 +21,13 @@ from bci.quadrature import (
 )
 from bci.verify import run_verify
 
-# (n, g) with 1 <= n <= 32 and g | n: every residue class the delta check can draw
-_DELTA_CLASSES = sum(1 for n in range(1, 33) for g in range(1, n + 1) if n % g == 0)
-
-
-@pytest.mark.parametrize("seed,classes", [(0, 96), (1, 89), (42, 92)])
-def test_delta_sums_once_per_residue_class(seed, classes, monkeypatch):
-    calls = []
-    drift = bci.verify.roots_of_unity_drift
-
-    def counting(n, d):
-        calls.append((n, math.gcd(n, d)))
-        return drift(n, d)
-
-    monkeypatch.setattr(bci.verify, "roots_of_unity_drift", counting)
-    report = run_verify(seed, checks=("delta",))
-    assert report["checks"][0]["cases"] == 400
-    # one sum per distinct class among the 400 draws, none summed twice
-    assert len(set(calls)) == len(calls) == classes
-    assert classes <= _DELTA_CLASSES == 119
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+@pytest.mark.parametrize("check", bci.verify.CHECK_ORDER)
+def test_a_check_alone_gives_its_row_of_the_full_report(seed, check):
+    # each check draws from its own stream, whatever ran before it
+    [row] = [row for row in run_verify(seed)["checks"] if row["name"] == check]
+    alone = run_verify(seed, checks=(check,))
+    assert repr(alone["checks"]) == repr([row])
 
 
 @pytest.mark.parametrize(
