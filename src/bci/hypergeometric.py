@@ -9,8 +9,9 @@ K >= |b| (from the geometric estimate up) with majorant
 majorant bounds the tail (tail_estimate).  It refuses with SlowConvergence,
 before summing anything, |z| >= 1 and a series whose majorant still exceeds
 tol at DEFAULT_MAX_TERMS terms, the cap read when a series is planned.
-hyp2f1_one_b_many sums many series in one set of array operations, each
-over its own term count, so each is the float hyp2f1_one_b gives.
+hyp2f1_one_b_many sums many series in a few array operations, each over
+its own term count, so each is the float hyp2f1_one_b gives; no row's
+powers are padded to twice its own count.
 """
 
 from __future__ import annotations
@@ -107,25 +108,57 @@ def hyp2f1_one_b_many(bs: Sequence[complex], zs: Sequence[complex], tols: Sequen
     the first non-positive integer b (InvalidC), or |z| >= 1 or series capped
     short of its tol (SlowConvergence), raises before anything is summed.
     The sums then share each array operation and keep the arithmetic of
-    hyp2f1_one_b: the powers are one np.multiply.accumulate along rows
-    padded to the longest series; each row's own terms k = 1..K are laid end
-    to end, after a zero per row; and np.add.reduceat sums each row from its
-    zero, the same pairwise sum that .sum() of that row alone does from the
-    zero it starts from.
+    hyp2f1_one_b.  The rows go in groups, longest first, each of the rows
+    with more than half the terms of its longest, so no row is padded to
+    twice its own count: a group's powers are one np.multiply.accumulate down
+    a (K_max, rows) array, one product per term index for all its rows, the
+    same sequential products as _powers.  Each row's terms k = 1..K are laid
+    end to end, after a zero per row, and np.add.reduceat sums each row from
+    its zero, the same pairwise sum that .sum() of that row alone does from
+    the zero it starts from.
     """
     bs = [complex(b) for b in bs]
     zs = [complex(z) for z in zs]
     counts = [_plan(b, z, tol) for b, z, tol in zip(bs, zs, tols, strict=True)]
     if not counts:
         return []
-    lasts = np.array([last for last, _ in counts])
-    row = np.repeat(np.arange(len(counts)), lasts)  # the row of each term, rows end to end
+    lasts = [last for last, _ in counts]
+    # the powers, by group: a group's (K_max, rows) array lies flat in pool
+    # from offset, so z^k of its row r sits at offset + (k - 1) rows + column
+    z_all = np.array(zs)
+    order = sorted(range(len(lasts)), key=lasts.__getitem__, reverse=True)
+    pool, base, stride = [], [0] * len(lasts), [0] * len(lasts)
+    offset = first = 0
+    while first < len(order) and (top := lasts[order[first]]):
+        end = first + 1
+        while end < len(order) and 2 * lasts[order[end]] > top:
+            end += 1
+        group = order[first:end]
+        powers = np.empty((top, len(group)), dtype=complex)
+        powers[...] = z_all[group]
+        pool.append(np.multiply.accumulate(powers, axis=0, out=powers).ravel())
+        for column, r in enumerate(group):
+            base[r], stride[r] = offset + column, len(group)
+        offset += top * len(group)
+        first = end
+    # the terms, each row's k = 1..K laid end to end after a zero per row,
+    # built in place: a single long series would otherwise hold several
+    # copies of its terms at once
+    lasts = np.array(lasts)
+    row = np.repeat(np.arange(len(counts)), lasts)  # the row of each term
     place = np.arange(1, len(row) + 1)
     k = place - (np.cumsum(lasts) - lasts)[row]  # 1..lasts[r] along row r
-    powers = np.multiply.accumulate(np.repeat(np.array(zs)[:, None], lasts.max(), axis=1), axis=1)[row, k - 1]
+    at = (k - 1) * np.array(stride)[row]
+    at += np.array(base)[row]
+    powers = np.concatenate(pool)[at] if pool else np.zeros(0, dtype=complex)
+    del pool, at
     b_rep = np.array(bs)[row]
+    place += row  # each term's place in flat
+    terms = b_rep + k
+    np.divide(b_rep, terms, out=terms)
+    np.multiply(terms, powers, out=terms)
     flat = np.zeros(len(counts) + len(row), dtype=complex)  # a zero before each row
-    flat[place + row] = b_rep / (b_rep + k) * powers
+    flat[place] = terms
     starts = np.cumsum(lasts + 1) - (lasts + 1)
     totals = (1.0 + np.add.reduceat(flat, starts)).tolist()
     return [SeriesResult(total, last + 1, tail) for total, (last, tail) in zip(totals, counts)]

@@ -29,9 +29,9 @@ A first round of 16 panels costs about as much in numpy calls and Python as
 in arithmetic on its nodes, so the fixed cost is kept small: a start that
 cannot grade returns before building anything, nothing is subtracted when
 c = 0, and an integral builds one result.  The nodes of the panels to
-evaluate go to f in one flat array: one call for all initial panels (shared
-by a unit-interval batch, below), then one per round for the children of all
-the panels split, which join the panels kept.
+evaluate go to f in one flat array: one call for all initial panels (a
+unit-interval batch evaluates its own, below), then one per round for the
+children of all the panels split, which join the panels kept.
 Refinement stops unconverged when no panel over its share is wider than
 1e-15 of the interval, or when a round would pass DEFAULT_MAX_PANELS.
 adaptive_quadrature starts on the edges its caller gives: the circle and
@@ -117,17 +117,41 @@ refine from there as usual.  K = 36 was chosen by measurement on those
 checks: the worst residual stops improving at K = 36, and a deeper K costs
 no more calls.
 
+On that fixed mesh the first round factors the phase u^{ic}, which would
+otherwise take a complex exponential at each of the 570 nodes.  Every node
+is u = a w with a the least power of two at or above its panel (2^-36, ...,
+1/2, and 1 for the last two panels), so w = u / a is exact and
+log u = log a + log w with both terms at most 0: nothing cancels, and each
+is rounded to within eps |log u|.  So e^{ic log a} e^{ic log w} stays within
+a few eps (1 + |c log u|) of the direct e^{ic log u}, the direct form's own
+rounding (tests/test_quadrature.py, TestFactoredFirstRound), and w takes
+only four shapes on the mesh (the first panel, the dyadic panels, and the
+last two), so a row costs 38 + 60 complex exponentials.  The panel's
+midpoint would not do as the anchor: near u = 1, log mid and log(1 + r x)
+nearly cancel, and the phase error grows to |c| eps |log mid|, ~125 times
+that bound at the node next to 1.  Refinement rounds take e^{ic log u} at
+their nodes directly.
+
 Batched first round
 -------------------
-Almost every integral stops on its first call, so the unit-interval batches
-(euler_integrals, radial_integrals) evaluate all their first rounds in one
-_panels call on their shared mesh.  The integrand gets its parameters as
-(k, 1) columns, and _rules reduces the (k, P, 15) values panel by panel.
-Each integral's row of that round goes straight to _refine, whose first
-step is the stopping test (_judge), so no separate pass repeats it; only
-those that fail it refine, alone, with scalar parameters.  So each result is
-the float it is alone (tests/test_quadrature.py holds them equal field for
-field, and a shuffled batch or first round to the same bits).
+Almost every integral stops on its first round, so the unit-interval
+batches (euler_integrals, radial_integrals) evaluate their first rounds
+together: the integrand gets its parameters as (k, 1) columns, and _rules
+reduces the (k, 570) values panel by panel.  One stopping pass per chunk
+(below) then judges its rows: one tolist per array, math.fsum per row, by
+_judge's rules.  Only the rows that fail it go to _refine, alone, with
+scalar parameters.  So each result is the float it is alone
+(tests/test_quadrature.py holds them equal field for field, and a shuffled
+batch to the same bits).
+
+The rows go in chunks of at most _UNIT_CHUNK = 10, which bounds the arrays
+a chunk has live at once to ~0.4 MB (tracemalloc; a 60-row batch whole
+peaks at ~2 MB).  Whole batches of 15 and 20 rows made glibc's malloc give
+pages back at the top of the heap after each batch and fault them in again
+at the next: ~430 page faults per verify op, at ~1.6 us each on a 2-core
+x86-64 VM, which took back most of what the factored phase saves.  In
+chunks a verify op takes none there, for one more pass of numpy calls per
+batch.
 """
 
 from __future__ import annotations
@@ -199,6 +223,25 @@ _ROUNDOFF = 50.0 * _EPS
 #: Graded start of the unit-interval integrals (see the module notes).
 _UNIT_DEPTH = 36
 _UNIT_EDGES = np.array([0.0] + [2.0**-k for k in range(_UNIT_DEPTH, 2, -1)] + [0.25, 0.5, 0.75, 1.0])
+#: Its first round with the phase factored (module notes), flat in panel
+#: order: the panels' half widths, and log u at their 38 x 15 nodes, built as
+#: _panels builds them.  Each node is u = a w with a the least power of two
+#: at or above its panel, so w = u / a is exact.  w takes four shapes: on the
+#: first panel, on the _UNIT_DEPTH - 1 dyadic panels [2^-k, 2^-k+1] (the same
+#: floats for every k, as scaling by a power of two is exact), and on each of
+#: the last two.  _UNIT_PHASE_LOGS holds log a for each panel, then log w on
+#: each shape; each node takes its a and its w from the entries given.
+_UNIT_HALF = 0.5 * (_UNIT_EDGES[1:] - _UNIT_EDGES[:-1])
+_UNIT_NODES = 0.5 * (_UNIT_EDGES[:-1] + _UNIT_EDGES[1:])[:, None] + _UNIT_HALF[:, None] * _NODES
+_UNIT_LOGS = np.log(_UNIT_NODES).ravel()
+_UNIT_ANCHORS = np.array([2.0 ** math.ceil(math.log2(right)) for right in _UNIT_EDGES[1:].tolist()])
+_UNIT_SHAPE = np.array([0] + [1] * (_UNIT_DEPTH - 1) + [2, 3])
+_UNIT_SHAPES = (_UNIT_NODES / _UNIT_ANCHORS[:, None])[[0, 1, -2, -1]]
+_UNIT_PHASE_LOGS = np.log(np.concatenate((_UNIT_ANCHORS, _UNIT_SHAPES.ravel())))
+_UNIT_NODE_ANCHOR = np.repeat(np.arange(_UNIT_HALF.size), 15)
+_UNIT_NODE_SHAPE = _UNIT_HALF.size + (15 * _UNIT_SHAPE[:, None] + np.arange(15)).ravel()
+#: Rows of a first-round chunk (module notes).
+_UNIT_CHUNK = 10
 
 #: Start of the circle integral (see the module notes): equal panels, plus
 #: points doubling away from the pole's images one turn either side of the
@@ -265,26 +308,25 @@ def _rules(vals: np.ndarray, half: np.ndarray) -> tuple:
     return hi, np.abs(hi - rules[..., 1]), half * np.einsum("...j,j->...", np.abs(vals), _KRONROD_WEIGHTS)
 
 
-def _fsum(parts: np.ndarray, extra: float = 0.0) -> float:
-    """math.fsum of an array and extra, or NaN for a sum it cannot form (an
-    intermediate overflow, or inf - inf)."""
-    terms = parts.tolist()
+def _fsum(terms: list, extra: float = 0.0) -> float:
+    """math.fsum of a list of floats and extra, or NaN for a sum it cannot
+    form (an intermediate overflow, or inf - inf)."""
     if extra:
-        terms.append(extra)
+        terms = [*terms, extra]
     try:
         return math.fsum(terms)
     except (OverflowError, ValueError):
         return math.nan
 
 
-def _judge(
-    vals: np.ndarray, errs: np.ndarray, masses: np.ndarray, tol: float, roundoff: float, offset: complex
-) -> tuple:
-    """The stopping test on an integral's panels plus offset: (its value and
-    estimate, goal = tol * max(1, |value|), whether the summed estimates are at
-    most goal or NaN).  The estimate carries offset's own rounding, 2 eps
-    |offset|.  A value that is not finite gets a NaN goal: it stops unconverged."""
-    value = complex(_fsum(vals.real, offset.real), _fsum(vals.imag, offset.imag))
+def _judge(re: list, im: list, errs: list, masses: list, tol: float, roundoff: float, offset: complex) -> tuple:
+    """The stopping test on an integral's panels plus offset, given the real
+    and imaginary parts of their K15 values, their estimates and masses as
+    lists: (its value and estimate, goal = tol * max(1, |value|), whether the
+    summed estimates are at most goal or NaN).  The estimate carries offset's
+    own rounding, 2 eps |offset|.  A value that is not finite gets a NaN goal:
+    it stops unconverged."""
+    value = complex(_fsum(re, offset.real), _fsum(im, offset.imag))
     goal = tol * max(1.0, abs(value)) if cmath.isfinite(value) else math.nan
     err = _fsum(errs)
     estimate = err + roundoff * _fsum(masses) + 2.0 * _EPS * abs(offset)
@@ -313,7 +355,9 @@ def _refine(f: Callable, panels: tuple, tol: float, roundoff: float, offset: com
     left and right edges, K15 values, estimates and masses, in any order."""
     while True:
         lefts, rights, vals, errs, masses = panels
-        value, estimate, goal, stops = _judge(vals, errs, masses, tol, roundoff, offset)
+        value, estimate, goal, stops = _judge(
+            vals.real.tolist(), vals.imag.tolist(), errs.tolist(), masses.tolist(), tol, roundoff, offset
+        )
         result = value, estimate, errs.size, estimate <= goal
         if stops:
             return result
@@ -451,6 +495,23 @@ def _circle_start(lo: float, alpha: complex, beta: complex) -> tuple:
     return np.array([lo] + sorted(set(points)) + [hi]), pole
 
 
+def _unit_integrand(amplitude: np.ndarray, log_u: np.ndarray, s, p, factor: Callable) -> np.ndarray:
+    """s u^{ic} factor(u^s, p), the integrand of _unit_power_integrals, given
+    log u at the nodes and the amplitude s u^{ic} there."""
+    return amplitude * factor(np.exp(s * log_u), p)
+
+
+def _unit_first_values(s: np.ndarray, c: np.ndarray, p: np.ndarray, factor: Callable) -> np.ndarray:
+    """_unit_integrand at the nodes of the first round on _UNIT_EDGES, as a
+    (k, 570) array in panel order, for (k, 1) columns s, c and p: the phase
+    u^{ic} is e^{ic log a} e^{ic log w} (module notes), 38 + 60 complex
+    exponentials a row, and s rides on the 38."""
+    phases = np.exp(1j * c * _UNIT_PHASE_LOGS)
+    phases[:, : _UNIT_HALF.size] *= s
+    amplitude = phases.take(_UNIT_NODE_ANCHOR, axis=1) * phases.take(_UNIT_NODE_SHAPE, axis=1)
+    return _unit_integrand(amplitude, _UNIT_LOGS, s, p, factor)
+
+
 def _unit_power_integrals(mu: list[complex], param: list[complex], factor: Callable) -> list[QuadratureResult]:
     """integral_0^1 t^mu_k * factor(t, param_k) dt for every k, to DEFAULT_QUAD_TOL.
 
@@ -458,28 +519,37 @@ def _unit_power_integrals(mu: list[complex], param: list[complex], factor: Calla
     smooth and pole-free on (0, 1].  Re(mu_k) > -1 is the caller's
     responsibility.  The t = u^{1/(1+Re mu)} substitution
     described in the module notes removes the real part of the endpoint
-    exponent entirely.  All integrals share one first round: the integrand
-    gets (k, 1) columns of its parameters there, and scalars in the rounds of
-    an integral that refines, so each value is the same float either way.
+    exponent entirely.  The integrals share first rounds, in chunks, and one
+    stopping pass per chunk; an integral that fails the test refines alone,
+    with scalar parameters (module notes).
     """
+    if not mu:
+        return []
     mu = [complex(m) for m in mu]
     s = [1.0 / (1.0 + m.real) for m in mu]  # t = u**s maps (0, 1] onto itself
     c = [m.imag * sk for m, sk in zip(mu, s)]  # leftover purely imaginary exponent
 
-    def g(u: np.ndarray, s, c, p) -> np.ndarray:
+    def g(u: np.ndarray, k: int) -> np.ndarray:
+        # a refinement round of integral k
         lu = np.log(u)
-        return s * np.exp(1j * c * lu) * factor(np.exp(s * lu), p)
+        return _unit_integrand(s[k] * np.exp(1j * c[k] * lu), lu, s[k], param[k], factor)
 
     columns = [np.array(values)[:, None] for values in (s, c, param)]
     lefts, rights = _UNIT_EDGES[:-1], _UNIT_EDGES[1:]
-    vals, errs, masses = _panels(lambda u: g(u, *columns), lefts, rights)
-    return [
-        QuadratureResult(*_refine(
-            lambda u, k=k: g(u, s[k], c[k], param[k]), (lefts, rights, vals[k], errs[k], masses[k]),
-            DEFAULT_QUAD_TOL, _ROUNDOFF,
-        ))
-        for k in range(len(mu))
-    ]
+    count = -(-len(mu) // _UNIT_CHUNK)  # chunks of at most _UNIT_CHUNK rows, as even as can be
+    bounds = [len(mu) * j // count for j in range(count + 1)]
+    results = []
+    for start, end in zip(bounds, bounds[1:]):
+        vals, errs, masses = _rules(_unit_first_values(*(col[start:end] for col in columns), factor), _UNIT_HALF)
+        rows = zip(vals.real.tolist(), vals.imag.tolist(), errs.tolist(), masses.tolist())
+        for k, row in enumerate(rows, start):
+            value, estimate, goal, stops = _judge(*row, DEFAULT_QUAD_TOL, _ROUNDOFF, 0j)
+            if stops:
+                results.append(QuadratureResult(value, estimate, lefts.size, estimate <= goal))
+            else:
+                first = (lefts, rights, *(part[k - start] for part in (vals, errs, masses)))
+                results.append(QuadratureResult(*_refine(lambda u, k=k: g(u, k), first, DEFAULT_QUAD_TOL, _ROUNDOFF)))
+    return results
 
 
 def euler_integrals(ws: list[complex], betas: list[complex]) -> list[QuadratureResult]:

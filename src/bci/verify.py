@@ -6,10 +6,12 @@ accuracy budget.  A check draws from its own generator, seeded with
 "<seed>:<name>", so its row depends on the seed alone, not on which checks
 ran before it, and the report bytes are fully determined by the seed.  A
 check draws all its cases first and then evaluates them as one batch, so
-the unit-interval quadratures of a check share one first round (see the
-quadrature module notes) and its 2F1(1, b; 1+b; .) series are the rows of
-one hyp2f1_one_b_many call, each the float of its single sum.  A check
-whose residuals include a NaN reports a NaN worst residual and fails.
+the unit-interval quadratures of a check share their first rounds, in
+chunks with the phase u^{ic} factored on the fixed mesh and one stopping
+pass per chunk (see the quadrature module notes), and its 2F1(1, b; 1+b; .)
+series are the rows of one hyp2f1_one_b_many call; each is the float of its
+single sum.  A check whose residuals include a NaN reports a NaN worst
+residual and fails.
 
 Checks
 ------

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import re
+import tracemalloc
 
 import mpmath as mp
 import pytest
@@ -168,6 +169,23 @@ class TestOneBBatch:
             hyp2f1_one_b_many(*zip(*[row[:3] for row in rows]))
         bs, zs, ts, want = zip(*summed)
         assert [_fields(r) for r in hyp2f1_one_b_many(bs, zs, ts)] == list(want)
+
+    def test_short_rows_are_not_padded_to_the_longest(self):
+        # one row of 41,426 terms and 59 of 16: padded to the longest, the
+        # powers alone would take 59 x 41,426 complex numbers, ~39 MB
+        bs = [0.7 + 0.2j] + [0.3 + 0.1j * k for k in range(59)]
+        zs = [0.999 * cmath.exp(1j)] + [0.1 * cmath.exp(0.1j * k) for k in range(59)]
+        tols = [1e-15] * 60
+        want = [_fields(hyp2f1_one_b(b, z, tol)) for b, z, tol in zip(bs, zs, tols)]
+        assert [row[2] for row in want[:2]] == [41_426, 16]
+        tracemalloc.start()
+        try:
+            got = hyp2f1_one_b_many(bs, zs, tols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [_fields(r) for r in got] == want
+        assert peak < 4e6, peak
 
     def test_empty_batch(self):
         assert hyp2f1_one_b_many([], [], []) == []

@@ -3,6 +3,8 @@
 import cmath
 import math
 import random
+import sys
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -565,9 +567,11 @@ class TestRadialIntegral:
             radial_integral(inst)
 
 
-def _draw_unit_case(rng):
-    """beta with Re in [0.05, 3], |Im| <= 3; w with |w| off the unit circle and arg w >= 0.2 off the real ray."""
-    beta = complex(rng.uniform(0.05, 3.0), rng.uniform(-3.0, 3.0))
+def _draw_unit_case(rng, im_range=None):
+    """beta with Re in [0.05, 3] and |Im| <= 3, or |Im| in im_range; w with
+    |w| off the unit circle and arg w >= 0.2 off the real ray."""
+    re = rng.uniform(0.05, 3.0)
+    beta = complex(re, rng.uniform(-3.0, 3.0) if im_range is None else rng.choice((-1.0, 1.0)) * rng.uniform(*im_range))
     mod = rng.uniform(0.05, 0.95) if rng.random() < 0.5 else rng.uniform(1.05, 5.0)
     return mod * cmath.exp(1j * rng.uniform(0.2, 2 * math.pi - 0.2)), beta
 
@@ -575,23 +579,22 @@ def _draw_unit_case(rng):
 class TestUnitIntervalIntegrals:
     def test_deep_endpoint_walk_takes_one_call(self, monkeypatch):
         # u^{ic} oscillates without end toward 0: started on four equal panels,
-        # bisection would reach the depth this needs one _panels call per level
-        calls = []
-        panels = bci.quadrature._panels
-
-        def counted(f, lefts, rights):
-            calls.append(len(lefts))
-            return panels(f, lefts, rights)
-
-        monkeypatch.setattr(bci.quadrature, "_panels", counted)
+        # bisection would reach the depth this needs one _panels call per level;
+        # the graded first round is one call, and at most one round refines
+        calls = _count_panels_calls(monkeypatch)
+        firsts = _count_first_rounds(monkeypatch)
         r = euler_integral(0.5, 0.5 + 0.3j)
         assert r.converged
-        assert len(calls) <= 2, calls
+        assert firsts == [1] and len(calls) <= 1, calls
+
+    #: 300 draws with |Im beta| <= 3, and 40 with |Im beta| from 30 to 100,
+    #: whose phase u^{ic} turns fastest in the factored first round
+    IM_RANGES = [None] * 300 + [(30.0, 100.0)] * 40
 
     def test_euler_estimate_bounds_true_error(self):
         rng = random.Random(20261018)
-        for _ in range(300):
-            w, beta = _draw_unit_case(rng)
+        for im_range in self.IM_RANGES:
+            w, beta = _draw_unit_case(rng, im_range)
             r = euler_integral(w, beta)
             with mp.workdps(30):
                 want = complex(mp.hyp2f1(1, mp.mpc(beta), 1 + mp.mpc(beta), mp.mpc(w)) / mp.mpc(beta))
@@ -601,8 +604,8 @@ class TestUnitIntervalIntegrals:
     def test_radial_estimate_bounds_true_error(self):
         # integral_0^1 t^beta/(t - p) dt = -w 2F1(1, beta+1; beta+2; w)/(beta+1) with w = 1/p
         rng = random.Random(20261019)
-        for _ in range(300):
-            w, beta = _draw_unit_case(rng)
+        for im_range in self.IM_RANGES:
+            w, beta = _draw_unit_case(rng, im_range)
             theta = rng.uniform(0.05, 2 * math.pi - 0.05)
             r = radial_integral(ProblemInstance(alpha=cmath.exp(1j * theta) / w, beta=beta, theta=theta))
             with mp.workdps(30):
@@ -612,17 +615,103 @@ class TestUnitIntervalIntegrals:
             assert err <= r.abs_error_estimate, (w, beta, theta, err, r.abs_error_estimate)
 
 
-def _unbatched_unit_integral(mu, factor):
-    """The unit-interval integral with scalar parameters in every round: the
-    arithmetic of one integral on its own, for comparison with a batch."""
+class TestFactoredFirstRound:
+    """The first round factors the phase u^{ic} = e^{ic log a} e^{ic log w}; each
+    node value stays within a few eps (1 + |c log u|) of the direct form."""
+
+    def test_panels_of_a_shape_share_their_w(self):
+        # the four shapes of w = u / a cover every panel, to the bit
+        q = bci.quadrature
+        w = q._UNIT_NODES / q._UNIT_ANCHORS[:, None]
+        assert q._UNIT_ANCHORS.tolist() == [2.0**-k for k in range(q._UNIT_DEPTH, 0, -1)] + [1.0, 1.0]
+        assert np.array_equal(w, w[[0, 1, -2, -1]][q._UNIT_SHAPE])
+        logs = q._UNIT_PHASE_LOGS
+        assert np.array_equal(logs[q._UNIT_NODE_ANCHOR], np.log(np.repeat(q._UNIT_ANCHORS, 15)))
+        assert np.array_equal(logs[q._UNIT_NODE_SHAPE], np.log(w).ravel())
+        assert np.array_equal(q._UNIT_LOGS, np.log(q._UNIT_NODES).ravel())
+
+    @staticmethod
+    def _first_rounds(monkeypatch):
+        # the arguments and values of every first round a batch evaluates
+        rounds = []
+        first_values = bci.quadrature._unit_first_values
+
+        def recorded(s, c, p, factor):
+            vals = first_values(s, c, p, factor)
+            rounds.append((s, c, p, factor, vals.copy()))
+            return vals
+
+        monkeypatch.setattr(bci.quadrature, "_unit_first_values", recorded)
+        return rounds
+
+    @staticmethod
+    def _assert_near_direct(rounds, count):
+        edges = bci.quadrature._UNIT_EDGES
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        log_u = np.log(mid[:, None] + half[:, None] * bci.quadrature._NODES).ravel()
+        eps = sys.float_info.epsilon
+        assert sum(len(vals) for *_, vals in rounds) == count
+        for s, c, p, factor, vals in rounds:
+            assert vals.shape == (len(s), log_u.size)
+            for k in range(len(s)):
+                direct = s[k, 0] * np.exp(1j * c[k, 0] * log_u) * factor(np.exp(s[k, 0] * log_u), p[k, 0])
+                bound = 4.0 * eps * (1.0 + np.abs(c[k, 0] * log_u)) * np.abs(direct)
+                assert np.all(np.abs(vals[k] - direct) <= bound), (s[k, 0], c[k, 0], p[k, 0])
+
+    @staticmethod
+    def _draw_beta(rng):
+        return complex(10.0 ** rng.uniform(-3.0, math.log10(3.0)), rng.uniform(-100.0, 100.0))
+
+    def test_euler_batch(self, monkeypatch):
+        rng = random.Random(20261023)
+        betas = [self._draw_beta(rng) for _ in range(30)]
+        ws = [rng.uniform(0.05, 0.95) * cmath.exp(1j * rng.uniform(0.2, 2 * math.pi - 0.2)) for _ in betas]
+        rounds = self._first_rounds(monkeypatch)
+        euler_integrals(ws, betas)
+        assert max(abs(beta.imag) / beta.real for beta in betas) > 1e4  # c = Im beta / Re beta
+        self._assert_near_direct(rounds, len(betas))
+
+    def test_radial_batch(self, monkeypatch):
+        rng = random.Random(20261024)
+        insts = []
+        for _ in range(30):
+            theta = rng.uniform(0.05, 2 * math.pi - 0.05)
+            alpha = rng.uniform(0.2, 5.0) * cmath.exp(1j * (theta + rng.uniform(0.2, 2 * math.pi - 0.2)))
+            insts.append(ProblemInstance(alpha=alpha, beta=self._draw_beta(rng), theta=theta))
+        rounds = self._first_rounds(monkeypatch)
+        radial_integrals(insts)
+        self._assert_near_direct(rounds, len(insts))
+
+
+def _unbatched_unit_integral(mu, p, factor):
+    """The unit-interval integral alone: its first round from the function a
+    batch uses, given (1, 1) columns, and scalar parameters in every later
+    round, for comparison with a batch."""
+    q = bci.quadrature
     s = 1.0 / (1.0 + mu.real)
     c = mu.imag * s
+    vals, errs, masses = q._rules(q._unit_first_values(*(np.array([[v]]) for v in (s, c, p)), factor), q._UNIT_HALF)
 
     def g(u):
         lu = np.log(u)
-        return s * np.exp(1j * c * lu) * factor(np.exp(s * lu))
+        return s * np.exp(1j * c * lu) * factor(np.exp(s * lu), p)
 
-    return adaptive_quadrature(g, bci.quadrature._UNIT_EDGES)
+    first = (q._UNIT_EDGES[:-1], q._UNIT_EDGES[1:], vals[0], errs[0], masses[0])
+    return QuadratureResult(*q._refine(g, first, q.DEFAULT_QUAD_TOL, q._ROUNDOFF))
+
+
+def _count_first_rounds(monkeypatch):
+    """Patch bci.quadrature._unit_first_values to count its calls; returns the
+    live list of the rows of each call."""
+    rows = []
+    first_values = bci.quadrature._unit_first_values
+
+    def counted(s, c, p, factor):
+        rows.append(len(s))
+        return first_values(s, c, p, factor)
+
+    monkeypatch.setattr(bci.quadrature, "_unit_first_values", counted)
+    return rows
 
 
 def _radial_case(rng):
@@ -639,7 +728,7 @@ class TestUnitIntegralBatches:
         first_round = len(bci.quadrature._UNIT_EDGES) - 1
         assert sum(r.subdivisions > first_round for r in batch) >= 5  # stragglers refine on their own
         for (w, beta), got in zip(cases, batch):
-            alone = _unbatched_unit_integral(beta - 1.0, lambda t: 1.0 / (1.0 - w * t))
+            alone = _unbatched_unit_integral(beta - 1.0, w, lambda t, w: 1.0 / (1.0 - w * t))
             assert got == euler_integral(w, beta) == alone, (w, beta)
 
     def test_radial_batch_equals_each_integral_alone(self):
@@ -650,22 +739,45 @@ class TestUnitIntegralBatches:
         assert any(r.subdivisions > first_round for r in batch)
         for inst, got in zip(insts, batch):
             pole = inst.alpha * cmath.exp(-1j * inst.theta)
-            alone = _unbatched_unit_integral(inst.beta, lambda t: 1.0 / (t - pole))
+            alone = _unbatched_unit_integral(inst.beta, pole, lambda t, pole: 1.0 / (t - pole))
             assert got == radial_integral(inst) == alone, inst
 
-    def test_one_first_round_per_batch(self, monkeypatch):
+    def test_one_first_round_per_chunk(self, monkeypatch):
         rng = random.Random(20261020)
         cases = [_draw_unit_case(rng) for _ in range(40)]
         calls = _count_panels_calls(monkeypatch)
+        firsts = _count_first_rounds(monkeypatch)
         rounds = []
         for w, beta in cases:
             euler_integral(w, beta)
-            rounds.append(len(calls) - 1)  # the refinement rounds of this integral
+            rounds.append(len(calls))  # the refinement rounds of this integral
             calls.clear()
         assert sum(rounds) > 0
+        assert firsts == [1] * len(cases)
+        firsts.clear()
         euler_integrals([w for w, _ in cases], [beta for _, beta in cases])
-        assert len(calls) == 1 + sum(rounds)
-        assert calls[0] == len(bci.quadrature._UNIT_EDGES) - 1
+        # chunks of at most _UNIT_CHUNK rows, as even as they can be
+        chunk = bci.quadrature._UNIT_CHUNK
+        assert sum(firsts) == len(cases) and len(firsts) == -(-len(cases) // chunk)
+        assert max(firsts) <= chunk and max(firsts) - min(firsts) <= 1
+        assert len(calls) == sum(rounds)
+
+    def test_first_round_memory_is_bounded_by_its_chunks(self):
+        # 60 rows: evaluated whole, the first round's arrays would peak at
+        # ~2 MB, and freeing and refaulting pages of that size cost most of
+        # what the factored phase saves (module notes)
+        rng = random.Random(20261025)
+        ws = [rng.uniform(0.1, 0.9) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi)) for _ in range(60)]
+        betas = [complex(rng.uniform(0.3, 3.0), rng.uniform(-0.5, 0.5)) for _ in range(60)]
+        want = euler_integrals(ws, betas)
+        tracemalloc.start()
+        try:
+            got = euler_integrals(ws, betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1e6, peak
 
     def test_empty_batch(self):
         assert euler_integrals([], []) == radial_integrals([]) == []
@@ -850,14 +962,18 @@ class TestPanelOrder:
 
 
 def test_panels_calls_per_verify_run(monkeypatch):
-    # per run: 5 batched first rounds (the reduction check's two, reconciliation,
-    # the circle check's radial batch, euler) and 3.57 refinement rounds; of
+    # per run: 5 batches (the reduction check's two, reconciliation, the circle
+    # check's radial batch, euler) of 15 or 20 rows, each with its first round
+    # in two chunks of at most 10 rows, which factor the phase on the fixed
+    # mesh and so make no _panels call, and 3.57 refinement rounds; of
     # the 450 circle integrals, 15 start graded and the rest on the cached
     # plain start, which needs no _panels call, and none refines
     calls = _count_panels_calls(monkeypatch)
+    firsts = _count_first_rounds(monkeypatch)
     for seed in range(4000, 4030):
         run_verify(seed)
-    assert len(calls) == 272
+    assert len(firsts) == 300
+    assert len(calls) == 122
 
 
 class TestIntegralIdentities:
