@@ -43,7 +43,7 @@ from .errors import (
     SlowConvergence,
     ZeroInput,
 )
-from .hypergeometric import SeriesResult, _powers, _series_length, hyp2f1_one_b, hyp2f1_one_b_many
+from .hypergeometric import _powers, _series_length, hyp2f1_one_b
 from .quadrature import euler_integrals
 
 _EPS = sys.float_info.epsilon
@@ -56,7 +56,6 @@ __all__ = [
     "MethodResult",
     "RationalBeta",
     "eval_closed_form",
-    "eval_closed_forms",
     "eval_direct_series",
     "roots_of_unity_drift",
     "roots_of_unity_filter",
@@ -169,12 +168,13 @@ def _argument_rounding(b: complex, z: complex, f: complex) -> float:
     return 3.0 * _EPS * abs(b) * abs(1.0 / (1.0 - z) - f)
 
 
-def _theorem_setup(
-    inst: ProblemInstance,
-) -> MethodResult | tuple[bool, dict[str, Any], complex, float, complex, complex]:
-    """eval_closed_form up to its series: the finished result for integer
-    beta, else (outside, diag, jump, jump_err, b, z) for _theorem_finish,
-    whose series is 2F1(1, b; 1+b; z)."""
+def eval_closed_form(inst: ProblemInstance) -> MethodResult:
+    """Hypergeometric closed form of the circle integral (both regimes).
+
+    Integer beta returns the exact residue case; otherwise the identity at
+    the top of this module is evaluated with the fast 2F1(1, b; 1+b; .) series
+    up to the band, to the tighter of 1e-12 and the instance tolerance.
+    """
     outside, diag, z = _regime(inst)
     beta = inst.beta
     n = as_integer(beta)
@@ -185,51 +185,15 @@ def _theorem_setup(
 
     diag["beta_class"] = "generic"
     jump, jump_err = cut_jump_with_bound(beta, inst.theta)
-    return outside, diag, jump, jump_err, beta if outside else -beta, z
-
-
-def _theorem_finish(
-    inst: ProblemInstance, setup: tuple[bool, dict[str, Any], complex, float, complex, complex], series: SeriesResult
-) -> MethodResult:
-    """eval_closed_form after its series: the identity's value and estimate."""
-    outside, diag, jump, jump_err, b, z = setup
-    prefactor = jump / inst.beta
+    b = beta if outside else -beta
+    series = hyp2f1_one_b(b, z, tol=min(1e-12, inst.tol))
+    prefactor = jump / beta
     factor = 1.0 - series.value if outside else series.value
     value = prefactor * factor
     diag["series_terms"] = series.terms_used
     rounding = 1e-15 * max(1.0, abs(series.value)) + _argument_rounding(b, z, series.value)
-    estimate = abs(prefactor) * (series.tail_estimate + rounding) + jump_err / abs(inst.beta) * abs(factor)
+    estimate = abs(prefactor) * (series.tail_estimate + rounding) + jump_err / abs(beta) * abs(factor)
     return MethodResult(value, METHOD_CLOSED_FORM, estimate, diag)
-
-
-def eval_closed_form(inst: ProblemInstance) -> MethodResult:
-    """Hypergeometric closed form of the circle integral (both regimes).
-
-    Integer beta returns the exact residue case; otherwise the identity at
-    the top of this module is evaluated with the fast 2F1(1, b; 1+b; .) series
-    up to the band, to the tighter of 1e-12 and the instance tolerance.
-    """
-    setup = _theorem_setup(inst)
-    if isinstance(setup, MethodResult):
-        return setup
-    b, z = setup[-2:]
-    return _theorem_finish(inst, setup, hyp2f1_one_b(b, z, tol=min(1e-12, inst.tol)))
-
-
-def eval_closed_forms(insts: list[ProblemInstance]) -> list[MethodResult]:
-    """eval_closed_form(inst) for each instance, with the same floats, its
-    series a row of one hyp2f1_one_b_many batch at that instance's series
-    tolerance.  Every instance is set up, and every series given its term
-    count, before any is summed, so the first refusal in item order raises
-    first."""
-    setups = [_theorem_setup(inst) for inst in insts]
-    pending = [(inst, setup) for inst, setup in zip(insts, setups) if not isinstance(setup, MethodResult)]
-    bs, zs, tols = [s[-2] for _, s in pending], [s[-1] for _, s in pending], [min(1e-12, i.tol) for i, _ in pending]
-    sums = iter(hyp2f1_one_b_many(bs, zs, tols))
-    return [
-        setup if isinstance(setup, MethodResult) else _theorem_finish(inst, setup, next(sums))
-        for inst, setup in zip(insts, setups)
-    ]
 
 
 def eval_direct_series(inst: ProblemInstance) -> MethodResult:
@@ -454,9 +418,9 @@ def check_reconciliations(insts: list[ProblemInstance]) -> list[float]:
     that stopped unconverged, or a series capped short of its tolerance,
     raises SlowConvergence.
     """
-    log_alphas = []
+    log_alphas, zs = [], []
     for inst in insts:
-        inst.require_alpha_off_circle()
+        zs.append(_regime(inst)[2])  # eval's series argument, alpha e^{-i theta} for |alpha| < 1
         alpha, beta = inst.alpha, inst.beta
         if alpha == 0:
             raise ZeroInput("the identity needs the pole strictly inside: alpha != 0")
@@ -473,8 +437,7 @@ def check_reconciliations(insts: list[ProblemInstance]) -> list[float]:
             raise AlphaOnCut(str(exc)) from exc
     ws = [cmath.exp(1j * inst.theta) / inst.alpha for inst in insts]
     lhs = euler_integrals(ws, [inst.beta for inst in insts])
-    zs = [inst.alpha * cmath.exp(-1j * inst.theta) for inst in insts]
-    sums = hyp2f1_one_b_many([-inst.beta for inst in insts], zs, [min(1e-12, inst.tol) for inst in insts])
+    sums = [hyp2f1_one_b(-inst.beta, z, min(1e-12, inst.tol)) for inst, z in zip(insts, zs)]
     residuals = []
     for inst, log_alpha, left, series in zip(insts, log_alphas, lhs, sums):
         alpha, beta, theta = inst.alpha, inst.beta, inst.theta

@@ -172,7 +172,6 @@ __all__ = [
     "QuadratureResult",
     "adaptive_quadrature",
     "circle_integral",
-    "circle_integrals",
     "euler_integral",
     "euler_integrals",
     "radial_integral",
@@ -403,13 +402,6 @@ def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> Qua
     offset = 0j if c is None or inst.alpha_outside() else TWO_PI * c
     value, *rest = _refine(f, (edges[:-1], edges[1:], *first), tol, roundoff, offset)
     return _finite(QuadratureResult(complex(-value.imag, value.real), *rest))
-
-
-def circle_integrals(insts: list[ProblemInstance], tol: float = DEFAULT_QUAD_TOL) -> list[QuadratureResult]:
-    """circle_integral for each instance, once every instance is checked, in order."""
-    for inst in insts:
-        _circle_roundoff(inst)
-    return [circle_integral(inst, tol) for inst in insts]
 
 
 def _circle_roundoff(inst: ProblemInstance) -> float:
@@ -643,11 +635,11 @@ def check_circles_vs_radial(insts: list[ProblemInstance]) -> list[float]:
     residue of z^beta/(z - alpha) at alpha means on this slit plane — and
     (ii) the two ray integrals, whose branch powers differ by exactly
     cut_jump_factor(beta, theta).  Needs Re(beta) > 0 (ray integrals converge
-    at the origin) and, when |alpha| < 1, alpha off the cut.  The circle
-    integrals run one by one, the radial ones as one batch, and a quadrature
+    at the origin) and, when |alpha| < 1, alpha off the cut.  Each circle is
+    a circle_integral call, the radial integrals one batch, and a quadrature
     that stopped unconverged raises SlowConvergence.
     """
-    circles = circle_integrals(insts)
+    circles = [circle_integral(inst) for inst in insts]
     radials = radial_integrals(insts)
     residuals = []
     for inst, circle, radial in zip(insts, circles, radials):

@@ -86,7 +86,8 @@ def evaluate_instance(
 
     methods lists wire names from KNOWN_METHODS; None selects the closed form
     and quadrature, plus the direct series when |alpha| < 1 and the rational
-    log sum when `rational` is supplied; a name listed twice is refused.
+    log sum when `rational` is supplied; an empty list, or a name listed
+    twice, is refused.
     Per-method numerical refusals (EvaluationError subclasses) become
     MethodFailure records; anything else — a genuine bug — propagates.
 
@@ -107,6 +108,8 @@ def evaluate_instance(
             selected.append(METHOD_RATIONAL)
     else:
         selected = list(methods)
+        if not selected:
+            raise ValueError("no methods selected")  # a report over no methods would read as all refused
         for name in selected:
             if name not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {name!r}; expected one of {KNOWN_METHODS}")

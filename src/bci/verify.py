@@ -5,25 +5,27 @@ mathematical identity, and compares it against that identity's own
 accuracy budget.  A check draws from its own generator, seeded with
 "<seed>:<name>", so its row depends on the seed alone, not on which checks
 ran before it, and the report bytes are fully determined by the seed.  A
-check draws all its cases first and then evaluates them as one batch, so
-the unit-interval quadratures of a check share their first rounds, in
-chunks with the phase u^{ic} factored on the fixed mesh and one stopping
-pass per chunk (see the quadrature module notes), and its 2F1(1, b; 1+b; .)
-series are the rows of one hyp2f1_one_b_many call; each is the float of its
-single sum.  A check whose residuals include a NaN reports a NaN worst
-residual and fails.
+check draws all its cases first and then evaluates them.  Its unit-interval
+quadratures are one batch, which shares their first rounds, in chunks with
+the phase u^{ic} factored on the fixed mesh and one stopping pass per chunk
+(see the quadrature module notes); each is the float of its single
+integral.  Everything else runs one case at a time through the code that
+eval runs: each 2F1(1, b; 1+b; .) series is a hyp2f1_one_b call, each ODE
+stencil value an eval_closed_form call, each circle a circle_integral call.
+A check whose residuals include a NaN reports a NaN worst residual and
+fails.
 
 Checks
 ------
 reduction        radial integral vs its Euler-integral reduction
 reconciliation   cross-regime Euler identity (pole term + closed form):
-                 15 Euler integrals and 15 series, one batch each
+                 15 Euler integrals as one batch, 15 series
 ode              finite-difference residual of the regime ODE: 12 draws x 5
-                 stencil points, one eval_closed_forms batch of 60 series
+                 stencil points, 60 closed forms
 circle           contour integral vs residue + jump * radial integral: 15
-                 circle integrals one by one, 15 radial integrals as one batch
+                 circle integrals, 15 radial integrals as one batch
 euler            beta * Euler integral vs the 2F1(1, b; 1+b; .) series:
-                 15 Euler integrals and 15 series, one batch each
+                 15 Euler integrals as one batch, 15 series
 
 The root-of-unity filter behind the rational log sum is not a check here:
 that route computes its multisection itself, so no route runs through
@@ -39,8 +41,8 @@ from typing import Any, Callable, Iterable
 
 from .branchcut import TWO_PI, ProblemInstance, as_integer, require_tol
 from .closedform import check_reconciliations
-from .hypergeometric import hyp2f1_one_b_many
-from .odecheck import ode_residuals
+from .hypergeometric import hyp2f1_one_b
+from .odecheck import ode_residual
 from .quadrature import check_circles_vs_radial, check_integral_reductions, euler_integrals
 
 __all__ = ["CHECK_ORDER", "DEFAULT_THRESHOLDS", "run_verify"]
@@ -97,7 +99,7 @@ def _euler_residuals(rng: random.Random, beta_fix: complex | None) -> list[float
         arg = rng.uniform(0.0, TWO_PI)
         ws.append(mod * cmath.exp(1j * arg))
         betas.append(_draw_beta(rng, beta_fix))
-    series = [f.value for f in hyp2f1_one_b_many(betas, ws, [1e-13] * len(ws))]
+    series = [hyp2f1_one_b(beta, w, 1e-13).value for beta, w in zip(betas, ws)]
     quads = euler_integrals(ws, betas)
     return [
         abs(beta * q.converged_value("Euler integral") - f) / max(1.0, abs(f)) for beta, q, f in zip(betas, quads, series)
@@ -109,7 +111,7 @@ def _euler_residuals(rng: random.Random, beta_fix: complex | None) -> list[float
 _CHECKS: dict[str, tuple[float, Callable[[random.Random, complex | None], Iterable[float]]]] = {
     "reduction": (1e-6, lambda rng, beta: check_integral_reductions(_instances(rng, beta, 20))),
     "reconciliation": (1e-6, lambda rng, beta: check_reconciliations(_instances(rng, beta, 15, inside_only=True))),
-    "ode": (1e-4, lambda rng, beta: [r.relative_residual for r in ode_residuals(_instances(rng, beta, 12))]),
+    "ode": (1e-4, lambda rng, beta: [ode_residual(inst).relative_residual for inst in _instances(rng, beta, 12)]),
     "circle": (1e-6, lambda rng, beta: check_circles_vs_radial(_instances(rng, beta, 15))),
     "euler": (1e-8, _euler_residuals),
 }

@@ -32,6 +32,11 @@ def test_closedform_takes_only_the_euler_integral_from_quadrature():
     assert _relative_imports("closedform")["quadrature"] == {"euler_integrals"}
 
 
+def test_verify_takes_only_the_single_series_from_hypergeometric():
+    # verify sums each series through the code eval runs, not a copy of it
+    assert _relative_imports("verify")["hypergeometric"] == {"hyp2f1_one_b"}
+
+
 def test_no_module_imports_dataclasses():
     # the records are named tuples: each frozen dataclass would exec its
     # generated methods at every `import bci`

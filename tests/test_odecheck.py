@@ -16,11 +16,9 @@ from bci import (
     cut_jump_factor,
     hyp2f1_one_b,
     eval_closed_form,
-    eval_closed_forms,
     ode_coefficients_inside,
     ode_coefficients_outside,
     ode_residual,
-    ode_residuals,
     singular_points,
 )
 
@@ -98,51 +96,22 @@ class TestOdeResidual:
         with pytest.raises(ValueError, match="step h must be positive"):
             ode_residual(ProblemInstance(alpha=alpha, beta=0.5, theta=2.0), h=h)
 
-    def test_batch_checks_every_instance_before_any_value(self, monkeypatch):
-        def no_values(points):
-            raise AssertionError("evaluated before every instance was checked")
+    def test_checks_the_instance_before_any_value(self, monkeypatch):
+        def no_values(point):
+            raise AssertionError("evaluated before the instance was checked")
 
-        monkeypatch.setattr(bci.odecheck, "eval_closed_forms", no_values)
-        good = ProblemInstance(alpha=2.0, beta=0.5, theta=2.0)
+        monkeypatch.setattr(bci.odecheck, "eval_closed_form", no_values)
         integer = ProblemInstance(alpha=2.0, beta=3, theta=2.0)
         straddle = ProblemInstance(alpha=1.06, beta=0.5, theta=2.0)
+        integer_straddle = ProblemInstance(alpha=1.06, beta=3, theta=2.0)
         with pytest.raises(ValueError, match="step h must be positive"):
-            ode_residuals([integer, good], h=math.nan)
+            ode_residual(integer_straddle, h=math.nan)
         with pytest.raises(IntegerBeta):
-            ode_residuals([good, integer, straddle], h=0.05)
+            ode_residual(integer, h=0.05)
+        with pytest.raises(IntegerBeta):
+            ode_residual(integer_straddle, h=0.05)
         with pytest.raises(RegimeStraddle):
-            ode_residuals([good, straddle, integer], h=0.05)
-
-    def test_empty_batch(self):
-        assert ode_residuals([]) == []
-
-
-class TestClosedFormBatch:
-    def test_batch_equals_each_point_alone(self):
-        # both regimes, an integer beta row and a |Im beta| = 40 row, at the
-        # ODE's series tolerance and a rougher one
-        for tol in (1e-15, 1e-9):
-            insts = self.instances([tol])
-            assert [repr(r) for r in eval_closed_forms(insts)] == [repr(eval_closed_form(inst)) for inst in insts]
-
-    def test_mixed_tols_in_one_batch(self):
-        # each row sums its series to its own instance's tolerance
-        insts = self.instances([1e-8, 1e-13, 1e-15])
-        assert len({inst.tol for inst in insts}) == 3
-        assert [repr(r) for r in eval_closed_forms(insts)] == [repr(eval_closed_form(inst)) for inst in insts]
-
-    @staticmethod
-    def instances(tols):
-        """Closed-form instances in both regimes, the tolerances taken in turn."""
-        points = [
-            (a, beta, theta)
-            for a in (2.0 * cmath.exp(1.1j), 0.45 * cmath.exp(2.7j), 1.05, 0.0, 4.9j)
-            for beta, theta in ((0.7 + 0.2j, 2.0), (3, 1.0), (0.5 - 40j, 5.5), (-2.5 + 1e-7j, 0.3))
-        ]
-        return [
-            ProblemInstance(alpha=a, beta=beta, theta=theta, tol=tols[k % len(tols)])
-            for k, (a, beta, theta) in enumerate(points)
-        ]
+            ode_residual(straddle, h=0.05)
 
 
 class TestJumpScaling:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import bci.quadrature
 from bci import (
-    AlphaOnCircle,
     DivergentAtZero,
     NonFiniteValue,
     ProblemInstance,
@@ -25,7 +24,6 @@ from bci import (
     check_circle_vs_radial,
     check_integral_reduction,
     circle_integral,
-    circle_integrals,
     euler_integral,
     euler_integrals,
     evaluate_instance,
@@ -800,44 +798,10 @@ def _bits(result):
     return value.real.hex(), value.imag.hex(), estimate.hex(), result.subdivisions, result.converged
 
 
-#: Circle instances for the batch tests (alpha, beta, theta): poles 0.021
-#: from the circle on both sides with |Im beta| 30-38, a pole image at both
-#: ends of the window, no pole at all, a pole 2e-4 from the circle, and
-#: Re beta = 12, whose oscillation refines from the 16-panel start.
-EDGE_CIRCLES = [
-    (0.979 * cmath.exp(0.5j), 0.5 + 30j, 1.0),
-    (1.021 * cmath.exp(4.0j), -1.5 - 38j, 3.5),
-    (0.979 * cmath.exp(4.0j), -1.5 - 38j, 1.0),
-    (1.021 * cmath.exp(0.5j), 0.5 + 30j, 3.5),
-    (0.7 * cmath.exp(2.0j + 5e-10j), 0.5 + 0.3j, 2.0),
-    (1.3 * cmath.exp(2.0j - 5e-10j), -1.5 + 0.2j, 2.0),
-    (0.0, 0.5 + 0.3j, 2.0),
-    (1.0002 * cmath.exp(1.3j), 0.5 + 0.2j, 2.5),
-    (0.5 * cmath.exp(1j), 12.0 + 0.3j, 2.0),
-]
-
-
 class TestCircleBatches:
-    @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-13])
-    def test_batch_equals_each_integral_alone(self, tol):
-        rng = random.Random(20261022)
-        insts = [ProblemInstance(alpha=a, beta=b, theta=th, exclusion_band=1e-4) for a, b, th in EDGE_CIRCLES]
-        insts += [_mixed_instance(rng) for _ in range(40)]
-        rng.shuffle(insts)
-        alone = [circle_integral(inst, tol) for inst in insts]
-        starts = [bci.quadrature._circle_start(i.theta - 2 * math.pi, i.alpha, i.beta)[0] for i in insts]
-        first_round = [16 if edges is None else len(edges) - 1 for edges in starts]
-        assert any(r.subdivisions > n for r, n in zip(alone, first_round))  # stragglers refine on their own
-        start = 0
-        for size in (1, 2, 15, 7, 24):  # ragged batches
-            batch = circle_integrals(insts[start : start + size], tol)
-            assert [_bits(r) for r in batch] == [_bits(r) for r in alone[start : start + size]]
-            start += size
-        assert start == len(insts)
-
     def test_verify_circle_check_integrates_each_circle_alone(self, monkeypatch):
-        # circle_integrals has no batch form of its own: each circle goes
-        # through circle_integral
+        # the circle check runs each circle through circle_integral, the
+        # quadrature eval runs
         insts = []
         alone = bci.quadrature.circle_integral
 
@@ -848,18 +812,6 @@ class TestCircleBatches:
         monkeypatch.setattr(bci.quadrature, "circle_integral", counted)
         report = run_verify(4000, checks=("circle",))
         assert report["checks"][0]["cases"] == len(insts) == 15
-
-    def test_every_instance_is_checked_before_any_integral(self, monkeypatch):
-        calls = _count_panels_calls(monkeypatch)
-        good = ProblemInstance(alpha=0.5, beta=0.5, theta=3.0)
-        overflowing = ProblemInstance(alpha=0.5, beta=0.5 + 1000j, theta=3.0)
-        on_circle = ProblemInstance(alpha=cmath.exp(1j), beta=0.5, theta=3.0)
-        with pytest.raises(NonFiniteValue):
-            circle_integrals([good, overflowing, on_circle])
-        with pytest.raises(AlphaOnCircle):
-            circle_integrals([good, on_circle, overflowing])
-        assert calls == []
-        assert circle_integrals([]) == []
 
 
 class TestArraySettle:

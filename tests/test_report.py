@@ -153,6 +153,14 @@ class TestVerdict:
         with pytest.raises(ValueError, match="more than once"):
             evaluate_instance(ProblemInstance(alpha=1.5, beta=0.5, theta=2.0), methods=[METHOD_QUADRATURE] * 2)
 
+    @pytest.mark.parametrize("methods", [[], ()])
+    def test_no_methods_is_refused(self, methods):
+        # a report over no methods would read as every method refused
+        from bci import ProblemInstance, evaluate_instance
+
+        with pytest.raises(ValueError, match="^no methods selected$"):
+            evaluate_instance(ProblemInstance(alpha=1.5, beta=0.5, theta=2.0), methods=methods)
+
 
 _INSTANCE = ProblemInstance(0.4 + 0.2j, 0.5 + 0.1j, 3.0)
 _OK = MethodResult(1 + 2j, "Quadrature", 1e-13, {"regime": "inside"})

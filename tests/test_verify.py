@@ -1,6 +1,6 @@
 """The seeded self-verification: how much work each check does."""
 
-import functools
+import cmath
 import math
 import random
 
@@ -10,9 +10,8 @@ import bci.closedform
 import bci.hypergeometric
 import bci.odecheck
 import bci.verify
-from bci import SlowConvergence
+from bci import ProblemInstance, SlowConvergence
 from bci.closedform import check_reconciliation, check_reconciliations
-from bci.odecheck import ode_residual, ode_residuals
 from bci.quadrature import (
     check_circle_vs_radial,
     check_circles_vs_radial,
@@ -36,8 +35,6 @@ def test_a_check_alone_gives_its_row_of_the_full_report(seed, check):
         (check_integral_reductions, check_integral_reduction, False),
         (check_reconciliations, check_reconciliation, True),
         (check_circles_vs_radial, check_circle_vs_radial, False),
-        (functools.partial(ode_residuals, h=1e-3), functools.partial(ode_residual, h=1e-3), False),
-        (functools.partial(ode_residuals, h=5e-4), functools.partial(ode_residual, h=5e-4), False),
     ],
 )
 def test_batch_checks_equal_the_single_instance_checks(batch, single, inside_only):
@@ -47,40 +44,59 @@ def test_batch_checks_equal_the_single_instance_checks(batch, single, inside_onl
 
 
 @pytest.mark.parametrize(
-    "check,module,rows",
-    [("reconciliation", bci.closedform, [15]), ("ode", bci.closedform, [60]), ("euler", bci.verify, [15])],
+    "check,module,calls",
+    [("reconciliation", bci.closedform, 15), ("ode", bci.closedform, 60), ("euler", bci.verify, 15)],
 )
-def test_series_checks_sum_one_batch(check, module, rows, monkeypatch):
-    batches = []
-    many = module.hyp2f1_one_b_many
+def test_series_checks_sum_each_series_alone(check, module, calls, monkeypatch):
+    # every series is a hyp2f1_one_b call, the code eval runs; the ode
+    # check's 12 draws x 5 stencil points each go through eval_closed_form
+    rows = []
+    single = bci.hypergeometric.hyp2f1_one_b
 
-    def counting(bs, zs, tols):
-        batches.append(len(bs))
-        return many(bs, zs, tols)
+    def counting(b, z, tol=1e-12):
+        rows.append(b)
+        return single(b, z, tol)
 
-    def single(*args, **kwargs):
-        raise AssertionError("a per-point closed form or series")
-
-    monkeypatch.setattr(module, "hyp2f1_one_b_many", counting)
-    monkeypatch.setattr(bci.closedform, "eval_closed_form", single)
-    monkeypatch.setattr(bci.odecheck, "eval_closed_form", single, raising=False)
-    monkeypatch.setattr(bci.closedform, "hyp2f1_one_b", single)
+    monkeypatch.setattr(module, "hyp2f1_one_b", counting)
     report = run_verify(1, checks=(check,))
     assert report["verdict"] == "Agree"
-    # the ode check: 12 draws x 5 stencil points in one batch
-    assert batches == rows
+    assert len(rows) == calls
 
 
-@pytest.mark.parametrize("check,module", [("reconciliation", bci.closedform), ("euler", bci.verify)])
-def test_unconverged_series_is_refused(check, module, monkeypatch):
-    # the batch refuses at the term cap, read when it plans each series
-    batches = []
-    many = module.hyp2f1_one_b_many
-    monkeypatch.setattr(module, "hyp2f1_one_b_many", lambda bs, zs, tols: batches.append(len(bs)) or many(bs, zs, tols))
+@pytest.mark.parametrize("check", ["reconciliation", "euler"])
+def test_unconverged_series_is_refused(check, monkeypatch):
+    # hyp2f1_one_b refuses at the term cap, read when it plans each series
     monkeypatch.setattr(bci.hypergeometric, "DEFAULT_MAX_TERMS", 5)
     with pytest.raises(SlowConvergence, match="the 2F1 series needs more than 5 terms"):
         run_verify(1, checks=(check,))
-    assert batches == [15]
+
+
+def test_a_biased_series_shows_in_eval_and_in_verify(monkeypatch):
+    # a fault in the series that eval sums must reach verify as well
+    inst = ProblemInstance(alpha=0.5 * cmath.exp(1j), beta=0.7 + 0.2j, theta=2.0)
+    clean = bci.closedform.eval_closed_form(inst).value
+    single = bci.hypergeometric.hyp2f1_one_b
+
+    def biased(b, z, tol=1e-12):
+        r = single(b, z, tol)
+        return r._replace(value=r.value * (1.0 + 1e-6))
+
+    monkeypatch.setattr(bci.closedform, "hyp2f1_one_b", biased)
+    monkeypatch.setattr(bci.verify, "hyp2f1_one_b", biased)
+    assert abs(bci.closedform.eval_closed_form(inst).value - clean) > 1e-7 * abs(clean)
+    assert run_verify(1, checks=("euler",))["verdict"] == "Disagree"
+
+
+def test_a_fault_in_the_series_argument_shows_in_reconciliation(monkeypatch):
+    # the check takes z = alpha e^{-i theta} from _regime, as eval does
+    regime = bci.closedform._regime
+
+    def conjugated(inst):
+        outside, diag, z = regime(inst)
+        return outside, diag, z if outside else z.conjugate()
+
+    monkeypatch.setattr(bci.closedform, "_regime", conjugated)
+    assert run_verify(1, checks=("reconciliation",))["verdict"] == "Disagree"
 
 
 @pytest.mark.parametrize("where", [0, 7, 19])
