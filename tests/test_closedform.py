@@ -376,6 +376,16 @@ class TestEstimatesAgainstMpmath:
             r = eval_rational_logsum(ProblemInstance(alpha=alpha, beta=m / n, theta=theta), RationalBeta(m, n))
             assert _error(r, _mp_circle(alpha, m / n, theta)) <= r.error_estimate, (alpha, m, n, theta)
 
+    @pytest.mark.parametrize("tol", [1e-15, 1e-13, 1e-9])
+    def test_theorem_at_each_series_tolerance(self, tol):
+        # both regimes, alpha = 0, |alpha| = 1.05, an integer beta, |Im beta| =
+        # 40 and a beta 1e-7 from a half-integer, the series summed to the
+        # instance's own tolerance
+        for alpha in (2.0 * cmath.exp(1.1j), 0.45 * cmath.exp(2.7j), 1.05, 0.0, 4.9j):
+            for beta, theta in ((0.7 + 0.2j, 2.0), (3, 1.0), (0.5 - 40j, 5.5), (-2.5 + 1e-7j, 0.3)):
+                r = eval_closed_form(ProblemInstance(alpha=alpha, beta=beta, theta=theta, tol=tol))
+                assert _error(r, _mp_circle(alpha, beta, theta)) <= r.error_estimate, (alpha, beta, theta)
+
 
 class TestEstimatesNearTheBand:
     """Both series routes run up to the exclusion band, and their estimates

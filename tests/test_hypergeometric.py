@@ -2,8 +2,11 @@
 
 import cmath
 import math
+import random
+import tracemalloc
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -115,3 +118,84 @@ class TestOneBTermCount:
             with pytest.raises(SlowConvergence):
                 hyp2f1_one_b(0.5, z)
 
+
+
+def _draws(seed, count):
+    """(b, z) with |Im b| up to 40 and |z| from 0 to 0.979, some b near a
+    negative integer, some z = 0: series of 1 to ~1500 terms."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        re = rng.choice([rng.uniform(-6.0, 6.0), rng.randint(-6, 6) + rng.choice([-1e-3, 1e-3])])
+        b = complex(re, rng.choice([0.0, 1e-7, rng.uniform(-2.0, 2.0), rng.uniform(-40.0, 40.0)]))
+        q = rng.choice([0.0, rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.979), 0.979])
+        out.append((b, q * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))))
+    return out
+
+
+class TestOneBDraws:
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13, 1e-15])
+    @pytest.mark.parametrize("seed,count", [(1, 1), (2, 2), (3, 15), (4, 60), (5, 97)])
+    def test_tail_and_rounding_bound_the_error(self, seed, count, tol):
+        # the error is the tail, at most tail_estimate, plus a few roundings of
+        # each term (3.2 eps sum |t_k| at worst on these draws)
+        for b, z in _draws(seed, count):
+            r = hyp2f1_one_b(b, z, tol=tol)
+            with mp.workdps(40):
+                want = mp.hyp2f1(1, mp.mpc(b), 1 + mp.mpc(b), mp.mpc(z))
+                err = float(abs(mp.mpc(r.value) - want))
+            k = np.arange(r.terms_used)
+            rounding = 8.0 * np.finfo(float).eps * float(np.sum(np.abs(b / (b + k)) * abs(z) ** k))
+            assert r.tail_estimate <= tol and err <= r.tail_estimate + rounding, (b, z, err, r)
+
+    def test_draws_span_one_to_many_terms(self):
+        terms = [hyp2f1_one_b(b, z, tol=1e-15).terms_used for b, z in _draws(6, 200)]
+        assert min(terms) == 1 and max(terms) > 1400
+
+    def test_cap_refuses_exactly_the_series_it_stops_short(self, monkeypatch):
+        # under a cap of 200 terms a series is refused when the majorant after
+        # its 200th term still exceeds its tol, and sums to its tol otherwise
+        monkeypatch.setattr(bci.hypergeometric, "DEFAULT_MAX_TERMS", 200)
+        refused, summed = 0, set()
+        for k, (b, z) in enumerate(_draws(7, 30)):
+            tol = random.Random(k).choice([0.0, 1e-6, 1e-12, 1e-15])
+            short = z != 0 and _majorant(b, z, 199) > tol
+            try:
+                r = hyp2f1_one_b(b, z, tol=tol)
+            except SlowConvergence as exc:
+                assert short and str(exc) == f"the 2F1 series needs more than 200 terms at |z| = {abs(z):.6g}"
+                refused += 1
+            else:
+                assert not short and r.terms_used <= 200 and r.tail_estimate <= tol
+                summed.add(tol)
+        assert refused > 1 and len(summed) > 1
+
+    @pytest.mark.parametrize(
+        "bad,error,match",
+        [
+            ((-3.0, 0.5), InvalidC, r"b = \(-3\+0j\)"),
+            ((0.0, 0.0), InvalidC, r"b = 0j"),
+            ((0.5, 1.0), SlowConvergence, r"\|z\| = 1 "),
+            ((0.5, -1j), SlowConvergence, r"\|z\| = 1 "),
+        ],
+    )
+    def test_refusal_raises_before_any_array(self, bad, error, match, monkeypatch):
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError("numpy reached before the series was checked")
+
+        monkeypatch.setattr(bci.hypergeometric, "np", NoArrays())
+        with pytest.raises(error, match=match):
+            hyp2f1_one_b(*bad)
+
+    def test_long_series_holds_few_arrays_of_its_length(self):
+        # 41,426 terms: the sum peaks at three complex arrays of that length
+        b, z = 0.7 + 0.2j, 0.999 * cmath.exp(1j)
+        tracemalloc.start()
+        try:
+            r = hyp2f1_one_b(b, z, tol=1e-15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.terms_used == 41_426
+        assert peak < 4 * 16 * r.terms_used, peak

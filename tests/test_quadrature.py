@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import bci.quadrature
 from bci import (
+    AlphaOnCircle,
     DivergentAtZero,
     NonFiniteValue,
     ProblemInstance,
@@ -812,6 +813,49 @@ class TestCircleBatches:
         monkeypatch.setattr(bci.quadrature, "circle_integral", counted)
         report = run_verify(4000, checks=("circle",))
         assert report["checks"][0]["cases"] == len(insts) == 15
+
+
+
+#: Circle instances (alpha, beta, theta): poles 0.021 from the circle on both
+#: sides with |Im beta| 30-38, a pole image at both ends of the window, no
+#: pole at all, a pole 2e-4 from the circle, and Re beta = 12, whose
+#: oscillation refines from the 16-panel start.
+EDGE_CIRCLES = [
+    (0.979 * cmath.exp(0.5j), 0.5 + 30j, 1.0),
+    (1.021 * cmath.exp(4.0j), -1.5 - 38j, 3.5),
+    (0.979 * cmath.exp(4.0j), -1.5 - 38j, 1.0),
+    (1.021 * cmath.exp(0.5j), 0.5 + 30j, 3.5),
+    (0.7 * cmath.exp(2.0j + 5e-10j), 0.5 + 0.3j, 2.0),
+    (1.3 * cmath.exp(2.0j - 5e-10j), -1.5 + 0.2j, 2.0),
+    (0.0, 0.5 + 0.3j, 2.0),
+    (1.0002 * cmath.exp(1.3j), 0.5 + 0.2j, 2.5),
+    (0.5 * cmath.exp(1j), 12.0 + 0.3j, 2.0),
+]
+
+
+class TestCircleEdgeCases:
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-13])
+    def test_estimate_bounds_the_error(self, tol):
+        refined = 0
+        for alpha, beta, theta in EDGE_CIRCLES:
+            inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta, exclusion_band=1e-4)
+            r = circle_integral(inst, tol)
+            err = abs(r.value - _mp_circle(alpha, beta, theta))
+            assert err <= r.abs_error_estimate, (inst, err, r.abs_error_estimate)
+            edges = bci.quadrature._circle_start(theta - 2 * math.pi, inst.alpha, inst.beta)[0]
+            refined += r.subdivisions > (16 if edges is None else len(edges) - 1)
+        assert refined > 0  # some circles refine past their first round
+
+    @pytest.mark.parametrize(
+        "alpha,beta,error",
+        [(0.5, 0.5 + 1000j, NonFiniteValue), (cmath.exp(1j), 0.5, AlphaOnCircle)],
+        ids=["overflowing", "on-circle"],
+    )
+    def test_instance_is_checked_before_any_panel(self, alpha, beta, error, monkeypatch):
+        calls = _count_panels_calls(monkeypatch)
+        with pytest.raises(error):
+            circle_integral(ProblemInstance(alpha=alpha, beta=beta, theta=3.0))
+        assert calls == []
 
 
 class TestArraySettle:
