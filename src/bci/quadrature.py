@@ -111,22 +111,36 @@ the identity checks of run_verify it takes no more calls and loses no accuracy.
 
 Bisection from equal panels would reach that geometric mesh one level per f
 call, and the integrals of run_verify's identity checks need panels as deep
-as 2^-33.  The unit-interval integrals therefore start on the mesh 0, 2^-K,
-..., 2^-3, 1/4, 1/2, 3/4, 1 (the edges that walk builds) in one call, and
-refine from there as usual.  K = 36 was chosen by measurement on those
-checks: the worst residual stops improving at K = 36, and a deeper K costs
-no more calls.
+as 2^-33.  The unit-interval integrals therefore start on a mesh graded
+toward 0 in one call, and refine from there as usual.  The fine mesh is
+0, 2^-K, ..., 2^-3, 1/4, 1/2, 3/4, 1 (the edges that walk builds), 38
+panels; K = 36 was chosen by measurement on those checks: the worst
+residual stops improving at K = 36, and a deeper K costs no more calls.
+Where the phase turns slowly, |c| <= _UNIT_COARSE_MAX_C = 2 (c per unit of
+log u), K15 resolves it on wider steps in log u, so such a row starts on the
+coarse mesh: 0, then 2^-36 to 2^-24 in steps of 2^3, up to 2^-14 in steps
+of 2^2, then the fine mesh's edges from 2^-13 on, 25 panels.  Like _PEAK_MIN
+for the circle, the rule reads only the row's own input.  On the 2550
+unit-interval rows of run_verify over seeds 4000-4029 both starts stop on
+the first round for the same 2457 rows, within 1.6e-16 relative of each
+other, and on Euler draws with Re beta from 1e-3 to 3 and |c| <= 2 for the
+same share (105 of 300 each); with 2 < |c| <= 4 the coarse start stops on
+its first round less often (40 of 300 draws against 56), so those rows keep
+the fine mesh and its bits.
 
-On that fixed mesh the first round factors the phase u^{ic}, which would
-otherwise take a complex exponential at each of the 570 nodes.  Every node
-is u = a w with a the least power of two at or above its panel (2^-36, ...,
-1/2, and 1 for the last two panels), so w = u / a is exact and
-log u = log a + log w with both terms at most 0: nothing cancels, and each
-is rounded to within eps |log u|.  So e^{ic log a} e^{ic log w} stays within
-a few eps (1 + |c log u|) of the direct e^{ic log u}, the direct form's own
-rounding (tests/test_quadrature.py, TestFactoredFirstRound), and w takes
-only four shapes on the mesh (the first panel, the dyadic panels, and the
-last two), so a row costs 38 + 60 complex exponentials.  The panel's
+On either mesh the first round factors the phase u^{ic}, which would
+otherwise take a complex exponential at each of its nodes.  Every node is
+u = a w with a the least power of two at or above its panel (1 for the
+last two panels), so w = u / a is exact and log u = log a + log w with
+both terms at most 0: nothing cancels, and each is rounded to within
+eps |log u|.  So e^{ic log a} e^{ic log w} stays within a few eps
+(1 + |c log u|) of the direct e^{ic log u}, the direct form's own rounding
+(tests/test_quadrature.py, TestFactoredFirstRound).  All panels whose ends
+have one ratio share one shape of w, so w takes one shape per panel family:
+four on the fine mesh (the first panel, the panels [2^-k, 2^-k+1], and the
+last two), and six on the coarse one (the first, the ratios 8, 4 and 2,
+and the last two).  A row costs 38 + 60 complex exponentials on the fine
+mesh, 25 + 90 on the coarse one, for 570 and 375 node values.  The panel's
 midpoint would not do as the anchor: near u = 1, log mid and log(1 + r x)
 nearly cancel, and the phase error grows to |c| eps |log mid|, ~125 times
 that bound at the node next to 1.  Refinement rounds take e^{ic log u} at
@@ -136,17 +150,19 @@ Batched first round
 -------------------
 Almost every integral stops on its first round, so the unit-interval
 batches (euler_integrals, radial_integrals) evaluate their first rounds
-together: the integrand gets its parameters as (k, 1) columns, and _rules
-reduces the (k, 570) values panel by panel.  One stopping pass per chunk
-(below) then judges its rows: one tolist per array, math.fsum per row, by
-_judge's rules.  Only the rows that fail it go to _refine, alone, with
-scalar parameters.  So each result is the float it is alone
-(tests/test_quadrature.py holds them equal field for field, and a shuffled
-batch to the same bits).
+together, the rows of each mesh apart: the integrand gets its parameters as
+(k, 1) columns, and _rules reduces the (k, 15 n) values panel by panel.
+One stopping pass per chunk (below) then judges its rows: one tolist per
+array, math.fsum per row, by _judge's rules.  Only the rows that fail it go
+to _refine, alone, with scalar parameters, and _refine takes that judgement
+of the first round rather than making it again.  So each result is the float
+it is alone, put back in its row's place (tests/test_quadrature.py holds
+them equal field for field, and a shuffled batch to the same bits).
 
-The rows go in chunks of at most _UNIT_CHUNK = 10, which bounds the arrays
-a chunk has live at once to ~0.4 MB (tracemalloc; a 60-row batch whole
-peaks at ~2 MB).  Whole batches of 15 and 20 rows made glibc's malloc give
+A chunk holds at most _UNIT_CHUNK_VALUES = 5700 node values: 15 rows on
+the coarse mesh, 10 on the fine one.  That bounds the arrays a chunk has
+live at once to ~0.4 MB (tracemalloc; a 60-row batch whole peaks at ~2 MB).
+Whole batches of 15 and 20 rows on the fine mesh made glibc's malloc give
 pages back at the top of the heap after each batch and fault them in again
 at the next: ~430 page faults per verify op, at ~1.6 us each on a 2-core
 x86-64 VM, which took back most of what the factored phase saves.  In
@@ -219,28 +235,62 @@ _EPS = sys.float_info.epsilon
 #: Factor of the roundoff floor on the reported estimate (see the module notes).
 _ROUNDOFF = 50.0 * _EPS
 
-#: Graded start of the unit-interval integrals (see the module notes).
+class _UnitMesh(NamedTuple):
+    """A first round of the unit-interval integrals with the phase factored
+    (module notes), flat in panel order: its edges and the panels' half
+    widths, log u at its nodes (built as _panels builds them), and the table
+    of the phase.  Each node is u = a w with a the least power of two at or
+    above its panel, so w = u / a is exact.  phase_logs holds log a for each
+    panel, then log w on each shape w takes; a node takes its a and its w from
+    the entries node_anchor and node_shape give."""
+
+    edges: np.ndarray
+    half: np.ndarray
+    logs: np.ndarray
+    phase_logs: np.ndarray
+    node_anchor: np.ndarray
+    node_shape: np.ndarray
+
+
+def _unit_mesh(edges: list[float]) -> _UnitMesh:
+    """The _UnitMesh on the increasing edges 0, powers of two up to 1/2, 3/4
+    and 1: the panels whose ends have one ratio share one shape of w, as
+    scaling by a power of two is exact."""
+    edges = np.array(edges)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * _NODES
+    anchors = np.array([2.0 ** math.ceil(math.log2(right)) for right in edges[1:].tolist()])
+    w = nodes / anchors[:, None]
+    keys = [row.tobytes() for row in w]
+    shapes = list(dict.fromkeys(keys))  # each shape of w once, in panel order
+    shape = np.array([shapes.index(key) for key in keys])
+    return _UnitMesh(
+        edges,
+        half,
+        np.log(nodes).ravel(),
+        np.log(np.concatenate((anchors, w[[keys.index(key) for key in shapes]].ravel()))),
+        np.repeat(np.arange(half.size), 15),
+        half.size + (15 * shape[:, None] + np.arange(15)).ravel(),
+    )
+
+
+#: Graded starts of the unit-interval integrals (see the module notes): the
+#: fine mesh doubles from 2^-_UNIT_DEPTH to 1/4, 38 panels; the coarse mesh
+#: steps by 2^3 up to 2^-24 and by 2^2 up to 2^-14, then doubles, 25 panels.
+#: It is taken by a row whose phase rate |c| is at most _UNIT_COARSE_MAX_C.
 _UNIT_DEPTH = 36
-_UNIT_EDGES = np.array([0.0] + [2.0**-k for k in range(_UNIT_DEPTH, 2, -1)] + [0.25, 0.5, 0.75, 1.0])
-#: Its first round with the phase factored (module notes), flat in panel
-#: order: the panels' half widths, and log u at their 38 x 15 nodes, built as
-#: _panels builds them.  Each node is u = a w with a the least power of two
-#: at or above its panel, so w = u / a is exact.  w takes four shapes: on the
-#: first panel, on the _UNIT_DEPTH - 1 dyadic panels [2^-k, 2^-k+1] (the same
-#: floats for every k, as scaling by a power of two is exact), and on each of
-#: the last two.  _UNIT_PHASE_LOGS holds log a for each panel, then log w on
-#: each shape; each node takes its a and its w from the entries given.
-_UNIT_HALF = 0.5 * (_UNIT_EDGES[1:] - _UNIT_EDGES[:-1])
-_UNIT_NODES = 0.5 * (_UNIT_EDGES[:-1] + _UNIT_EDGES[1:])[:, None] + _UNIT_HALF[:, None] * _NODES
-_UNIT_LOGS = np.log(_UNIT_NODES).ravel()
-_UNIT_ANCHORS = np.array([2.0 ** math.ceil(math.log2(right)) for right in _UNIT_EDGES[1:].tolist()])
-_UNIT_SHAPE = np.array([0] + [1] * (_UNIT_DEPTH - 1) + [2, 3])
-_UNIT_SHAPES = (_UNIT_NODES / _UNIT_ANCHORS[:, None])[[0, 1, -2, -1]]
-_UNIT_PHASE_LOGS = np.log(np.concatenate((_UNIT_ANCHORS, _UNIT_SHAPES.ravel())))
-_UNIT_NODE_ANCHOR = np.repeat(np.arange(_UNIT_HALF.size), 15)
-_UNIT_NODE_SHAPE = _UNIT_HALF.size + (15 * _UNIT_SHAPE[:, None] + np.arange(15)).ravel()
-#: Rows of a first-round chunk (module notes).
-_UNIT_CHUNK = 10
+_UNIT_TAIL = [0.25, 0.5, 0.75, 1.0]
+_UNIT_FINE = _unit_mesh([0.0] + [2.0**-k for k in range(_UNIT_DEPTH, 2, -1)] + _UNIT_TAIL)
+_UNIT_COARSE = _unit_mesh(
+    [0.0]
+    + [2.0**-k for k in range(_UNIT_DEPTH, 24, -3)]
+    + [2.0**-k for k in range(24, 14, -2)]
+    + [2.0**-k for k in range(14, 2, -1)]
+    + _UNIT_TAIL
+)
+_UNIT_COARSE_MAX_C = 2.0
+#: Node values of a first-round chunk, at most (module notes).
+_UNIT_CHUNK_VALUES = 5700
 
 #: Start of the circle integral (see the module notes): equal panels, plus
 #: points doubling away from the pole's images one turn either side of the
@@ -348,15 +398,20 @@ def adaptive_quadrature(f: Callable, edges: np.ndarray, tol: float = DEFAULT_QUA
     return QuadratureResult(*_refine(f, (lefts, rights, *_panels(f, lefts, rights)), tol, _ROUNDOFF))
 
 
-def _refine(f: Callable, panels: tuple, tol: float, roundoff: float, offset: complex = 0j) -> tuple:
+def _refine(
+    f: Callable, panels: tuple, tol: float, roundoff: float, offset: complex = 0j, judged: tuple | None = None
+) -> tuple:
     """adaptive_quadrature from its first round, as QuadratureResult fields, of
     the integral plus offset (a constant known in closed form): panels holds the
-    left and right edges, K15 values, estimates and masses, in any order."""
+    left and right edges, K15 values, estimates and masses, in any order.
+    judged, when given, is _judge's result on the first round, which is then
+    not judged again."""
     while True:
         lefts, rights, vals, errs, masses = panels
-        value, estimate, goal, stops = _judge(
+        value, estimate, goal, stops = judged or _judge(
             vals.real.tolist(), vals.imag.tolist(), errs.tolist(), masses.tolist(), tol, roundoff, offset
         )
+        judged = None
         result = value, estimate, errs.size, estimate <= goal
         if stops:
             return result
@@ -493,15 +548,16 @@ def _unit_integrand(amplitude: np.ndarray, log_u: np.ndarray, s, p, factor: Call
     return amplitude * factor(np.exp(s * log_u), p)
 
 
-def _unit_first_values(s: np.ndarray, c: np.ndarray, p: np.ndarray, factor: Callable) -> np.ndarray:
-    """_unit_integrand at the nodes of the first round on _UNIT_EDGES, as a
-    (k, 570) array in panel order, for (k, 1) columns s, c and p: the phase
-    u^{ic} is e^{ic log a} e^{ic log w} (module notes), 38 + 60 complex
-    exponentials a row, and s rides on the 38."""
-    phases = np.exp(1j * c * _UNIT_PHASE_LOGS)
-    phases[:, : _UNIT_HALF.size] *= s
-    amplitude = phases.take(_UNIT_NODE_ANCHOR, axis=1) * phases.take(_UNIT_NODE_SHAPE, axis=1)
-    return _unit_integrand(amplitude, _UNIT_LOGS, s, p, factor)
+def _unit_first_values(mesh: _UnitMesh, s: np.ndarray, c: np.ndarray, p: np.ndarray, factor: Callable) -> np.ndarray:
+    """_unit_integrand at the nodes of the first round on mesh, as a (k, 15 n)
+    array in panel order for its n panels, given (k, 1) columns s, c and p:
+    the phase u^{ic} is e^{ic log a} e^{ic log w} (module notes), one complex
+    exponential a row for each panel and each node of a shape, and s rides on
+    the panels'."""
+    phases = np.exp(1j * c * mesh.phase_logs)
+    phases[:, : mesh.half.size] *= s
+    amplitude = phases.take(mesh.node_anchor, axis=1) * phases.take(mesh.node_shape, axis=1)
+    return _unit_integrand(amplitude, mesh.logs, s, p, factor)
 
 
 def _unit_power_integrals(mu: list[complex], param: list[complex], factor: Callable) -> list[QuadratureResult]:
@@ -511,12 +567,11 @@ def _unit_power_integrals(mu: list[complex], param: list[complex], factor: Calla
     smooth and pole-free on (0, 1].  Re(mu_k) > -1 is the caller's
     responsibility.  The t = u^{1/(1+Re mu)} substitution
     described in the module notes removes the real part of the endpoint
-    exponent entirely.  The integrals share first rounds, in chunks, and one
-    stopping pass per chunk; an integral that fails the test refines alone,
-    with scalar parameters (module notes).
+    exponent entirely.  Each integral starts on the coarse mesh or the fine
+    one by its own phase rate c; the integrals on a mesh share first rounds,
+    in chunks, and one stopping pass per chunk, and an integral that fails
+    the test refines alone, with scalar parameters (module notes).
     """
-    if not mu:
-        return []
     mu = [complex(m) for m in mu]
     s = [1.0 / (1.0 + m.real) for m in mu]  # t = u**s maps (0, 1] onto itself
     c = [m.imag * sk for m, sk in zip(mu, s)]  # leftover purely imaginary exponent
@@ -526,21 +581,30 @@ def _unit_power_integrals(mu: list[complex], param: list[complex], factor: Calla
         lu = np.log(u)
         return _unit_integrand(s[k] * np.exp(1j * c[k] * lu), lu, s[k], param[k], factor)
 
-    columns = [np.array(values)[:, None] for values in (s, c, param)]
-    lefts, rights = _UNIT_EDGES[:-1], _UNIT_EDGES[1:]
-    count = -(-len(mu) // _UNIT_CHUNK)  # chunks of at most _UNIT_CHUNK rows, as even as can be
-    bounds = [len(mu) * j // count for j in range(count + 1)]
-    results = []
-    for start, end in zip(bounds, bounds[1:]):
-        vals, errs, masses = _rules(_unit_first_values(*(col[start:end] for col in columns), factor), _UNIT_HALF)
-        rows = zip(vals.real.tolist(), vals.imag.tolist(), errs.tolist(), masses.tolist())
-        for k, row in enumerate(rows, start):
-            value, estimate, goal, stops = _judge(*row, DEFAULT_QUAD_TOL, _ROUNDOFF, 0j)
-            if stops:
-                results.append(QuadratureResult(value, estimate, lefts.size, estimate <= goal))
-            else:
-                first = (lefts, rights, *(part[k - start] for part in (vals, errs, masses)))
-                results.append(QuadratureResult(*_refine(lambda u, k=k: g(u, k), first, DEFAULT_QUAD_TOL, _ROUNDOFF)))
+    results = [None] * len(mu)
+    coarse = [abs(ck) <= _UNIT_COARSE_MAX_C for ck in c]
+    for mesh in (_UNIT_COARSE, _UNIT_FINE):
+        ks = [k for k in range(len(mu)) if coarse[k] == (mesh is _UNIT_COARSE)]
+        if not ks:
+            continue
+        columns = [np.array([values[k] for k in ks])[:, None] for values in (s, c, param)]
+        lefts, rights = mesh.edges[:-1], mesh.edges[1:]
+        # chunks of at most _UNIT_CHUNK_VALUES node values, as even as can be
+        count = -(-len(ks) // (_UNIT_CHUNK_VALUES // mesh.logs.size))
+        bounds = [len(ks) * j // count for j in range(count + 1)]
+        for start, end in zip(bounds, bounds[1:]):
+            vals, errs, masses = _rules(
+                _unit_first_values(mesh, *(col[start:end] for col in columns), factor), mesh.half
+            )
+            rows = zip(vals.real.tolist(), vals.imag.tolist(), errs.tolist(), masses.tolist())
+            for j, (k, row) in enumerate(zip(ks[start:end], rows)):
+                value, estimate, goal, stops = judged = _judge(*row, DEFAULT_QUAD_TOL, _ROUNDOFF, 0j)
+                if stops:
+                    results[k] = QuadratureResult(value, estimate, lefts.size, estimate <= goal)
+                else:
+                    first = (lefts, rights, vals[j], errs[j], masses[j])
+                    fields = _refine(lambda u, k=k: g(u, k), first, DEFAULT_QUAD_TOL, _ROUNDOFF, judged=judged)
+                    results[k] = QuadratureResult(*fields)
     return results
 
 

@@ -584,7 +584,7 @@ class TestUnitIntervalIntegrals:
         firsts = _count_first_rounds(monkeypatch)
         r = euler_integral(0.5, 0.5 + 0.3j)
         assert r.converged
-        assert firsts == [1] and len(calls) <= 1, calls
+        assert firsts == [(25, 1)] and len(calls) <= 1, calls  # c = 0.6: the coarse start
 
     #: 300 draws with |Im beta| <= 3, and 40 with |Im beta| from 30 to 100,
     #: whose phase u^{ic} turns fastest in the factored first round
@@ -613,21 +613,80 @@ class TestUnitIntervalIntegrals:
             err = abs(r.value - want)
             assert err <= r.abs_error_estimate, (w, beta, theta, err, r.abs_error_estimate)
 
+    def test_estimates_bound_the_error_where_the_starts_meet(self):
+        # Re beta down to 1e-3, where t^mu is most singular, and phase rates c
+        # on both sides of the switch from the coarse start to the fine one
+        rng = random.Random(20261029)
+        limit = bci.quadrature._UNIT_COARSE_MAX_C
+        rates = []
+        for _ in range(150):
+            w, _ = _draw_unit_case(rng)
+            re, c = 10.0 ** rng.uniform(-3.0, math.log10(3.0)), rng.uniform(-1.25, 1.25) * limit
+            theta = rng.uniform(0.05, 2 * math.pi - 0.05)
+            euler_beta, radial_beta = complex(re, c * re), complex(re, c * (1.0 + re))
+            euler = euler_integral(w, euler_beta)
+            radial = radial_integral(ProblemInstance(alpha=cmath.exp(1j * theta) / w, beta=radial_beta, theta=theta))
+            with mp.workdps(30):
+                z, b = mp.mpc(w), mp.mpc(euler_beta)
+                want_euler = complex(mp.hyp2f1(1, b, 1 + b, z) / b)
+                b = mp.mpc(radial_beta)
+                want_radial = complex(-z * mp.hyp2f1(1, b + 1, b + 2, z) / (b + 1))
+            for r, want in ((euler, want_euler), (radial, want_radial)):
+                err = abs(r.value - want)
+                assert err <= r.abs_error_estimate, (w, re, c, theta, err, r.abs_error_estimate)
+            rates.append(abs(c))
+        assert sum(rate > limit for rate in rates) > 10 and min(rates) < 0.05
+
+    def test_a_refining_row_is_judged_once_a_round(self, monkeypatch):
+        # the chunk's stopping pass judges the first round; _refine goes on
+        # from that judgement and judges each later round once
+        judged = []
+        judge = bci.quadrature._judge
+        monkeypatch.setattr(bci.quadrature, "_judge", lambda *args: judged.append(1) or judge(*args))
+        calls = _count_panels_calls(monkeypatch)
+        for w, beta in [(1.0 / (0.3 - 0.01j), 0.7 + 0.2j), (1.0 / (0.3 - 0.01j), 0.7 + 20j)]:
+            judged.clear()
+            calls.clear()
+            r = euler_integral(w, beta)
+            assert r.converged and calls, (w, beta)
+            assert len(judged) == 1 + len(calls), (w, beta, len(judged), len(calls))
+
+
+def _mesh_of(mu):
+    """The mesh the first round of t^mu's integral starts on: the coarse one
+    when the phase rate c = Im mu / (1 + Re mu) is at most 2 in size."""
+    q = bci.quadrature
+    return q._UNIT_COARSE if abs(mu.imag / (1.0 + mu.real)) <= q._UNIT_COARSE_MAX_C else q._UNIT_FINE
+
 
 class TestFactoredFirstRound:
     """The first round factors the phase u^{ic} = e^{ic log a} e^{ic log w}; each
     node value stays within a few eps (1 + |c log u|) of the direct form."""
 
-    def test_panels_of_a_shape_share_their_w(self):
-        # the four shapes of w = u / a cover every panel, to the bit
-        q = bci.quadrature
-        w = q._UNIT_NODES / q._UNIT_ANCHORS[:, None]
-        assert q._UNIT_ANCHORS.tolist() == [2.0**-k for k in range(q._UNIT_DEPTH, 0, -1)] + [1.0, 1.0]
-        assert np.array_equal(w, w[[0, 1, -2, -1]][q._UNIT_SHAPE])
-        logs = q._UNIT_PHASE_LOGS
-        assert np.array_equal(logs[q._UNIT_NODE_ANCHOR], np.log(np.repeat(q._UNIT_ANCHORS, 15)))
-        assert np.array_equal(logs[q._UNIT_NODE_SHAPE], np.log(w).ravel())
-        assert np.array_equal(q._UNIT_LOGS, np.log(q._UNIT_NODES).ravel())
+    @pytest.mark.parametrize(
+        "name,edges,shapes",
+        [
+            ("_UNIT_FINE", [-k for k in range(36, 1, -1)], 4),
+            ("_UNIT_COARSE", [-36, -33, -30, -27, -24, -22, -20, -18, -16] + list(range(-14, -1)), 6),
+        ],
+    )
+    def test_every_node_is_its_anchor_times_its_shape(self, name, edges, shapes):
+        # the edges are 0, powers of two, 3/4 and 1; each node's anchor a is
+        # a power of two, and its w = u / a is its shape's w to the bit
+        mesh = getattr(bci.quadrature, name)
+        assert mesh.edges.tolist() == [0.0] + [2.0**k for k in edges] + [0.5, 0.75, 1.0]
+        nodes = (0.5 * (mesh.edges[:-1] + mesh.edges[1:])[:, None] + mesh.half[:, None] * bci.quadrature._NODES).ravel()
+        assert np.array_equal(mesh.logs, np.log(nodes))
+        # the least power of two at or above each panel's right edge
+        anchors = np.array([math.ldexp(1.0, e - (m == 0.5)) for m, e in map(math.frexp, mesh.edges[1:].tolist())])
+        assert all(math.frexp(a)[0] == 0.5 for a in anchors.tolist())
+        assert np.all((anchors >= mesh.edges[1:]) & (anchors < 2.0 * mesh.edges[1:]))
+        assert np.array_equal(mesh.phase_logs[mesh.node_anchor], np.log(np.repeat(anchors, 15)))
+        w = nodes / np.repeat(anchors, 15)
+        assert np.array_equal(mesh.phase_logs[mesh.node_shape], np.log(w))
+        assert mesh.phase_logs.size == mesh.half.size + 15 * shapes  # one shape per panel family
+        for shape in np.unique(mesh.node_shape).tolist():
+            assert np.unique(w[mesh.node_shape == shape]).size == 1
 
     @staticmethod
     def _first_rounds(monkeypatch):
@@ -635,9 +694,9 @@ class TestFactoredFirstRound:
         rounds = []
         first_values = bci.quadrature._unit_first_values
 
-        def recorded(s, c, p, factor):
-            vals = first_values(s, c, p, factor)
-            rounds.append((s, c, p, factor, vals.copy()))
+        def recorded(mesh, s, c, p, factor):
+            vals = first_values(mesh, s, c, p, factor)
+            rounds.append((mesh, s, c, p, factor, vals.copy()))
             return vals
 
         monkeypatch.setattr(bci.quadrature, "_unit_first_values", recorded)
@@ -645,25 +704,32 @@ class TestFactoredFirstRound:
 
     @staticmethod
     def _assert_near_direct(rounds, count):
-        edges = bci.quadrature._UNIT_EDGES
-        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-        log_u = np.log(mid[:, None] + half[:, None] * bci.quadrature._NODES).ravel()
+        # each row against the direct phase on the nodes of the mesh it took,
+        # which is the coarse one exactly when |c| <= 2
         eps = sys.float_info.epsilon
         assert sum(len(vals) for *_, vals in rounds) == count
-        for s, c, p, factor, vals in rounds:
+        assert {mesh.half.size for mesh, *_ in rounds} == {25, 38}
+        for mesh, s, c, p, factor, vals in rounds:
+            edges = mesh.edges
+            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+            log_u = np.log(mid[:, None] + half[:, None] * bci.quadrature._NODES).ravel()
             assert vals.shape == (len(s), log_u.size)
             for k in range(len(s)):
+                assert (abs(c[k, 0]) <= 2.0) == (mesh is bci.quadrature._UNIT_COARSE)
                 direct = s[k, 0] * np.exp(1j * c[k, 0] * log_u) * factor(np.exp(s[k, 0] * log_u), p[k, 0])
                 bound = 4.0 * eps * (1.0 + np.abs(c[k, 0] * log_u)) * np.abs(direct)
                 assert np.all(np.abs(vals[k] - direct) <= bound), (s[k, 0], c[k, 0], p[k, 0])
 
     @staticmethod
-    def _draw_beta(rng):
-        return complex(10.0 ** rng.uniform(-3.0, math.log10(3.0)), rng.uniform(-100.0, 100.0))
+    def _draw_beta(rng, im_scale):
+        # |Im beta| up to 100, or up to 3 times im_scale, where c is near 2
+        re = 10.0 ** rng.uniform(-3.0, math.log10(3.0))
+        im = rng.uniform(-100.0, 100.0) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0) * im_scale(re)
+        return complex(re, im)
 
     def test_euler_batch(self, monkeypatch):
         rng = random.Random(20261023)
-        betas = [self._draw_beta(rng) for _ in range(30)]
+        betas = [self._draw_beta(rng, lambda re: re) for _ in range(30)]
         ws = [rng.uniform(0.05, 0.95) * cmath.exp(1j * rng.uniform(0.2, 2 * math.pi - 0.2)) for _ in betas]
         rounds = self._first_rounds(monkeypatch)
         euler_integrals(ws, betas)
@@ -676,45 +742,77 @@ class TestFactoredFirstRound:
         for _ in range(30):
             theta = rng.uniform(0.05, 2 * math.pi - 0.05)
             alpha = rng.uniform(0.2, 5.0) * cmath.exp(1j * (theta + rng.uniform(0.2, 2 * math.pi - 0.2)))
-            insts.append(ProblemInstance(alpha=alpha, beta=self._draw_beta(rng), theta=theta))
+            insts.append(ProblemInstance(alpha=alpha, beta=self._draw_beta(rng, lambda re: 1.0 + re), theta=theta))
         rounds = self._first_rounds(monkeypatch)
         radial_integrals(insts)
         self._assert_near_direct(rounds, len(insts))
 
+    def test_fast_phase_rows_keep_the_fine_start_bits(self):
+        # a row with |c| > 2 takes the 38-panel mesh, in a batch with coarse
+        # rows as alone, and its fields are those of that computation alone
+        rng = random.Random(20261030)
+        cases = [_draw_unit_case(rng, (1.0, 30.0) if k % 2 else None) for k in range(40)]
+        insts = [_radial_case(rng, (1.0, 30.0) if k % 2 else None) for k in range(40)]
+        euler = euler_integrals([w for w, _ in cases], [beta for _, beta in cases])
+        radial = radial_integrals(insts)
+        fast = 0
+        for (w, beta), got in zip(cases, euler):
+            if _mesh_of(beta - 1.0) is bci.quadrature._UNIT_FINE:
+                fast += 1
+                alone = _unbatched_unit_integral(beta - 1.0, w, _euler_factor, bci.quadrature._UNIT_FINE)
+                assert _bits(got) == _bits(alone) and got.subdivisions >= 38, (w, beta)
+        for inst, got in zip(insts, radial):
+            if _mesh_of(inst.beta) is bci.quadrature._UNIT_FINE:
+                fast += 1
+                pole = inst.alpha * cmath.exp(-1j * inst.theta)
+                alone = _unbatched_unit_integral(inst.beta, pole, _radial_factor, bci.quadrature._UNIT_FINE)
+                assert _bits(got) == _bits(alone) and got.subdivisions >= 38, inst
+        assert 20 < fast < 60, fast
 
-def _unbatched_unit_integral(mu, p, factor):
-    """The unit-interval integral alone: its first round from the function a
-    batch uses, given (1, 1) columns, and scalar parameters in every later
-    round, for comparison with a batch."""
+
+def _euler_factor(t, w):
+    return 1.0 / (1.0 - w * t)
+
+
+def _radial_factor(t, pole):
+    return 1.0 / (t - pole)
+
+
+def _unbatched_unit_integral(mu, p, factor, mesh=None):
+    """The unit-interval integral alone: its first round on mesh (by default
+    the one its phase rate picks) from the function a batch uses, given (1, 1)
+    columns, and scalar parameters in every later round, for comparison with
+    a batch."""
     q = bci.quadrature
+    mesh = mesh or _mesh_of(mu)
     s = 1.0 / (1.0 + mu.real)
     c = mu.imag * s
-    vals, errs, masses = q._rules(q._unit_first_values(*(np.array([[v]]) for v in (s, c, p)), factor), q._UNIT_HALF)
+    vals, errs, masses = q._rules(q._unit_first_values(mesh, *(np.array([[v]]) for v in (s, c, p)), factor), mesh.half)
 
     def g(u):
         lu = np.log(u)
         return s * np.exp(1j * c * lu) * factor(np.exp(s * lu), p)
 
-    first = (q._UNIT_EDGES[:-1], q._UNIT_EDGES[1:], vals[0], errs[0], masses[0])
+    first = (mesh.edges[:-1], mesh.edges[1:], vals[0], errs[0], masses[0])
     return QuadratureResult(*q._refine(g, first, q.DEFAULT_QUAD_TOL, q._ROUNDOFF))
 
 
 def _count_first_rounds(monkeypatch):
     """Patch bci.quadrature._unit_first_values to count its calls; returns the
-    live list of the rows of each call."""
+    live list of (panels of the mesh, rows) of each call."""
     rows = []
     first_values = bci.quadrature._unit_first_values
 
-    def counted(s, c, p, factor):
-        rows.append(len(s))
-        return first_values(s, c, p, factor)
+    def counted(mesh, s, c, p, factor):
+        rows.append((mesh.half.size, len(s)))
+        return first_values(mesh, s, c, p, factor)
 
     monkeypatch.setattr(bci.quadrature, "_unit_first_values", counted)
     return rows
 
 
-def _radial_case(rng):
-    w, beta = _draw_unit_case(rng)
+def _radial_case(rng, im_range=None):
+    w, beta = _draw_unit_case(rng, im_range)
     theta = rng.uniform(0.05, 2 * math.pi - 0.05)
     return ProblemInstance(alpha=cmath.exp(1j * theta) / w, beta=beta, theta=theta)
 
@@ -724,21 +822,20 @@ class TestUnitIntegralBatches:
         rng = random.Random(20261020)
         cases = [_draw_unit_case(rng) for _ in range(40)]
         batch = euler_integrals([w for w, _ in cases], [beta for _, beta in cases])
-        first_round = len(bci.quadrature._UNIT_EDGES) - 1
-        assert sum(r.subdivisions > first_round for r in batch) >= 5  # stragglers refine on their own
+        refined = [r.subdivisions > _mesh_of(beta - 1.0).half.size for (_, beta), r in zip(cases, batch)]
+        assert sum(refined) >= 5  # stragglers refine on their own
         for (w, beta), got in zip(cases, batch):
-            alone = _unbatched_unit_integral(beta - 1.0, w, lambda t, w: 1.0 / (1.0 - w * t))
+            alone = _unbatched_unit_integral(beta - 1.0, w, _euler_factor)
             assert got == euler_integral(w, beta) == alone, (w, beta)
 
     def test_radial_batch_equals_each_integral_alone(self):
         rng = random.Random(20261021)
         insts = [_radial_case(rng) for _ in range(40)]
         batch = radial_integrals(insts)
-        first_round = len(bci.quadrature._UNIT_EDGES) - 1
-        assert any(r.subdivisions > first_round for r in batch)
+        assert any(r.subdivisions > _mesh_of(inst.beta).half.size for inst, r in zip(insts, batch))
         for inst, got in zip(insts, batch):
             pole = inst.alpha * cmath.exp(-1j * inst.theta)
-            alone = _unbatched_unit_integral(inst.beta, pole, lambda t, pole: 1.0 / (t - pole))
+            alone = _unbatched_unit_integral(inst.beta, pole, _radial_factor)
             assert got == radial_integral(inst) == alone, inst
 
     def test_one_first_round_per_chunk(self, monkeypatch):
@@ -752,13 +849,18 @@ class TestUnitIntegralBatches:
             rounds.append(len(calls))  # the refinement rounds of this integral
             calls.clear()
         assert sum(rounds) > 0
-        assert firsts == [1] * len(cases)
+        meshes = [_mesh_of(beta - 1.0).half.size for _, beta in cases]
+        assert firsts == [(panels, 1) for panels in meshes]
         firsts.clear()
         euler_integrals([w for w, _ in cases], [beta for _, beta in cases])
-        # chunks of at most _UNIT_CHUNK rows, as even as they can be
-        chunk = bci.quadrature._UNIT_CHUNK
-        assert sum(firsts) == len(cases) and len(firsts) == -(-len(cases) // chunk)
-        assert max(firsts) <= chunk and max(firsts) - min(firsts) <= 1
+        # the rows of each mesh in chunks of at most 5700 node values (15
+        # rows on 25 panels, 10 on 38), as even as they can be
+        for panels, per_chunk in ((25, 15), (38, 10)):
+            rows = [count for mesh, count in firsts if mesh == panels]
+            assert sum(rows) == meshes.count(panels) > per_chunk
+            assert len(rows) == -(-sum(rows) // per_chunk)
+            assert max(rows) <= per_chunk and max(rows) - min(rows) <= 1
+        assert len(firsts) == 4 and all(15 * panels * count <= 5700 for panels, count in firsts)
         assert len(calls) == sum(rounds)
 
     def test_first_round_memory_is_bounded_by_its_chunks(self):
@@ -943,7 +1045,6 @@ class TestPanelOrder:
         cases = [_draw_unit_case(draw) for _ in range(11)] + [(1.0 / (0.3 - 0.01j), 0.7 + 0.2j)]
         insts = [_radial_case(draw) for _ in range(11)]
         insts.append(ProblemInstance(alpha=(0.5 + 0.01j) * cmath.exp(2j), beta=0.7 + 0.2j, theta=2.0))
-        first_round = len(bci.quadrature._UNIT_EDGES) - 1
 
         def batches(order):
             euler = euler_integrals([cases[k][0] for k in order], [cases[k][1] for k in order])
@@ -951,24 +1052,29 @@ class TestPanelOrder:
             return {k: (_bits(e), _bits(r)) for k, e, r in zip(order, euler, radial)}
 
         want = batches(list(range(12)))
-        assert any(e[3] > first_round for e, _ in want.values())
-        assert any(r[3] > first_round for _, r in want.values())
+        assert any(want[k][0][3] > _mesh_of(cases[k][1] - 1.0).half.size for k in range(12))
+        assert any(want[k][1][3] > _mesh_of(insts[k].beta).half.size for k in range(12))
+        # both meshes in each batch, so a shuffle moves rows between chunks of both
+        assert {_mesh_of(beta - 1.0).half.size for _, beta in cases} == {25, 38}
+        assert {_mesh_of(inst.beta).half.size for inst in insts} == {25, 38}
         for _ in range(6):
             assert batches(rng.permutation(12).tolist()) == want
 
 
 def test_panels_calls_per_verify_run(monkeypatch):
     # per run: 5 batches (the reduction check's two, reconciliation, the circle
-    # check's radial batch, euler) of 15 or 20 rows, each with its first round
-    # in two chunks of at most 10 rows, which factor the phase on the fixed
-    # mesh and so make no _panels call, and 3.57 refinement rounds; of
-    # the 450 circle integrals, 15 start graded and the rest on the cached
-    # plain start, which needs no _panels call, and none refines
+    # check's radial batch, euler) of 15 or 20 rows, each with its first rounds
+    # in chunks of at most 5700 node values on each mesh the rows take, which
+    # factor the phase and so make no _panels call, and 3.57 refinement
+    # rounds; of the 450 circle integrals, 15 start graded and the rest on the
+    # cached plain start, which needs no _panels call, and none refines
     calls = _count_panels_calls(monkeypatch)
     firsts = _count_first_rounds(monkeypatch)
     for seed in range(4000, 4030):
         run_verify(seed)
-    assert len(firsts) == 300
+    # 213 chunks: 88 of 15 rows and 119 of 10 (a 20-row batch), on 25
+    # panels, and 3 of one row on 38
+    assert len(firsts) == 213
     assert len(calls) == 122
 
 
