@@ -325,7 +325,7 @@ def hyp2f1_rational_with_bound(z: complex, beta: RationalBeta, branch: int = 0) 
     z = complex(z)
     if z == 0:
         return complex(1.0), 0.0
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:  # a z that is not finite too
         raise ValueError(f"|z| = {abs(z):.6g} is outside the open unit disk")
     m, n = beta.m, beta.n
     m0 = m % n  # in 1..n-1 because gcd(m, n) = 1 and n >= 2

@@ -15,6 +15,7 @@ a second, batched copy would let verify pass a fault in the one eval runs.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -73,10 +74,14 @@ def hyp2f1_one_b(b: complex, z: complex, tol: float = 1e-12) -> SeriesResult:
     b/(b+k); this is the form every closed form in the package consumes,
     summed as one array to the term count of the module docstring.  b must
     not be a non-positive integer (that makes 1+b an invalid denominator
-    parameter — and would zero a denominator b+k at k = -b).
+    parameter — and would zero a denominator b+k at k = -b).  A b or z that
+    is not finite is refused with ValueError, before the series is planned.
     """
     b = complex(b)
     z = complex(z)
+    for name, value in (("b", b), ("z", z)):
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} = {value!r} is not finite")
     bi = as_integer(b)
     if bi is not None and bi <= 0:
         raise InvalidC(f"b = {b!r} makes c = 1+b a non-positive integer parameter")

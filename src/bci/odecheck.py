@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Literal, NamedTuple
 
 import numpy as np
@@ -141,12 +142,13 @@ def ode_residual(inst: ProblemInstance, h: float = DEFAULT_STEP) -> OdeResidual:
     conservative acceptance factor is 8.  The relative residual is the
     defect over the natural scale of the equation at this point.
 
-    h must be finite and positive.  The instance is checked before any value
+    h must be positive with 12 h^2 a normal float, finite, as the second
+    difference divides by it.  The instance is checked before any value
     (IntegerBeta, then RegimeStraddle for a stencil that leaves its regime);
     then each stencil point is an eval_closed_form call at tol 1e-15.
     """
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"step h must be positive and finite, got {h!r}")
+    if not (h > 0.0 and sys.float_info.min <= 12.0 * h * h < math.inf):
+        raise ValueError(f"step h must be positive and finite, with 12 h^2 a normal float, got {h!r}")
     offsets = (-2.0, -1.0, 0.0, 1.0, 2.0)
     n = as_integer(inst.beta)
     if n is not None:

@@ -112,62 +112,55 @@ the identity checks of run_verify it takes no more calls and loses no accuracy.
 Bisection from equal panels would reach that geometric mesh one level per f
 call, and the integrals of run_verify's identity checks need panels as deep
 as 2^-33.  The unit-interval integrals therefore start on a mesh graded
-toward 0 in one call, and refine from there as usual.  The fine mesh is
-0, 2^-K, ..., 2^-3, 1/4, 1/2, 3/4, 1 (the edges that walk builds), 38
-panels; K = 36 was chosen by measurement on those checks: the worst
-residual stops improving at K = 36, and a deeper K costs no more calls.
-Where the phase turns slowly, |c| <= _UNIT_COARSE_MAX_C = 2 (c per unit of
-log u), K15 resolves it on wider steps in log u, so such a row starts on the
-coarse mesh: 0, then 2^-36 to 2^-24 in steps of 2^3, up to 2^-14 in steps
-of 2^2, then the fine mesh's edges from 2^-13 on, 25 panels.  Like _PEAK_MIN
-for the circle, the rule reads only the row's own input.  On the 2550
-unit-interval rows of run_verify over seeds 4000-4029 both starts stop on
-the first round for the same 2457 rows, within 1.6e-16 relative of each
-other, and on Euler draws with Re beta from 1e-3 to 3 and |c| <= 2 for the
-same share (105 of 300 each); with 2 < |c| <= 4 the coarse start stops on
-its first round less often (40 of 300 draws against 56), so those rows keep
-the fine mesh and its bits.
+toward 0 in one call, and refine from there as usual: 0, then 2^-36 to
+2^-24 in steps of 2^3, up to 2^-14 in steps of 2^2, then 2^-13, ..., 1/4,
+1/2, 3/4, 1, 25 panels.  Its depth was chosen by measurement on those
+checks: on a mesh doubling all the way from 2^-K, the worst residual stops
+improving at K = 36, and a deeper K costs no more calls.  The wider steps
+below 2^-14 suffice because K15 resolves the phase u^{ic} on them in log u:
+on the 2550 unit-interval rows of run_verify over seeds 4000-4029 the mesh
+stops on its first round for the same 2457 rows as the 38-panel doubling
+mesh, within 1.6e-16 relative of it.  Where the phase turns fast, more than
+2 per unit of log u, it stops there less often (on 40 of 300 Euler draws
+with 2 < |c| <= 4, against 56 on the doubling mesh) and refines instead;
+run_verify draws 36 such rows in 28,050 over seeds 1000-1299 and 4000-4029.
 
-On either mesh the first round factors the phase u^{ic}, which would
-otherwise take a complex exponential at each of its nodes.  Every node is
-u = a w with a the least power of two at or above its panel (1 for the
-last two panels), so w = u / a is exact and log u = log a + log w with
-both terms at most 0: nothing cancels, and each is rounded to within
-eps |log u|.  So e^{ic log a} e^{ic log w} stays within a few eps
-(1 + |c log u|) of the direct e^{ic log u}, the direct form's own rounding
-(tests/test_quadrature.py, TestFactoredFirstRound).  All panels whose ends
-have one ratio share one shape of w, so w takes one shape per panel family:
-four on the fine mesh (the first panel, the panels [2^-k, 2^-k+1], and the
-last two), and six on the coarse one (the first, the ratios 8, 4 and 2,
-and the last two).  A row costs 38 + 60 complex exponentials on the fine
-mesh, 25 + 90 on the coarse one, for 570 and 375 node values.  The panel's
-midpoint would not do as the anchor: near u = 1, log mid and log(1 + r x)
-nearly cancel, and the phase error grows to |c| eps |log mid|, ~125 times
-that bound at the node next to 1.  Refinement rounds take e^{ic log u} at
-their nodes directly.
+The first round factors the phase u^{ic}, which would otherwise take a
+complex exponential at each of its nodes.  Every node is u = a w with a the
+least power of two at or above its panel (1 for the last two panels), so
+w = u / a is exact and log u = log a + log w with both terms at most 0:
+nothing cancels, and each is rounded to within eps |log u|.  So
+e^{ic log a} e^{ic log w} stays within a few eps (1 + |c log u|) of the
+direct e^{ic log u}, the direct form's own rounding (tests/test_quadrature.py,
+TestFactoredFirstRound).  All panels whose ends have one ratio share one
+shape of w, so w takes six shapes, one per panel family (the first panel,
+the ratios 8, 4 and 2, and the last two), and a row costs 25 + 90 complex
+exponentials for 375 node values.  The panel's midpoint would not do as the
+anchor: near u = 1, log mid and log(1 + r x) nearly cancel, and the phase
+error grows to |c| eps |log mid|, ~125 times that bound at the node next to
+1.  Refinement rounds take e^{ic log u} at their nodes directly.
 
 Batched first round
 -------------------
 Almost every integral stops on its first round, so the unit-interval
 batches (euler_integrals, radial_integrals) evaluate their first rounds
-together, the rows of each mesh apart: the integrand gets its parameters as
-(k, 1) columns, and _rules reduces the (k, 15 n) values panel by panel.
-One stopping pass per chunk (below) then judges its rows: one tolist per
-array, math.fsum per row, by _judge's rules.  Only the rows that fail it go
-to _refine, alone, with scalar parameters, and _refine takes that judgement
-of the first round rather than making it again.  So each result is the float
-it is alone, put back in its row's place (tests/test_quadrature.py holds
-them equal field for field, and a shuffled batch to the same bits).
+together: the integrand gets its parameters as (k, 1) columns, and _rules
+reduces the (k, 15 n) values panel by panel.  One stopping pass per chunk
+(below) then judges its rows: one tolist per array, math.fsum per row, by
+_judge's rules.  Only the rows that fail it go to _refine, alone, with
+scalar parameters, and _refine takes that judgement of the first round
+rather than making it again.  So each result is the float it is alone
+(tests/test_quadrature.py holds them equal field for field, and a shuffled
+batch to the same bits).
 
-A chunk holds at most _UNIT_CHUNK_VALUES = 5700 node values: 15 rows on
-the coarse mesh, 10 on the fine one.  That bounds the arrays a chunk has
-live at once to ~0.4 MB (tracemalloc; a 60-row batch whole peaks at ~2 MB).
-Whole batches of 15 and 20 rows on the fine mesh made glibc's malloc give
-pages back at the top of the heap after each batch and fault them in again
-at the next: ~430 page faults per verify op, at ~1.6 us each on a 2-core
-x86-64 VM, which took back most of what the factored phase saves.  In
-chunks a verify op takes none there, for one more pass of numpy calls per
-batch.
+A chunk holds at most _UNIT_CHUNK = 15 rows, 5625 node values.  That bounds
+the arrays a chunk has live at once to ~0.4 MB (tracemalloc; a 60-row batch
+whole peaks at ~2 MB).  Whole batches of 15 and 20 rows of 570 node values
+(38 panels) made glibc's malloc give pages back at the top of the heap after
+each batch and fault them in again at the next: ~430 page faults per verify
+op, at ~1.6 us each on a 2-core x86-64 VM, which took back most of what the
+factored phase saves.  In chunks a verify op takes none there, for one more
+pass of numpy calls per batch.
 """
 
 from __future__ import annotations
@@ -235,27 +228,16 @@ _EPS = sys.float_info.epsilon
 #: Factor of the roundoff floor on the reported estimate (see the module notes).
 _ROUNDOFF = 50.0 * _EPS
 
-class _UnitMesh(NamedTuple):
-    """A first round of the unit-interval integrals with the phase factored
-    (module notes), flat in panel order: its edges and the panels' half
-    widths, log u at its nodes (built as _panels builds them), and the table
-    of the phase.  Each node is u = a w with a the least power of two at or
-    above its panel, so w = u / a is exact.  phase_logs holds log a for each
-    panel, then log w on each shape w takes; a node takes its a and its w from
-    the entries node_anchor and node_shape give."""
-
-    edges: np.ndarray
-    half: np.ndarray
-    logs: np.ndarray
-    phase_logs: np.ndarray
-    node_anchor: np.ndarray
-    node_shape: np.ndarray
-
-
-def _unit_mesh(edges: list[float]) -> _UnitMesh:
-    """The _UnitMesh on the increasing edges 0, powers of two up to 1/2, 3/4
-    and 1: the panels whose ends have one ratio share one shape of w, as
-    scaling by a power of two is exact."""
+def _unit_mesh(edges: list[float]) -> tuple:
+    """The first round of the unit-interval integrals with the phase factored
+    (module notes) on the increasing edges 0, powers of two up to 1/2, 3/4 and
+    1, flat in panel order: the edges and the panels' half widths, log u at
+    the nodes (built as _panels builds them), and the table of the phase.
+    Each node is u = a w with a the least power of two at or above its panel,
+    so w = u / a is exact, and the panels whose ends have one ratio share one
+    shape of w.  The table holds log a for each panel, then log w on each
+    shape; a node takes its a and its w from the entries the last two arrays
+    give."""
     edges = np.array(edges)
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * _NODES
@@ -264,7 +246,7 @@ def _unit_mesh(edges: list[float]) -> _UnitMesh:
     keys = [row.tobytes() for row in w]
     shapes = list(dict.fromkeys(keys))  # each shape of w once, in panel order
     shape = np.array([shapes.index(key) for key in keys])
-    return _UnitMesh(
+    return (
         edges,
         half,
         np.log(nodes).ravel(),
@@ -274,23 +256,13 @@ def _unit_mesh(edges: list[float]) -> _UnitMesh:
     )
 
 
-#: Graded starts of the unit-interval integrals (see the module notes): the
-#: fine mesh doubles from 2^-_UNIT_DEPTH to 1/4, 38 panels; the coarse mesh
-#: steps by 2^3 up to 2^-24 and by 2^2 up to 2^-14, then doubles, 25 panels.
-#: It is taken by a row whose phase rate |c| is at most _UNIT_COARSE_MAX_C.
-_UNIT_DEPTH = 36
-_UNIT_TAIL = [0.25, 0.5, 0.75, 1.0]
-_UNIT_FINE = _unit_mesh([0.0] + [2.0**-k for k in range(_UNIT_DEPTH, 2, -1)] + _UNIT_TAIL)
-_UNIT_COARSE = _unit_mesh(
-    [0.0]
-    + [2.0**-k for k in range(_UNIT_DEPTH, 24, -3)]
-    + [2.0**-k for k in range(24, 14, -2)]
-    + [2.0**-k for k in range(14, 2, -1)]
-    + _UNIT_TAIL
+#: The graded start of the unit-interval integrals (see the module notes):
+#: steps of 2^3 from 2^-36 up to 2^-24 and of 2^2 up to 2^-14, then doubling.
+_UNIT_EDGES, _UNIT_HALF, _UNIT_LOGS, _UNIT_PHASE_LOGS, _UNIT_ANCHOR, _UNIT_SHAPE = _unit_mesh(
+    [0.0] + [2.0**-k for k in (*range(36, 24, -3), *range(24, 14, -2), *range(14, 0, -1))] + [0.75, 1.0]
 )
-_UNIT_COARSE_MAX_C = 2.0
-#: Node values of a first-round chunk, at most (module notes).
-_UNIT_CHUNK_VALUES = 5700
+#: Rows of a first-round chunk, at most (module notes).
+_UNIT_CHUNK = 15
 
 #: Start of the circle integral (see the module notes): equal panels, plus
 #: points doubling away from the pole's images one turn either side of the
@@ -548,16 +520,16 @@ def _unit_integrand(amplitude: np.ndarray, log_u: np.ndarray, s, p, factor: Call
     return amplitude * factor(np.exp(s * log_u), p)
 
 
-def _unit_first_values(mesh: _UnitMesh, s: np.ndarray, c: np.ndarray, p: np.ndarray, factor: Callable) -> np.ndarray:
-    """_unit_integrand at the nodes of the first round on mesh, as a (k, 15 n)
-    array in panel order for its n panels, given (k, 1) columns s, c and p:
-    the phase u^{ic} is e^{ic log a} e^{ic log w} (module notes), one complex
-    exponential a row for each panel and each node of a shape, and s rides on
-    the panels'."""
-    phases = np.exp(1j * c * mesh.phase_logs)
-    phases[:, : mesh.half.size] *= s
-    amplitude = phases.take(mesh.node_anchor, axis=1) * phases.take(mesh.node_shape, axis=1)
-    return _unit_integrand(amplitude, mesh.logs, s, p, factor)
+def _unit_first_values(s: np.ndarray, c: np.ndarray, p: np.ndarray, factor: Callable) -> np.ndarray:
+    """_unit_integrand at the nodes of the first round, as a (k, 15 n) array in
+    panel order for its n panels, given (k, 1) columns s, c and p: the phase
+    u^{ic} is e^{ic log a} e^{ic log w} (module notes), one complex exponential
+    a row for each panel and each node of a shape, and s rides on the
+    panels'."""
+    phases = np.exp(1j * c * _UNIT_PHASE_LOGS)
+    phases[:, : _UNIT_HALF.size] *= s
+    amplitude = phases.take(_UNIT_ANCHOR, axis=1) * phases.take(_UNIT_SHAPE, axis=1)
+    return _unit_integrand(amplitude, _UNIT_LOGS, s, p, factor)
 
 
 def _unit_power_integrals(mu: list[complex], param: list[complex], factor: Callable) -> list[QuadratureResult]:
@@ -567,10 +539,9 @@ def _unit_power_integrals(mu: list[complex], param: list[complex], factor: Calla
     smooth and pole-free on (0, 1].  Re(mu_k) > -1 is the caller's
     responsibility.  The t = u^{1/(1+Re mu)} substitution
     described in the module notes removes the real part of the endpoint
-    exponent entirely.  Each integral starts on the coarse mesh or the fine
-    one by its own phase rate c; the integrals on a mesh share first rounds,
-    in chunks, and one stopping pass per chunk, and an integral that fails
-    the test refines alone, with scalar parameters (module notes).
+    exponent entirely.  The integrals share first rounds, in chunks, and one
+    stopping pass per chunk, and an integral that fails the test refines
+    alone, with scalar parameters (module notes).
     """
     mu = [complex(m) for m in mu]
     s = [1.0 / (1.0 + m.real) for m in mu]  # t = u**s maps (0, 1] onto itself
@@ -581,30 +552,22 @@ def _unit_power_integrals(mu: list[complex], param: list[complex], factor: Calla
         lu = np.log(u)
         return _unit_integrand(s[k] * np.exp(1j * c[k] * lu), lu, s[k], param[k], factor)
 
-    results = [None] * len(mu)
-    coarse = [abs(ck) <= _UNIT_COARSE_MAX_C for ck in c]
-    for mesh in (_UNIT_COARSE, _UNIT_FINE):
-        ks = [k for k in range(len(mu)) if coarse[k] == (mesh is _UNIT_COARSE)]
-        if not ks:
-            continue
-        columns = [np.array([values[k] for k in ks])[:, None] for values in (s, c, param)]
-        lefts, rights = mesh.edges[:-1], mesh.edges[1:]
-        # chunks of at most _UNIT_CHUNK_VALUES node values, as even as can be
-        count = -(-len(ks) // (_UNIT_CHUNK_VALUES // mesh.logs.size))
-        bounds = [len(ks) * j // count for j in range(count + 1)]
-        for start, end in zip(bounds, bounds[1:]):
-            vals, errs, masses = _rules(
-                _unit_first_values(mesh, *(col[start:end] for col in columns), factor), mesh.half
-            )
-            rows = zip(vals.real.tolist(), vals.imag.tolist(), errs.tolist(), masses.tolist())
-            for j, (k, row) in enumerate(zip(ks[start:end], rows)):
-                value, estimate, goal, stops = judged = _judge(*row, DEFAULT_QUAD_TOL, _ROUNDOFF, 0j)
-                if stops:
-                    results[k] = QuadratureResult(value, estimate, lefts.size, estimate <= goal)
-                else:
-                    first = (lefts, rights, vals[j], errs[j], masses[j])
-                    fields = _refine(lambda u, k=k: g(u, k), first, DEFAULT_QUAD_TOL, _ROUNDOFF, judged=judged)
-                    results[k] = QuadratureResult(*fields)
+    columns = [np.array(values)[:, None] for values in (s, c, param)]
+    lefts, rights = _UNIT_EDGES[:-1], _UNIT_EDGES[1:]
+    results = []
+    count = -(-len(mu) // _UNIT_CHUNK)  # chunks of at most _UNIT_CHUNK rows, as even as can be
+    for j in range(count):
+        start, end = len(mu) * j // count, len(mu) * (j + 1) // count
+        vals, errs, masses = _rules(_unit_first_values(*(col[start:end] for col in columns), factor), _UNIT_HALF)
+        rows = zip(vals.real.tolist(), vals.imag.tolist(), errs.tolist(), masses.tolist())
+        for j, row in enumerate(rows):
+            value, estimate, goal, stops = judged = _judge(*row, DEFAULT_QUAD_TOL, _ROUNDOFF, 0j)
+            if stops:
+                results.append(QuadratureResult(value, estimate, lefts.size, estimate <= goal))
+            else:
+                first = (lefts, rights, vals[j], errs[j], masses[j])
+                fields = _refine(lambda u, k=start + j: g(u, k), first, DEFAULT_QUAD_TOL, _ROUNDOFF, judged=judged)
+                results.append(QuadratureResult(*fields))
     return results
 
 
@@ -616,12 +579,15 @@ def euler_integrals(ws: list[complex], betas: list[complex]) -> list[QuadratureR
     representation with its (1-t)^{c-b-1} factor trivial — which is exactly
     how the cross-checks consume it.  w on the real ray [1, inf) puts the
     pole 1/w onto the path and raises SingularPath; Re(beta) <= 0 makes the
-    endpoint non-integrable and raises DivergentAtZero.  Every pair is
-    checked, in order, before any is integrated.
+    endpoint non-integrable and raises DivergentAtZero; a w or beta that is
+    not finite raises ValueError.  Every pair is checked, in order, before
+    any is integrated.
     """
     ws = [complex(w) for w in ws]
     betas = [complex(beta) for beta in betas]
     for w, beta in zip(ws, betas, strict=True):
+        if not (cmath.isfinite(w) and cmath.isfinite(beta)):
+            raise ValueError(f"w = {w!r} and beta = {beta!r} must be finite")
         if beta.real <= 0.0:
             raise DivergentAtZero(f"Re(beta) = {beta.real:g} <= 0: t^(beta-1) is not integrable at 0")
         if abs(w.imag) < 1e-13 and w.real >= 1.0 - 1e-13:

@@ -7,9 +7,9 @@ accuracy budget.  A check draws from its own generator, seeded with
 ran before it, and the report bytes are fully determined by the seed.  A
 check draws all its cases first and then evaluates them.  Its unit-interval
 quadratures are one batch, which shares their first rounds, in chunks with
-the phase u^{ic} factored on the graded mesh each row's phase rate picks and
-one stopping pass per chunk (see the quadrature module notes); each is the
-float of its single integral.  Everything else runs one case at a time
+the phase u^{ic} factored on the one graded start mesh and one stopping
+pass per chunk (see the quadrature module notes); each is the float of its
+single integral.  Everything else runs one case at a time
 through the code that eval runs: each 2F1(1, b; 1+b; .) series is a
 hyp2f1_one_b call, each ODE stencil value an eval_closed_form call, each
 circle a circle_integral call.

@@ -34,7 +34,7 @@ from bci import (
     roots_of_unity_filter,
 )
 from bci.branchcut import TWO_PI, cut_jump_with_bound
-from bci.closedform import roots_of_unity_drift
+from bci.closedform import hyp2f1_rational_with_bound, roots_of_unity_drift
 
 # Same mpmath contour anchors as in test_quadrature, reused against the
 # analytic route this time.
@@ -220,10 +220,10 @@ class TestRationalLogSum:
         assert hyp2f1_rational(0.0, RationalBeta(3, 4)) == 1.0
 
     def test_outside_disk_rejected(self):
-        with pytest.raises(ValueError):
-            hyp2f1_rational(1.0, RationalBeta(1, 2))
-        with pytest.raises(ValueError):
-            hyp2f1_rational(1.2j, RationalBeta(1, 2))
+        # a NaN z once gave ((nan+nanj), nan), a value and bound unrefused
+        for z in (1.0, 1.2j, math.nan, complex(0.2, math.nan), complex(math.inf, 0.1)):
+            with pytest.raises(ValueError, match="outside the open unit disk"):
+                hyp2f1_rational_with_bound(z, RationalBeta(1, 2))
 
     @pytest.mark.parametrize("m,n", [(1, 2), (-1, 2), (2, 3), (7, 2), (-9, 4), (5, 6)])
     def test_matches_series(self, m, n):

@@ -177,6 +177,13 @@ class TestOneBDraws:
             ((0.0, 0.0), InvalidC, r"b = 0j"),
             ((0.5, 1.0), SlowConvergence, r"\|z\| = 1 "),
             ((0.5, -1j), SlowConvergence, r"\|z\| = 1 "),
+            # an infinite b once raised OverflowError from math.ceil, a NaN b
+            # could not convert NaN to an integer, a NaN z read as SlowConvergence
+            ((math.inf, 0.5), ValueError, r"^b = \(inf\+0j\) is not finite$"),
+            ((math.nan, 0.0), ValueError, r"^b = \(nan\+0j\) is not finite$"),
+            ((complex(0.5, -math.inf), 0.5), ValueError, r"^b = \(0\.5-infj\) is not finite$"),
+            ((0.5, math.nan), ValueError, r"^z = \(nan\+0j\) is not finite$"),
+            ((0.5, complex(0.2, math.inf)), ValueError, r"^z = \(0\.2\+infj\) is not finite$"),
         ],
     )
     def test_refusal_raises_before_any_array(self, bad, error, match, monkeypatch):

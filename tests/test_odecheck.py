@@ -88,11 +88,13 @@ class TestOdeResidual:
         with pytest.raises(ValueError):
             ode_residual(ProblemInstance(alpha=2.0, beta=0.5, theta=2.0), h=0.0)
 
-    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -1e-3, 1e-300, 1e-160, 1e200])
     @pytest.mark.parametrize("alpha", [2.0, 0.5])
     def test_step_not_finite_and_positive_is_refused(self, alpha, h):
         # nan and inf used to reach the stencil: RegimeStraddle, or a
-        # ValueError about alpha from the instance at alpha + nan
+        # ValueError about alpha from the instance at alpha + nan; at the last
+        # three 12 h^2 is 0, subnormal or infinite, and 1e-300 died on a
+        # complex division by zero
         with pytest.raises(ValueError, match="step h must be positive"):
             ode_residual(ProblemInstance(alpha=alpha, beta=0.5, theta=2.0), h=h)
 

@@ -584,7 +584,7 @@ class TestUnitIntervalIntegrals:
         firsts = _count_first_rounds(monkeypatch)
         r = euler_integral(0.5, 0.5 + 0.3j)
         assert r.converged
-        assert firsts == [(25, 1)] and len(calls) <= 1, calls  # c = 0.6: the coarse start
+        assert firsts == [1] and len(calls) <= 1, calls
 
     #: 300 draws with |Im beta| <= 3, and 40 with |Im beta| from 30 to 100,
     #: whose phase u^{ic} turns fastest in the factored first round
@@ -613,15 +613,15 @@ class TestUnitIntervalIntegrals:
             err = abs(r.value - want)
             assert err <= r.abs_error_estimate, (w, beta, theta, err, r.abs_error_estimate)
 
-    def test_estimates_bound_the_error_where_the_starts_meet(self):
+    def test_estimates_bound_the_error_on_both_sides_of_phase_rate_two(self):
         # Re beta down to 1e-3, where t^mu is most singular, and phase rates c
-        # on both sides of the switch from the coarse start to the fine one
+        # up to 2.5: past |c| = 2 the start's wide steps near u = 0 resolve
+        # the phase on fewer first rounds, and refinement makes up the rest
         rng = random.Random(20261029)
-        limit = bci.quadrature._UNIT_COARSE_MAX_C
         rates = []
         for _ in range(150):
             w, _ = _draw_unit_case(rng)
-            re, c = 10.0 ** rng.uniform(-3.0, math.log10(3.0)), rng.uniform(-1.25, 1.25) * limit
+            re, c = 10.0 ** rng.uniform(-3.0, math.log10(3.0)), rng.uniform(-1.25, 1.25) * 2.0
             theta = rng.uniform(0.05, 2 * math.pi - 0.05)
             euler_beta, radial_beta = complex(re, c * re), complex(re, c * (1.0 + re))
             euler = euler_integral(w, euler_beta)
@@ -635,7 +635,7 @@ class TestUnitIntervalIntegrals:
                 err = abs(r.value - want)
                 assert err <= r.abs_error_estimate, (w, re, c, theta, err, r.abs_error_estimate)
             rates.append(abs(c))
-        assert sum(rate > limit for rate in rates) > 10 and min(rates) < 0.05
+        assert sum(rate > 2.0 for rate in rates) > 10 and min(rates) < 0.05
 
     def test_a_refining_row_is_judged_once_a_round(self, monkeypatch):
         # the chunk's stopping pass judges the first round; _refine goes on
@@ -652,41 +652,29 @@ class TestUnitIntervalIntegrals:
             assert len(judged) == 1 + len(calls), (w, beta, len(judged), len(calls))
 
 
-def _mesh_of(mu):
-    """The mesh the first round of t^mu's integral starts on: the coarse one
-    when the phase rate c = Im mu / (1 + Re mu) is at most 2 in size."""
-    q = bci.quadrature
-    return q._UNIT_COARSE if abs(mu.imag / (1.0 + mu.real)) <= q._UNIT_COARSE_MAX_C else q._UNIT_FINE
-
-
 class TestFactoredFirstRound:
     """The first round factors the phase u^{ic} = e^{ic log a} e^{ic log w}; each
     node value stays within a few eps (1 + |c log u|) of the direct form."""
 
-    @pytest.mark.parametrize(
-        "name,edges,shapes",
-        [
-            ("_UNIT_FINE", [-k for k in range(36, 1, -1)], 4),
-            ("_UNIT_COARSE", [-36, -33, -30, -27, -24, -22, -20, -18, -16] + list(range(-14, -1)), 6),
-        ],
-    )
-    def test_every_node_is_its_anchor_times_its_shape(self, name, edges, shapes):
+    def test_every_node_is_its_anchor_times_its_shape(self):
         # the edges are 0, powers of two, 3/4 and 1; each node's anchor a is
         # a power of two, and its w = u / a is its shape's w to the bit
-        mesh = getattr(bci.quadrature, name)
-        assert mesh.edges.tolist() == [0.0] + [2.0**k for k in edges] + [0.5, 0.75, 1.0]
-        nodes = (0.5 * (mesh.edges[:-1] + mesh.edges[1:])[:, None] + mesh.half[:, None] * bci.quadrature._NODES).ravel()
-        assert np.array_equal(mesh.logs, np.log(nodes))
+        q = bci.quadrature
+        edges = [-36, -33, -30, -27, -24, -22, -20, -18, -16] + list(range(-14, -1))
+        assert q._UNIT_EDGES.tolist() == [0.0] + [2.0**k for k in edges] + [0.5, 0.75, 1.0]
+        nodes = (0.5 * (q._UNIT_EDGES[:-1] + q._UNIT_EDGES[1:])[:, None] + q._UNIT_HALF[:, None] * q._NODES).ravel()
+        assert np.array_equal(q._UNIT_LOGS, np.log(nodes))
         # the least power of two at or above each panel's right edge
-        anchors = np.array([math.ldexp(1.0, e - (m == 0.5)) for m, e in map(math.frexp, mesh.edges[1:].tolist())])
+        anchors = np.array([math.ldexp(1.0, e - (m == 0.5)) for m, e in map(math.frexp, q._UNIT_EDGES[1:].tolist())])
         assert all(math.frexp(a)[0] == 0.5 for a in anchors.tolist())
-        assert np.all((anchors >= mesh.edges[1:]) & (anchors < 2.0 * mesh.edges[1:]))
-        assert np.array_equal(mesh.phase_logs[mesh.node_anchor], np.log(np.repeat(anchors, 15)))
+        assert np.all((anchors >= q._UNIT_EDGES[1:]) & (anchors < 2.0 * q._UNIT_EDGES[1:]))
+        assert np.array_equal(q._UNIT_PHASE_LOGS[q._UNIT_ANCHOR], np.log(np.repeat(anchors, 15)))
         w = nodes / np.repeat(anchors, 15)
-        assert np.array_equal(mesh.phase_logs[mesh.node_shape], np.log(w))
-        assert mesh.phase_logs.size == mesh.half.size + 15 * shapes  # one shape per panel family
-        for shape in np.unique(mesh.node_shape).tolist():
-            assert np.unique(w[mesh.node_shape == shape]).size == 1
+        assert np.array_equal(q._UNIT_PHASE_LOGS[q._UNIT_SHAPE], np.log(w))
+        # one shape per panel family: the first, the ratios 8, 4 and 2, and the last two
+        assert q._UNIT_PHASE_LOGS.size == q._UNIT_HALF.size + 15 * 6
+        for shape in np.unique(q._UNIT_SHAPE).tolist():
+            assert np.unique(w[q._UNIT_SHAPE == shape]).size == 1
 
     @staticmethod
     def _first_rounds(monkeypatch):
@@ -694,9 +682,9 @@ class TestFactoredFirstRound:
         rounds = []
         first_values = bci.quadrature._unit_first_values
 
-        def recorded(mesh, s, c, p, factor):
-            vals = first_values(mesh, s, c, p, factor)
-            rounds.append((mesh, s, c, p, factor, vals.copy()))
+        def recorded(s, c, p, factor):
+            vals = first_values(s, c, p, factor)
+            rounds.append((s, c, p, factor, vals.copy()))
             return vals
 
         monkeypatch.setattr(bci.quadrature, "_unit_first_values", recorded)
@@ -704,18 +692,15 @@ class TestFactoredFirstRound:
 
     @staticmethod
     def _assert_near_direct(rounds, count):
-        # each row against the direct phase on the nodes of the mesh it took,
-        # which is the coarse one exactly when |c| <= 2
+        # each row against the direct phase on the nodes of the start
         eps = sys.float_info.epsilon
         assert sum(len(vals) for *_, vals in rounds) == count
-        assert {mesh.half.size for mesh, *_ in rounds} == {25, 38}
-        for mesh, s, c, p, factor, vals in rounds:
-            edges = mesh.edges
-            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-            log_u = np.log(mid[:, None] + half[:, None] * bci.quadrature._NODES).ravel()
+        edges = bci.quadrature._UNIT_EDGES
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        log_u = np.log(mid[:, None] + half[:, None] * bci.quadrature._NODES).ravel()
+        for s, c, p, factor, vals in rounds:
             assert vals.shape == (len(s), log_u.size)
             for k in range(len(s)):
-                assert (abs(c[k, 0]) <= 2.0) == (mesh is bci.quadrature._UNIT_COARSE)
                 direct = s[k, 0] * np.exp(1j * c[k, 0] * log_u) * factor(np.exp(s[k, 0] * log_u), p[k, 0])
                 bound = 4.0 * eps * (1.0 + np.abs(c[k, 0] * log_u)) * np.abs(direct)
                 assert np.all(np.abs(vals[k] - direct) <= bound), (s[k, 0], c[k, 0], p[k, 0])
@@ -747,28 +732,6 @@ class TestFactoredFirstRound:
         radial_integrals(insts)
         self._assert_near_direct(rounds, len(insts))
 
-    def test_fast_phase_rows_keep_the_fine_start_bits(self):
-        # a row with |c| > 2 takes the 38-panel mesh, in a batch with coarse
-        # rows as alone, and its fields are those of that computation alone
-        rng = random.Random(20261030)
-        cases = [_draw_unit_case(rng, (1.0, 30.0) if k % 2 else None) for k in range(40)]
-        insts = [_radial_case(rng, (1.0, 30.0) if k % 2 else None) for k in range(40)]
-        euler = euler_integrals([w for w, _ in cases], [beta for _, beta in cases])
-        radial = radial_integrals(insts)
-        fast = 0
-        for (w, beta), got in zip(cases, euler):
-            if _mesh_of(beta - 1.0) is bci.quadrature._UNIT_FINE:
-                fast += 1
-                alone = _unbatched_unit_integral(beta - 1.0, w, _euler_factor, bci.quadrature._UNIT_FINE)
-                assert _bits(got) == _bits(alone) and got.subdivisions >= 38, (w, beta)
-        for inst, got in zip(insts, radial):
-            if _mesh_of(inst.beta) is bci.quadrature._UNIT_FINE:
-                fast += 1
-                pole = inst.alpha * cmath.exp(-1j * inst.theta)
-                alone = _unbatched_unit_integral(inst.beta, pole, _radial_factor, bci.quadrature._UNIT_FINE)
-                assert _bits(got) == _bits(alone) and got.subdivisions >= 38, inst
-        assert 20 < fast < 60, fast
-
 
 def _euler_factor(t, w):
     return 1.0 / (1.0 - w * t)
@@ -778,34 +741,32 @@ def _radial_factor(t, pole):
     return 1.0 / (t - pole)
 
 
-def _unbatched_unit_integral(mu, p, factor, mesh=None):
-    """The unit-interval integral alone: its first round on mesh (by default
-    the one its phase rate picks) from the function a batch uses, given (1, 1)
-    columns, and scalar parameters in every later round, for comparison with
-    a batch."""
+def _unbatched_unit_integral(mu, p, factor):
+    """The unit-interval integral alone: its first round from the function a
+    batch uses, given (1, 1) columns, and scalar parameters in every later
+    round, for comparison with a batch."""
     q = bci.quadrature
-    mesh = mesh or _mesh_of(mu)
     s = 1.0 / (1.0 + mu.real)
     c = mu.imag * s
-    vals, errs, masses = q._rules(q._unit_first_values(mesh, *(np.array([[v]]) for v in (s, c, p)), factor), mesh.half)
+    vals, errs, masses = q._rules(q._unit_first_values(*(np.array([[v]]) for v in (s, c, p)), factor), q._UNIT_HALF)
 
     def g(u):
         lu = np.log(u)
         return s * np.exp(1j * c * lu) * factor(np.exp(s * lu), p)
 
-    first = (mesh.edges[:-1], mesh.edges[1:], vals[0], errs[0], masses[0])
+    first = (q._UNIT_EDGES[:-1], q._UNIT_EDGES[1:], vals[0], errs[0], masses[0])
     return QuadratureResult(*q._refine(g, first, q.DEFAULT_QUAD_TOL, q._ROUNDOFF))
 
 
 def _count_first_rounds(monkeypatch):
     """Patch bci.quadrature._unit_first_values to count its calls; returns the
-    live list of (panels of the mesh, rows) of each call."""
+    live list of the rows of each call."""
     rows = []
     first_values = bci.quadrature._unit_first_values
 
-    def counted(mesh, s, c, p, factor):
-        rows.append((mesh.half.size, len(s)))
-        return first_values(mesh, s, c, p, factor)
+    def counted(s, c, p, factor):
+        rows.append(len(s))
+        return first_values(s, c, p, factor)
 
     monkeypatch.setattr(bci.quadrature, "_unit_first_values", counted)
     return rows
@@ -822,7 +783,7 @@ class TestUnitIntegralBatches:
         rng = random.Random(20261020)
         cases = [_draw_unit_case(rng) for _ in range(40)]
         batch = euler_integrals([w for w, _ in cases], [beta for _, beta in cases])
-        refined = [r.subdivisions > _mesh_of(beta - 1.0).half.size for (_, beta), r in zip(cases, batch)]
+        refined = [r.subdivisions > 25 for r in batch]
         assert sum(refined) >= 5  # stragglers refine on their own
         for (w, beta), got in zip(cases, batch):
             alone = _unbatched_unit_integral(beta - 1.0, w, _euler_factor)
@@ -832,7 +793,7 @@ class TestUnitIntegralBatches:
         rng = random.Random(20261021)
         insts = [_radial_case(rng) for _ in range(40)]
         batch = radial_integrals(insts)
-        assert any(r.subdivisions > _mesh_of(inst.beta).half.size for inst, r in zip(insts, batch))
+        assert any(r.subdivisions > 25 for r in batch)
         for inst, got in zip(insts, batch):
             pole = inst.alpha * cmath.exp(-1j * inst.theta)
             alone = _unbatched_unit_integral(inst.beta, pole, _radial_factor)
@@ -849,18 +810,12 @@ class TestUnitIntegralBatches:
             rounds.append(len(calls))  # the refinement rounds of this integral
             calls.clear()
         assert sum(rounds) > 0
-        meshes = [_mesh_of(beta - 1.0).half.size for _, beta in cases]
-        assert firsts == [(panels, 1) for panels in meshes]
+        assert firsts == [1] * len(cases)
         firsts.clear()
         euler_integrals([w for w, _ in cases], [beta for _, beta in cases])
-        # the rows of each mesh in chunks of at most 5700 node values (15
-        # rows on 25 panels, 10 on 38), as even as they can be
-        for panels, per_chunk in ((25, 15), (38, 10)):
-            rows = [count for mesh, count in firsts if mesh == panels]
-            assert sum(rows) == meshes.count(panels) > per_chunk
-            assert len(rows) == -(-sum(rows) // per_chunk)
-            assert max(rows) <= per_chunk and max(rows) - min(rows) <= 1
-        assert len(firsts) == 4 and all(15 * panels * count <= 5700 for panels, count in firsts)
+        # the rows in chunks of at most 15, 5625 node values, as even as they can be
+        assert sum(firsts) == len(cases) and len(firsts) == 3
+        assert max(firsts) <= 15 and max(firsts) - min(firsts) <= 1
         assert len(calls) == sum(rounds)
 
     def test_first_round_memory_is_bounded_by_its_chunks(self):
@@ -893,6 +848,21 @@ class TestUnitIntegralBatches:
         with pytest.raises(DivergentAtZero):
             radial_integrals([good, ProblemInstance(alpha=-2.0, beta=-0.2, theta=math.pi)])
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "w,beta", [(0.3, math.nan), (math.nan, 0.5), (complex(0.3, math.inf), 0.5), (0.3, complex(0.5, -math.inf))]
+    )
+    def test_a_pair_that_is_not_finite_is_refused_first(self, w, beta, monkeypatch):
+        # numpy once met it: a RuntimeWarning, then a NaN result
+        firsts = _count_first_rounds(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ws, betas in (([w], [beta]), ([0.5, 0.5 + 1j, w], [0.5, 0.7 + 0.2j, beta])):
+                with pytest.raises(ValueError, match="must be finite"):
+                    euler_integrals(ws, betas)
+            with pytest.raises(ValueError, match="must be finite") as exc:
+                euler_integral(w, beta)
+        assert type(exc.value) is ValueError and firsts == []
 
 
 def _bits(result):
@@ -1041,9 +1011,10 @@ class TestPanelOrder:
         # gives the same bits wherever it sits in the batch
         rng = np.random.default_rng(20261020)
         draw = random.Random(20261022)
-        # and a pole 0.01 from [0, 1] in each, which refines
-        cases = [_draw_unit_case(draw) for _ in range(11)] + [(1.0 / (0.3 - 0.01j), 0.7 + 0.2j)]
-        insts = [_radial_case(draw) for _ in range(11)]
+        # and a pole 0.01 from [0, 1] in each, which refines; 20 rows are two
+        # chunks, so a shuffle moves rows between them
+        cases = [_draw_unit_case(draw) for _ in range(19)] + [(1.0 / (0.3 - 0.01j), 0.7 + 0.2j)]
+        insts = [_radial_case(draw) for _ in range(19)]
         insts.append(ProblemInstance(alpha=(0.5 + 0.01j) * cmath.exp(2j), beta=0.7 + 0.2j, theta=2.0))
 
         def batches(order):
@@ -1051,30 +1022,26 @@ class TestPanelOrder:
             radial = radial_integrals([insts[k] for k in order])
             return {k: (_bits(e), _bits(r)) for k, e, r in zip(order, euler, radial)}
 
-        want = batches(list(range(12)))
-        assert any(want[k][0][3] > _mesh_of(cases[k][1] - 1.0).half.size for k in range(12))
-        assert any(want[k][1][3] > _mesh_of(insts[k].beta).half.size for k in range(12))
-        # both meshes in each batch, so a shuffle moves rows between chunks of both
-        assert {_mesh_of(beta - 1.0).half.size for _, beta in cases} == {25, 38}
-        assert {_mesh_of(inst.beta).half.size for inst in insts} == {25, 38}
+        want = batches(list(range(20)))
+        assert any(want[k][0][3] > 25 for k in range(20))
+        assert any(want[k][1][3] > 25 for k in range(20))
         for _ in range(6):
-            assert batches(rng.permutation(12).tolist()) == want
+            assert batches(rng.permutation(20).tolist()) == want
 
 
 def test_panels_calls_per_verify_run(monkeypatch):
     # per run: 5 batches (the reduction check's two, reconciliation, the circle
     # check's radial batch, euler) of 15 or 20 rows, each with its first rounds
-    # in chunks of at most 5700 node values on each mesh the rows take, which
-    # factor the phase and so make no _panels call, and 3.57 refinement
-    # rounds; of the 450 circle integrals, 15 start graded and the rest on the
-    # cached plain start, which needs no _panels call, and none refines
+    # in chunks of at most 15 rows, which factor the phase and so make no
+    # _panels call, and 3.57 refinement rounds; of the 450 circle integrals,
+    # 15 start graded and the rest on the cached plain start, which needs no
+    # _panels call, and none refines
     calls = _count_panels_calls(monkeypatch)
     firsts = _count_first_rounds(monkeypatch)
     for seed in range(4000, 4030):
         run_verify(seed)
-    # 213 chunks: 88 of 15 rows and 119 of 10 (a 20-row batch), on 25
-    # panels, and 3 of one row on 38
-    assert len(firsts) == 213
+    # 210 chunks: 90 of 15 rows and 120 of 10 (a 20-row batch)
+    assert len(firsts) == 210
     assert len(calls) == 122
 
 
