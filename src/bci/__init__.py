@@ -1,9 +1,9 @@
 """Branch-cut contour integrals of z**beta / (z - alpha) on the unit circle.
 
-Four independent evaluation routes — hypergeometric closed forms, a direct
-termwise series, finite log sums for rational exponents, and adaptive
-quadrature — plus differential (ODE-residual) and integral-identity checks
-that tie them together.  See the README for the CLI.
+Independent evaluation routes — hypergeometric closed forms, finite log
+sums for rational exponents, and adaptive quadrature — plus a direct series
+run only by name, and differential (ODE-residual) and integral-identity
+checks that tie them together.  See the README for the CLI.
 
 The package exports what each module lists in its own __all__.
 """

@@ -166,7 +166,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--alpha", required=True, type=str, help="pole: 're,im', 'mod@arg', '0.5+0.1j', or bare real")
     ev.add_argument("--beta", required=True, type=str, help="exponent: same forms as --alpha")
     ev.add_argument("--theta", required=True, type=str, help="cut angle in (0, 2pi); accepts pi forms")
-    ev.add_argument("--methods", type=str, default=None, help="comma list: theorem,series,quadrature,rational:m/n")
+    ev.add_argument("--methods", type=str, default=None, help="comma list of theorem,series,quadrature,rational:m/n (default theorem,quadrature)")
     ev.add_argument("--tol", type=float, default=1e-8, help="agreement tolerance (default %(default)s)")
     ev.add_argument("--exclusion-band", type=float, default=DEFAULT_EXCLUSION_BAND, help="refusal band around |alpha| = 1")
     ev.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")

@@ -8,10 +8,10 @@ non-integer beta,
     |alpha| < 1:   I = (P/beta) * F(-beta, alpha e^{-i theta})
 
 while integer beta collapses to the residue values 0 and +-2*pi*i*alpha^beta
-with no series involved.  The other routes in this module evaluate the same
-quantity by different computations — a direct termwise series, a finite sum
-of logarithms for rational beta — precisely so the results can be compared
-against each other and against the quadrature oracle.
+with no series involved.  The finite sum of logarithms for rational beta
+evaluates F by a different computation.  The direct termwise series is the
+|alpha| < 1 closed form rearranged on the same z, jump, powers and term
+count, so it checks nothing the closed form does not and runs only by name.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .branchcut import (
     ProblemInstance,
     as_integer,
     branch_arg,
-    branch_log,
+    branch_pow,
     cut_jump_with_bound,
     int_pow,
 )
@@ -38,7 +38,6 @@ from .errors import (
     DivergentAtZero,
     EvaluationError,
     IntegerBeta,
-    NonFiniteValue,
     OnBranchCut,
     SlowConvergence,
     ZeroInput,
@@ -202,19 +201,21 @@ def eval_direct_series(inst: ProblemInstance) -> MethodResult:
         I = cut_jump_factor(beta, theta) * sum_{k>=0} alpha^k e^{-i k theta} / (beta - k).
 
     Expanding 1/(z - alpha) geometrically on |z| = 1 and integrating the
-    branch powers term by term gives this sum; it rearranges into the
-    |alpha| < 1 closed form, which is exactly why it is kept as a separate
-    method instead of being folded away — two routes, one number.  Its terms
-    z^k/(beta - k) are |b/(b+k) z^k|/|beta| in modulus with b = -beta, so it
-    takes the term count of hyp2f1_one_b at tol |beta|, from K > |beta| + 1,
-    and raises SlowConvergence before summing when its term cap stops it short.
+    branch powers term by term gives this sum: the |alpha| < 1 closed form
+    divided through by beta, on the closed form's own z (_regime), jump,
+    powers and term count (_series_length).  A fault in those moves both
+    alike, so it is no independent route and evaluate_instance runs it only
+    by name.  Its terms z^k/(beta - k) are |b/(b+k) z^k|/|beta| in modulus
+    with b = -beta, so it takes the term count of hyp2f1_one_b at tol |beta|,
+    from K > |beta| + 1, and raises SlowConvergence before summing when its
+    term cap stops it short.
 
-    beta in Z_{>=0} would hit a zero denominator at k = beta; there the
-    integral is the plain residue 2*pi*i*alpha^beta, returned directly with a
-    diagnostic rather than raised.  Negative integers need no redirect: the
-    sum is finite and the jump factor is 0 up to its rounding, so the value
-    is roundoff where the residue theorem gives 0, and the estimate covers it
-    through the jump's rounding bound.
+    beta in Z_{>=0} puts a zero denominator at k = beta and is refused with
+    BetaNonNegativeInteger; the closed form's residue table covers it.
+    Negative integers need no refusal: the sum is finite and the jump factor
+    is 0 up to its rounding, so the value is roundoff where the residue
+    theorem gives 0, and the estimate covers it through the jump's rounding
+    bound.
     """
     outside, diag, z = _regime(inst)
     if outside:
@@ -222,10 +223,7 @@ def eval_direct_series(inst: ProblemInstance) -> MethodResult:
     beta = inst.beta
     n = as_integer(beta)
     if n is not None and n >= 0:
-        diag["beta_class"] = "nonnegative-integer-residue"
-        value = _residue_value(inst, n)
-        return MethodResult(value, METHOD_SERIES, 1e-15 * (1.0 + abs(value)), diag)
-
+        raise BetaNonNegativeInteger(f"beta = {n}: the direct series term k = {n} has a zero denominator")
     diag["beta_class"] = "integer" if n is not None else "generic"
     prefactor, jump_err = cut_jump_with_bound(beta, inst.theta)  # refuses an overflow before the sum
     tol = min(1e-12, inst.tol)
@@ -408,17 +406,21 @@ def check_reconciliations(insts: list[ProblemInstance]) -> list[float]:
               + (1/beta) (1 - 2F1(1, -beta; 1-beta; alpha e^{-i theta})).
 
     The left side is quadrature, the right side closed forms, so the residual
-    is a genuine cross-regime consistency check.  The pole term's power uses
-    the theta-cut logarithm of alpha, shifted by the ray rotation — matching
-    the two banks of the cut forces that branch; the principal one is wrong
-    for cuts far from theta = pi.
+    is a genuine cross-regime consistency check.  It runs on eval's pieces:
+    w = 1/z with z from _regime, and the pole term is 2 pi i times the
+    theta-cut branch_pow(alpha, beta, theta) (the branch that matches the two
+    banks of the cut) over the jump e^{i beta theta} (1 - e^{-2 pi i beta}) of
+    cut_jump_with_bound.  A finite jump keeps the pole term finite: the power
+    is below the jump's larger exponential (Re beta > 0, |alpha| < 1), and
+    beta is more than 1e-12 from an integer.
 
     Preconditions: 0 < |alpha| < 1 (off the exclusion band), Re(beta) > 0,
-    beta not a nonnegative integer, Arg(alpha) != theta.  An Euler integral
-    that stopped unconverged, or a series capped short of its tolerance,
-    raises SlowConvergence.
+    beta not a nonnegative integer, Arg(alpha) != theta.  A jump that
+    overflows raises NonFiniteValue, before any integral; an Euler
+    integral that stopped unconverged, or a series capped short of its
+    tolerance, raises SlowConvergence.
     """
-    log_alphas, zs = [], []
+    poles, zs = [], []
     for inst in insts:
         zs.append(_regime(inst)[2])  # eval's series argument, alpha e^{-i theta} for |alpha| < 1
         alpha, beta = inst.alpha, inst.beta
@@ -431,23 +433,16 @@ def check_reconciliations(insts: list[ProblemInstance]) -> list[float]:
         nb = as_integer(beta)
         if nb is not None and nb >= 0:
             raise BetaNonNegativeInteger(f"beta = {beta!r}: the pole term's denominator vanishes")
+        jump = cut_jump_with_bound(beta, inst.theta)[0]
         try:
-            log_alphas.append(branch_log(alpha, inst.theta))
+            poles.append(2j * math.pi * branch_pow(alpha, beta, inst.theta) / jump)
         except OnBranchCut as exc:
             raise AlphaOnCut(str(exc)) from exc
-    ws = [cmath.exp(1j * inst.theta) / inst.alpha for inst in insts]
-    lhs = euler_integrals(ws, [inst.beta for inst in insts])
+    lhs = euler_integrals([1.0 / z for z in zs], [inst.beta for inst in insts])
     sums = [hyp2f1_one_b(-inst.beta, z, min(1e-12, inst.tol)) for inst, z in zip(insts, zs)]
     residuals = []
-    for inst, log_alpha, left, series in zip(insts, log_alphas, lhs, sums):
-        alpha, beta, theta = inst.alpha, inst.beta, inst.theta
-        try:
-            pole_term = 2j * math.pi * cmath.exp(beta * (log_alpha - 1j * theta)) / (1.0 - cmath.exp(-2j * math.pi * beta))
-        except OverflowError:
-            pole_term = complex(math.inf)
-        if not cmath.isfinite(pole_term):
-            raise NonFiniteValue(f"the pole term overflows at beta = {beta!r}")
-        rhs = pole_term + (1.0 - series.value) / beta
+    for inst, pole, left, series in zip(insts, poles, lhs, sums):
+        rhs = pole + (1.0 - series.value) / inst.beta
         residuals.append(abs(left.converged_value("Euler integral") - rhs) / max(abs(rhs), 1.0))
     return residuals
 

@@ -417,7 +417,7 @@ def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> Qua
     roundoff = _circle_roundoff(inst)
     lo, alpha, beta = inst.theta - TWO_PI, inst.alpha, inst.beta
     edges, pole = _circle_start(lo, alpha, beta)
-    c = None if pole is None else cmath.exp(1j * beta * pole)
+    c = 0j if pole is None else cmath.exp(1j * beta * pole)
     g = _circle_integrand(beta, alpha, c)
     f = lambda s: g(s, np.exp(1j * s))
     if edges is None:
@@ -426,7 +426,7 @@ def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> Qua
     else:
         first = _panels(f, edges[:-1], edges[1:])
     # the i of dz = i z ds multiplies the total, the enclosed residue 2 pi i c included
-    offset = 0j if c is None or inst.alpha_outside() else TWO_PI * c
+    offset = 0j if inst.alpha_outside() else TWO_PI * c
     value, *rest = _refine(f, (edges[:-1], edges[1:], *first), tol, roundoff, offset)
     return _finite(QuadratureResult(complex(-value.imag, value.real), *rest))
 
@@ -445,11 +445,9 @@ def _circle_roundoff(inst: ProblemInstance) -> float:
     return _ROUNDOFF + _EPS * TWO_PI * (abs(beta) + 1.0)
 
 
-def _circle_integrand(beta: complex, alpha: complex, c: complex | None) -> Callable:
+def _circle_integrand(beta: complex, alpha: complex, c: complex) -> Callable:
     """z (z**beta - c) / (z - alpha) at s, given z = e^{is}: the integrand over
-    ds, short of the constant factor i; c = None gives the bits of c = 0j."""
-    if c is None:
-        return lambda s, z: z * np.exp(1j * beta * s) / (z - alpha)
+    ds, short of the constant factor i; c = 0j when no pole is subtracted."""
     return lambda s, z: z * (np.exp(1j * beta * s) - c) / (z - alpha)
 
 

@@ -1,10 +1,11 @@
 """Run several evaluation methods on one instance and compare the answers.
 
-The point of keeping four routes to the same number is that they share
-almost no code: a disagreement here is a bug report, not a tolerance issue.
-evaluate_instance runs the requested subset, records failures as data rather
-than exceptions, and renders a verdict from the pairwise spread of the
-survivors.
+By default the closed form and circle quadrature, which share almost no
+code, plus the rational log sum when beta is given as m/n: a disagreement
+is a bug report, not a tolerance issue.  The direct series is the closed
+form's sum rearranged, so it runs only when named.  evaluate_instance runs
+the requested subset, records failures as data rather than exceptions,
+and renders a verdict from the pairwise spread of the survivors.
 
 report_to_jsonable shapes a report for the wire and dumps_canonical writes
 it as one line of strict JSON through the standard library's C encoder:
@@ -85,9 +86,9 @@ def evaluate_instance(
     """Evaluate with every requested method and cross-compare.
 
     methods lists wire names from KNOWN_METHODS; None selects the closed form
-    and quadrature, plus the direct series when |alpha| < 1 and the rational
-    log sum when `rational` is supplied; an empty list, or a name listed
-    twice, is refused.
+    and quadrature in both regimes, plus the rational log sum when `rational`
+    is supplied (the direct series, the closed form's sum rearranged, runs
+    only when listed); an empty list, or a name listed twice, is refused.
     Per-method numerical refusals (EvaluationError subclasses) become
     MethodFailure records; anything else — a genuine bug — propagates.
 
@@ -102,8 +103,6 @@ def evaluate_instance(
     """
     if methods is None:
         selected = [METHOD_CLOSED_FORM, METHOD_QUADRATURE]
-        if not inst.alpha_outside():
-            selected.append(METHOD_SERIES)
         if rational is not None:
             selected.append(METHOD_RATIONAL)
     else:

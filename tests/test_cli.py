@@ -163,7 +163,7 @@ class TestEvalCommand:
         assert main(argv) == 0
         out = capsys.readouterr()
         names = [line[2:].split(":")[0] for line in out.err.splitlines()]
-        assert names == ["TheoremHypergeometric", "Quadrature", "SeriesDirect", "serialise"]
+        assert names == ["TheoremHypergeometric", "Quadrature", "serialise"]
         assert all(float(line.split(": ")[1].removesuffix(" us")) >= 0.0 for line in out.err.splitlines())
         # the timings change nothing on stdout
         assert main(argv) == 0
@@ -297,7 +297,7 @@ class TestEvalCommand:
     def test_unconverged_series_is_refused(self, capsys):
         # both series reach their term cap far short of the tolerance; quadrature alone answers
         code = main(["eval", "--alpha", "0.9999999998", "--beta", "0.5", "--theta", "2",
-                     "--exclusion-band", "1e-10"])
+                     "--exclusion-band", "1e-10", "--methods", "theorem,quadrature,series"])
         doc = json.loads(capsys.readouterr().out)
         status = [(r["method"], r["status"]) for r in doc["results"]]
         assert status == [
@@ -334,6 +334,16 @@ class TestRationalMatch:
 
 
 class TestSweepCommand:
+    def test_readme_example_is_current(self, capsys):
+        command = "bci sweep --alpha-mod 0.5,2 --alpha-arg 1.0 --beta 0.7 --theta pi --format csv"
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        after = readme.split(f"```sh\n{command}\n```\n", 1)[1]
+        shown = after.split("```\n", 1)[1].split("```", 1)[0]
+        assert main(command.split()[1:]) == 0
+        out, err = capsys.readouterr()
+        # the csv rows end in \r\n; the summary line comes from stderr
+        assert (out + err).splitlines() == shown.splitlines()
+
     def test_uncertified_rows_counted_and_exit_2(self, capsys):
         code = main(["sweep", "--alpha-mod", "0.3", "--alpha-arg", "0.8", "--beta", "0.5", "--theta", "2.0",
                      "--tol", "1e-14"])
@@ -349,7 +359,7 @@ class TestSweepCommand:
                          "--theta", "3"])
         out = capsys.readouterr()
         rows = [json.loads(line) for line in out.out.splitlines()]
-        assert [r["status"] for r in rows[0]["results"]] == ["NonFiniteValue"] * 3
+        assert [r["status"] for r in rows[0]["results"]] == ["NonFiniteValue"] * 2
         assert rows[0]["verdict"] == "Refused"
         assert rows[1]["verdict"] == "Agree"
         assert "refused=1" in out.err
@@ -407,7 +417,7 @@ class TestSweepCommand:
         lines = [ln for ln in out.out.splitlines() if ln]
         header = lines[0].split(",")
         assert header[:6] == ["alpha_re", "alpha_im", "beta_re", "beta_im", "theta", "method"]
-        assert len(lines) == 4  # header + one row per method (theorem, quadrature, series)
+        assert len(lines) == 3  # header + one row per method (theorem, quadrature)
 
     def test_missing_axis_is_empty_grid(self, capsys):
         code = main(["sweep", "--alpha-mod", "0.3", "--beta", "0.5", "--theta", "2.0"])
@@ -562,7 +572,7 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == shown
 
     def test_overflowing_beta_is_refused(self):
-        # the reconciliation pole term overflows at Im(beta) = 250
+        # the reconciliation's cut jump factor overflows at Im(beta) = 250
         cmd = [sys.executable, "-m", "bci", "verify", "--seed", "1", "--beta", "0.5+250j"]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1

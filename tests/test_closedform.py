@@ -94,11 +94,13 @@ class TestDirectSeries:
         with pytest.raises(EvaluationError):
             eval_direct_series(inst)
 
-    def test_nonnegative_integer_redirects_to_residue(self):
-        inst = ProblemInstance(alpha=0.3j, beta=2, theta=math.pi)
-        r = eval_direct_series(inst)
-        assert r.value == pytest.approx(2j * math.pi * (0.3j) ** 2, rel=1e-14)
-        assert "residue" in r.diagnostics["beta_class"]
+    @pytest.mark.parametrize("alpha,beta", [(0.3j, 2), (0.3j, 0), (0.0, 0), (0.0, 3)])
+    def test_nonnegative_integer_is_refused(self, alpha, beta):
+        # the k = beta term has a zero denominator; the closed form gives the residue
+        inst = ProblemInstance(alpha=alpha, beta=beta, theta=math.pi)
+        with pytest.raises(BetaNonNegativeInteger):
+            eval_direct_series(inst)
+        assert eval_closed_form(inst).value == pytest.approx(2j * math.pi * alpha**beta, rel=1e-14)
 
     def test_negative_integer_beta_vanishes(self):
         inst = ProblemInstance(alpha=0.4 * cmath.exp(0.9j), beta=-2, theta=2.0)
@@ -304,10 +306,16 @@ class TestReconciliation:
             check_reconciliation(inst)
 
     def test_overflowing_pole_term_is_refused(self):
-        # e^{beta (log alpha - i theta)} has modulus about e^{250 * 3.5}
-        inst = ProblemInstance(alpha=0.5 * cmath.exp(0.5j), beta=0.5 + 250j, theta=3.5)
-        with pytest.raises(NonFiniteValue):
+        # the jump's e^{i beta (theta - 2 pi)} has modulus e^{250 (2 pi - 2)}
+        inst = ProblemInstance(alpha=0.5 * cmath.exp(0.5j), beta=0.5 + 250j, theta=2.0)
+        with pytest.raises(NonFiniteValue, match="cut jump"):
             check_reconciliation(inst)
+
+    def test_tiny_pole_term_is_checked(self):
+        # the pole term is about e^{-821}; e^{beta (log alpha - i theta)} alone
+        # would overflow, but power and jump are each finite
+        inst = ProblemInstance(alpha=0.5 * cmath.exp(0.5j), beta=0.5 + 250j, theta=3.5)
+        assert check_reconciliation(inst) < 1e-8
 
 
 def _mp_circle(alpha, beta, theta):
@@ -356,6 +364,23 @@ class TestEstimatesAgainstMpmath:
             for method in methods:
                 r = method(inst)
                 assert _error(r, ref) <= r.error_estimate, (method.__name__, alpha, beta, theta)
+
+    def test_every_route_near_an_integer(self):
+        # where near-integer reports read Disagree, each estimate still bounds
+        # its route's error: those verdicts are a judgement problem, not an
+        # estimate problem
+        rng = random.Random(20261020)
+        for d in (1e-11, 1e-9, 1e-7):
+            for n in range(-3, 4):
+                for mod in (0.5, 2.0):
+                    beta = n + d * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+                    alpha = mod * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+                    theta = rng.uniform(0.05, 2 * math.pi - 0.05)
+                    methods = ["TheoremHypergeometric", "Quadrature"] + (["SeriesDirect"] if mod < 1 else [])
+                    report = evaluate_instance(ProblemInstance(alpha=alpha, beta=beta, theta=theta), methods)
+                    ref = _mp_circle(alpha, beta, theta)
+                    for r in report.results:
+                        assert _error(r, ref) <= r.error_estimate, (r.method, alpha, beta, theta)
 
     @pytest.mark.parametrize("beta", [-1, -4])
     @pytest.mark.parametrize("theta", [1.2, 4.0, 6.0])
@@ -411,6 +436,10 @@ class TestEstimatesNearTheBand:
         inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
         ref = _mp_circle(alpha, beta, theta)
         for method in [eval_closed_form] + ([] if outside else [eval_direct_series]):
+            if method is eval_direct_series and beta == round(br) >= 0:  # k = beta divides by 0
+                with pytest.raises(BetaNonNegativeInteger):
+                    method(inst)
+                continue
             r = method(inst)
             assert _error(r, ref) <= r.error_estimate, method.__name__
 

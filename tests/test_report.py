@@ -1,12 +1,14 @@
 """Canonical JSON writer: strict output, bit-exact floats, stable bytes; and
 the contract of the records a report is built from."""
 
+import cmath
 import copy
 import json
 import math
 import pickle
 import random
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +162,26 @@ class TestVerdict:
 
         with pytest.raises(ValueError, match="^no methods selected$"):
             evaluate_instance(ProblemInstance(alpha=1.5, beta=0.5, theta=2.0), methods=methods)
+
+    @pytest.mark.parametrize("alpha", [0.5 * cmath.exp(1j), 2.0 * cmath.exp(1j), 0.0])
+    @pytest.mark.parametrize("rational", [None, RationalBeta(1, 3)])
+    def test_default_routes_do_not_fork_on_the_regime(self, alpha, rational):
+        # the direct series is the closed form's sum rearranged: no default route
+        from bci import evaluate_instance
+
+        report = evaluate_instance(ProblemInstance(alpha=alpha, beta=1 / 3, theta=2.0), rational=rational)
+        names = [r.method for r in report.results]
+        assert names == ["TheoremHypergeometric", "Quadrature"] + (["RationalLogSum"] if rational else [])
+        assert report.verdict == "Agree"
+
+
+def test_readme_quickstart_is_current(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    after = readme.split("## Library quickstart\n", 1)[1]
+    code, rest = after.split("```python\n", 1)[1].split("```\n", 1)
+    shown = rest.split("```\n", 1)[1].split("```", 1)[0]
+    exec(code, {})
+    assert capsys.readouterr().out == shown
 
 
 _INSTANCE = ProblemInstance(0.4 + 0.2j, 0.5 + 0.1j, 3.0)
