@@ -202,24 +202,35 @@ def cut_jump_factor(beta: complex, theta: float) -> complex:
 def cut_jump_with_bound(beta: complex, theta: float) -> tuple[complex, float]:
     """cut_jump_factor(beta, theta) and a bound on its rounding error.
 
-    exp(w) is off relatively by about eps (1 + |w|): its own rounding plus
-    that of w.  Here |w| is |beta| theta and |beta| (2 pi - theta), and the
-    second w also carries the rounding of 2*pi, up to |beta| 2 pi more.  The
-    difference can cancel to pure roundoff (it is 0 at integer beta), so the
-    bound is on the two terms.  Raises NonFiniteValue when either term or
-    the bound overflows (|Im beta| of several hundred or more).
+    With e = beta - round(Re beta), exact, the jump is the larger exponential
+    times expm1 of a w = x + iy with x <= 0: e^{i beta (theta - 2 pi)}
+    expm1(2 pi i e) for Im beta > 0, else -e^{i beta theta} expm1(-2 pi i e).
+    The real part of expm1(w) = expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y
+    adds two terms of one sign or is at most -1, so nothing cancels near an
+    integer, the jump is exactly 0 at one, and those terms sum to at most
+    4 |expm1(w)|.  The anchor e^v is off by eps (1 + |v|), plus |beta| 2 pi
+    eps from the rounding of 2 pi; expm1 by 4 eps on its terms and by e^x eps
+    |w| from the rounding of w; the product by 2 eps.  Raises NonFiniteValue
+    when the anchor overflows (|Im beta| of several hundred or more).
     """
     th = _theta_of(theta)
     b = complex(beta)
+    if not cmath.isfinite(b):
+        raise NonFiniteValue(f"the cut jump factor is not finite at beta = {b!r}")
+    e = b - round(b.real)
+    up = b.imag > 0.0
+    if up:
+        v, w, span = 1j * b * (th - TWO_PI), 2j * math.pi * e, 2.0 * TWO_PI - th
+    else:
+        v, w, span = 1j * b * th, -2j * math.pi * e, th
     try:
-        e1 = cmath.exp(1j * b * th)
-        e2 = cmath.exp(1j * b * (th - TWO_PI))
+        anchor = cmath.exp(v)
     except OverflowError:
         raise NonFiniteValue(f"the cut jump factor overflows at beta = {b!r}") from None
-    size = abs(b)
-    bound = _EPS * (abs(e1) * (1.0 + size * th) + abs(e2) * (1.0 + size * (2.0 * TWO_PI - th)))
-    jump = e1 - e2
+    grow, half = math.exp(w.real), math.sin(0.5 * w.imag)
+    expm1 = complex(math.expm1(w.real) * math.cos(w.imag) - 2.0 * half * half, grow * math.sin(w.imag))
+    jump = anchor * expm1 if up else -anchor * expm1
+    bound = _EPS * abs(jump) * (19.0 + abs(b) * span) + _EPS * abs(anchor) * grow * abs(w)
     if not (math.isfinite(bound) and cmath.isfinite(jump)):
         raise NonFiniteValue(f"the cut jump or its rounding bound overflows at beta = {b!r}")
     return jump, bound
-

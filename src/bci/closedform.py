@@ -213,9 +213,7 @@ def eval_direct_series(inst: ProblemInstance) -> MethodResult:
     beta in Z_{>=0} puts a zero denominator at k = beta and is refused with
     BetaNonNegativeInteger; the closed form's residue table covers it.
     Negative integers need no refusal: the sum is finite and the jump factor
-    is 0 up to its rounding, so the value is roundoff where the residue
-    theorem gives 0, and the estimate covers it through the jump's rounding
-    bound.
+    is exactly 0, so the value is the residue theorem's 0.
     """
     outside, diag, z = _regime(inst)
     if outside:

@@ -118,12 +118,13 @@ toward 0 in one call, and refine from there as usual: 0, then 2^-36 to
 checks: on a mesh doubling all the way from 2^-K, the worst residual stops
 improving at K = 36, and a deeper K costs no more calls.  The wider steps
 below 2^-14 suffice because K15 resolves the phase u^{ic} on them in log u:
-on the 2550 unit-interval rows of run_verify over seeds 4000-4029 the mesh
-stops on its first round for the same 2457 rows as the 38-panel doubling
-mesh, within 1.6e-16 relative of it.  Where the phase turns fast, more than
-2 per unit of log u, it stops there less often (on 40 of 300 Euler draws
-with 2 < |c| <= 4, against 56 on the doubling mesh) and refines instead;
-run_verify draws 36 such rows in 28,050 over seeds 1000-1299 and 4000-4029.
+on the 2550 unit-interval rows run_verify drew over seeds 4000-4029 (with a
+reduction check since gone) the mesh stops on its first round for the same
+2457 rows as the 38-panel doubling mesh, within 1.6e-16 relative of it.
+Where the phase turns fast, more than 2 per unit of log u, it stops there
+less often (on 40 of 300 Euler draws with 2 < |c| <= 4, against 56 on the
+doubling mesh) and refines instead; run_verify drew 36 such rows in 28,050
+over seeds 1000-1299 and 4000-4029.
 
 The first round factors the phase u^{ic}, which would otherwise take a
 complex exponential at each of its nodes.  Every node is u = a w with a the
@@ -186,7 +187,6 @@ __all__ = [
     "radial_integral",
     "radial_integrals",
     "check_integral_reduction",
-    "check_integral_reductions",
     "check_circle_vs_radial",
     "check_circles_vs_radial",
 ]
@@ -626,31 +626,20 @@ def radial_integral(inst: ProblemInstance) -> QuadratureResult:
     return radial_integrals([inst])[0]
 
 
-def check_integral_reductions(insts: list[ProblemInstance]) -> list[float]:
+def check_integral_reduction(inst: ProblemInstance) -> float:
     """Relative discrepancy in: radial integral = 1/beta - Euler integral at
-    e^{i theta}/alpha, for each instance.
+    e^{i theta}/alpha.
 
     Writing t/(t - p) = 1 + p/(t - p) with p = alpha e^{-i theta} reduces
         integral_0^1 t^beta/(t - p) dt = 1/beta - integral_0^1 t^{beta-1}/(1 - t/p) dt.
-    Both sides are evaluated by independent quadratures (different integrands,
-    different substitutions), so small residuals are evidence, not tautology.
-    Each side is one batch over the instances, and a quadrature that stopped
-    unconverged raises SlowConvergence.
+    Both sides are unit-interval quadratures, on different integrands.
+    run_verify no longer runs it: eval runs neither side.  A quadrature that
+    stopped unconverged raises SlowConvergence.
     """
-    lhs = radial_integrals(insts)
-    poles = [inst.alpha * cmath.exp(-1j * inst.theta) for inst in insts]
-    euler = euler_integrals([1.0 / pole for pole in poles], [inst.beta for inst in insts])
-    residuals = []
-    for inst, left, right in zip(insts, lhs, euler):
-        radial = left.converged_value("radial integral")
-        rhs = 1.0 / inst.beta - right.converged_value("Euler integral")
-        residuals.append(abs(radial - rhs) / max(abs(rhs), 1.0))
-    return residuals
-
-
-def check_integral_reduction(inst: ProblemInstance) -> float:
-    """check_integral_reductions for the one instance."""
-    return check_integral_reductions([inst])[0]
+    radial = radial_integral(inst).converged_value("radial integral")
+    pole = inst.alpha * cmath.exp(-1j * inst.theta)
+    rhs = 1.0 / inst.beta - euler_integral(1.0 / pole, inst.beta).converged_value("Euler integral")
+    return abs(radial - rhs) / max(abs(rhs), 1.0)
 
 
 def check_circles_vs_radial(insts: list[ProblemInstance]) -> list[float]:

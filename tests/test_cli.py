@@ -372,7 +372,7 @@ class TestSweepCommand:
             ("Agree", "0.5", "1", "0.5", "3", [], 0),
             ("Partial", "0.9999999998", "0", "0.5", "2", ["--exclusion-band", "1e-10"], 0),
             ("Uncertified", "0.3", "0.8", "0.5", "2.0", ["--tol", "1e-14"], 2),
-            ("Disagree", "0.5", "1", "2.00000000001", "2", [], 2),
+            ("Disagree", "0.5", "1", "2.00000000001", "2", ["--tol", "1e-17"], 2),
             ("Refused", "0.5", "1", "0.5+1000j", "3", [], 1),
         ],
     )
@@ -503,7 +503,7 @@ class TestNonFiniteInputRefusal:
             (["eval", "--alpha", "0.3", "--beta", "0.5+infj", "--theta", "2"], "beta"),
             (["sweep", "--alpha-mod", "inf", "--alpha-arg", "1", "--beta", "0.5", "--theta", "2"], "alpha"),
             (["sweep", "--alpha-mod", "0.5", "--alpha-arg", "1", "--beta", "0.5,nan", "--theta", "2"], "beta"),
-            (["verify", "--seed", "1", "--beta", "nan", "--check", "reduction"], "beta"),
+            (["verify", "--seed", "1", "--beta", "nan", "--check", "circle"], "beta"),
             (["verify", "--seed", "1", "--beta", "nan", "--check", "euler"], "beta"),
             (["verify", "--seed", "1", "--beta", "0.5+infj"], "beta"),
         ],
@@ -526,7 +526,7 @@ class TestVerifyCommand:
         assert doc["seed"] == 11
         assert doc["verdict"] == "Agree"
         assert [c["name"] for c in doc["checks"]] == [
-            "reduction", "reconciliation", "ode", "circle", "euler",
+            "reconciliation", "ode", "circle", "euler",
         ]
         assert all(c["pass"] for c in doc["checks"])
         assert main(["verify", "--seed", "12"]) == 0
@@ -542,19 +542,22 @@ class TestVerifyCommand:
         assert all(c["threshold"] == 1e-30 for c in doc["checks"])
 
     def test_check_subset(self, capsys):
-        code = main(["verify", "--seed", "5", "--check", "euler", "--check", "reduction"])
+        code = main(["verify", "--seed", "5", "--check", "euler", "--check", "circle"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert [c["name"] for c in doc["checks"]] == ["reduction", "euler"]
+        assert [c["name"] for c in doc["checks"]] == ["circle", "euler"]
 
-    def test_delta_check_is_gone(self, capsys):
-        # the root-of-unity filter runs in no route, so verify has no check of it
+    @pytest.mark.parametrize("check", ["delta", "reduction"])
+    def test_deleted_check_is_a_usage_error(self, check, capsys):
+        # the root-of-unity filter runs in no route, and the radial integral's
+        # reduction compares two unit-interval quadratures eval never runs, so
+        # verify has no check of either
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--seed", "1", "--check", "delta"])
+            main(["verify", "--seed", "1", "--check", check])
         assert exc.value.code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert "invalid choice: 'delta'" in err
+        assert f"invalid choice: '{check}'" in err
 
     def test_beta_pin(self, capsys):
         assert main(["verify", "--seed", "5", "--check", "ode", "--beta", "1.3,0.2"]) == 0
@@ -564,7 +567,7 @@ class TestVerifyCommand:
         assert "beta" in err
 
     def test_readme_example_is_current(self, capsys):
-        command = "bci verify --seed 7 --check reduction --check euler"
+        command = "bci verify --seed 7 --check circle --check euler"
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         after = readme.split(f"```sh\n{command}\n```\n", 1)[1]
         shown = after.split("```json\n", 1)[1].split("```", 1)[0]

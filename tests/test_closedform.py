@@ -118,7 +118,7 @@ class TestDirectSeries:
         r = eval_direct_series(ProblemInstance(alpha=0.0, beta=beta, theta=theta))
         assert r.diagnostics["series_terms"] == 1
         assert r.value == cut_jump_with_bound(beta, theta)[0] * (1.0 / beta)
-        assert r.error_estimate.hex() == "0x1.d4c167dce5706p-47"
+        assert r.error_estimate.hex() == "0x1.2630c2da28cb0p-46"
 
     @given(
         amod=st.floats(min_value=0.0, max_value=0.9),
@@ -366,9 +366,7 @@ class TestEstimatesAgainstMpmath:
                 assert _error(r, ref) <= r.error_estimate, (method.__name__, alpha, beta, theta)
 
     def test_every_route_near_an_integer(self):
-        # where near-integer reports read Disagree, each estimate still bounds
-        # its route's error: those verdicts are a judgement problem, not an
-        # estimate problem
+        # each route's estimate bounds its error next to an integer beta
         rng = random.Random(20261020)
         for d in (1e-11, 1e-9, 1e-7):
             for n in range(-3, 4):
@@ -382,10 +380,39 @@ class TestEstimatesAgainstMpmath:
                     for r in report.results:
                         assert _error(r, ref) <= r.error_estimate, (r.method, alpha, beta, theta)
 
+    @pytest.mark.parametrize("d", [3e-12, 1e-11, 1e-9, 1e-7, 1e-5, 0.3])
+    def test_closed_form_keeps_its_digits_near_an_integer(self, d):
+        # the jump e^{i beta theta} - e^{i beta (theta - 2 pi)} cancels to
+        # ~2 pi d at beta = n + d; taken through expm1 it loses nothing, so
+        # the closed form and its estimate stay at full accuracy and the
+        # report reads Agree
+        rng = random.Random(20261020)
+        for n in range(-4, 5):
+            for mod in (0.5, 2.0):
+                beta = n + d * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+                alpha = mod * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+                theta = rng.uniform(0.05, 2 * math.pi - 0.05)
+                inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
+                ref = _mp_circle(alpha, beta, theta)
+                r = eval_closed_form(inst)
+                assert _error(r, ref) <= r.error_estimate <= 1e-12 * max(1.0, abs(complex(ref))), (alpha, beta, theta)
+                assert evaluate_instance(inst).verdict == "Agree", (alpha, beta, theta)
+
+    def test_closed_form_at_the_overflow_edge(self):
+        # |I| ~ 1e303 fits in a double; the jump is the larger exponential,
+        # ~1e306, times expm1 of an exponent with real part <= 0, so it is
+        # finite where the two exponentials were not both
+        alpha, beta, theta = 0.7005 * cmath.exp(4.4439j), -1.0041 + 209.0003j, 2.9123
+        inst = ProblemInstance(alpha=alpha, beta=beta, theta=theta)
+        r = eval_closed_form(inst)
+        ref = _mp_circle(alpha, beta, theta)
+        assert _error(r, ref) <= r.error_estimate <= 1e-12 * abs(complex(ref))
+        assert evaluate_instance(inst).verdict == "Partial"  # quadrature overflows
+
     @pytest.mark.parametrize("beta", [-1, -4])
     @pytest.mark.parametrize("theta", [1.2, 4.0, 6.0])
     def test_series_at_negative_integer_beta(self, beta, theta):
-        # The exact value is 0 and the computed jump factor is pure roundoff.
+        # The exact value is 0, and so is the computed jump factor.
         r = eval_direct_series(ProblemInstance(alpha=0.15 * cmath.exp(0.7j), beta=beta, theta=theta))
         assert abs(r.value) <= r.error_estimate
 

@@ -1030,19 +1030,17 @@ class TestPanelOrder:
 
 
 def test_panels_calls_per_verify_run(monkeypatch):
-    # per run: 5 batches (the reduction check's two, reconciliation, the circle
-    # check's radial batch, euler) of 15 or 20 rows, each with its first rounds
-    # in chunks of at most 15 rows, which factor the phase and so make no
-    # _panels call, and 3.57 refinement rounds; of the 450 circle integrals,
-    # 15 start graded and the rest on the cached plain start, which needs no
-    # _panels call, and none refines
+    # per run: 3 batches (reconciliation, the circle check's radial batch,
+    # euler) of 15 rows, each with its first round in one chunk, which factors
+    # the phase and so makes no _panels call, and 2 refinement rounds; of the
+    # 450 circle integrals, 15 start graded and the rest on the cached plain
+    # start, which needs no _panels call, and none refines
     calls = _count_panels_calls(monkeypatch)
     firsts = _count_first_rounds(monkeypatch)
     for seed in range(4000, 4030):
         run_verify(seed)
-    # 210 chunks: 90 of 15 rows and 120 of 10 (a 20-row batch)
-    assert len(firsts) == 210
-    assert len(calls) == 122
+    assert firsts == [15] * 90
+    assert len(calls) == 75
 
 
 class TestIntegralIdentities:

@@ -12,12 +12,7 @@ import bci.odecheck
 import bci.verify
 from bci import ProblemInstance, SlowConvergence
 from bci.closedform import check_reconciliation, check_reconciliations
-from bci.quadrature import (
-    check_circle_vs_radial,
-    check_circles_vs_radial,
-    check_integral_reduction,
-    check_integral_reductions,
-)
+from bci.quadrature import check_circle_vs_radial, check_circles_vs_radial
 from bci.verify import run_verify
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42])
@@ -32,7 +27,6 @@ def test_a_check_alone_gives_its_row_of_the_full_report(seed, check):
 @pytest.mark.parametrize(
     "batch,single,inside_only",
     [
-        (check_integral_reductions, check_integral_reduction, False),
         (check_reconciliations, check_reconciliation, True),
         (check_circles_vs_radial, check_circle_vs_radial, False),
     ],
@@ -99,7 +93,7 @@ def test_a_fault_in_the_series_argument_shows_in_reconciliation(monkeypatch):
     assert run_verify(1, checks=("reconciliation",))["verdict"] == "Disagree"
 
 
-@pytest.mark.parametrize("where", [0, 7, 19])
+@pytest.mark.parametrize("where", [0, 7, 14])
 def test_nan_residual_fails_its_check(where, monkeypatch):
     # max(0.0, nan) is 0.0: a worst-of that drops NaN would pass this check
     def residuals(insts):
@@ -107,10 +101,10 @@ def test_nan_residual_fails_its_check(where, monkeypatch):
         out[where] = math.nan
         return out
 
-    monkeypatch.setattr(bci.verify, "check_integral_reductions", residuals)
-    report = run_verify(1, checks=("reduction",))
+    monkeypatch.setattr(bci.verify, "check_circles_vs_radial", residuals)
+    report = run_verify(1, checks=("circle",))
     row = report["checks"][0]
-    assert row["cases"] == 20
+    assert row["cases"] == 15
     assert math.isnan(row["max_residual"])
     assert row["pass"] is False
     assert report["verdict"] == "Disagree"
@@ -118,7 +112,7 @@ def test_nan_residual_fails_its_check(where, monkeypatch):
 
 @pytest.mark.parametrize("beta", [complex(math.nan, 0.0), complex(0.5, math.inf), complex(math.inf, 0.0)])
 def test_non_finite_pinned_beta_is_refused(beta):
-    for checks in (None, ("reduction",), ("euler",)):
+    for checks in (None, ("circle",), ("euler",)):
         with pytest.raises(ValueError, match="not finite"):
             run_verify(1, checks=checks, beta=beta)
 
@@ -129,7 +123,7 @@ def test_no_checks_is_refused():
         run_verify(1, checks=())
 
 
-@pytest.mark.parametrize("check", ["reduction", "reconciliation", "euler"])
+@pytest.mark.parametrize("check", ["reconciliation", "euler"])
 def test_unconverged_quadrature_is_refused(check):
     # at Re(beta) = 1e-5 some Euler integrals stop unconverged on the panel
     # budget; a residual read off their values gave a false Disagree (euler)
