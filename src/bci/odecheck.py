@@ -162,14 +162,9 @@ def ode_residual(inst: ProblemInstance, h: float = DEFAULT_STEP) -> OdeResidual:
     )
     d1 = (-i_p2 + 8.0 * i_p1 - 8.0 * i_m1 + i_m2) / (12.0 * h)
     d2 = (-i_p2 + 16.0 * i_p1 - 30.0 * i_0 + 16.0 * i_m1 - i_m2) / (12.0 * h * h)
-    lhs = _poly_at(coeffs.p2, a) * d2 + _poly_at(coeffs.p1, a) * d1 + coeffs.zero_order * i_0
-    defect = lhs - coeffs.rhs
-    scale = max(
-        abs(coeffs.rhs),
-        max(abs(_poly_at(coeffs.p2, a)), abs(_poly_at(coeffs.p1, a)), abs(coeffs.zero_order))
-        * max(abs(d2), abs(d1), abs(i_0)),
-        1.0,
-    )
+    p2, p1 = _poly_at(coeffs.p2, a), _poly_at(coeffs.p1, a)
+    defect = p2 * d2 + p1 * d1 + coeffs.zero_order * i_0 - coeffs.rhs
+    scale = max(abs(coeffs.rhs), max(abs(p2), abs(p1), abs(coeffs.zero_order)) * max(abs(d2), abs(d1), abs(i_0)), 1.0)
     return OdeResidual(lhs_minus_rhs=defect, relative_residual=abs(defect) / scale, step=h)
 
 

@@ -27,11 +27,11 @@ constant shows as a moment error.
 
 A first round of 16 panels costs about as much in numpy calls and Python as
 in arithmetic on its nodes, so the fixed cost is kept small: a start that
-cannot grade returns before building anything, nothing is subtracted when
-c = 0, and an integral builds one result.  The nodes of the panels to
-evaluate go to f in one flat array: one call for all initial panels (a
-unit-interval batch evaluates its own, below), then one per round for the
-children of all the panels split, which join the panels kept.
+cannot grade returns before building anything, and an integral builds one
+result.  The nodes of the panels to evaluate go to f in one flat array: one
+call for all initial panels (a batch evaluates its own first rounds, below),
+then one per round for the children of all the panels split, which join the
+panels kept.
 Refinement stops unconverged when no panel over its share is wider than
 1e-15 of the interval, or when a round would pass DEFAULT_MAX_PANELS.
 adaptive_quadrature starts on the edges its caller gives: the circle and
@@ -143,25 +143,27 @@ error grows to |c| eps |log mid|, ~125 times that bound at the node next to
 
 Batched first round
 -------------------
-Almost every integral stops on its first round, so the unit-interval
-batches (euler_integrals, radial_integrals) evaluate their first rounds
-together: the integrand gets its parameters as (k, 1) columns, and _rules
-reduces the (k, 15 n) values panel by panel.  One stopping pass per chunk
-(below) then judges its rows: one tolist per array, math.fsum per row, by
-_judge's rules.  Only the rows that fail it go to _refine, alone, with
-scalar parameters, and _refine takes that judgement of the first round
+Almost every integral stops on its first round, so the batches evaluate
+their first rounds together (circle_integrals those of its rows on the plain
+start; a graded or lone circle runs alone): the integrand gets its parameters
+as (k, 1) columns, and _rules reduces the (k, 15 n) values panel by panel,
+with einsum, which calls no BLAS (an earlier circle batch's BLAS product
+rounded a row by its place in the matrix under some OpenBLAS kernels).  One
+stopping pass per chunk (_settle) then judges its rows: one tolist per
+array, math.fsum per row, by _judge's rules.  Only the rows that fail it go
+to _refine, alone, with scalar parameters, and _refine takes that judgement
 rather than making it again.  So each result is the float it is alone
 (tests/test_quadrature.py holds them equal field for field, and a shuffled
 batch to the same bits).
 
-A chunk holds at most _UNIT_CHUNK = 15 rows, 5625 node values.  That bounds
-the arrays a chunk has live at once to ~0.4 MB (tracemalloc; a 60-row batch
-whole peaks at ~2 MB).  Whole batches of 15 and 20 rows of 570 node values
-(38 panels) made glibc's malloc give pages back at the top of the heap after
-each batch and fault them in again at the next: ~430 page faults per verify
-op, at ~1.6 us each on a 2-core x86-64 VM, which took back most of what the
-factored phase saves.  In chunks a verify op takes none there, for one more
-pass of numpy calls per batch.
+A chunk holds at most _UNIT_CHUNK = 15 rows, 5625 node values (3600 for
+circles).  That bounds the arrays a chunk has live at once to ~0.4 MB
+(tracemalloc; a 60-row batch whole peaks at ~2 MB).  Whole batches of 15 and
+20 rows of 570 node values (38 panels) made glibc's malloc give pages back at
+the top of the heap after each batch and fault them in again at the next:
+~430 page faults per verify op, at ~1.6 us each on a 2-core x86-64 VM, which
+took back most of what the factored phase saves.  In chunks a verify op takes
+none there, for one more pass of numpy calls per batch.
 """
 
 from __future__ import annotations
@@ -182,6 +184,7 @@ __all__ = [
     "QuadratureResult",
     "adaptive_quadrature",
     "circle_integral",
+    "circle_integrals",
     "euler_integral",
     "euler_integrals",
     "radial_integral",
@@ -400,6 +403,28 @@ def _refine(
         panels = [np.concatenate((old[keep], new)) for old, new in zip(panels, children)]
 
 
+def _settle(count: int, first_round: Callable, tol: float, rows: list, alone: Callable) -> list[tuple]:
+    """QuadratureResult fields of count integrals, first rounds in chunks (module notes):
+    first_round(start, end) gives rows start to end as (k, n) arrays of K15 values,
+    estimates and masses, and rows each row's roundoff and offset.  A row k that fails
+    its chunk's stopping pass refines alone, on alone(k) = (its integrand, its edges)."""
+    results = []
+    chunks = -(-count // _UNIT_CHUNK)
+    for j in range(chunks):
+        start, end = count * j // chunks, count * (j + 1) // chunks
+        vals, errs, masses = first_round(start, end)
+        parts = zip(vals.real.tolist(), vals.imag.tolist(), errs.tolist(), masses.tolist(), rows[start:end])
+        for k, (re, im, err, mass, (roundoff, offset)) in enumerate(parts, start):
+            value, estimate, goal, stops = judged = _judge(re, im, err, mass, tol, roundoff, offset)
+            if stops:
+                results.append((value, estimate, len(err), estimate <= goal))
+            else:
+                f, edges = alone(k)
+                panels = (edges[:-1], edges[1:], vals[k - start], errs[k - start], masses[k - start])
+                results.append(_refine(f, panels, tol, roundoff, offset, judged))
+    return results
+
+
 def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
     """Contour integral of z**beta / (z - alpha) over the unit circle.
 
@@ -414,21 +439,49 @@ def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> Qua
     notes).  Raises NonFiniteValue when the integrand could overflow on the
     window, or the value or estimate is not finite.
     """
-    roundoff = _circle_roundoff(inst)
-    lo, alpha, beta = inst.theta - TWO_PI, inst.alpha, inst.beta
-    edges, pole = _circle_start(lo, alpha, beta)
-    c = 0j if pole is None else cmath.exp(1j * beta * pole)
-    g = _circle_integrand(beta, alpha, c)
-    f = lambda s: g(s, np.exp(1j * s))
-    if edges is None:
-        edges = lo + _PLAIN_EDGES
-        first = _rules(g(lo + _PLAIN_NODES, cmath.exp(1j * lo) * _PLAIN_TURNS), _PLAIN_HALF)
-    else:
-        first = _panels(f, edges[:-1], edges[1:])
-    # the i of dz = i z ds multiplies the total, the enclosed residue 2 pi i c included
-    offset = 0j if inst.alpha_outside() else TWO_PI * c
-    value, *rest = _refine(f, (edges[:-1], edges[1:], *first), tol, roundoff, offset)
-    return _finite(QuadratureResult(complex(-value.imag, value.real), *rest))
+    return circle_integrals([inst], tol)[0]
+
+
+def circle_integrals(insts: list[ProblemInstance], tol: float = DEFAULT_QUAD_TOL) -> list[QuadratureResult]:
+    """circle_integral for each instance, each checked, in order, before any
+    is integrated; rows on the plain start share first rounds (module notes)."""
+    rows, plain = [], []  # each row: lo, e^{i lo}, beta, alpha, c, roundoff, offset, graded edges or None
+    for inst in insts:
+        roundoff = _circle_roundoff(inst)
+        lo, alpha, beta = inst.theta - TWO_PI, inst.alpha, inst.beta
+        edges, pole = _circle_start(lo, alpha, beta)
+        c = 0j if pole is None else cmath.exp(1j * beta * pole)
+        # the i of dz = i z ds multiplies the total, the enclosed residue 2 pi i c included
+        offset = 0j if inst.alpha_outside() else TWO_PI * c
+        rows.append((lo, cmath.exp(1j * lo), beta, alpha, c, roundoff, offset, edges))
+        if edges is None:
+            plain.append(rows[-1])
+    settled = None
+    if len(plain) > 1:
+        los, turns, *params = [np.array(col)[:, None] for col in list(zip(*plain))[:5]]
+        first_round = lambda a, b: _plain_first(los[a:b], turns[a:b], _circle_integrand(*(p[a:b] for p in params)))
+        alone = lambda k: (_circle_integrand(*plain[k][2:5]), plain[k][0] + _PLAIN_EDGES)
+        settled = iter(_settle(len(plain), first_round, tol, [row[5:7] for row in plain], alone))
+    results = []
+    for lo, turn, beta, alpha, c, roundoff, offset, edges in rows:
+        if settled and edges is None:
+            fields = next(settled)
+        else:  # a graded row, or a lone plain row on scalars: columns would cost it ~1 us
+            f = _circle_integrand(beta, alpha, c)
+            if edges is None:
+                edges, first = lo + _PLAIN_EDGES, _plain_first(lo, turn, f)
+            else:
+                first = _panels(f, edges[:-1], edges[1:])
+            fields = _refine(f, (edges[:-1], edges[1:], *first), tol, roundoff, offset)
+        value, *rest = fields
+        results.append(_finite(QuadratureResult(complex(-value.imag, value.real), *rest)))
+    return results
+
+
+def _plain_first(lo, turn, g: Callable) -> tuple:
+    """_rules of the circle integrand g on the plain start, turn = e^{i lo}:
+    scalars give one integral's first round, (k, 1) columns a chunk's."""
+    return _rules(g(lo + _PLAIN_NODES, turn * _PLAIN_TURNS), _PLAIN_HALF)
 
 
 def _circle_roundoff(inst: ProblemInstance) -> float:
@@ -446,9 +499,13 @@ def _circle_roundoff(inst: ProblemInstance) -> float:
 
 
 def _circle_integrand(beta: complex, alpha: complex, c: complex) -> Callable:
-    """z (z**beta - c) / (z - alpha) at s, given z = e^{is}: the integrand over
-    ds, short of the constant factor i; c = 0j when no pole is subtracted."""
-    return lambda s, z: z * (np.exp(1j * beta * s) - c) / (z - alpha)
+    """z (z**beta - c) / (z - alpha) at s and z = e^{is}, made unless given: the
+    integrand over ds, short of the factor i; c = 0j when no pole is subtracted."""
+    def g(s: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+        z = np.exp(1j * s) if z is None else z
+        return z * (np.exp(1j * beta * s) - c) / (z - alpha)
+
+    return g
 
 
 def _finite(result: QuadratureResult) -> QuadratureResult:
@@ -551,22 +608,10 @@ def _unit_power_integrals(mu: list[complex], param: list[complex], factor: Calla
         return _unit_integrand(s[k] * np.exp(1j * c[k] * lu), lu, s[k], param[k], factor)
 
     columns = [np.array(values)[:, None] for values in (s, c, param)]
-    lefts, rights = _UNIT_EDGES[:-1], _UNIT_EDGES[1:]
-    results = []
-    count = -(-len(mu) // _UNIT_CHUNK)  # chunks of at most _UNIT_CHUNK rows, as even as can be
-    for j in range(count):
-        start, end = len(mu) * j // count, len(mu) * (j + 1) // count
-        vals, errs, masses = _rules(_unit_first_values(*(col[start:end] for col in columns), factor), _UNIT_HALF)
-        rows = zip(vals.real.tolist(), vals.imag.tolist(), errs.tolist(), masses.tolist())
-        for j, row in enumerate(rows):
-            value, estimate, goal, stops = judged = _judge(*row, DEFAULT_QUAD_TOL, _ROUNDOFF, 0j)
-            if stops:
-                results.append(QuadratureResult(value, estimate, lefts.size, estimate <= goal))
-            else:
-                first = (lefts, rights, vals[j], errs[j], masses[j])
-                fields = _refine(lambda u, k=start + j: g(u, k), first, DEFAULT_QUAD_TOL, _ROUNDOFF, judged=judged)
-                results.append(QuadratureResult(*fields))
-    return results
+    first_round = lambda a, b: _rules(_unit_first_values(*(col[a:b] for col in columns), factor), _UNIT_HALF)
+    alone = lambda k: (lambda u: g(u, k), _UNIT_EDGES)
+    fields = _settle(len(mu), first_round, DEFAULT_QUAD_TOL, [(_ROUNDOFF, 0j)] * len(mu), alone)
+    return [QuadratureResult(*row) for row in fields]
 
 
 def euler_integrals(ws: list[complex], betas: list[complex]) -> list[QuadratureResult]:
@@ -652,11 +697,11 @@ def check_circles_vs_radial(insts: list[ProblemInstance]) -> list[float]:
     residue of z^beta/(z - alpha) at alpha means on this slit plane — and
     (ii) the two ray integrals, whose branch powers differ by exactly
     cut_jump_factor(beta, theta).  Needs Re(beta) > 0 (ray integrals converge
-    at the origin) and, when |alpha| < 1, alpha off the cut.  Each circle is
-    a circle_integral call, the radial integrals one batch, and a quadrature
-    that stopped unconverged raises SlowConvergence.
+    at the origin) and, when |alpha| < 1, alpha off the cut.  The circles and
+    the radial integrals are one batch each (circle_integrals, radial_integrals),
+    and a quadrature that stopped unconverged raises SlowConvergence.
     """
-    circles = [circle_integral(inst) for inst in insts]
+    circles = circle_integrals(insts)
     radials = radial_integrals(insts)
     residuals = []
     for inst, circle, radial in zip(insts, circles, radials):

@@ -5,14 +5,14 @@ mathematical identity, and compares it against that identity's own
 accuracy budget.  A check draws from its own generator, seeded with
 "<seed>:<name>", so its row depends on the seed alone, not on which checks
 ran before it, and the report bytes are fully determined by the seed.  A
-check draws all its cases first and then evaluates them.  Its unit-interval
-quadratures are one batch, which shares their first rounds, in chunks with
-the phase u^{ic} factored on the one graded start mesh and one stopping
-pass per chunk (see the quadrature module notes); each is the float of its
-single integral.  Everything else runs one case at a time
+check draws all its cases first and then evaluates them.  Its quadratures
+are batches that share their first rounds, in chunks with one stopping pass
+per chunk: the unit-interval ones with the phase u^{ic} factored on the one
+graded start mesh, the circles on the plain start (see the quadrature module
+notes); each is the float of its single integral, and a circle the float
+circle_integral gives in eval.  Everything else runs one case at a time
 through the code that eval runs: each 2F1(1, b; 1+b; .) series is a
-hyp2f1_one_b call, each ODE stencil value an eval_closed_form call, each
-circle a circle_integral call.
+hyp2f1_one_b call, each ODE stencil value an eval_closed_form call.
 A check whose residuals include a NaN reports a NaN worst residual and
 fails.
 
@@ -23,7 +23,7 @@ reconciliation   cross-regime Euler identity (pole term + closed form):
 ode              finite-difference residual of the regime ODE: 12 draws x 5
                  stencil points, 60 closed forms
 circle           contour integral vs residue + jump * radial integral: 15
-                 circle integrals, 15 radial integrals as one batch
+                 circle integrals as one batch, 15 radial integrals as another
 euler            beta * Euler integral vs the 2F1(1, b; 1+b; .) series:
                  15 Euler integrals as one batch, 15 series
 

@@ -25,6 +25,7 @@ from bci import (
     check_circle_vs_radial,
     check_integral_reduction,
     circle_integral,
+    circle_integrals,
     euler_integral,
     euler_integrals,
     evaluate_instance,
@@ -821,19 +822,22 @@ class TestUnitIntegralBatches:
     def test_first_round_memory_is_bounded_by_its_chunks(self):
         # 60 rows: evaluated whole, the first round's arrays would peak at
         # ~2 MB, and freeing and refaulting pages of that size cost most of
-        # what the factored phase saves (module notes)
+        # what the factored phase saves (module notes); 60 circles on the
+        # plain start go in chunks within the same row bound
         rng = random.Random(20261025)
         ws = [rng.uniform(0.1, 0.9) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi)) for _ in range(60)]
         betas = [complex(rng.uniform(0.3, 3.0), rng.uniform(-0.5, 0.5)) for _ in range(60)]
-        want = euler_integrals(ws, betas)
-        tracemalloc.start()
-        try:
-            got = euler_integrals(ws, betas)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == want
-        assert peak < 1e6, peak
+        circles = [inst for inst in _verify_circles() if _is_plain(inst)][:60]
+        for batch in (lambda: euler_integrals(ws, betas), lambda: circle_integrals(circles)):
+            want = batch()
+            tracemalloc.start()
+            try:
+                got = batch()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert peak < 1e6, peak
 
     def test_empty_batch(self):
         assert euler_integrals([], []) == radial_integrals([]) == []
@@ -871,21 +875,76 @@ def _bits(result):
     return value.real.hex(), value.imag.hex(), estimate.hex(), result.subdivisions, result.converged
 
 
+def _verify_circles():
+    """The circle check's draws over seeds 4000-4029, 450 instances."""
+    draws = (bci.verify._instances(random.Random(f"{seed}:circle"), None, 15) for seed in range(4000, 4030))
+    return [inst for insts in draws for inst in insts]
+
+
+def _count_plain_first_rounds(monkeypatch):
+    """Patch bci.quadrature._plain_first to count its calls; returns the live
+    list of the rows of each call (1 for scalar parameters)."""
+    rows = []
+    plain_first = bci.quadrature._plain_first
+
+    def counted(lo, *params):
+        rows.append(np.size(lo))
+        return plain_first(lo, *params)
+
+    monkeypatch.setattr(bci.quadrature, "_plain_first", counted)
+    return rows
+
+
+def _is_plain(inst):
+    return bci.quadrature._circle_start(inst.theta - 2 * math.pi, inst.alpha, inst.beta)[0] is None
+
+
 class TestCircleBatches:
-    def test_verify_circle_check_integrates_each_circle_alone(self, monkeypatch):
-        # the circle check runs each circle through circle_integral, the
-        # quadrature eval runs
-        insts = []
-        alone = bci.quadrature.circle_integral
+    def test_batch_equals_each_circle_alone(self):
+        # the verify draws, mostly on the plain start, and the edge cases:
+        # graded starts, Re beta = 12, which refines from the plain start,
+        # and a pole 2e-4 from the circle; shuffled, so rows change chunks
+        insts = _verify_circles()
+        insts += [ProblemInstance(alpha=a, beta=b, theta=t, exclusion_band=1e-4) for a, b, t in EDGE_CIRCLES]
+        random.Random(20261026).shuffle(insts)
+        alone = [circle_integral(inst) for inst in insts]
+        assert [_bits(r) for r in circle_integrals(insts)] == [_bits(r) for r in alone]
+        plain = [_is_plain(inst) for inst in insts]
+        assert 15 < sum(plain) < len(insts)
+        assert any(p and r.subdivisions > 16 for p, r in zip(plain, alone))  # a plain row refines
 
-        def counted(inst, tol=bci.quadrature.DEFAULT_QUAD_TOL):
-            insts.append(inst)
-            return alone(inst, tol)
+    def test_one_first_round_per_chunk(self, monkeypatch):
+        insts = _verify_circles()[:40] + [ProblemInstance(alpha=0.5 * cmath.exp(1j), beta=12.0 + 0.3j, theta=2.0)]
+        plain = sum(map(_is_plain, insts))
+        calls = _count_panels_calls(monkeypatch)
+        firsts = _count_plain_first_rounds(monkeypatch)
+        for inst in insts:
+            circle_integral(inst)
+        rounds = len(calls)  # graded first rounds and refinement rounds
+        assert firsts == [1] * plain and rounds > len(insts) - plain
+        firsts.clear()
+        calls.clear()
+        circle_integrals(insts)
+        # the plain rows in chunks of at most 15, as even as they can be
+        assert sum(firsts) == plain and len(firsts) == -(-plain // 15)
+        assert max(firsts) <= 15 and max(firsts) - min(firsts) <= 1
+        assert len(calls) == rounds
 
-        monkeypatch.setattr(bci.quadrature, "circle_integral", counted)
-        report = run_verify(4000, checks=("circle",))
-        assert report["checks"][0]["cases"] == len(insts) == 15
+    def test_every_instance_is_checked_before_any_integral(self, monkeypatch):
+        calls = _count_panels_calls(monkeypatch)
+        firsts = _count_plain_first_rounds(monkeypatch)
+        good = _verify_circles()[:3]
+        for bad, error in (
+            (ProblemInstance(alpha=0.5, beta=0.5 + 1000j, theta=3.0), NonFiniteValue),
+            (ProblemInstance(alpha=cmath.exp(1j), beta=0.5, theta=3.0), AlphaOnCircle),
+        ):
+            for k in range(len(good) + 1):
+                with pytest.raises(error):
+                    circle_integrals(good[:k] + [bad] + good[k:])
+        assert calls == firsts == []
 
+    def test_empty_batch(self):
+        assert circle_integrals([]) == []
 
 
 #: Circle instances (alpha, beta, theta): poles 0.021 from the circle on both
@@ -1034,13 +1093,15 @@ def test_panels_calls_per_verify_run(monkeypatch):
     # euler) of 15 rows, each with its first round in one chunk, which factors
     # the phase and so makes no _panels call, and 2 refinement rounds; of the
     # 450 circle integrals, 15 start graded and the rest on the cached plain
-    # start, which needs no _panels call, and none refines
+    # start, which needs no _panels call, one chunk a run, and none refines
     calls = _count_panels_calls(monkeypatch)
     firsts = _count_first_rounds(monkeypatch)
+    plain = _count_plain_first_rounds(monkeypatch)
     for seed in range(4000, 4030):
         run_verify(seed)
     assert firsts == [15] * 90
     assert len(calls) == 75
+    assert len(plain) == 30 and sum(plain) == 435
 
 
 class TestIntegralIdentities:
