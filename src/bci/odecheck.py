@@ -13,13 +13,17 @@ linear ODE with polynomial coefficients in alpha:
         (alpha e^{i theta} - alpha^2) I'' +
         ((1-beta) e^{i theta} - (2-beta) alpha) I' + beta I = 0
 
-Verifying that independently computed values of I satisfy these equations —
-to fourth order in the finite-difference step — is a differential check that
-no pointwise comparison replicates: it exercises the alpha-dependence of the
-implementation, not just isolated values.  ode_residual takes its five
-stencil values from closedform.eval_closed_form, the closed form eval runs.
-The points carry tol 1e-15, which sums each series that far, so the
-differences stay truncation-limited.
+Verifying that independently computed values satisfy these equations is a
+differential check that no pointwise comparison replicates: it exercises the
+alpha-dependence of the implementation, not just isolated values.
+ode_residuals, which run_verify's ode check calls, takes the derivative terms
+p2 I'' + p1 I' as one contour integral, differentiated under the integral
+sign (quadrature.circle_ode_integrals), and I from closedform.eval_closed_form,
+the closed form eval runs, at tol 1e-15: one closed form and one contour
+integral per instance, and a residual at rounding level.  ode_residual is the
+five-point stencil over closed forms, kept as API for its fourth-order
+halving law; its points carry tol 1e-15, which sums each series that far, so
+the differences stay truncation-limited.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 from .branchcut import ProblemInstance, as_integer, cut_jump_factor
 from .closedform import eval_closed_form
 from .errors import IntegerBeta, RegimeStraddle
+from .quadrature import circle_ode_integrals
 
 __all__ = [
     "INFINITY",
@@ -43,6 +48,7 @@ __all__ = [
     "ode_coefficients_inside",
     "coefficients_for",
     "ode_residual",
+    "ode_residuals",
     "singular_points",
 ]
 
@@ -113,6 +119,12 @@ def _poly_at(coeffs: tuple[complex, ...], a: complex) -> complex:
     return acc
 
 
+def _refuse_integer(beta: complex) -> None:
+    n = as_integer(beta)
+    if n is not None:
+        raise IntegerBeta(f"beta = {n}: the integral is piecewise trivial in alpha and the ODE check is vacuous")
+
+
 def _band_guard(inst: ProblemInstance, offsets: tuple[float, ...], h: float) -> None:
     """All stencil points must sit strictly on inst.alpha's side of |a| = 1."""
     outside = inst.alpha_outside()
@@ -150,9 +162,7 @@ def ode_residual(inst: ProblemInstance, h: float = DEFAULT_STEP) -> OdeResidual:
     if not (h > 0.0 and sys.float_info.min <= 12.0 * h * h < math.inf):
         raise ValueError(f"step h must be positive and finite, with 12 h^2 a normal float, got {h!r}")
     offsets = (-2.0, -1.0, 0.0, 1.0, 2.0)
-    n = as_integer(inst.beta)
-    if n is not None:
-        raise IntegerBeta(f"beta = {n}: the integral is piecewise trivial in alpha and the ODE check is vacuous")
+    _refuse_integer(inst.beta)
     _band_guard(inst, offsets, h)
     coeffs = coefficients_for(inst)
     a = inst.alpha
@@ -166,6 +176,31 @@ def ode_residual(inst: ProblemInstance, h: float = DEFAULT_STEP) -> OdeResidual:
     defect = p2 * d2 + p1 * d1 + coeffs.zero_order * i_0 - coeffs.rhs
     scale = max(abs(coeffs.rhs), max(abs(p2), abs(p1), abs(coeffs.zero_order)) * max(abs(d2), abs(d1), abs(i_0)), 1.0)
     return OdeResidual(lhs_minus_rhs=defect, relative_residual=abs(defect) / scale, step=h)
+
+
+def ode_residuals(insts: list[ProblemInstance]) -> list[float]:
+    """Relative residual of the regime ODE at each instance,
+    |J + beta I - rhs| / max(|rhs|, |J|, |beta I|, 1).
+
+    J = p2 I'' + p1 I' is one contour integral, of
+    z^beta (2 p2 + p1 (z - alpha)) / (z - alpha)^3 with p2 and p1 at alpha
+    (quadrature.circle_ode_integrals), and I is eval_closed_form at tol 1e-15.
+    Every instance is checked before any integral (IntegerBeta, AlphaOnCircle,
+    NonFiniteValue for an integrand that could overflow); a contour integral
+    that stops unconverged raises SlowConvergence.
+    """
+    coeffs = []
+    for inst in insts:
+        _refuse_integer(inst.beta)
+        coeffs.append(coefficients_for(inst))
+    numerators = [(2.0 * _poly_at(c.p2, inst.alpha), _poly_at(c.p1, inst.alpha)) for inst, c in zip(insts, coeffs)]
+    residuals = []
+    for inst, c, integral in zip(insts, coeffs, circle_ode_integrals(insts, numerators)):
+        j = integral.converged_value("ODE contour integral")
+        point = ProblemInstance(inst.alpha, inst.beta, inst.theta, 1e-15, inst.exclusion_band)
+        i0 = c.zero_order * eval_closed_form(point).value
+        residuals.append(abs(j + i0 - c.rhs) / max(abs(c.rhs), abs(j), abs(i0), 1.0))
+    return residuals
 
 
 def _order(p: np.ndarray, r: complex) -> float:

@@ -39,11 +39,16 @@ unit-interval integrals start on meshes graded toward what the instance says
 is hard (the sections below), so almost every integral stops on that first
 round.
 
-Refinement and stopping look only at |K15 - G7|.  That difference can fall
-below the rounding error of the K15 sum itself, so the reported estimate also
-carries QUADPACK's floor, 50 * eps * integral of |f| (Piessens et al., 1983;
-the integral of |f| is taken with the K15 weights), and converged is judged
-on that floored estimate.  On the circle, the power exp(i beta s) carries
+Refinement looks only at |K15 - G7|.  That difference can fall below the
+rounding error of the K15 sum itself, so the reported estimate also carries
+QUADPACK's floor, 50 * eps * integral of |f| (Piessens et al., 1983; the
+integral of |f| is taken with the K15 weights), and converged is judged on
+that floored estimate.  An integral stops once its summed |K15 - G7| meets
+the goal, unless the rounding terms below leave that estimate past the goal
+while they are short of it themselves: one round more then converges it
+(an ODE row of run_verify stopped unconverged on about 1 draw in 12,000
+without that), and rounding terms at or past the goal stop it at once, as
+no round can lower them.  On the circle, the power exp(i beta s) carries
 the rounding of an exponential whose argument reaches |beta| 2 pi, and
 z = e^{is} its own, so the estimate adds eps * 2 pi * (|beta| + 1) *
 integral of |f|.  That term is a bound on a rounding that happens, so it
@@ -97,6 +102,30 @@ where grading toward it is sound.  The grading constants (a first step of
 2/|Im beta| and 16 base panels) were chosen as those taking the fewest
 calls on the eval-mixed pools.
 
+ODE integrand
+-------------
+Differentiating under the integral sign, p2 I'' + p1 I' of the circle
+integral I(alpha) is one contour integral, of z^beta N(z)/(z - alpha)^3 with
+N = n0 + n1 (z - alpha), n0 = 2 p2(alpha) and n1 = p1(alpha)
+(circle_ode_integrals; odecheck.ode_residuals).  It runs on circle_integral's
+window, _circle_start mesh and engine, and where that subtracts the pole it
+subtracts the degree-2 Taylor polynomial T = t0 + t1 d + t2 d^2, d = z - alpha,
+of z^beta N at alpha instead: with c0 = alpha^beta = e^{i beta s0},
+c1 = beta c0/alpha and c2 = (beta - 1) c1/(2 alpha), t0 = c0 n0,
+t1 = c1 n0 + c0 n1 and t2 = c2 n0 + c1 n1.  Of T/d^3 only t2/d has a residue,
+so 2 pi i t2 is added back when alpha is inside.  Its overflow guard is the
+circle's with 3 log(1/|1 - |alpha||) for the triple pole and log max|N| on
+the circle, |n0 - n1 alpha| + |n1|, added to the peak, so it refuses
+exponents the circle takes: at verify's seed 1 and Re beta = 0.5, Im beta
+past 119.92 or below -116.20, where the circle refuses past 125.49 or below
+-126.04 (tests/test_verify.py).  Its estimate is the
+circle's: near the pole z^beta N - T cancels to O(d^3) from terms of size
+|T|, which rounds by eps |T|/|d|^3 there, but on 500 draws (the verify
+distribution, and the graded starts at beta = 0.5+6i and 0.5+100i,
+|alpha| 0.1-0.9 and 1.1-5) every estimate bounded the error against mpmath
+by a factor of at least 1.6 (2.3 on the 160 of tests/test_quadrature.py),
+so no term for it is added.
+
 Endpoint singularities
 ----------------------
 For integral_0^1 t^mu * f(t) dt with Re(mu) > -1 the substitution
@@ -144,8 +173,9 @@ error grows to |c| eps |log mid|, ~125 times that bound at the node next to
 Batched first round
 -------------------
 Almost every integral stops on its first round, so the batches evaluate
-their first rounds together (circle_integrals those of its rows on the plain
-start; a graded or lone circle runs alone): the integrand gets its parameters
+their first rounds together (circle_integrals and circle_ode_integrals those
+of their rows on the plain start, both through _contour_integrals; a
+graded or lone row runs alone): the integrand gets its parameters
 as (k, 1) columns, and _rules reduces the (k, 15 n) values panel by panel,
 with einsum, which calls no BLAS (an earlier circle batch's BLAS product
 rounded a row by its place in the matrix under some OpenBLAS kernels).  One
@@ -185,6 +215,7 @@ __all__ = [
     "adaptive_quadrature",
     "circle_integral",
     "circle_integrals",
+    "circle_ode_integrals",
     "euler_integral",
     "euler_integrals",
     "radial_integral",
@@ -346,15 +377,17 @@ def _fsum(terms: list, extra: float = 0.0) -> float:
 def _judge(re: list, im: list, errs: list, masses: list, tol: float, roundoff: float, offset: complex) -> tuple:
     """The stopping test on an integral's panels plus offset, given the real
     and imaginary parts of their K15 values, their estimates and masses as
-    lists: (its value and estimate, goal = tol * max(1, |value|), whether the
-    summed estimates are at most goal or NaN).  The estimate carries offset's
-    own rounding, 2 eps |offset|.  A value that is not finite gets a NaN goal:
+    lists: (its value and estimate, goal = tol * max(1, |value|), whether it
+    stops).  The estimate carries offset's own rounding, 2 eps |offset|.  It
+    stops once the summed estimates are at most goal or NaN, unless the
+    rounding terms alone are below goal and the estimate is not: a round
+    more can meet the goal then.  A value that is not finite gets a NaN goal:
     it stops unconverged."""
     value = complex(_fsum(re, offset.real), _fsum(im, offset.imag))
     goal = tol * max(1.0, abs(value)) if cmath.isfinite(value) else math.nan
-    err = _fsum(errs)
-    estimate = err + roundoff * _fsum(masses) + 2.0 * _EPS * abs(offset)
-    return value, estimate, goal, not err > goal
+    err, floor, rounding = _fsum(errs), roundoff * _fsum(masses), 2.0 * _EPS * abs(offset)
+    estimate = err + floor + rounding
+    return value, estimate, goal, not (err > goal or (estimate > goal and floor + rounding < goal))
 
 
 def adaptive_quadrature(f: Callable, edges: np.ndarray, tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
@@ -445,7 +478,7 @@ def circle_integral(inst: ProblemInstance, tol: float = DEFAULT_QUAD_TOL) -> Qua
 def circle_integrals(insts: list[ProblemInstance], tol: float = DEFAULT_QUAD_TOL) -> list[QuadratureResult]:
     """circle_integral for each instance, each checked, in order, before any
     is integrated; rows on the plain start share first rounds (module notes)."""
-    rows, plain = [], []  # each row: lo, e^{i lo}, beta, alpha, c, roundoff, offset, graded edges or None
+    rows = []
     for inst in insts:
         roundoff = _circle_roundoff(inst)
         lo, alpha, beta = inst.theta - TWO_PI, inst.alpha, inst.beta
@@ -453,21 +486,58 @@ def circle_integrals(insts: list[ProblemInstance], tol: float = DEFAULT_QUAD_TOL
         c = 0j if pole is None else cmath.exp(1j * beta * pole)
         # the i of dz = i z ds multiplies the total, the enclosed residue 2 pi i c included
         offset = 0j if inst.alpha_outside() else TWO_PI * c
-        rows.append((lo, cmath.exp(1j * lo), beta, alpha, c, roundoff, offset, edges))
-        if edges is None:
-            plain.append(rows[-1])
+        rows.append((lo, cmath.exp(1j * lo), (beta, alpha, c), roundoff, offset, edges))
+    return _contour_integrals(rows, _circle_integrand, tol)
+
+
+def circle_ode_integrals(
+    insts: list[ProblemInstance], numerators: list[tuple[complex, complex]]
+) -> list[QuadratureResult]:
+    """Contour integral of z**beta N(z) / (z - alpha)**3 over the unit circle,
+    N(z) = n0 + n1 (z - alpha), for each instance and its pair (n0, n1): with
+    n0 = 2 p2(alpha) and n1 = p1(alpha), p2 I'' + p1 I' of circle_integral's
+    I(alpha).  It runs as circle_integrals does, and subtracts the Taylor
+    polynomial of z**beta N at alpha where that subtracts the pole (module
+    notes).  Each instance is checked, in order, before any is integrated:
+    alpha off the circle, and no node overflowing (NonFiniteValue).
+    """
+    rows = []
+    for inst, (n0, n1) in zip(insts, numerators, strict=True):
+        lo, alpha, beta = inst.theta - TWO_PI, inst.alpha, inst.beta
+        # max |N| on the circle is |n0 - n1 alpha| + |n1|
+        roundoff = _circle_roundoff(inst, 3, abs(n0 - n1 * alpha) + abs(n1))
+        edges, pole = _circle_start(lo, alpha, beta)
+        t0 = t1 = t2 = 0j
+        if pole is not None:
+            # Taylor coefficients of z**beta at alpha, c0 = alpha**beta
+            c0 = cmath.exp(1j * beta * pole)
+            c1 = beta * c0 / alpha
+            c2 = (beta - 1.0) * c1 / (2.0 * alpha)
+            t0, t1, t2 = c0 * n0, c1 * n0 + c0 * n1, c2 * n0 + c1 * n1
+        offset = 0j if inst.alpha_outside() else TWO_PI * t2
+        rows.append((lo, cmath.exp(1j * lo), (beta, alpha, n0, n1, t0, t1, t2), roundoff, offset, edges))
+    return _contour_integrals(rows, _ode_integrand, DEFAULT_QUAD_TOL)
+
+
+def _contour_integrals(rows: list[tuple], integrand: Callable, tol: float) -> list[QuadratureResult]:
+    """The integrals of checked circle rows, each (lo, e^{i lo}, params,
+    roundoff, offset, graded edges or None), of integrand(*params) over ds
+    short of the factor i: rows on the plain start share first rounds in
+    chunks, and a graded row, or a lone plain row, runs alone (module notes)."""
+    plain = [row for row in rows if row[5] is None] if len(rows) > 1 else ()
     settled = None
     if len(plain) > 1:
-        los, turns, *params = [np.array(col)[:, None] for col in list(zip(*plain))[:5]]
-        first_round = lambda a, b: _plain_first(los[a:b], turns[a:b], _circle_integrand(*(p[a:b] for p in params)))
-        alone = lambda k: (_circle_integrand(*plain[k][2:5]), plain[k][0] + _PLAIN_EDGES)
-        settled = iter(_settle(len(plain), first_round, tol, [row[5:7] for row in plain], alone))
+        los, turns = (np.array(col)[:, None] for col in list(zip(*plain))[:2])
+        columns = [np.array(col)[:, None] for col in zip(*(row[2] for row in plain))]
+        first_round = lambda a, b: _plain_first(los[a:b], turns[a:b], integrand(*(col[a:b] for col in columns)))
+        alone = lambda k: (integrand(*plain[k][2]), plain[k][0] + _PLAIN_EDGES)
+        settled = iter(_settle(len(plain), first_round, tol, [row[3:5] for row in plain], alone))
     results = []
-    for lo, turn, beta, alpha, c, roundoff, offset, edges in rows:
+    for lo, turn, params, roundoff, offset, edges in rows:
         if settled and edges is None:
             fields = next(settled)
         else:  # a graded row, or a lone plain row on scalars: columns would cost it ~1 us
-            f = _circle_integrand(beta, alpha, c)
+            f = integrand(*params)
             if edges is None:
                 edges, first = lo + _PLAIN_EDGES, _plain_first(lo, turn, f)
             else:
@@ -484,17 +554,19 @@ def _plain_first(lo, turn, g: Callable) -> tuple:
     return _rules(g(lo + _PLAIN_NODES, turn * _PLAIN_TURNS), _PLAIN_HALF)
 
 
-def _circle_roundoff(inst: ProblemInstance) -> float:
-    """Factor of integral |f| in the estimate of inst's circle integral (module
+def _circle_roundoff(inst: ProblemInstance, order: int = 1, size: float = 1.0) -> float:
+    """Factor of integral |f| in the estimate of inst's circle integral of
+    z**beta N(z) / (z - alpha)**order, |N| at most size on the circle (module
     notes), once inst is checked: alpha off the circle, and no node overflowing."""
     inst.require_alpha_off_circle()
     th, alpha, beta = inst.theta, inst.alpha, inst.beta
     # log |z^beta| = -Im(beta) s is largest at one end of the window,
     # and |z - alpha| >= |1 - |alpha|| on the circle
     peak = beta.imag * (TWO_PI - th) if beta.imag > 0.0 else -beta.imag * th
-    peak -= math.log(abs(1.0 - abs(alpha)))
-    if peak > _EXP_LIMIT:
-        raise NonFiniteValue(f"|z**beta / (z - alpha)| may reach e^{peak:.6g} on the circle, beyond double precision")
+    peak -= order * math.log(abs(1.0 - abs(alpha)))
+    peak += math.log(size) if size else -math.inf
+    if not peak <= _EXP_LIMIT:
+        raise NonFiniteValue(f"the circle integrand may reach e^{peak:.6g} on the circle, beyond double precision")
     return _ROUNDOFF + _EPS * TWO_PI * (abs(beta) + 1.0)
 
 
@@ -504,6 +576,19 @@ def _circle_integrand(beta: complex, alpha: complex, c: complex) -> Callable:
     def g(s: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
         z = np.exp(1j * s) if z is None else z
         return z * (np.exp(1j * beta * s) - c) / (z - alpha)
+
+    return g
+
+
+def _ode_integrand(beta, alpha, n0, n1, t0, t1, t2) -> Callable:
+    """z (z**beta N(z) - T(z)) / (z - alpha)**3 at s and z = e^{is}, made unless
+    given, with N = n0 + n1 d and T = t0 + t1 d + t2 d^2 for d = z - alpha: the
+    integrand of circle_ode_integrals over ds, short of the factor i; T = 0
+    when no pole is subtracted."""
+    def g(s: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+        z = np.exp(1j * s) if z is None else z
+        d = z - alpha
+        return z * (np.exp(1j * beta * s) * (n0 + n1 * d) - (t0 + (t1 + t2 * d) * d)) / (d * d * d)
 
     return g
 

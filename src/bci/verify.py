@@ -8,11 +8,12 @@ ran before it, and the report bytes are fully determined by the seed.  A
 check draws all its cases first and then evaluates them.  Its quadratures
 are batches that share their first rounds, in chunks with one stopping pass
 per chunk: the unit-interval ones with the phase u^{ic} factored on the one
-graded start mesh, the circles on the plain start (see the quadrature module
-notes); each is the float of its single integral, and a circle the float
-circle_integral gives in eval.  Everything else runs one case at a time
-through the code that eval runs: each 2F1(1, b; 1+b; .) series is a
-hyp2f1_one_b call, each ODE stencil value an eval_closed_form call.
+graded start mesh, the circles and the ODE's contour integrals on the plain
+start (see the quadrature module notes); each is the float of its single
+integral, and a circle the float circle_integral gives in eval.  Everything
+else runs one case at a time through the code that eval runs: each
+2F1(1, b; 1+b; .) series is a hyp2f1_one_b call, and the ODE's I is an
+eval_closed_form call.
 A check whose residuals include a NaN reports a NaN worst residual and
 fails.
 
@@ -20,8 +21,9 @@ Checks
 ------
 reconciliation   cross-regime Euler identity (pole term + closed form):
                  15 Euler integrals as one batch, 15 series
-ode              finite-difference residual of the regime ODE: 12 draws x 5
-                 stencil points, 60 closed forms
+ode              residual of the regime ODE, p2 I'' + p1 I' as one contour
+                 integral: 12 draws, 12 ODE contour integrals as one batch,
+                 12 closed forms
 circle           contour integral vs residue + jump * radial integral: 15
                  circle integrals as one batch, 15 radial integrals as another
 euler            beta * Euler integral vs the 2F1(1, b; 1+b; .) series:
@@ -45,7 +47,7 @@ from typing import Any, Callable, Iterable
 from .branchcut import TWO_PI, ProblemInstance, as_integer, require_tol
 from .closedform import check_reconciliations
 from .hypergeometric import hyp2f1_one_b
-from .odecheck import ode_residual
+from .odecheck import ode_residuals
 from .quadrature import check_circles_vs_radial, euler_integrals
 
 __all__ = ["CHECK_ORDER", "DEFAULT_THRESHOLDS", "run_verify"]
@@ -113,7 +115,7 @@ def _euler_residuals(rng: random.Random, beta_fix: complex | None) -> list[float
 #: pinned exponent or None
 _CHECKS: dict[str, tuple[float, Callable[[random.Random, complex | None], Iterable[float]]]] = {
     "reconciliation": (1e-6, lambda rng, beta: check_reconciliations(_instances(rng, beta, 15, inside_only=True))),
-    "ode": (1e-4, lambda rng, beta: [ode_residual(inst).relative_residual for inst in _instances(rng, beta, 12)]),
+    "ode": (1e-4, lambda rng, beta: ode_residuals(_instances(rng, beta, 12))),
     "circle": (1e-6, lambda rng, beta: check_circles_vs_radial(_instances(rng, beta, 15))),
     "euler": (1e-8, _euler_residuals),
 }

@@ -1,12 +1,14 @@
-"""Faults seeded into the unit-interval quadrature engine each fail verify.
+"""Faults seeded into the code verify runs each fail verify.
 
-Each fault is a monkeypatched wrapper around one piece of the engine that
-verify's unit-interval integrals run through; the source is left as it is.
-On seeds 4000-4029 each must fail at least one of the checks that run the
-engine (reconciliation, circle, euler) on at least as many seeds as it
-does now.  Two faults of the same size, the radial pole times 1 + 1e-7 and
-the radial exponent plus 1e-7, fail no check on these seeds: the checks'
-fixed thresholds are looser than what they move.
+Each fault is a monkeypatched wrapper around one piece of the code; the
+source is left as it is.  On seeds 4000-4029 each unit-interval engine
+fault must fail at least one of the checks that run the engine
+(reconciliation, circle, euler) on at least as many seeds as it does now.
+Two faults of the same size, the radial pole times 1 + 1e-7 and the radial
+exponent plus 1e-7, fail no check on these seeds: the checks' fixed
+thresholds are looser than what they move.  The ODE faults, C (the inside
+series argument conjugated) and F (one inside ODE coefficient off by 1e-3),
+must fail the ode check on every seed.
 """
 
 import cmath
@@ -14,6 +16,7 @@ import cmath
 import pytest
 
 import bci.closedform
+import bci.odecheck
 import bci.quadrature as quadrature
 import bci.verify
 from bci.verify import run_verify
@@ -93,3 +96,38 @@ def test_seeded_engine_fault_fails_verify(seed_fault, caught, monkeypatch):
     seed_fault(monkeypatch)
     failed = [seed for seed in SEEDS if run_verify(seed, checks=ENGINE_CHECKS)["verdict"] == "Disagree"]
     assert len(failed) >= caught, failed
+
+
+def _inside_argument_conjugated(monkeypatch):
+    # fault C: the inside series argument alpha e^{-i theta} conjugated in
+    # _regime, which eval_closed_form, and so the ode check's I0, takes it from
+    regime = bci.closedform._regime
+
+    def faulty(inst):
+        outside, diag, z = regime(inst)
+        return outside, diag, z if outside else z.conjugate()
+
+    monkeypatch.setattr(bci.closedform, "_regime", faulty)
+
+
+def _inside_coefficient(monkeypatch):
+    # fault F: the constant term of the inside p1 times 1 + 1e-3
+    inside = bci.odecheck.ode_coefficients_inside
+
+    def faulty(beta, theta):
+        coeffs = inside(beta, theta)
+        return coeffs._replace(p1=(coeffs.p1[0] * (1.0 + 1e-3), *coeffs.p1[1:]))
+
+    monkeypatch.setattr(bci.odecheck, "ode_coefficients_inside", faulty)
+
+
+def test_the_ode_check_unfaulted_passes():
+    for seed in SEEDS:
+        assert run_verify(seed, checks=("ode",))["verdict"] == "Agree"
+
+
+@pytest.mark.parametrize("seed_fault", [_inside_argument_conjugated, _inside_coefficient])
+def test_seeded_ode_fault_fails_the_ode_check(seed_fault, monkeypatch):
+    seed_fault(monkeypatch)
+    passed = [seed for seed in SEEDS if run_verify(seed, checks=("ode",))["verdict"] == "Agree"]
+    assert passed == []

@@ -2,13 +2,18 @@
 
 import cmath
 import math
+import random
 
 import pytest
 
 import bci.odecheck
+import bci.quadrature
+import bci.verify
 from bci import (
     INFINITY,
+    AlphaOnCircle,
     IntegerBeta,
+    NonFiniteValue,
     OdeCoefficients,
     ProblemInstance,
     RegimeStraddle,
@@ -19,7 +24,9 @@ from bci import (
     ode_coefficients_inside,
     ode_coefficients_outside,
     ode_residual,
+    ode_residuals,
     singular_points,
+    SlowConvergence,
 )
 
 
@@ -114,6 +121,63 @@ class TestOdeResidual:
             ode_residual(integer_straddle, h=0.05)
         with pytest.raises(RegimeStraddle):
             ode_residual(straddle, h=0.05)
+
+
+class TestOdeResiduals:
+    def test_residuals_are_at_rounding_level(self, ode_draws):
+        # one closed form and one contour integral per draw; the stencil's
+        # worst on these draws is 4.2e-9, set by h^4 truncation and
+        # 1e-15/h^2 rounding
+        assert max(ode_residuals(ode_draws)) < 1e-12
+
+    def test_works_where_the_stencil_leaves_its_regime(self):
+        # no stencil points: an instance just past the band checks as any other
+        for alpha in (1.03, 0.97 * cmath.exp(1j), 1.06):
+            inst = ProblemInstance(alpha=alpha, beta=0.5 + 0.3j, theta=2.0)
+            assert ode_residuals([inst])[0] < 1e-12
+        with pytest.raises(RegimeStraddle):
+            ode_residual(ProblemInstance(alpha=1.06, beta=0.5, theta=2.0), h=0.05)
+
+    def test_the_list_equals_each_instance_alone(self, ode_draws):
+        # shuffled verify draws, plain and graded, plus rows whose every
+        # circle starts graded (|Im beta| 2 pi/16 > 2)
+        rng = random.Random(20261028)
+        insts = ode_draws[:96] + bci.verify._instances(rng, 0.5 + 6j, 12)
+        rng.shuffle(insts)
+        alone = [ode_residuals([inst])[0].hex() for inst in insts]
+        assert [r.hex() for r in ode_residuals(insts)] == alone
+
+    def test_every_instance_is_checked_before_any_integral(self, monkeypatch, ode_draws):
+        def no_values(point):
+            raise AssertionError("a closed form before every instance was checked")
+
+        def no_rounds(*args):
+            raise AssertionError("an integral before every instance was checked")
+
+        monkeypatch.setattr(bci.odecheck, "eval_closed_form", no_values)
+        monkeypatch.setattr(bci.quadrature, "_panels", no_rounds)
+        monkeypatch.setattr(bci.quadrature, "_plain_first", no_rounds)
+        good = ode_draws[:3]
+        for bad, error in (
+            (ProblemInstance(alpha=2.0, beta=3, theta=2.0), IntegerBeta),
+            (ProblemInstance(alpha=1.01, beta=0.5, theta=2.0), AlphaOnCircle),
+            (ProblemInstance(alpha=0.5, beta=0.5 + 1000j, theta=3.0), NonFiniteValue),
+        ):
+            for k in range(len(good) + 1):
+                with pytest.raises(error):
+                    ode_residuals(good[:k] + [bad] + good[k:])
+
+    def test_unconverged_integral_is_refused(self, monkeypatch):
+        # this row refines past its 16-panel start; with no room to split, it
+        # stops unconverged, and a residual read off its value would be no check
+        inst = ProblemInstance(alpha=2.0 * cmath.exp(1j), beta=1.0 + 0.4j, theta=2.5)
+        assert ode_residuals([inst])[0] < 1e-12
+        monkeypatch.setattr(bci.quadrature, "DEFAULT_MAX_PANELS", 16)
+        with pytest.raises(SlowConvergence, match="the ODE contour integral stopped unconverged"):
+            ode_residuals([inst])
+
+    def test_empty_list(self):
+        assert ode_residuals([]) == []
 
 
 class TestJumpScaling:

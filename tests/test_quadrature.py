@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bci.odecheck
 import bci.quadrature
 from bci import (
     AlphaOnCircle,
@@ -26,6 +27,8 @@ from bci import (
     check_integral_reduction,
     circle_integral,
     circle_integrals,
+    circle_ode_integrals,
+    coefficients_for,
     euler_integral,
     euler_integrals,
     evaluate_instance,
@@ -989,6 +992,109 @@ class TestCircleEdgeCases:
         assert calls == []
 
 
+def _numerators(inst):
+    """(2 p2(alpha), p1(alpha)) of inst's regime ODE: N of its ODE integral."""
+    coeffs, at = coefficients_for(inst), bci.odecheck._poly_at
+    return 2.0 * at(coeffs.p2, inst.alpha), at(coeffs.p1, inst.alpha)
+
+
+def _mp_ode(inst, n0, n1):
+    """n0 I''/2 + n1 I' from the derivatives of the 2F1 identity, in mpmath,
+    30 digits plus 15 guard: 2F1(a, b; c; x)' = (ab/c) 2F1(a+1, b+1; c+1; x)."""
+    with mp.workdps(45):
+        a, b, th = mp.mpc(inst.alpha), mp.mpc(inst.beta), mp.mpf(inst.theta)
+        jump = mp.exp(1j * b * th) - mp.exp(1j * b * (th - 2 * mp.pi))
+        if abs(inst.alpha) < 1.0:
+            # I = jump/b F(a e^{-i theta}), F = 2F1(1, -b; 1-b; .)
+            w = mp.exp(-1j * th)
+            d1 = -b / (1 - b) * mp.hyp2f1(2, 1 - b, 2 - b, a * w) * w
+            d2 = -2 * b / (2 - b) * mp.hyp2f1(3, 2 - b, 3 - b, a * w) * w * w
+        else:
+            # I = jump/b (1 - G(y)), G = 2F1(1, b; 1+b; .), y = e^{i theta}/a
+            y = mp.exp(1j * th) / a
+            g1 = b / (1 + b) * mp.hyp2f1(2, 1 + b, 2 + b, y)
+            g2 = 2 * b / (2 + b) * mp.hyp2f1(3, 2 + b, 3 + b, y)
+            d1 = g1 * y / a
+            d2 = -(g2 * (y / a) ** 2 + g1 * 2 * y / a**2)
+        return complex(jump / b * (mp.mpc(n0) * d2 / 2 + mp.mpc(n1) * d1))
+
+
+class TestCircleOdeIntegrals:
+    def test_estimate_is_at_least_true_error(self):
+        # the verify distribution (Re beta 0.2-3, |Im beta| <= 0.5) and the
+        # pinned exponents whose rows all start graded, |alpha| 0.1-0.9 and
+        # 1.1-5 in turn; the estimate is the circle's, with no term for the
+        # rounding of z^beta N - T near the pole: none of these needs one
+        rng = random.Random(20261021)
+        pinned = [None] * 100 + [0.5 + 6j] * 30 + [0.5 + 100j] * 30
+        graded = 0
+        for k, beta in enumerate(pinned):
+            inst = bci.verify._instances(rng, beta, 2)[k % 2]
+            n0, n1 = _numerators(inst)
+            (r,) = circle_ode_integrals([inst], [(n0, n1)])
+            err = abs(r.value - _mp_ode(inst, n0, n1))
+            assert r.converged and err <= r.abs_error_estimate, (inst, err, r.abs_error_estimate)
+            graded += not _is_plain(inst)
+        assert graded >= 60
+
+    def test_batch_equals_each_row_alone(self, ode_draws):
+        # the verify draws, 12 of 360 graded and some refining from the plain
+        # start, and the circle edge cases; shuffled, so rows change chunks
+        insts = ode_draws
+        insts += [ProblemInstance(alpha=a, beta=b, theta=t, exclusion_band=1e-4) for a, b, t in EDGE_CIRCLES]
+        random.Random(20261027).shuffle(insts)
+        numerators = [_numerators(inst) for inst in insts]
+        alone = [circle_ode_integrals([inst], [n])[0] for inst, n in zip(insts, numerators)]
+        assert [_bits(r) for r in circle_ode_integrals(insts, numerators)] == [_bits(r) for r in alone]
+        plain = [_is_plain(inst) for inst in insts]
+        assert 15 < sum(plain) < len(insts)
+        assert any(p and r.subdivisions > 16 for p, r in zip(plain, alone))  # a plain row refines
+
+    def test_one_first_round_per_chunk(self, monkeypatch, ode_draws):
+        insts = ode_draws[:40]
+        numerators = [_numerators(inst) for inst in insts]
+        plain = sum(map(_is_plain, insts))
+        firsts = _count_plain_first_rounds(monkeypatch)
+        circle_ode_integrals(insts, numerators)
+        assert sum(firsts) == plain and len(firsts) == -(-plain // 15)
+        assert max(firsts) - min(firsts) <= 1
+
+    def test_every_instance_is_checked_before_any_integral(self, monkeypatch, ode_draws):
+        calls = _count_panels_calls(monkeypatch)
+        firsts = _count_plain_first_rounds(monkeypatch)
+        good = ode_draws[:3]
+        for bad, error in (
+            (ProblemInstance(alpha=0.5, beta=0.5 + 1000j, theta=3.0), NonFiniteValue),
+            (ProblemInstance(alpha=cmath.exp(1j), beta=0.5, theta=3.0), AlphaOnCircle),
+        ):
+            for k in range(len(good) + 1):
+                insts = good[:k] + [bad] + good[k:]
+                with pytest.raises(error):
+                    circle_ode_integrals(insts, [(1.0, 1.0)] * len(insts))
+        assert calls == firsts == []
+
+    def test_overflow_guard_counts_the_triple_pole_and_the_numerator(self):
+        # |1 - |alpha|| = 0.5: the circle's guard takes its log once, this one
+        # three times, so an exponent that puts the circle's peak at 699.5
+        # passes there and is refused here; so is a numerator whose size takes
+        # the peak past the limit, or one that is not finite
+        theta = 3.0
+        im = (699.5 + math.log(0.5)) / (2 * math.pi - theta)
+        inst = ProblemInstance(alpha=0.5, beta=complex(0.5, im), theta=theta)
+        bci.quadrature._circle_roundoff(inst)
+        with pytest.raises(NonFiniteValue, match="may reach e\\^700\\.886 "):
+            circle_ode_integrals([inst], [(1.0, 0.0)])
+        plain = ProblemInstance(alpha=0.5, beta=0.5, theta=theta)
+        for numerator in ((1e304, 0.0), (0.0, 1e305), (math.nan, 0.0), (math.inf, 1.0)):
+            with pytest.raises(NonFiniteValue):
+                circle_ode_integrals([plain], [numerator])
+        (zero,) = circle_ode_integrals([plain], [(0.0, 0.0)])
+        assert zero.value == 0 and zero.converged
+
+    def test_empty_batch(self):
+        assert circle_ode_integrals([], []) == []
+
+
 class TestArraySettle:
     def test_rows_settle_as_they_do_alone(self):
         # each row of a batched first round goes to _refine; a row with a NaN
@@ -1012,6 +1118,29 @@ class TestArraySettle:
         assert [r.subdivisions > 8 for r in settled] == [False, True, False, True, False, False]
         assert math.isnan(settled[2].abs_error_estimate) and not settled[2].converged
         assert cmath.isnan(settled[4].value) and not settled[4].converged
+
+
+class TestStoppingRule:
+    def test_a_round_more_when_the_rounding_terms_eat_the_goal(self):
+        # goal 1: estimates summing to 0.9 stop, unless the rounding term
+        # (here the mass times 1) takes the estimate past the goal while
+        # staying below it itself; a rounding term at or past the goal stops
+        # as the estimates alone say, as no round can lower it
+        judge = bci.quadrature._judge
+        for mass, stops in ((0.05, True), (0.2, False), (1.0, True), (2.0, True)):
+            assert judge([1.0], [0.0], [0.9], [mass], 1.0, 1.0, 0j)[3] is stops, mass
+        assert judge([1.0], [0.0], [1.1], [0.0], 1.0, 1.0, 0j)[3] is False
+
+    def test_an_ode_row_on_the_edge_converges(self):
+        # its first round's estimates sum to just under the goal and its
+        # rounding term takes the estimate past it: it stopped there
+        # unconverged, with 16 panels, and verify refused with SlowConvergence
+        alpha, beta = 0.7958955714119488 + 2.339155126767278j, 1.8106148831708113 - 0.03924053887123213j
+        inst = ProblemInstance(alpha=alpha, beta=beta, theta=3.0432838877799884)
+        n0, n1 = _numerators(inst)
+        (r,) = circle_ode_integrals([inst], [(n0, n1)])
+        assert r.converged and r.subdivisions > 16
+        assert abs(r.value - _mp_ode(inst, n0, n1)) <= r.abs_error_estimate
 
 
 class TestPanelOrder:
@@ -1093,15 +1222,17 @@ def test_panels_calls_per_verify_run(monkeypatch):
     # euler) of 15 rows, each with its first round in one chunk, which factors
     # the phase and so makes no _panels call, and 2 refinement rounds; of the
     # 450 circle integrals, 15 start graded and the rest on the cached plain
-    # start, which needs no _panels call, one chunk a run, and none refines
+    # start, which needs no _panels call, one chunk a run, and none refines;
+    # of the 360 ODE integrals, 12 start graded, the rest on the plain start in
+    # one chunk a run, and 23 refine one round each
     calls = _count_panels_calls(monkeypatch)
     firsts = _count_first_rounds(monkeypatch)
     plain = _count_plain_first_rounds(monkeypatch)
     for seed in range(4000, 4030):
         run_verify(seed)
     assert firsts == [15] * 90
-    assert len(calls) == 75
-    assert len(plain) == 30 and sum(plain) == 435
+    assert len(calls) == 75 + 12 + 23
+    assert len(plain) == 60 and sum(plain) == 435 + 348
 
 
 class TestIntegralIdentities:

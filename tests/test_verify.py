@@ -10,7 +10,7 @@ import bci.closedform
 import bci.hypergeometric
 import bci.odecheck
 import bci.verify
-from bci import ProblemInstance, SlowConvergence
+from bci import NonFiniteValue, ProblemInstance, SlowConvergence
 from bci.closedform import check_reconciliation, check_reconciliations
 from bci.quadrature import check_circle_vs_radial, check_circles_vs_radial
 from bci.verify import run_verify
@@ -39,11 +39,11 @@ def test_batch_checks_equal_the_single_instance_checks(batch, single, inside_onl
 
 @pytest.mark.parametrize(
     "check,module,calls",
-    [("reconciliation", bci.closedform, 15), ("ode", bci.closedform, 60), ("euler", bci.verify, 15)],
+    [("reconciliation", bci.closedform, 15), ("ode", bci.closedform, 12), ("euler", bci.verify, 15)],
 )
 def test_series_checks_sum_each_series_alone(check, module, calls, monkeypatch):
-    # every series is a hyp2f1_one_b call, the code eval runs; the ode
-    # check's 12 draws x 5 stencil points each go through eval_closed_form
+    # every series is a hyp2f1_one_b call, the code eval runs; each of the
+    # ode check's 12 draws takes one closed form through eval_closed_form
     rows = []
     single = bci.hypergeometric.hyp2f1_one_b
 
@@ -121,6 +121,19 @@ def test_no_checks_is_refused():
     # a verdict over no checks would be an Agree that checked nothing
     with pytest.raises(ValueError, match="^no checks selected$"):
         run_verify(1, checks=())
+
+
+@pytest.mark.parametrize(
+    "check,last,first",
+    [("ode", 119.92, 119.93), ("ode", -116.20, -116.21), ("circle", 125.49, 125.50), ("circle", -126.04, -126.05)],
+)
+def test_pinned_exponent_where_the_circle_guard_refuses(check, last, first):
+    # at seed 1 and Re(beta) 0.5: ode's integrand, with its triple pole and
+    # the ODE's coefficients in its numerator, passes e^700 on the circle at
+    # a smaller |Im(beta)| than circle's
+    assert run_verify(1, checks=(check,), beta=complex(0.5, last))["verdict"] == "Agree"
+    with pytest.raises(NonFiniteValue, match="may reach e\\^700\\.0"):
+        run_verify(1, checks=(check,), beta=complex(0.5, first))
 
 
 @pytest.mark.parametrize("check", ["reconciliation", "euler"])
