@@ -211,7 +211,8 @@ def cut_jump_with_bound(beta: complex, theta: float) -> tuple[complex, float]:
     4 |expm1(w)|.  The anchor e^v is off by eps (1 + |v|), plus |beta| 2 pi
     eps from the rounding of 2 pi; expm1 by 4 eps on its terms and by e^x eps
     |w| from the rounding of w; the product by 2 eps.  Raises NonFiniteValue
-    when the anchor overflows (|Im beta| of several hundred or more).
+    when the anchor, the jump's modulus or the bound is past the float range:
+    from Im(beta) (2 pi - theta), or -Im(beta) theta, near 709.78 on.
     """
     th = _theta_of(theta)
     b = complex(beta)
@@ -230,7 +231,10 @@ def cut_jump_with_bound(beta: complex, theta: float) -> tuple[complex, float]:
     grow, half = math.exp(w.real), math.sin(0.5 * w.imag)
     expm1 = complex(math.expm1(w.real) * math.cos(w.imag) - 2.0 * half * half, grow * math.sin(w.imag))
     jump = anchor * expm1 if up else -anchor * expm1
-    bound = _EPS * abs(jump) * (19.0 + abs(b) * span) + _EPS * abs(anchor) * grow * abs(w)
+    try:
+        bound = _EPS * abs(jump) * (19.0 + abs(b) * span) + _EPS * abs(anchor) * grow * abs(w)
+    except OverflowError:  # a modulus past the float range, though its parts are finite
+        bound = math.inf
     if not (math.isfinite(bound) and cmath.isfinite(jump)):
         raise NonFiniteValue(f"the cut jump or its rounding bound overflows at beta = {b!r}")
     return jump, bound

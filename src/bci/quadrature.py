@@ -52,7 +52,16 @@ no round can lower them.  On the circle, the power exp(i beta s) carries
 the rounding of an exponential whose argument reaches |beta| 2 pi, and
 z = e^{is} its own, so the estimate adds eps * 2 pi * (|beta| + 1) *
 integral of |f|.  That term is a bound on a rounding that happens, so it
-stays even where a scan finds the estimate holds without it.
+stays even where a scan finds the estimate holds without it.  The plain
+start forms the power as two factors (Circle start, below): the anchor
+e^{i beta (lo + mid)}, whose argument reaches |beta| (2 pi - h) as the
+midpoints lie h inside the window, and the shape e^{i beta h x}, reaching
+|beta| h.  Each argument is one rounded sum or product times i beta, so it
+is within eps of its size, and the two exponentials and their product add
+about 3 eps: the factored power is within eps (2 pi |beta| + 3) of the
+exact power at the rule's node, inside the same term (tests/test_quadrature.py,
+TestFactoredCirclePhase; on 400 draws with |beta| up to 40 it stayed within
+0.56 of the term).
 The residue added back, 2 pi c, is rounded in its product, and the estimate
 carries 2 eps |2 pi c| for it (_judge): at beta = 0 the subtracted integrand
 is 0 and that rounding is the whole error.
@@ -80,9 +89,16 @@ h = |log|alpha|| / 2 that fall in the window: a pole near the cut grades the
 window's ends.  |z^beta| = e^{-Im(beta) s} peaks at theta - 2 pi for
 Im(beta) > 0 and at theta below 0; once |Im beta| 2 pi/16 > 2 the points
 2/|Im beta| times 2^k grade in from that end.  Both runs of points double up
-to two base panels.  A start without such points takes module constants:
-with lo = theta - 2 pi its nodes are lo + _PLAIN_NODES and e^{is} is
-e^{i lo} _PLAIN_TURNS, with no node build and one complex exponential fewer.
+to two base panels.  A start without such points, the plain start, takes
+module constants.  Its 16 panels share one half width h = pi/16, so with
+lo = theta - 2 pi every node is lo + mid + h x for its panel's midpoint mid
+and one of 15 offsets h x (the rule's panel ends meet the edges refinement
+splits to within an ulp of them).  So e^{is} is e^{i lo} _PLAIN_TURNS, one
+complex exponential, and the power e^{i beta s} is e^{i beta (lo + mid)}
+e^{i beta h x}, an outer product of 16 anchors and 15 shapes: 31 complex
+exponentials a row for 240 nodes.  A 15-row chunk then takes its powers in
+~25 us rather than ~87 us.  Refinement rounds and graded starts take
+e^{i beta s} directly at their nodes.
 
 The pole is subtracted rather than graded toward because near it e^{is} -
 alpha carries a relative rounding of eps/|e^{is} - alpha|, about
@@ -100,7 +116,8 @@ where the pole lies further from the circle than about _POLE_GROWTH/|Re beta|,
 where grading toward it is sound.  The grading constants (a first step of
 0.5 |log|alpha||, a reach of 0.6, a peak threshold of 2, a first step of
 2/|Im beta| and 16 base panels) were chosen as those taking the fewest
-calls on the eval-mixed pools.
+calls on the eval-mixed pools, and the ODE integrand's own reach of 0.85
+as the one taking the fewest on run_verify's ode draws (below).
 
 ODE integrand
 -------------
@@ -113,18 +130,45 @@ subtracts the degree-2 Taylor polynomial T = t0 + t1 d + t2 d^2, d = z - alpha,
 of z^beta N at alpha instead: with c0 = alpha^beta = e^{i beta s0},
 c1 = beta c0/alpha and c2 = (beta - 1) c1/(2 alpha), t0 = c0 n0,
 t1 = c1 n0 + c0 n1 and t2 = c2 n0 + c1 n1.  Of T/d^3 only t2/d has a residue,
-so 2 pi i t2 is added back when alpha is inside.  Its overflow guard is the
-circle's with 3 log(1/|1 - |alpha||) for the triple pole and log max|N| on
-the circle, |n0 - n1 alpha| + |n1|, added to the peak, so it refuses
-exponents the circle takes: at verify's seed 1 and Re beta = 0.5, Im beta
-past 119.92 or below -116.20, where the circle refuses past 125.49 or below
--126.04 (tests/test_verify.py).  Its estimate is the
-circle's: near the pole z^beta N - T cancels to O(d^3) from terms of size
-|T|, which rounds by eps |T|/|d|^3 there, but on 500 draws (the verify
-distribution, and the graded starts at beta = 0.5+6i and 0.5+100i,
-|alpha| 0.1-0.9 and 1.1-5) every estimate bounded the error against mpmath
-by a factor of at least 1.6 (2.3 on the 160 of tests/test_quadrature.py),
-so no term for it is added.
+so 2 pi i t2 is added back when alpha is inside.  Its pole is near within
+_ODE_POLE_REACH = 0.85 of the window, not the circle's 0.6: past a simple
+pole's reach a triple pole still leaves the plain 16 panels short.  At 0.6,
+1.17 of the 12 ode rows a run_verify op draws (seeds 1000-1299) refined
+from the plain start, one round alone each; at 0.85 0.12 do, and 0.51 rows
+start graded, against 0.28.  Graded first rounds plus refinement rounds,
+per op, were 1.45 at 0.6, 0.68 at 0.8, 0.64 at 0.85, 0.66 at 0.9 and 0.79
+at 1.0, and 0.85 was the least on seeds 2000-2599 and 4000-4029 too.
+
+Its overflow guard is the circle's with 3 log(1/|1 - |alpha||) for the
+triple pole and log max|N| on the circle, |n0 - n1 alpha| + |n1|, added to
+the peak, so it refuses exponents the circle takes: at verify's seed 1 and
+Re beta = 0.5, Im beta past 119.92 or below -116.20, where the circle
+refuses past 125.49 or below -126.04 (tests/test_verify.py).  Its estimate
+is the circle's, and where T is subtracted it carries the rounding of that
+subtraction too.  Near the pole z^beta N - T is O(d^3), formed from parts
+of size |z^beta N| and |T|, and the power and z round apart: a rounding
+delta of z moves N and T but not the power, so it enters the difference as
+|beta| |z^beta N| |delta|.  On the plain start the power is within
+eps (2 pi |beta| + 3) of its value at the rule's node (Engine, above) and
+z = e^{i lo} _PLAIN_TURNS within eps (pi + 3.1) (its node rounded once, two
+exponentials and their product), so the parts round by at most
+eps ((3 pi + 3.1) |beta| + 5), inside twice the power's term, eps 4 pi
+(|beta| + 1); elsewhere z and the power share their node, and round less.
+That rounding is relative to |z^beta N|/|d|^3 <= |f| + |T|/|d|^3, so the
+estimate takes twice the power's term on integral |f| and adds it times
+integral |T|/|d|^3 <= |t0| I3 + |t1| I2 + |t2| I1, where Ik is the integral
+of 1/|d|^k over the circle: I2 = 2 pi/|1 - r^2| for r = |alpha| (the
+Poisson kernel), I3 <= I2/|1 - r| and I1 <= sqrt(2 pi I2) (Cauchy-Schwarz).
+Without that term, on 600 draws with |alpha| in 0.8-0.9 or 1.1-1.25 and
+verify's exponents, the error passed the estimate on 1 draw (1.06 times it)
+with the power taken directly and on 5 (up to 2.6 times) with it factored;
+with it, the worst error is 0.033 of the estimate.  The term is a bound,
+so it is pessimistic: within a few hundredths of the circle it can pass the
+goal, and the row stops unconverged (on 4 of 300 draws with |alpha| from
+0.95 to 1.05, all at 1.021; at 1.0002, where the error reached 7.6e-11
+against a goal of 2.5e-10 with the power taken directly).  run_verify draws
+|alpha| at least 0.1 from the circle, where the term stays below 0.17 of
+the goal (seeds 1000-1299).
 
 Endpoint singularities
 ----------------------
@@ -306,6 +350,9 @@ _UNIT_CHUNK = 15
 _CIRCLE_PANELS = 16
 _CIRCLE_WIDTH = TWO_PI / _CIRCLE_PANELS
 _POLE_REACH = 0.6
+#: The ODE integrand's pole is triple, so its Taylor polynomial is subtracted
+#: out to a reach of its own (module notes).
+_ODE_POLE_REACH = 0.85
 _POLE_STEP = 0.5  # first step, as a fraction of the pole's distance |log|alpha||
 _PEAK_MIN = 2.0
 _PEAK_STEP = 2.0  # first step, divided by |Im beta|
@@ -314,11 +361,14 @@ _PEAK_STEP = 2.0  # first step, divided by |Im beta|
 _POLE_GROWTH = 2.0
 
 #: The plain start (no grading points) relative to the window's left end:
-#: its edges, the panels' half widths, its 16 x 15 nodes in panel order, and
-#: e^{i node}.
+#: its edges, the panels' midpoints, the offsets h x of a panel's nodes from
+#: its midpoint, which every panel shares with its half width h = pi/16, the
+#: 16 x 15 nodes in panel order, and e^{i node} (module notes).
 _PLAIN_EDGES = _CIRCLE_WIDTH * np.arange(_CIRCLE_PANELS + 1.0)
-_PLAIN_HALF = 0.5 * (_PLAIN_EDGES[1:] - _PLAIN_EDGES[:-1])
-_PLAIN_NODES = (0.5 * (_PLAIN_EDGES[:-1] + _PLAIN_EDGES[1:])[:, None] + _PLAIN_HALF[:, None] * _NODES).ravel()
+_PLAIN_MIDS = _CIRCLE_WIDTH * np.arange(0.5, _CIRCLE_PANELS)
+_PLAIN_HALF = np.full(_CIRCLE_PANELS, 0.5 * _CIRCLE_WIDTH)
+_PLAIN_SHAPE = 0.5 * _CIRCLE_WIDTH * _NODES
+_PLAIN_NODES = (_PLAIN_MIDS[:, None] + _PLAIN_SHAPE).ravel()
 _PLAIN_TURNS = np.exp(1j * _PLAIN_NODES)
 
 #: circle_integral refuses when its integrand may reach e^_EXP_LIMIT on the
@@ -374,18 +424,21 @@ def _fsum(terms: list, extra: float = 0.0) -> float:
         return math.nan
 
 
-def _judge(re: list, im: list, errs: list, masses: list, tol: float, roundoff: float, offset: complex) -> tuple:
+def _judge(
+    re: list, im: list, errs: list, masses: list, tol: float, roundoff: float, offset: complex, fixed: float = 0.0
+) -> tuple:
     """The stopping test on an integral's panels plus offset, given the real
     and imaginary parts of their K15 values, their estimates and masses as
     lists: (its value and estimate, goal = tol * max(1, |value|), whether it
-    stops).  The estimate carries offset's own rounding, 2 eps |offset|.  It
+    stops).  The estimate carries offset's own rounding, 2 eps |offset|, and
+    fixed, a rounding term its caller bounds before any node.  It
     stops once the summed estimates are at most goal or NaN, unless the
     rounding terms alone are below goal and the estimate is not: a round
     more can meet the goal then.  A value that is not finite gets a NaN goal:
     it stops unconverged."""
     value = complex(_fsum(re, offset.real), _fsum(im, offset.imag))
     goal = tol * max(1.0, abs(value)) if cmath.isfinite(value) else math.nan
-    err, floor, rounding = _fsum(errs), roundoff * _fsum(masses), 2.0 * _EPS * abs(offset)
+    err, floor, rounding = _fsum(errs), roundoff * _fsum(masses), 2.0 * _EPS * abs(offset) + fixed
     estimate = err + floor + rounding
     return value, estimate, goal, not (err > goal or (estimate > goal and floor + rounding < goal))
 
@@ -407,17 +460,23 @@ def adaptive_quadrature(f: Callable, edges: np.ndarray, tol: float = DEFAULT_QUA
 
 
 def _refine(
-    f: Callable, panels: tuple, tol: float, roundoff: float, offset: complex = 0j, judged: tuple | None = None
+    f: Callable,
+    panels: tuple,
+    tol: float,
+    roundoff: float,
+    offset: complex = 0j,
+    fixed: float = 0.0,
+    judged: tuple | None = None,
 ) -> tuple:
     """adaptive_quadrature from its first round, as QuadratureResult fields, of
-    the integral plus offset (a constant known in closed form): panels holds the
-    left and right edges, K15 values, estimates and masses, in any order.
-    judged, when given, is _judge's result on the first round, which is then
-    not judged again."""
+    the integral plus offset (a constant known in closed form), its estimate
+    carrying fixed (_judge): panels holds the left and right edges, K15
+    values, estimates and masses, in any order.  judged, when given, is
+    _judge's result on the first round, which is then not judged again."""
     while True:
         lefts, rights, vals, errs, masses = panels
         value, estimate, goal, stops = judged or _judge(
-            vals.real.tolist(), vals.imag.tolist(), errs.tolist(), masses.tolist(), tol, roundoff, offset
+            vals.real.tolist(), vals.imag.tolist(), errs.tolist(), masses.tolist(), tol, roundoff, offset, fixed
         )
         judged = None
         result = value, estimate, errs.size, estimate <= goal
@@ -439,22 +498,23 @@ def _refine(
 def _settle(count: int, first_round: Callable, tol: float, rows: list, alone: Callable) -> list[tuple]:
     """QuadratureResult fields of count integrals, first rounds in chunks (module notes):
     first_round(start, end) gives rows start to end as (k, n) arrays of K15 values,
-    estimates and masses, and rows each row's roundoff and offset.  A row k that fails
-    its chunk's stopping pass refines alone, on alone(k) = (its integrand, its edges)."""
+    estimates and masses, and rows each row's roundoff and offset, and its fixed
+    term if any (_judge).  A row k that fails its chunk's stopping pass refines
+    alone, on alone(k) = (its integrand, its edges)."""
     results = []
     chunks = -(-count // _UNIT_CHUNK)
     for j in range(chunks):
         start, end = count * j // chunks, count * (j + 1) // chunks
         vals, errs, masses = first_round(start, end)
         parts = zip(vals.real.tolist(), vals.imag.tolist(), errs.tolist(), masses.tolist(), rows[start:end])
-        for k, (re, im, err, mass, (roundoff, offset)) in enumerate(parts, start):
-            value, estimate, goal, stops = judged = _judge(re, im, err, mass, tol, roundoff, offset)
+        for k, (re, im, err, mass, terms) in enumerate(parts, start):
+            value, estimate, goal, stops = judged = _judge(re, im, err, mass, tol, *terms)
             if stops:
                 results.append((value, estimate, len(err), estimate <= goal))
             else:
                 f, edges = alone(k)
                 panels = (edges[:-1], edges[1:], vals[k - start], errs[k - start], masses[k - start])
-                results.append(_refine(f, panels, tol, roundoff, offset, judged))
+                results.append(_refine(f, panels, tol, *terms, judged=judged))
     return results
 
 
@@ -486,7 +546,7 @@ def circle_integrals(insts: list[ProblemInstance], tol: float = DEFAULT_QUAD_TOL
         c = 0j if pole is None else cmath.exp(1j * beta * pole)
         # the i of dz = i z ds multiplies the total, the enclosed residue 2 pi i c included
         offset = 0j if inst.alpha_outside() else TWO_PI * c
-        rows.append((lo, cmath.exp(1j * lo), (beta, alpha, c), roundoff, offset, edges))
+        rows.append((lo, cmath.exp(1j * lo), (beta, alpha, c), (roundoff, offset), edges))
     return _contour_integrals(rows, _circle_integrand, tol)
 
 
@@ -497,61 +557,79 @@ def circle_ode_integrals(
     N(z) = n0 + n1 (z - alpha), for each instance and its pair (n0, n1): with
     n0 = 2 p2(alpha) and n1 = p1(alpha), p2 I'' + p1 I' of circle_integral's
     I(alpha).  It runs as circle_integrals does, and subtracts the Taylor
-    polynomial of z**beta N at alpha where that subtracts the pole (module
-    notes).  Each instance is checked, in order, before any is integrated:
-    alpha off the circle, and no node overflowing (NonFiniteValue).
+    polynomial of z**beta N at alpha where that would subtract the pole
+    with the reach _ODE_POLE_REACH, its estimate then carrying the rounding
+    of that subtraction (module notes).  Each instance is checked, in order,
+    before any is integrated: alpha off the circle, and no node overflowing
+    (NonFiniteValue).
     """
     rows = []
     for inst, (n0, n1) in zip(insts, numerators, strict=True):
         lo, alpha, beta = inst.theta - TWO_PI, inst.alpha, inst.beta
         # max |N| on the circle is |n0 - n1 alpha| + |n1|
         roundoff = _circle_roundoff(inst, 3, abs(n0 - n1 * alpha) + abs(n1))
-        edges, pole = _circle_start(lo, alpha, beta)
+        edges, pole = _circle_start(lo, alpha, beta, _ODE_POLE_REACH)
         t0 = t1 = t2 = 0j
+        fixed = 0.0
         if pole is not None:
             # Taylor coefficients of z**beta at alpha, c0 = alpha**beta
             c0 = cmath.exp(1j * beta * pole)
             c1 = beta * c0 / alpha
             c2 = (beta - 1.0) * c1 / (2.0 * alpha)
             t0, t1, t2 = c0 * n0, c1 * n0 + c0 * n1, c2 * n0 + c1 * n1
+            # z**beta N - T cancels to O(d^3) from parts that round by twice the
+            # power's term, on integral |f| + integral |T| / |d|^3 (module notes)
+            parts = 2.0 * _power_rounding(beta)
+            roundoff = _ROUNDOFF + parts
+            r = abs(alpha)
+            disk = TWO_PI / abs(1.0 - r * r)  # integral of 1/|z - alpha|^2 over the circle
+            fixed = parts * (abs(t0) * disk / abs(1.0 - r) + abs(t1) * disk + abs(t2) * math.sqrt(TWO_PI * disk))
         offset = 0j if inst.alpha_outside() else TWO_PI * t2
-        rows.append((lo, cmath.exp(1j * lo), (beta, alpha, n0, n1, t0, t1, t2), roundoff, offset, edges))
+        rows.append((lo, cmath.exp(1j * lo), (beta, alpha, n0, n1, t0, t1, t2), (roundoff, offset, fixed), edges))
     return _contour_integrals(rows, _ode_integrand, DEFAULT_QUAD_TOL)
 
 
 def _contour_integrals(rows: list[tuple], integrand: Callable, tol: float) -> list[QuadratureResult]:
-    """The integrals of checked circle rows, each (lo, e^{i lo}, params,
-    roundoff, offset, graded edges or None), of integrand(*params) over ds
-    short of the factor i: rows on the plain start share first rounds in
-    chunks, and a graded row, or a lone plain row, runs alone (module notes)."""
-    plain = [row for row in rows if row[5] is None] if len(rows) > 1 else ()
+    """The integrals of checked circle rows, each (lo, e^{i lo}, params, beta
+    first, (roundoff, offset) or (roundoff, offset, fixed) as _judge takes
+    them, graded edges or None), of integrand(*params) over ds short of the
+    factor i: rows on the plain start share first rounds in chunks, and a
+    graded row, or a lone plain row, runs alone (module notes)."""
+    plain = [row for row in rows if row[4] is None] if len(rows) > 1 else ()
     settled = None
     if len(plain) > 1:
         los, turns = (np.array(col)[:, None] for col in list(zip(*plain))[:2])
         columns = [np.array(col)[:, None] for col in zip(*(row[2] for row in plain))]
-        first_round = lambda a, b: _plain_first(los[a:b], turns[a:b], integrand(*(col[a:b] for col in columns)))
+        first_round = lambda a, b: _plain_first(
+            los[a:b], turns[a:b], columns[0][a:b], integrand(*(col[a:b] for col in columns))
+        )
         alone = lambda k: (integrand(*plain[k][2]), plain[k][0] + _PLAIN_EDGES)
-        settled = iter(_settle(len(plain), first_round, tol, [row[3:5] for row in plain], alone))
+        settled = iter(_settle(len(plain), first_round, tol, [row[3] for row in plain], alone))
     results = []
-    for lo, turn, params, roundoff, offset, edges in rows:
+    for lo, turn, params, terms, edges in rows:
         if settled and edges is None:
             fields = next(settled)
         else:  # a graded row, or a lone plain row on scalars: columns would cost it ~1 us
             f = integrand(*params)
             if edges is None:
-                edges, first = lo + _PLAIN_EDGES, _plain_first(lo, turn, f)
+                edges, first = lo + _PLAIN_EDGES, _plain_first(lo, turn, params[0], f)
             else:
                 first = _panels(f, edges[:-1], edges[1:])
-            fields = _refine(f, (edges[:-1], edges[1:], *first), tol, roundoff, offset)
+            fields = _refine(f, (edges[:-1], edges[1:], *first), tol, *terms)
         value, *rest = fields
         results.append(_finite(QuadratureResult(complex(-value.imag, value.real), *rest)))
     return results
 
 
-def _plain_first(lo, turn, g: Callable) -> tuple:
+def _plain_first(lo, turn, beta, g: Callable) -> tuple:
     """_rules of the circle integrand g on the plain start, turn = e^{i lo}:
-    scalars give one integral's first round, (k, 1) columns a chunk's."""
-    return _rules(g(lo + _PLAIN_NODES, turn * _PLAIN_TURNS), _PLAIN_HALF)
+    scalars give one integral's first round, (k, 1) columns a chunk's.  The
+    power e^{i beta s} is e^{i beta (lo + mid)} e^{i beta h x} (module notes):
+    16 + 15 complex exponentials a row for its 240 nodes."""
+    anchors = np.exp(1j * beta * (lo + _PLAIN_MIDS))
+    shapes = np.exp(1j * beta * _PLAIN_SHAPE)
+    power = (anchors[..., :, None] * shapes[..., None, :]).reshape(anchors.shape[:-1] + (_PLAIN_NODES.size,))
+    return _rules(g(None, turn * _PLAIN_TURNS, power), _PLAIN_HALF)
 
 
 def _circle_roundoff(inst: ProblemInstance, order: int = 1, size: float = 1.0) -> float:
@@ -567,28 +645,37 @@ def _circle_roundoff(inst: ProblemInstance, order: int = 1, size: float = 1.0) -
     peak += math.log(size) if size else -math.inf
     if not peak <= _EXP_LIMIT:
         raise NonFiniteValue(f"the circle integrand may reach e^{peak:.6g} on the circle, beyond double precision")
-    return _ROUNDOFF + _EPS * TWO_PI * (abs(beta) + 1.0)
+    return _ROUNDOFF + _power_rounding(beta)
+
+
+def _power_rounding(beta: complex) -> float:
+    """eps 2 pi (|beta| + 1), the rounding of the circle's power e^{i beta s}
+    and of z = e^{is}, relative to the integrand (module notes)."""
+    return _EPS * TWO_PI * (abs(beta) + 1.0)
 
 
 def _circle_integrand(beta: complex, alpha: complex, c: complex) -> Callable:
-    """z (z**beta - c) / (z - alpha) at s and z = e^{is}, made unless given: the
+    """z (z**beta - c) / (z - alpha) at s, with z = e^{is} and z**beta =
+    e^{i beta s} made from s unless given (s may be None when both are): the
     integrand over ds, short of the factor i; c = 0j when no pole is subtracted."""
-    def g(s: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+    def g(s: np.ndarray | None, z: np.ndarray | None = None, power: np.ndarray | None = None) -> np.ndarray:
         z = np.exp(1j * s) if z is None else z
-        return z * (np.exp(1j * beta * s) - c) / (z - alpha)
+        power = np.exp(1j * beta * s) if power is None else power
+        return z * (power - c) / (z - alpha)
 
     return g
 
 
 def _ode_integrand(beta, alpha, n0, n1, t0, t1, t2) -> Callable:
-    """z (z**beta N(z) - T(z)) / (z - alpha)**3 at s and z = e^{is}, made unless
-    given, with N = n0 + n1 d and T = t0 + t1 d + t2 d^2 for d = z - alpha: the
-    integrand of circle_ode_integrals over ds, short of the factor i; T = 0
-    when no pole is subtracted."""
-    def g(s: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+    """z (z**beta N(z) - T(z)) / (z - alpha)**3 at s, z and z**beta as for
+    _circle_integrand, with N = n0 + n1 d and T = t0 + t1 d + t2 d^2 for
+    d = z - alpha: the integrand of circle_ode_integrals over ds, short of the
+    factor i; T = 0 when no pole is subtracted."""
+    def g(s: np.ndarray | None, z: np.ndarray | None = None, power: np.ndarray | None = None) -> np.ndarray:
         z = np.exp(1j * s) if z is None else z
+        power = np.exp(1j * beta * s) if power is None else power
         d = z - alpha
-        return z * (np.exp(1j * beta * s) * (n0 + n1 * d) - (t0 + (t1 + t2 * d) * d)) / (d * d * d)
+        return z * (power * (n0 + n1 * d) - (t0 + (t1 + t2 * d) * d)) / (d * d * d)
 
     return g
 
@@ -599,10 +686,12 @@ def _finite(result: QuadratureResult) -> QuadratureResult:
     return result
 
 
-def _circle_start(lo: float, alpha: complex, beta: complex) -> tuple:
+def _circle_start(lo: float, alpha: complex, beta: complex, pole_reach: float = _POLE_REACH) -> tuple:
     """Start of circle_integral on [lo, lo + 2 pi] (module notes): (the graded
     edges, or None for the plain start; the pole s0 = arg(alpha) - i log|alpha|,
-    arg(alpha) in the window, when its residue is subtracted, or None).
+    arg(alpha) in the window, when its residue is subtracted, or None).  The
+    pole counts as near within pole_reach of the window: _POLE_REACH for the
+    circle's simple pole, _ODE_POLE_REACH for the ODE integrand's triple one.
 
     The edges are built from Python floats, sorted and deduplicated, so they
     are a pure function of the instance.
@@ -610,7 +699,7 @@ def _circle_start(lo: float, alpha: complex, beta: complex) -> tuple:
     log_mod = math.log(abs(alpha)) if alpha != 0 else -math.inf
     dist = abs(log_mod)
     im = abs(beta.imag)
-    if dist >= _POLE_REACH and im * _CIRCLE_WIDTH <= _PEAK_MIN:
+    if dist >= pole_reach and im * _CIRCLE_WIDTH <= _PEAK_MIN:
         return None, None  # nothing grades: the plain start
     reach = 2.0 * _CIRCLE_WIDTH
     hi = lo + TWO_PI
@@ -627,7 +716,7 @@ def _circle_start(lo: float, alpha: complex, beta: complex) -> tuple:
                 step *= 2.0
 
     pole = None
-    if dist < _POLE_REACH:
+    if dist < pole_reach:
         # the pole's images one turn away keep residues scaled by e^{+-2 pi i
         # beta}, which the subtraction leaves; grade both sides of each, so a
         # pole near the cut grades both ends of the window

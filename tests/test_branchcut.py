@@ -157,6 +157,24 @@ class TestCutJumpFactor:
         with pytest.raises(NonFiniteValue):
             cut_jump_with_bound(beta, 2.0)
 
+    def test_modulus_past_the_float_range_is_refused(self):
+        # near Im(beta) (2 pi - theta) = 709.78 the anchor is finite, and so are
+        # the parts of the jump, while its modulus is not: abs() raised a raw
+        # OverflowError there; each beta across that edge gives finite values or
+        # is refused
+        with pytest.raises(NonFiniteValue, match="overflows at beta"):
+            cut_jump_with_bound(0.5 + 129.45j, 0.8)
+        refused = 0
+        for k in range(400):
+            for beta, theta in ((complex(0.5, 129.3 + k * 1e-3), 0.8), (complex(0.5, -137.1 - k * 1e-3), 5.17)):
+                try:
+                    value, bound = cut_jump_with_bound(beta, theta)
+                except NonFiniteValue:
+                    refused += 1
+                else:
+                    assert cmath.isfinite(value) and math.isfinite(bound), (beta, theta)
+        assert 0 < refused < 800
+
     def test_bound_covers_rounding(self):
         rng = random.Random(5)
         for k in range(300):

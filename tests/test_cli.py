@@ -182,6 +182,14 @@ class TestEvalCommand:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["verdict"], doc["disagreement"], code) == ("Refused", 0.0, 1)
 
+    def test_cut_jump_past_the_float_range_is_refused(self, capsys):
+        # the parts of the cut jump are finite and its modulus is not: every
+        # method refuses with NonFiniteValue, where a traceback once ended eval
+        code = main(["eval", "--alpha", "0.5", "--beta", "0.5+129.45j", "--theta", "0.8"])
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["verdict"], code) == ("Refused", 1)
+        assert {r["status"] for r in doc["results"]} == {"NonFiniteValue"}
+
     @pytest.mark.parametrize("alpha", ["1.02", "0.98", "1.03"])
     def test_near_band_instance_is_cross_checked(self, alpha, capsys):
         code = main(["eval", "--alpha", alpha, "--beta", "0.5+0.3j", "--theta", "2"])
@@ -581,6 +589,15 @@ class TestVerifyCommand:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr and "overflows" in proc.stderr
+
+    @pytest.mark.parametrize("check,beta", [("reconciliation", "0.5,129.65"), ("ode", "0.5,-137.2")])
+    def test_cut_jump_past_the_float_range_is_one_error_line(self, check, beta):
+        # the cut jump's parts are finite and its modulus is not
+        cmd = [sys.executable, "-m", "bci", "verify", "--seed", "1", "--check", check, "--beta", beta]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("bci verify: error: the cut jump or its rounding bound overflows")
 
     def test_unconverged_quadrature_is_refused(self):
         cmd = [sys.executable, "-m", "bci", "verify", "--seed", "1", "--check", "euler", "--beta", "1e-5+0.2j"]

@@ -168,9 +168,10 @@ class TestOdeResiduals:
                     ode_residuals(good[:k] + [bad] + good[k:])
 
     def test_unconverged_integral_is_refused(self, monkeypatch):
-        # this row refines past its 16-panel start; with no room to split, it
-        # stops unconverged, and a residual read off its value would be no check
-        inst = ProblemInstance(alpha=2.0 * cmath.exp(1j), beta=1.0 + 0.4j, theta=2.5)
+        # at Re beta = 12 this row refines past its 16-panel plain start, though
+        # its Taylor polynomial is subtracted; with no room to split, it stops
+        # unconverged, and a residual read off its value would be no check
+        inst = ProblemInstance(alpha=0.5 * cmath.exp(1j), beta=12.0 + 0.3j, theta=2.0)
         assert ode_residuals([inst])[0] < 1e-12
         monkeypatch.setattr(bci.quadrature, "DEFAULT_MAX_PANELS", 16)
         with pytest.raises(SlowConvergence, match="the ODE contour integral stopped unconverged"):

@@ -425,7 +425,7 @@ class TestCircleGradedStart:
                 circle_integral(near)
 
 
-def _full_circle_start(lo, alpha, beta):
+def _full_circle_start(lo, alpha, beta, pole_reach):
     """_circle_start without its short cuts: every grading walk runs to the
     reach, and the window filter comes after all of them."""
     q = bci.quadrature
@@ -441,7 +441,7 @@ def _full_circle_start(lo, alpha, beta):
     pole = None
     log_mod = math.log(abs(alpha)) if alpha != 0 else -math.inf
     dist = abs(log_mod)
-    if dist < q._POLE_REACH:
+    if dist < pole_reach:
         s0 = lo + (cmath.phase(alpha) - lo) % (2.0 * math.pi)
         centres = [s0 - 2.0 * math.pi, s0 + 2.0 * math.pi]
         if beta.real * log_mod <= q._POLE_GROWTH:
@@ -479,12 +479,14 @@ class TestCircleShortCuts:
                     subtracted = bci.quadrature._circle_integrand(beta, alpha, 0j)(s, z)
                     assert plain.tobytes() == subtracted.tobytes(), (beta, alpha)
 
-    def test_start_equals_the_full_construction(self):
-        # both sides of |log|alpha|| = _POLE_REACH (the pole may grade) and of
-        # |Im beta| 2 pi/16 = _PEAK_MIN (the peak may grade), poles near the
-        # cut, where grading walks cross the window's ends, and no pole at all
+    @pytest.mark.parametrize("reach", [bci.quadrature._POLE_REACH, bci.quadrature._ODE_POLE_REACH])
+    def test_start_equals_the_full_construction(self, reach):
+        # both sides of |log|alpha|| = the pole's reach (the pole may grade) and
+        # of |Im beta| 2 pi/16 = _PEAK_MIN (the peak may grade), poles near the
+        # cut, where grading walks cross the window's ends, and no pole at all;
+        # at the circle's reach and at the ODE integrand's
         rng = random.Random(20261019)
-        reach, peak_min = bci.quadrature._POLE_REACH, bci.quadrature._PEAK_MIN
+        peak_min = bci.quadrature._PEAK_MIN
         width = 2 * math.pi / 16
         peak = peak_min / width
         cases = {"plain": 0, "early": 0, "graded": 0}
@@ -496,8 +498,8 @@ class TestCircleShortCuts:
             im = rng.choice((-1, 1)) * peak * (1.0 + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-15, -0.5))
             beta = complex(rng.choice((rng.uniform(-3, 3), rng.uniform(-40, 40))), im)
             lo = theta - 2 * math.pi
-            edges, pole = bci.quadrature._circle_start(lo, alpha, beta)
-            want_edges, want_pole = _full_circle_start(lo, alpha, beta)
+            edges, pole = bci.quadrature._circle_start(lo, alpha, beta, reach)
+            want_edges, want_pole = _full_circle_start(lo, alpha, beta, reach)
             assert pole == want_pole or pole is want_pole is None, (lo, alpha, beta)
             if want_edges is None:
                 assert edges is None, (lo, alpha, beta)
@@ -507,6 +509,70 @@ class TestCircleShortCuts:
                 assert edges.tobytes() == want_edges.tobytes(), (lo, alpha, beta)
                 cases["graded"] += 1
         assert min(cases.values()) >= 100, cases
+
+
+class TestFactoredCirclePhase:
+    """The plain start takes z**beta = e^{i beta s} at its nodes s = lo + mid + h x
+    as e^{i beta (lo + mid)} e^{i beta h x}: each value lies within the
+    estimate's exponential-rounding term, eps 2 pi (|beta| + 1), of the exact
+    power at its node (module notes)."""
+
+    def test_every_node_is_its_midpoint_plus_a_shared_offset(self):
+        q, eps, h = bci.quadrature, sys.float_info.epsilon, math.pi / 16
+        assert q._PLAIN_HALF.tolist() == [h] * 16
+        assert np.array_equal(q._PLAIN_MIDS, 0.5 * (q._PLAIN_EDGES[:-1] + q._PLAIN_EDGES[1:]))
+        assert np.array_equal(q._PLAIN_SHAPE, h * q._NODES)
+        assert np.array_equal(q._PLAIN_NODES, (q._PLAIN_MIDS[:, None] + q._PLAIN_SHAPE).ravel())
+        # each panel mid +- h meets the edges that refinement splits to within an ulp of them
+        ulp = 4.0 * eps
+        assert np.all(np.abs(q._PLAIN_MIDS - h - q._PLAIN_EDGES[:-1]) <= ulp)
+        assert np.all(np.abs(q._PLAIN_MIDS + h - q._PLAIN_EDGES[1:]) <= ulp)
+
+    @staticmethod
+    def _powers(lo, beta):
+        # the power _plain_first hands the integrand, for scalars or (k, 1) columns
+        got = []
+
+        def g(s, z, power):
+            got.append(power)
+            return power
+
+        bci.quadrature._plain_first(lo, np.exp(1j * lo), beta, g)
+        return got[0]
+
+    def test_phase_is_within_the_rounding_term(self):
+        # Re beta up to 40 and |Im beta| up to the plain start's limit, 2 / (pi / 8)
+        q, eps = bci.quadrature, sys.float_info.epsilon
+        rng = random.Random(20261028)
+        draws = []
+        for _ in range(40):
+            lo = rng.uniform(0.01, 2 * math.pi - 0.01) - 2 * math.pi
+            re = rng.choice((rng.uniform(-3.0, 3.0), rng.choice((-1, 1)) * rng.uniform(30.0, 40.0)))
+            draws.append((lo, complex(re, rng.uniform(-1.0, 1.0) * q._PEAK_MIN / q._CIRCLE_WIDTH)))
+        los, betas = (np.array(col)[:, None] for col in zip(*draws))
+        chunk = self._powers(los, betas)
+        mids, offsets = np.repeat(q._PLAIN_MIDS, 15).tolist(), np.tile(q._PLAIN_SHAPE, 16).tolist()
+        for k, (lo, beta) in enumerate(draws):
+            alone = self._powers(lo, beta)
+            assert alone.tobytes() == chunk[k].tobytes()  # a lone row takes a chunk row's path
+            with mp.workdps(40):
+                exact = [complex(mp.exp(1j * mp.mpc(beta) * (mp.mpf(lo) + m + x))) for m, x in zip(mids, offsets)]
+            exact = np.array(exact)
+            bound = eps * 2 * math.pi * (abs(beta) + 1.0) * np.abs(exact)
+            assert np.all(np.abs(alone - exact) <= bound), (lo, beta)
+
+    @pytest.mark.parametrize("re", [-40.0, 40.0])
+    @pytest.mark.parametrize("mod", [0.3, 3.0])
+    def test_estimate_holds_where_the_term_is_largest(self, re, mod):
+        # |beta| = 40 on the plain start, the pole too far from the circle to grade
+        rng = random.Random(f"plain-40:{re}:{mod}")
+        for _ in range(25):
+            alpha = mod * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            inst = ProblemInstance(alpha=alpha, beta=complex(re, 0.3), theta=rng.uniform(0.05, 2 * math.pi - 0.05))
+            assert _is_plain(inst)
+            r = circle_integral(inst)
+            err = abs(r.value - _mp_circle(inst.alpha, inst.beta, inst.theta))
+            assert r.converged and err <= r.abs_error_estimate, (inst, err, r.abs_error_estimate)
 
 
 class TestEulerIntegral:
@@ -898,8 +964,14 @@ def _count_plain_first_rounds(monkeypatch):
     return rows
 
 
-def _is_plain(inst):
-    return bci.quadrature._circle_start(inst.theta - 2 * math.pi, inst.alpha, inst.beta)[0] is None
+def _is_plain(inst, reach=bci.quadrature._POLE_REACH):
+    """Whether inst's circle integral, or with reach _ODE_POLE_REACH its ODE
+    integral, takes the plain start."""
+    return bci.quadrature._circle_start(inst.theta - 2 * math.pi, inst.alpha, inst.beta, reach)[0] is None
+
+
+def _is_plain_ode(inst):
+    return _is_plain(inst, bci.quadrature._ODE_POLE_REACH)
 
 
 class TestCircleBatches:
@@ -1023,8 +1095,7 @@ class TestCircleOdeIntegrals:
     def test_estimate_is_at_least_true_error(self):
         # the verify distribution (Re beta 0.2-3, |Im beta| <= 0.5) and the
         # pinned exponents whose rows all start graded, |alpha| 0.1-0.9 and
-        # 1.1-5 in turn; the estimate is the circle's, with no term for the
-        # rounding of z^beta N - T near the pole: none of these needs one
+        # 1.1-5 in turn
         rng = random.Random(20261021)
         pinned = [None] * 100 + [0.5 + 6j] * 30 + [0.5 + 100j] * 30
         graded = 0
@@ -1034,11 +1105,49 @@ class TestCircleOdeIntegrals:
             (r,) = circle_ode_integrals([inst], [(n0, n1)])
             err = abs(r.value - _mp_ode(inst, n0, n1))
             assert r.converged and err <= r.abs_error_estimate, (inst, err, r.abs_error_estimate)
-            graded += not _is_plain(inst)
+            graded += not _is_plain_ode(inst)
         assert graded >= 60
 
+    def test_estimate_covers_the_rounding_of_the_subtraction(self):
+        # |alpha| 0.8-0.9 and 1.1-1.25, verify's exponents: z**beta N - T
+        # cancels to O(d^3) near the pole, and with the circle's rounding term
+        # alone the error passed the estimate on 3 of these 40 draws (up to 3.2 times)
+        rng = random.Random(20261030)
+        for k in range(40):
+            theta = rng.uniform(0.1, 2 * math.pi - 0.1)
+            mod = rng.uniform(0.8, 0.9) if k % 2 == 0 else rng.uniform(1.1, 1.25)
+            alpha = mod * cmath.exp(1j * (theta + rng.uniform(0.3, 2 * math.pi - 0.3)))
+            inst = ProblemInstance(alpha=alpha, beta=bci.verify._draw_beta(rng, None), theta=theta)
+            n0, n1 = _numerators(inst)
+            (r,) = circle_ode_integrals([inst], [(n0, n1)])
+            err = abs(r.value - _mp_ode(inst, n0, n1))
+            assert r.converged and err <= r.abs_error_estimate, (inst, err, r.abs_error_estimate)
+
+    def test_estimate_holds_between_the_two_reaches(self):
+        # |log|alpha|| from the circle's reach to the ODE integrand's, inside and
+        # outside in turn, with verify's exponents: the ODE integral subtracts its
+        # Taylor polynomial there unless |alpha|^Re(beta) > e^_POLE_GROWTH, and
+        # a plain row that subtracts it stops on its first round
+        q = bci.quadrature
+        rng = random.Random(20261029)
+        subtracted = stopped = 0
+        for k in range(120):
+            theta = rng.uniform(0.1, 2 * math.pi - 0.1)
+            log_mod = rng.uniform(q._POLE_REACH, q._ODE_POLE_REACH) * (-1) ** k
+            alpha = math.exp(log_mod) * cmath.exp(1j * (theta + rng.uniform(0.3, 2 * math.pi - 0.3)))
+            inst = ProblemInstance(alpha=alpha, beta=bci.verify._draw_beta(rng, None), theta=theta)
+            n0, n1 = _numerators(inst)
+            (r,) = circle_ode_integrals([inst], [(n0, n1)])
+            err = abs(r.value - _mp_ode(inst, n0, n1))
+            assert r.converged and err <= r.abs_error_estimate, (inst, err, r.abs_error_estimate)
+            edges, pole = q._circle_start(theta - 2 * math.pi, alpha, inst.beta, q._ODE_POLE_REACH)
+            if pole is not None and edges is None:
+                subtracted += 1
+                stopped += r.subdivisions == 16
+        assert subtracted >= 100 and stopped == subtracted
+
     def test_batch_equals_each_row_alone(self, ode_draws):
-        # the verify draws, 12 of 360 graded and some refining from the plain
+        # the verify draws, 20 of 360 graded and some refining from the plain
         # start, and the circle edge cases; shuffled, so rows change chunks
         insts = ode_draws
         insts += [ProblemInstance(alpha=a, beta=b, theta=t, exclusion_band=1e-4) for a, b, t in EDGE_CIRCLES]
@@ -1046,14 +1155,14 @@ class TestCircleOdeIntegrals:
         numerators = [_numerators(inst) for inst in insts]
         alone = [circle_ode_integrals([inst], [n])[0] for inst, n in zip(insts, numerators)]
         assert [_bits(r) for r in circle_ode_integrals(insts, numerators)] == [_bits(r) for r in alone]
-        plain = [_is_plain(inst) for inst in insts]
+        plain = [_is_plain_ode(inst) for inst in insts]
         assert 15 < sum(plain) < len(insts)
         assert any(p and r.subdivisions > 16 for p, r in zip(plain, alone))  # a plain row refines
 
     def test_one_first_round_per_chunk(self, monkeypatch, ode_draws):
         insts = ode_draws[:40]
         numerators = [_numerators(inst) for inst in insts]
-        plain = sum(map(_is_plain, insts))
+        plain = sum(map(_is_plain_ode, insts))
         firsts = _count_plain_first_rounds(monkeypatch)
         circle_ode_integrals(insts, numerators)
         assert sum(firsts) == plain and len(firsts) == -(-plain // 15)
@@ -1223,16 +1332,16 @@ def test_panels_calls_per_verify_run(monkeypatch):
     # the phase and so makes no _panels call, and 2 refinement rounds; of the
     # 450 circle integrals, 15 start graded and the rest on the cached plain
     # start, which needs no _panels call, one chunk a run, and none refines;
-    # of the 360 ODE integrals, 12 start graded, the rest on the plain start in
-    # one chunk a run, and 23 refine one round each
+    # of the 360 ODE integrals, 20 start graded, the rest on the plain start in
+    # one chunk a run, and 2 refine one round each
     calls = _count_panels_calls(monkeypatch)
     firsts = _count_first_rounds(monkeypatch)
     plain = _count_plain_first_rounds(monkeypatch)
     for seed in range(4000, 4030):
         run_verify(seed)
     assert firsts == [15] * 90
-    assert len(calls) == 75 + 12 + 23
-    assert len(plain) == 60 and sum(plain) == 435 + 348
+    assert len(calls) == 75 + 20 + 2
+    assert len(plain) == 60 and sum(plain) == 435 + 340
 
 
 class TestIntegralIdentities:
